@@ -16,8 +16,7 @@ import dataclasses
 import random
 from typing import Callable, Iterable, Sequence
 
-from .budgets import current
-from .chabauty import certify_convergence, clopen, distance_up_to, trace
+from .chabauty import certify_convergence, clopen, distance_up_to
 from .dynamics import (
     interval_folner_demo,
     folner_transfer_check,
@@ -26,7 +25,7 @@ from .dynamics import (
     nonisolation_witness,
     obstruction_task,
 )
-from .errors import ChabautyLabError, MalformedInputError, SearchFailure, TaskInvalidError
+from .errors import MalformedInputError, SearchFailure, TaskInvalidError
 from .schreier import build as schreier_build
 from .schreier import ends_estimate, fiber_diameters, intermediate_bound, qi_constants
 from .stallings import (

@@ -12,42 +12,35 @@ A subgroup here is anything *membership-capable*: it carries a `.ctx`
 homomorphism-defined subgroups, and HNF sublattices all qualify, so the same
 trace/distance/certification code serves F_r and Z^d.
 
+Subgroups of free groups are moreover membership automata (`start`,
+`step(state, letter)`, `accepting(state)`), so their distances come from a
+breadth-first search over product states instead of a scan of the word ball:
+the cost is bounded by the number of reachable state pairs, not by the
+exponentially many words. Z^d distances scan the L¹ ball.
+
 Convergence certificates are decidable statements about finite sequences:
 `certify_convergence` reports the least index from which every term agrees
 with the limit on the radius-L ball, or a concrete distinguishing witness if
-the agreement never settles.
+the agreement never settles. It is read off the per-term distances.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import zdlattice
 from .budgets import Budget, current
-from .errors import MalformedInputError
+from .errors import BudgetExceededError, MalformedInputError
 from .words import (
+    IDENTITY,
     GroupContext,
     Word,
     iter_ball,
-    iter_lattice_ball,
     require_same_context,
     sorted_words,
 )
-
-
-def _norm(ctx: GroupContext, x) -> int:
-    """Word length in free groups, L¹ norm in lattices."""
-    if ctx.kind == "free":
-        return len(x)
-    return sum(abs(c) for c in x)
-
-
-def _iter_ball(ctx: GroupContext, radius: int, budget: Budget | None):
-    if ctx.kind == "free":
-        return iter_ball(ctx.rank, radius, budget)
-    return iter_lattice_ball(ctx.rank, radius)
 
 
 # ── traces ───────────────────────────────────────────────────────────────────
@@ -65,9 +58,6 @@ class SubgroupTrace:
     radius: int
     members: tuple
 
-    def __contains__(self, x) -> bool:
-        return x in set(self.members)
-
     def member_set(self) -> frozenset:
         return frozenset(self.members)
 
@@ -78,10 +68,10 @@ def trace(H, radius: int, budget: Budget | None = None) -> SubgroupTrace:
     if radius < 0:
         raise MalformedInputError("radius must be >= 0")
     ctx = H.ctx
-    if ctx.kind == "lattice" and isinstance(H, zdlattice.HnfSubgroup):
-        members = tuple(zdlattice.members_in_ball(H, radius))
+    if ctx.kind == "free":
+        members = tuple(x for x in iter_ball(ctx.rank, radius, budget) if H.contains(x))
     else:
-        members = tuple(x for x in _iter_ball(ctx, radius, budget) if H.contains(x))
+        members = tuple(zdlattice.members_in_ball(H, radius))
     return SubgroupTrace(ctx, radius, members)
 
 
@@ -147,12 +137,62 @@ class DistanceBound:
 
 
 def distance_up_to(H, K, radius: int, budget: Budget | None = None) -> DistanceBound:
-    """Truncated Chabauty distance: scan the ball in canonical order for the
-    first element on which H and K disagree."""
+    """Truncated Chabauty distance: the canonically-least element of the ball
+    on which H and K disagree, found by product-automaton BFS in free groups
+    and by a vectorized ball scan in Z^d."""
     require_same_context(H.ctx, K.ctx, "distance")
-    for x in _iter_ball(H.ctx, radius, budget):
-        if H.contains(x) != K.contains(x):
-            return DistanceBound("exact", _norm(H.ctx, x), x)
+    if H.ctx.kind == "free":
+        return _product_distance(H, K, radius, budget or current())
+    x = zdlattice.first_difference_in_ball(H, K, radius)
+    if x is None:
+        return DistanceBound("at_most", radius + 1)
+    return DistanceBound("exact", sum(abs(c) for c in x), x)
+
+
+def _product_distance(H, K, radius: int, budget: Budget) -> DistanceBound:
+    """BFS over product states (u|⊥, v|⊥, last letter), one level per word
+    length.
+
+    Each level extends the previous frontier in canonical letter order, so it
+    lists its words in canonical order; keeping only the first word to reach
+    each state keeps the canonically-least witness, because any word through
+    an already-reached state has a smaller twin that ends in the same state.
+    A state where both walks have left their automata (⊥, ⊥) can never
+    separate H from K and is dropped. The search stops at the radius or once a
+    level adds no new state, and it never visits more states than the ball
+    has words.
+    """
+    if radius < 0:
+        raise MalformedInputError("radius must be >= 0")
+    if radius > budget.ball_radius_cap:
+        raise BudgetExceededError("ball radius", budget.ball_radius_cap, radius)
+    letters = [x for i in range(1, H.ctx.rank + 1) for x in (i, -i)]
+    start = (H.start, K.start, 0)
+    seen = {start}
+    frontier = [(start, IDENTITY)]
+    for length in range(1, radius + 1):
+        nxt = []
+        for (u, v, last), w in frontier:
+            for x in letters:
+                if x == -last:
+                    continue
+                a = None if u is None else H.step(u, x)
+                b = None if v is None else K.step(v, x)
+                if a is None and b is None:
+                    continue
+                state = (a, b, x)
+                if state in seen:
+                    continue
+                seen.add(state)
+                wx = w + (x,)
+                if (a is not None and H.accepting(a)) != (
+                    b is not None and K.accepting(b)
+                ):
+                    return DistanceBound("exact", length, wx)
+                nxt.append((state, wx))
+        if not nxt:
+            break
+        frontier = nxt
     return DistanceBound("at_most", radius + 1)
 
 
@@ -177,60 +217,29 @@ class Certification:
 
 
 def certify_convergence(
-    seq: Sequence,
-    limit,
-    radius: int,
-    budget: Budget | None = None,
-    trace_fn: Callable[..., SubgroupTrace] | None = None,
+    seq: Sequence, limit, radius: int, budget: Budget | None = None
 ) -> Certification:
     """Decide, on the radius-L ball, whether the tail of `seq` has settled on
     the limit."""
-    if not seq:
+    return certify_bounds(
+        [distance_up_to(term, limit, radius, budget) for term in seq], radius
+    )
+
+
+def certify_bounds(bounds: Sequence[DistanceBound], radius: int) -> Certification:
+    """Certification from per-term distances to the limit at one radius: a
+    term agrees with the limit on B(radius) iff its bound is "at_most"."""
+    if not bounds:
         raise MalformedInputError("cannot certify an empty sequence")
-    tf = trace_fn or (lambda S, r: trace(S, r, budget))
-    target_trace = tf(limit, radius)
-    target = target_trace.member_set()
-    agree = []
-    term_traces = []
-    for term in seq:
-        t = tf(term, radius)
-        term_traces.append(t)
-        agree.append(t.member_set() == target)
+    agree = [b.kind == "at_most" for b in bounds]
     if agree[-1]:
-        n0 = len(seq)
+        n0 = len(agree)
         while n0 > 1 and agree[n0 - 2]:
             n0 -= 1
         return Certification("certified", radius, n0=n0)
-    start = len(seq)
+    start = len(agree)
     while start > 1 and not agree[start - 2]:
         start -= 1
-    witness = _least_difference(term_traces[start - 1], target_trace)
-    return Certification("fails", radius, witness=witness, index=start)
-
-
-def _least_difference(t1: SubgroupTrace, t2: SubgroupTrace):
-    """Canonically-least element of the symmetric difference of two traces.
-
-    Both member lists come in the same canonical enumeration order, so the
-    least element of the difference is whichever list first leaves the common
-    prefix: everything before the first one-sided element is shared, and the
-    list reaching its first one-sided element at the smaller index holds the
-    overall least one.
-    """
-    s1, s2 = t1.member_set(), t2.member_set()
-    i1 = next((i for i, x in enumerate(t1.members) if x not in s2), None)
-    i2 = next((i for i, x in enumerate(t2.members) if x not in s1), None)
-    if i1 is None:
-        return t2.members[i2]
-    if i2 is None:
-        return t1.members[i1]
-    return t1.members[i1] if i1 <= i2 else t2.members[i2]
-
-
-def nontrivial_flag(seq: Sequence, limit) -> list[bool]:
-    """Per-term flag: term ≠ limit as subgroups.
-
-    Both sides are canonical-form objects, so same-type comparison is exact
-    structural inequality; mixed representations compare as distinct.
-    """
-    return [term != limit for term in seq]
+    return Certification(
+        "fails", radius, witness=bounds[start - 1].witness, index=start
+    )

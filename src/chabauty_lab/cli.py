@@ -38,7 +38,7 @@ from typing import Any
 
 from . import __version__, acceptance, specio
 from .budgets import Budget, current
-from .chabauty import certify_convergence, distance_up_to, trace
+from .chabauty import certify_bounds, distance_up_to
 from .dynamics import (
     folner_transfer_check,
     interval_folner_demo,
@@ -48,7 +48,6 @@ from .dynamics import (
 )
 from .errors import (
     BudgetExceededError,
-    ChabautyLabError,
     ContextMismatchError,
     MalformedInputError,
     SearchFailure,
@@ -62,7 +61,7 @@ from .stallings import (
     hall_completion,
     intersect,
 )
-from .words import Word, ball, format_word, free_group, parse_word
+from .words import format_word, free_group, parse_word
 from .zdlattice import HnfSubgroup, cb_erasing_rank, enumerate_by_index, witness_sequence
 from .dynamics import nonisolation_witness
 
@@ -101,10 +100,6 @@ def _write_out(out_dir: str, report_text: str, summary: list[str], artifacts: di
     for name, text in artifacts.items():
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _exponent_row(bound) -> int:
-    return bound.exponent
 
 
 # ── subcommands ──────────────────────────────────────────────────────────────
@@ -155,6 +150,8 @@ def cmd_stallings(args, budget: Budget):
 def cmd_chabauty(args, budget: Budget):
     doc, raw = _load_spec(args.spec)
     radius = args.radius
+    if not isinstance(doc, dict):
+        raise MalformedInputError("chabauty expects a JSON object")
     if "pair" in doc:
         pair = doc["pair"]
         if not isinstance(pair, list) or len(pair) != 2:
@@ -178,31 +175,42 @@ def cmd_chabauty(args, budget: Budget):
         return result, summary, {}, False, raw
     if "sequence" not in doc or "limit" not in doc:
         raise MalformedInputError("chabauty expects either 'pair' or 'sequence'+'limit'")
+    if not isinstance(doc["sequence"], list):
+        raise MalformedInputError("sequence must be a list of subgroup documents")
     terms = [specio.subgroup_from_json(d) for d in doc["sequence"]]
     limit = specio.subgroup_from_json(doc["limit"])
     if not terms:
         raise MalformedInputError("sequence must be nonempty")
-    cert = certify_convergence(terms, limit, radius, budget)
-    ctx = limit.ctx
-    rows = []
-    for n, term in enumerate(terms, start=1):
-        bound = distance_up_to(term, limit, radius, budget)
-        rows.append((n, bound.exponent, term != limit))
+    cert, rows = _convergence(terms, limit, radius, budget)
     result = {
         "radius": radius,
-        "certification": specio.json_of_certification(cert, ctx),
+        "certification": specio.json_of_certification(cert, limit.ctx),
         "terms": rows_to_json(rows),
     }
     summary = [
         f"certification at radius {radius}: {cert.kind}"
         + (f" from n0 = {cert.n0}" if cert.n0 is not None else "")
     ]
-    artifacts = {
+    return result, summary, _convergence_artifacts(rows), not cert.certified(), raw
+
+
+def _convergence(terms, limit, radius: int, budget: Budget):
+    """Certification and per-term rows (n, distance exponent, nontrivial),
+    both from one distance per term."""
+    bounds = [distance_up_to(term, limit, radius, budget) for term in terms]
+    rows = [
+        (n, bound.exponent, term != limit)
+        for n, (term, bound) in enumerate(zip(terms, bounds), start=1)
+    ]
+    return certify_bounds(bounds, radius), rows
+
+
+def _convergence_artifacts(rows) -> dict:
+    return {
         "convergence.csv": specio.csv_text(
             ["n", "distance_exponent", "nontrivial"], rows
         )
     }
-    return result, summary, artifacts, not cert.certified(), raw
 
 
 def rows_to_json(rows):
@@ -314,11 +322,7 @@ def cmd_witness(args, budget: Budget):
         raise MalformedInputError(
             "witness sequences need a finitely generated or lattice subgroup"
         )
-    cert = certify_convergence(terms, limit, radius, budget)
-    rows = []
-    for n, term in enumerate(terms, start=1):
-        bound = distance_up_to(term, limit, radius, budget)
-        rows.append((n, bound.exponent, term != limit))
+    cert, rows = _convergence(terms, limit, radius, budget)
     result["radius"] = radius
     result["certification"] = specio.json_of_certification(cert, limit.ctx)
     result["terms"] = rows_to_json(rows)
@@ -327,12 +331,7 @@ def cmd_witness(args, budget: Budget):
         + (f" from n0 = {cert.n0}" if cert.n0 is not None else ""),
         f"nontrivial terms: {sum(1 for _, _, f in rows if f)}/{len(rows)}",
     ]
-    artifacts = {
-        "convergence.csv": specio.csv_text(
-            ["n", "distance_exponent", "nontrivial"], rows
-        )
-    }
-    return result, summary, artifacts, not cert.certified(), raw
+    return result, summary, _convergence_artifacts(rows), not cert.certified(), raw
 
 
 def _paired_demo_task(budget: Budget):

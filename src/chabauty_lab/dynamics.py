@@ -20,12 +20,10 @@ from .budgets import Budget, current
 from .chabauty import (
     Certification,
     ClopenSet,
-    SubgroupTrace,
-    certify_convergence,
+    DistanceBound,
+    certify_bounds,
     clopen,
-    distance_up_to,
     in_clopen,
-    trace,
 )
 from .errors import (
     BudgetExceededError,
@@ -45,17 +43,16 @@ from .words import (
     GroupContext,
     IDENTITY,
     Word,
-    check_word,
     conjugate,
     free_group,
     graded_ball,
+    graded_length,
     invert,
     iter_ball,
     multiply,
     power,
     reduce_word,
     sorted_words,
-    word_key,
 )
 
 
@@ -463,15 +460,19 @@ def obstruction_task(budget: Budget | None = None) -> TransitivityTask:
 # ── limits along the free variety ────────────────────────────────────────────
 
 
-def graded_trace(H, radius: int) -> SubgroupTrace:
-    """Trace on the graded ball of F_∞ (generator i has weight i). A subgroup
-    presented over the first r generators contains no word using later ones,
-    so membership of any graded word is decidable against it."""
-    members = []
-    for w in graded_ball(radius):
-        if all(abs(x) <= H.ctx.rank for x in w) and H.contains(w):
-            members.append(w)
-    return SubgroupTrace(H.ctx, radius, tuple(members))
+def _graded_distance(H, K, radius: int, words: Sequence[Word]) -> DistanceBound:
+    """First word of the graded ball `words` = graded_ball(radius) of F_∞ on
+    which H and K disagree. A subgroup presented over the first r generators
+    contains no word using later ones, so membership of any graded word is
+    decidable against it."""
+
+    def member(S, w):
+        return all(abs(x) <= S.ctx.rank for x in w) and S.contains(w)
+
+    for w in words:
+        if member(H, w) != member(K, w):
+            return DistanceBound("exact", graded_length(w), w)
+    return DistanceBound("at_most", radius + 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -485,8 +486,11 @@ class VarietySequence:
     terms: tuple[StallingsGraph, ...]
 
     def certify(self, radius: int) -> Certification:
-        return certify_convergence(
-            list(self.terms), self.limit, radius, trace_fn=graded_trace
+        """Convergence on the graded ball of the given radius."""
+        words = graded_ball(radius)
+        return certify_bounds(
+            [_graded_distance(t, self.limit, radius, words) for t in self.terms],
+            radius,
         )
 
 

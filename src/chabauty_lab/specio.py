@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import __version__, zdlattice
+from . import __version__
 from .budgets import Budget, current
 from .chabauty import Certification, ClopenSet, DistanceBound, clopen
 from .dynamics import (
@@ -39,12 +39,10 @@ from .stallings import HomSubgroup, StallingsGraph, Target, from_generators
 from .words import (
     GroupContext,
     Word,
-    check_word,
     format_word,
     free_group,
     lattice,
     parse_word,
-    reduce_word,
 )
 from .zdlattice import HnfSubgroup, WitnessSequence, hnf_from_generators
 
@@ -91,7 +89,7 @@ def context_from_json(obj: Any) -> GroupContext:
         rank = obj["dim"]  # natural synonym for lattice contexts
     else:
         rank = _require(obj, "rank", "context")
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise MalformedInputError("context rank must be a positive integer")
     if kind == "free":
         return free_group(rank)

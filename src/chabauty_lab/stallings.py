@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 from . import zdlattice
 from .budgets import Budget, current
+from .chabauty import distance_up_to
 from .errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -36,9 +37,7 @@ from .words import (
     IDENTITY,
     Word,
     check_word,
-    free_group,
     invert,
-    iter_ball,
     multiply,
     reduce_word,
     require_same_context,
@@ -78,6 +77,18 @@ class StallingsGraph:
 
     def contains(self, w: Word) -> bool:
         return self.walk(BASEPOINT, w) == BASEPOINT
+
+    # membership automaton -----------------------------------------------
+    # States are vertices; a walk that leaves the graph has no state (None).
+
+    start = BASEPOINT
+
+    def step(self, state: int, letter: int) -> int | None:
+        table = self.succ[letter - 1] if letter > 0 else self.pred[-letter - 1]
+        return table.get(state)
+
+    def accepting(self, state: int) -> bool:
+        return state == BASEPOINT
 
     # structure ----------------------------------------------------------
 
@@ -618,10 +629,7 @@ def _traces_agree(
     ball_budget = budget if L <= budget.ball_radius_cap else budget.replace(
         ball_radius_cap=L
     )
-    for w in iter_ball(H.ctx.rank, L, ball_budget):
-        if H.contains(w) != K.contains(w):
-            return False
-    return True
+    return distance_up_to(H, K, L, ball_budget).kind == "at_most"
 
 
 # ── homomorphism-defined subgroups ───────────────────────────────────────────
@@ -681,7 +689,9 @@ class HomSubgroup:
     graph, and these subgroups generally have none.
     """
 
-    __slots__ = ("ctx", "target", "images", "accepted", "_cyclic_gcd", "_hash")
+    __slots__ = (
+        "ctx", "target", "images", "accepted", "start", "_action", "_cyclic_gcd", "_hash"
+    )
 
     def __init__(self, ctx: GroupContext, target: Target, images, accepted):
         if ctx.kind != "free":
@@ -710,6 +720,8 @@ class HomSubgroup:
                 raise MalformedInputError("accepted sublattice has wrong dimension")
             self.accepted = accepted
             self._cyclic_gcd = None
+            self.start = (0,) * target.param
+            inverse = lambda v: tuple(-c for c in v)
         elif target.kind == "cyclic":
             m = target.param
             self.images = tuple(int(v) % m for v in images)
@@ -723,6 +735,8 @@ class HomSubgroup:
                 )
             self.accepted = vals
             self._cyclic_gcd = g if vals != {0} else m
+            self.start = 0
+            inverse = lambda v: -v % m
         else:  # permutation
             n = target.param
             imgs = []
@@ -744,6 +758,13 @@ class HomSubgroup:
                         raise MalformedInputError("accepted permutations not closed")
             self.accepted = perms
             self._cyclic_gcd = None
+            self.start = ident
+            inverse = _perm_inv
+        # letter ±i acts on the running image by φ(generator i)^±1
+        self._action = {}
+        for i, v in enumerate(self.images, start=1):
+            self._action[i] = v
+            self._action[-i] = inverse(v)
         self._hash = hash((ctx, target, self.images, self._accepted_key()))
 
     def _accepted_key(self):
@@ -751,38 +772,38 @@ class HomSubgroup:
             return self.accepted
         return tuple(sorted(self.accepted))
 
-    # ---------------------------------------------------------------------
+    # membership automaton -----------------------------------------------
+    # The state is the running image φ(prefix).
+
+    def step(self, state, letter: int):
+        a = self._action[letter]
+        kind = self.target.kind
+        if kind == "cyclic":
+            return (state + a) % self.target.param
+        if kind == "lattice":
+            return tuple([x + y for x, y in zip(state, a)])
+        return _perm_mul(state, a)
+
+    def accepting(self, state) -> bool:
+        if self.target.kind == "lattice":
+            return self.accepted.contains(state)
+        return state in self.accepted
 
     def image(self, w: Word):
-        """φ(w)."""
-        if self.target.kind == "lattice":
-            out = [0] * self.target.param
-            for x in w:
-                img = self.images[abs(x) - 1]
-                s = 1 if x > 0 else -1
-                for i, c in enumerate(img):
-                    out[i] += s * c
-            return tuple(out)
+        """φ(w), the state reached on w, in one pass (Schreier constructions
+        call this once per coset representative)."""
+        act = self._action
         if self.target.kind == "cyclic":
-            m = self.target.param
-            total = 0
-            for x in w:
-                img = self.images[abs(x) - 1]
-                total += img if x > 0 else -img
-            return total % m
-        p = tuple(range(self.target.param))
+            return sum(map(act.__getitem__, w)) % self.target.param
+        if self.target.kind == "lattice":
+            return tuple(map(sum, zip(self.start, *map(act.__getitem__, w))))
+        p = self.start
         for x in w:
-            img = self.images[abs(x) - 1]
-            p = _perm_mul(p, img if x > 0 else _perm_inv(img))
+            p = _perm_mul(p, act[x])
         return p
 
     def contains(self, w: Word) -> bool:
-        img = self.image(w)
-        if self.target.kind == "lattice":
-            return self.accepted.contains(img)
-        if self.target.kind == "cyclic":
-            return img in self.accepted
-        return img in self.accepted
+        return self.accepting(self.image(w))
 
     def coset_key(self, w: Word):
         """Canonical label of the right coset H·w (equal keys ⟺ equal cosets)."""

@@ -47,7 +47,7 @@ class GroupContext:
     def __init__(self, kind: str, rank: int):
         if kind not in ("free", "lattice"):
             raise MalformedInputError(f"unknown context kind {kind!r}")
-        if not isinstance(rank, int) or rank < 1:
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise MalformedInputError("rank/dim must be a positive integer")
         self.kind = kind
         self.rank = rank

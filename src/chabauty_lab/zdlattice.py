@@ -213,6 +213,18 @@ def members_in_ball(H: HnfSubgroup, radius: int) -> list[Vector]:
     return [tuple(int(x) for x in row) for row in pts[mask]]
 
 
+def first_difference_in_ball(H: HnfSubgroup, K: HnfSubgroup, radius: int) -> Vector | None:
+    """The canonically-least vector of {|v|₁ ≤ radius} that lies in exactly
+    one of H and K, or None when they agree on the whole ball."""
+    if radius < 0:
+        raise MalformedInputError("radius must be >= 0")
+    pts = _ball_array(H.dim, radius)
+    diff = np.flatnonzero(H.batch_contains(pts) != K.batch_contains(pts))
+    if len(diff) == 0:
+        return None
+    return tuple(int(x) for x in pts[diff[0]])
+
+
 # ── witness sequences and chains ─────────────────────────────────────────────
 
 

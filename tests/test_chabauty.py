@@ -16,15 +16,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chabauty_lab.chabauty import (
+    Certification,
+    DistanceBound,
     certify_convergence,
     clopen,
     distance_up_to,
     in_clopen,
     trace,
 )
-from chabauty_lab.errors import ContextMismatchError, MalformedInputError
-from chabauty_lab.stallings import from_generators, whole_group
-from chabauty_lab.words import ball, free_group, parse_word, reduce_word
+from chabauty_lab.errors import (
+    BudgetExceededError,
+    ContextMismatchError,
+    MalformedInputError,
+)
+from chabauty_lab.stallings import (
+    HomSubgroup,
+    Target,
+    from_generators,
+    hall_completion,
+    whole_group,
+)
+from chabauty_lab.words import (
+    ball,
+    free_group,
+    iter_ball,
+    iter_lattice_ball,
+    parse_word,
+    reduce_word,
+)
 from chabauty_lab.zdlattice import hnf_from_generators
 
 F2 = free_group(2)
@@ -46,7 +65,7 @@ def test_trace_of_cyclic_subgroup():
     # members come back in canonical (length, letter-lex) order
     assert t.members == ((), (1,), (-1,), (1, 1), (-1, -1))
     assert t.radius == 2
-    assert (1,) in t and (2,) not in t
+    assert (1,) in t.member_set() and (2,) not in t.member_set()
 
 
 def test_trace_respects_radius_monotonicity():
@@ -125,6 +144,128 @@ def test_self_distance_is_never_exact(H):
     assert distance_up_to(H, H, 4).kind == "at_most"
 
 
+def test_distance_radius_guards():
+    H = gens("a")
+    with pytest.raises(MalformedInputError):
+        distance_up_to(H, H, -1)
+    with pytest.raises(BudgetExceededError):
+        distance_up_to(H, H, 13)  # one past the default ball_radius_cap
+
+
+# ── the product search against the ball-scan oracle ──────────────────────────
+
+
+def ball_scan_distance(H, K, radius):
+    """The definition: scan the ball in canonical order for the first word on
+    which the two subgroups disagree."""
+    for x in iter_ball(H.ctx.rank, radius):
+        if H.contains(x) != K.contains(x):
+            return DistanceBound("exact", len(x), x)
+    return DistanceBound("at_most", radius + 1)
+
+
+def letters(rank):
+    return [x for i in range(1, rank + 1) for x in (i, -i)]
+
+
+def free_subgroups(rank):
+    word = st.lists(st.sampled_from(letters(rank)), min_size=1, max_size=6).map(reduce_word)
+    return st.lists(word, min_size=1, max_size=3).map(
+        lambda gs: from_generators(free_group(rank), gs)
+    )
+
+
+def _permutations(n):
+    return st.permutations(list(range(n))).map(tuple)
+
+
+def _closure(n, gens):
+    """The subgroup of Sym(n) generated by `gens` (right action tuples)."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[i] for i in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return sorted(group)
+
+
+@st.composite
+def hom_subgroups(draw, rank):
+    ctx = free_group(rank)
+    kind = draw(st.sampled_from(["cyclic", "permutation", "lattice"]))
+    if kind == "cyclic":
+        m = draw(st.integers(1, 6))
+        images = draw(st.lists(st.integers(0, m - 1), min_size=rank, max_size=rank))
+        d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+        accepted = sorted({(d * k) % m for k in range(m)})
+        return HomSubgroup(ctx, Target("cyclic", m), images, accepted)
+    if kind == "permutation":
+        n = draw(st.integers(1, 3))
+        images = draw(st.lists(_permutations(n), min_size=rank, max_size=rank))
+        sub_gens = draw(st.lists(_permutations(n), max_size=1))
+        return HomSubgroup(
+            ctx, Target("permutation", n), images, _closure(n, sub_gens)
+        )
+    k = draw(st.integers(1, 2))
+    vec = st.lists(st.integers(-2, 2), min_size=k, max_size=k).map(tuple)
+    images = draw(st.lists(vec, min_size=rank, max_size=rank))
+    accepted = hnf_from_generators(k, draw(st.lists(vec, max_size=2)))
+    return HomSubgroup(ctx, Target("lattice", k), images, accepted)
+
+
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda r: st.tuples(
+            hom_subgroups(r),
+            st.lists(st.sampled_from(letters(r)), max_size=8),
+        )
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_hom_automaton_follows_the_homomorphism(case):
+    """Stepping through a word reaches its image, and x·x⁻¹ acts trivially:
+    the ball-scan oracle cannot see a wrong inverse table, since it reads
+    membership off the same table."""
+    H, word = case
+    state = H.start
+    for x in word:
+        state = H.step(state, x)
+    assert state == H.image(tuple(word))
+    for x in range(1, H.ctx.rank + 1):
+        assert H.image((x, -x)) == H.image((-x, x)) == H.start
+        assert H.step(H.step(H.start, x), -x) == H.start
+    assert H.accepting(H.start)
+
+
+@st.composite
+def free_pairs(draw):
+    """(H, K, radius): Stallings×Stallings, H×hall_completion(H, n),
+    Stallings×HomSubgroup or HomSubgroup×HomSubgroup, in F₂ up to radius 8
+    and in F₃ up to radius 5."""
+    rank = draw(st.sampled_from([2, 3]))
+    radius = draw(st.integers(0, 8 if rank == 2 else 5))
+    shape = draw(st.sampled_from(["graphs", "completion", "hom", "homs"]))
+    H = draw(hom_subgroups(rank) if shape == "homs" else free_subgroups(rank))
+    if shape == "graphs":
+        K = draw(free_subgroups(rank))
+    elif shape == "completion":
+        K = hall_completion(H, draw(st.integers(0, 4)))
+    else:
+        K = draw(hom_subgroups(rank))
+    return (K, H, radius) if draw(st.booleans()) else (H, K, radius)
+
+
+@given(free_pairs())
+@settings(max_examples=200, deadline=None)
+def test_product_search_matches_ball_scan(pair):
+    H, K, radius = pair
+    assert distance_up_to(H, K, radius) == ball_scan_distance(H, K, radius)
+
+
 # ── clopen sets ──────────────────────────────────────────────────────────────
 
 
@@ -183,3 +324,80 @@ def test_certified_radius_monotone_n0():
     n0s = [certify_convergence(seq, H, r).n0 for r in (2, 4, 6)]
     assert n0s == sorted(n0s)
     assert all(certify_convergence(seq, H, r).certified() for r in (2, 4, 6))
+
+
+def trace_certification(seq, limit, radius):
+    """The trace-based definition: term n agrees iff its trace on B(radius)
+    equals the limit's; the witness is the least element of the symmetric
+    difference at the start of the final disagreeing run."""
+    target = trace(limit, radius).member_set()
+    traces = [trace(t, radius).member_set() for t in seq]
+    agree = [t == target for t in traces]
+    if agree[-1]:
+        n0 = len(seq)
+        while n0 > 1 and agree[n0 - 2]:
+            n0 -= 1
+        return Certification("certified", radius, n0=n0)
+    start = len(seq)
+    while start > 1 and not agree[start - 2]:
+        start -= 1
+    diff = traces[start - 1] ^ target
+    witness = next(x for x in ball(limit.ctx, radius) if x in diff)
+    return Certification("fails", radius, witness=witness, index=start)
+
+
+@st.composite
+def free_sequences(draw):
+    """A limit in F₂ and terms mixing completions of it (which agree with it
+    on growing balls), random subgroups, and homomorphism preimages."""
+    limit = draw(free_subgroups(2))
+    terms = draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, 6).map(lambda n: hall_completion(limit, n)),
+                free_subgroups(2),
+                hom_subgroups(2),
+                st.just(limit),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return terms, limit, draw(st.integers(1, 6))
+
+
+def lattice_subgroups(d):
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple)
+    return st.lists(vec, max_size=2).map(lambda gs: hnf_from_generators(d, gs))
+
+
+@st.composite
+def lattice_sequences(draw):
+    d = draw(st.integers(1, 3))
+    limit = draw(lattice_subgroups(d))
+    terms = draw(st.lists(lattice_subgroups(d), min_size=1, max_size=5))
+    return terms, limit, draw(st.integers(1, 6))
+
+
+@given(st.one_of(free_sequences(), lattice_sequences()))
+@settings(max_examples=80, deadline=None)
+def test_certification_matches_trace_definition(case):
+    seq, limit, radius = case
+    assert certify_convergence(seq, limit, radius) == trace_certification(
+        seq, limit, radius
+    )
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.tuples(lattice_subgroups(d), lattice_subgroups(d))),
+    st.integers(0, 7),
+)
+@settings(max_examples=80, deadline=None)
+def test_lattice_distance_matches_ball_scan(pair, radius):
+    H, K = pair
+    expected = DistanceBound("at_most", radius + 1)
+    for x in iter_lattice_ball(H.dim, radius):
+        if H.contains(x) != K.contains(x):
+            expected = DistanceBound("exact", sum(map(abs, x)), x)
+            break
+    assert distance_up_to(H, K, radius) == expected

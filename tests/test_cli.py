@@ -76,6 +76,32 @@ def test_budget_blowout_is_three(capsys, tmp_path):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        ["pair"],  # `"pair" in doc` holds for a list
+        {"sequence": 5, "limit": {"context": F2_CTX, "generators": ["a"]}},
+    ],
+)
+def test_malformed_chabauty_documents_are_two(capsys, tmp_path, doc):
+    spec = spec_file(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, "chabauty", spec)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_equal_pair_at_radius_12_and_13(capsys, tmp_path):
+    H = {"context": F2_CTX, "generators": ["ab", "bbA", "aBaB"]}
+    spec = spec_file(tmp_path, "pair.json", {"pair": [H, H]})
+    code, out, _ = run(capsys, "chabauty", spec, "--radius", "12")
+    assert code == 0
+    assert json.loads(out)["result"]["distance"]["kind"] == "at_most"
+    code, out, _ = run(capsys, "chabauty", spec, "--radius", "13")
+    assert code == 3  # past the default ball_radius_cap
+    assert out == ""
+
+
 def test_obstruction_demo_is_four(capsys):
     code, out, _ = run(capsys, "transit", "--demo", "obstruction")
     assert code == 4

@@ -198,6 +198,10 @@ def test_variety_terms_have_growing_rank_but_converge():
     cert = seq.certify(4)
     assert cert.certified()
     assert cert.n0 == 3
+    # s_4 has graded length 4, so the last term of ⟨ab, s_3⟩, ⟨ab, s_4⟩ still
+    # differs at radius 4; the refutation starts at term 1 with witness s_3
+    fail = variety_limit_sequence(L, [3, 4]).certify(4)
+    assert (fail.kind, fail.index, fail.witness) == ("fails", 1, (3,))
 
 
 def test_variety_indices_must_be_fresh_and_increasing():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from chabauty_lab import specio
 from chabauty_lab.errors import MalformedInputError
 from chabauty_lab.stallings import HomSubgroup, Target, from_generators, kernel
-from chabauty_lab.words import free_group, parse_word, reduce_word
+from chabauty_lab.words import GroupContext, free_group, parse_word, reduce_word
 from chabauty_lab.zdlattice import hnf_from_generators
 
 F2 = free_group(2)
@@ -68,6 +68,18 @@ def test_word_parsing_rejects_wrong_shape():
 
     with pytest.raises(MalformedInputError):
         specio.word_from_json([1, 2, 3], lattice(2))  # wrong dimension
+
+
+@pytest.mark.parametrize("kind", ["free", "lattice"])
+def test_bool_rank_is_rejected(kind):
+    with pytest.raises(MalformedInputError):
+        specio.context_from_json({"kind": kind, "rank": True})
+    with pytest.raises(MalformedInputError):
+        specio.subgroup_from_json(
+            {"context": {"kind": kind, "dim": True}, "generators": []}
+        )
+    with pytest.raises(MalformedInputError):
+        GroupContext(kind, True)
 
 
 def test_csv_text_quotes_and_terminates():
