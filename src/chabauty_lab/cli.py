@@ -107,7 +107,7 @@ def _write_out(out_dir: str, report_text: str, summary: list[str], artifacts: di
 
 def cmd_stallings(args, budget: Budget):
     doc, raw = _load_spec(args.spec)
-    H = specio.subgroup_from_json(doc)
+    H = specio.subgroup_from_json(doc, budget)
     if not isinstance(H, StallingsGraph):
         raise MalformedInputError("stallings expects a generator-defined free subgroup")
     ctx = H.ctx
@@ -124,7 +124,7 @@ def cmd_stallings(args, budget: Budget):
         inside = sum(result["membership"].values())
         summary.append(f"membership: {inside}/{len(words)} queried words inside")
     if "intersect_with" in doc:
-        K = specio.subgroup_from_json(doc["intersect_with"])
+        K = specio.subgroup_from_json(doc["intersect_with"], budget)
         if not isinstance(K, StallingsGraph):
             raise MalformedInputError("intersect_with must be generator-defined")
         M = intersect(H, K, budget)
@@ -156,8 +156,8 @@ def cmd_chabauty(args, budget: Budget):
         pair = doc["pair"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise MalformedInputError("pair must hold exactly two subgroup documents")
-        H = specio.subgroup_from_json(pair[0])
-        K = specio.subgroup_from_json(pair[1])
+        H = specio.subgroup_from_json(pair[0], budget)
+        K = specio.subgroup_from_json(pair[1], budget)
         bound = distance_up_to(H, K, radius, budget)
         ctx = H.ctx
         result = {
@@ -177,8 +177,8 @@ def cmd_chabauty(args, budget: Budget):
         raise MalformedInputError("chabauty expects either 'pair' or 'sequence'+'limit'")
     if not isinstance(doc["sequence"], list):
         raise MalformedInputError("sequence must be a list of subgroup documents")
-    terms = [specio.subgroup_from_json(d) for d in doc["sequence"]]
-    limit = specio.subgroup_from_json(doc["limit"])
+    terms = [specio.subgroup_from_json(d, budget) for d in doc["sequence"]]
+    limit = specio.subgroup_from_json(doc["limit"], budget)
     if not terms:
         raise MalformedInputError("sequence must be nonempty")
     cert, rows = _convergence(terms, limit, radius, budget)
@@ -247,7 +247,7 @@ def cmd_zd(args, budget: Budget):
     if not args.spec:
         raise MalformedInputError("zd needs a spec file or --enumerate DIM MAXINDEX")
     doc, raw = _load_spec(args.spec)
-    H = specio.subgroup_from_json(doc)
+    H = specio.subgroup_from_json(doc, budget)
     if not isinstance(H, HnfSubgroup):
         raise MalformedInputError("zd expects a lattice subgroup document")
     result = {
@@ -270,7 +270,7 @@ def cmd_zd(args, budget: Budget):
 def cmd_schreier(args, budget: Budget):
     doc, raw = _load_spec(args.spec)
     sub_doc = doc["subgroup"] if isinstance(doc, dict) and "subgroup" in doc else doc
-    H = specio.subgroup_from_json(sub_doc)
+    H = specio.subgroup_from_json(sub_doc, budget)
     radius = args.radius
     S = schreier_build(H, radius, budget)
     ends = [(r, ends_estimate(S, r)) for r in range(1, min(6, radius - 1) + 1)]
@@ -288,7 +288,7 @@ def cmd_schreier(args, budget: Budget):
         result["line_probe"] = specio.json_of_probe(probe)
         summary.append(f"line probe: {probe.verdict} ({probe.reason})")
     if isinstance(doc, dict) and "over" in doc:
-        K = specio.subgroup_from_json(doc["over"])
+        K = specio.subgroup_from_json(doc["over"], budget)
         reports = fiber_diameters(H, K, radius, budget)
         result["fibers"] = specio.json_of_fibers(reports, H.ctx)
         summary.append(
@@ -306,7 +306,7 @@ def cmd_schreier(args, budget: Budget):
 
 def cmd_witness(args, budget: Budget):
     doc, raw = _load_spec(args.spec)
-    H = specio.subgroup_from_json(doc)
+    H = specio.subgroup_from_json(doc, budget)
     radius = args.radius
     if isinstance(H, StallingsGraph):
         witness = nonisolation_witness(H, radius, budget)
@@ -399,10 +399,14 @@ def cmd_folner(args, budget: Budget):
         if not args.spec:
             raise MalformedInputError("folner needs a spec file or --demo")
         doc, raw = _load_spec(args.spec)
-        H0 = specio.subgroup_from_json(doc["subgroup"] if "subgroup" in doc else doc)
+        if not isinstance(doc, dict):
+            raise MalformedInputError("folner expects a JSON object")
+        H0 = specio.subgroup_from_json(doc.get("subgroup", doc), budget)
         ctx = H0.ctx
         if "sets" not in doc or "elements" not in doc:
             raise MalformedInputError("folner spec needs 'sets' and 'elements'")
+        if not isinstance(doc["sets"], list):
+            raise MalformedInputError("folner 'sets' must be a list of word lists")
         sets = [
             specio.words_from_json(s, ctx, f"set {i + 1}")
             for i, s in enumerate(doc["sets"])
@@ -410,9 +414,7 @@ def cmd_folner(args, budget: Budget):
         elements = specio.words_from_json(doc["elements"], ctx, "elements")
         tolerances = None
         if "tolerances" in doc:
-            from fractions import Fraction
-
-            tolerances = [Fraction(t) for t in doc["tolerances"]]
+            tolerances = specio.fractions_from_json(doc["tolerances"], "tolerances")
     report = folner_transfer_check(H0, sets, elements, tolerances)
     result = {"folner": specio.json_of_folner(report, ctx)}
     ok = report.ok()

@@ -117,6 +117,20 @@ def json_of_word(w: Word, ctx: GroupContext) -> Any:
     return format_word(w) if ctx.kind == "free" else list(w)
 
 
+def _ints(obj: Any, where: str) -> list[int]:
+    if not isinstance(obj, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in obj
+    ):
+        raise MalformedInputError(f"{where} must be a list of integers, got {obj!r}")
+    return obj
+
+
+def _int_tuples(obj: Any, where: str) -> list[tuple[int, ...]]:
+    if not isinstance(obj, list):
+        raise MalformedInputError(f"{where} must be a list, got {obj!r}")
+    return [tuple(_ints(v, f"each of the {where}")) for v in obj]
+
+
 def _hom_from_json(ctx: GroupContext, obj: Any) -> HomSubgroup:
     tgt = _require(obj, "target", "hom")
     kind = _require(tgt, "kind", "hom target")
@@ -127,20 +141,23 @@ def _hom_from_json(ctx: GroupContext, obj: Any) -> HomSubgroup:
     if kind == "lattice":
         if accepted != "zero":
             gens = _require(accepted, "generators", "hom accepted")
-            accepted = hnf_from_generators(param, [tuple(v) for v in gens])
-        images = [tuple(v) for v in images]
-    elif kind == "permutation":
-        images = [tuple(p) for p in images]
-        accepted = [tuple(p) for p in accepted]
+            accepted = hnf_from_generators(param, _int_tuples(gens, "accepted generators"))
+        images = _int_tuples(images, "image vectors")
+    elif kind == "cyclic":
+        images = _ints(images, "cyclic images")
+        accepted = _ints(accepted, "accepted residues")
+    else:
+        images = _int_tuples(images, "image permutations")
+        accepted = _int_tuples(accepted, "accepted permutations")
     return HomSubgroup(ctx, target, images, accepted)
 
 
-def subgroup_from_json(obj: Any):
+def subgroup_from_json(obj: Any, budget: Budget | None = None):
     """A subgroup document: generator-defined or homomorphism-defined.
 
     ``{"context": C, "generators": [...]}`` builds a folded core graph (free
-    contexts) or an HNF row span (lattice contexts).  ``{"context": C,
-    "hom": {...}}`` builds a preimage subgroup φ⁻¹(A).
+    contexts, within `budget`) or an HNF row span (lattice contexts).
+    ``{"context": C, "hom": {...}}`` builds a preimage subgroup φ⁻¹(A).
     """
     ctx = context_from_json(_require(obj, "context", "subgroup"))
     if "hom" in obj:
@@ -150,7 +167,7 @@ def subgroup_from_json(obj: Any):
         raise MalformedInputError("subgroup generators must be a list")
     gens = [word_from_json(g, ctx) for g in gens_json]
     if ctx.kind == "free":
-        return from_generators(ctx, gens)
+        return from_generators(ctx, gens, budget)
     return hnf_from_generators(ctx.rank, gens)
 
 
@@ -278,6 +295,18 @@ def words_from_json(objs: Any, ctx: GroupContext, where: str) -> list[Word]:
     if not isinstance(objs, list):
         raise MalformedInputError(f"{where} must be a list of words")
     return [word_from_json(w, ctx) for w in objs]
+
+
+def fractions_from_json(objs: Any, where: str) -> list[Fraction]:
+    """Exact fractions written as strings ("1/3") or integers."""
+    if not isinstance(objs, list) or not all(
+        isinstance(q, (str, int)) and not isinstance(q, bool) for q in objs
+    ):
+        raise MalformedInputError(f"{where} must be a list of fraction strings")
+    try:
+        return [Fraction(q) for q in objs]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInputError(f"{where}: {exc}") from exc
 
 
 # ── certificate and report serialization ─────────────────────────────────────

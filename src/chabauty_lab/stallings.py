@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from typing import Iterable, Sequence
 
 from . import zdlattice
@@ -34,11 +35,9 @@ from .errors import (
 )
 from .words import (
     GroupContext,
-    IDENTITY,
     Word,
     check_word,
     invert,
-    multiply,
     reduce_word,
     require_same_context,
     word_key,
@@ -116,47 +115,40 @@ class StallingsGraph:
     def is_trivial(self) -> bool:
         return self.nedges == 0
 
-    def spanning_tree(self) -> tuple[list[Word], list[tuple[int, int, int]]]:
-        """Canonical BFS spanning tree.
-
-        Returns (path, nontree): path[v] = the tree word from the basepoint to
-        v, and nontree = the non-tree edges (u, gen, v) sorted by (gen, u).
-        """
-        path: list[Word | None] = [None] * self.nverts
-        path[BASEPOINT] = IDENTITY
-        order = [BASEPOINT]
-        tree_edges: set[tuple[int, int]] = set()
-        qi = 0
-        while qi < len(order):
-            u = order[qi]
-            qi += 1
-            for g in range(self.ctx.rank):
-                v = self.succ[g].get(u)
-                if v is not None and path[v] is None:
-                    path[v] = path[u] + (g + 1,)
-                    tree_edges.add((u, g))
-                    order.append(v)
-                v = self.pred[g].get(u)
-                if v is not None and path[v] is None:
-                    path[v] = path[u] + (-(g + 1),)
-                    tree_edges.add((v, g))
-                    order.append(v)
-        nontree = [
-            (u, g, v)
-            for g in range(self.ctx.rank)
-            for u, v in sorted(self.succ[g].items())
-            if (u, g) not in tree_edges
-        ]
-        nontree.sort(key=lambda e: (e[1], e[0]))
-        return [p for p in path], nontree  # type: ignore[list-item]
-
     def basis(self) -> list[Word]:
-        """Free basis of H from the canonical spanning tree: one word
-        path(u)·g·path(v)⁻¹ per non-tree edge u --g--> v."""
-        path, nontree = self.spanning_tree()
+        """Free basis of H from the canonical BFS spanning tree: one word
+        path(u)·g·path(v)⁻¹ per non-tree edge u --g--> v, where path(v) is
+        the tree word from the basepoint to v."""
+        # parent[v] = (tree predecessor, letter read along the tree edge)
+        parent: list[tuple[int, int] | None] = [None] * self.nverts
+        parent[BASEPOINT] = (BASEPOINT, 0)
+        order = [BASEPOINT]
+        for u in order:
+            for x, (succ, pred) in enumerate(zip(self.succ, self.pred), 1):
+                v = succ.get(u)
+                if v is not None and parent[v] is None:
+                    parent[v] = (u, x)
+                    order.append(v)
+                v = pred.get(u)
+                if v is not None and parent[v] is None:
+                    parent[v] = (u, -x)
+                    order.append(v)
+
+        def up(v: int) -> list[int]:
+            """path(v) reversed: the letters read from the basepoint to v."""
+            letters = []
+            while v != BASEPOINT:
+                v, y = parent[v]  # type: ignore[misc]
+                letters.append(y)
+            return letters
+
+        # No letter cancels: g against the last letter of path(u) or path(v)
+        # would make u --g--> v a tree edge (the graph is folded).
         out = []
-        for u, g, v in nontree:
-            out.append(multiply(multiply(path[u], (g + 1,)), invert(path[v])))
+        for x, succ in enumerate(self.succ, 1):
+            for u, v in succ.items():
+                if parent[v] != (u, x) and parent[u] != (v, -x):
+                    out.append((*reversed(up(u)), x, *[-y for y in up(v)]))
         return sorted(out, key=word_key)
 
     def shortest_nontrivial(self) -> Word | None:
@@ -239,13 +231,17 @@ class StallingsGraph:
 
 
 class _Builder:
-    """Mutable multigraph with union-find vertices; fold/trim/canonicalize."""
+    """Union-find vertices with one succ/pred table per letter, keyed by
+    roots and kept folded as edges arrive (a worklist fold: each merge moves
+    only the losing root's at most 2r entries); trim and canonicalize."""
 
     def __init__(self, ctx: GroupContext, budget: Budget):
         self.ctx = ctx
         self.budget = budget
         self.parent: list[int] = []
-        self.edges: set[tuple[int, int, int]] = set()  # (u, gen0, v)
+        self.succ: list[dict[int, int]] = [dict() for _ in range(ctx.rank)]
+        self.pred: list[dict[int, int]] = [dict() for _ in range(ctx.rank)]
+        self.pending: list[tuple[int, int]] = []  # vertex pairs to identify
         self.new_vertex()  # basepoint = 0
 
     def new_vertex(self) -> int:
@@ -263,110 +259,90 @@ class _Builder:
             self.parent[v], v = root, self.parent[v]
         return root
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller root so the basepoint (0) always survives
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+    def add_edge(self, u: int, g: int, v: int) -> None:
+        """Add u --g--> v (g 0-based) and fold everything it forces."""
+        self._store(self.find(u), g, self.find(v))
+        while self.pending:
+            self._merge(*self.pending.pop())
 
-    def add_word_loop(self, w: Word) -> None:
-        """Attach a loop at the basepoint spelling the (reduced) word w."""
-        if not w:
+    def _store(self, u: int, g: int, v: int) -> None:
+        """Enter the edge u --g--> v between roots, or queue the merges that
+        make it coincide with the g-edges already at u and v."""
+        s = self.succ[g].get(u)
+        p = self.pred[g].get(v)
+        if s is None and p is None:
+            self.succ[g][u] = v
+            self.pred[g][v] = u
             return
-        prev = 0
+        if s is not None and s != v:
+            self.pending.append((s, v))
+        if p is not None and p != u:
+            self.pending.append((p, u))
+
+    def _merge(self, a: int, b: int) -> None:
+        """Identify two vertices; the smaller root survives, so the
+        basepoint (0) always does. Clashes go back on the worklist."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return
+        if b < a:
+            a, b = b, a
+        self.parent[b] = a
+        for g in range(self.ctx.rank):
+            succ, pred = self.succ[g], self.pred[g]
+            x = succ.pop(b, None)
+            if x is not None:
+                del pred[x]  # a loop at b leaves nothing for pred.pop below
+            y = pred.pop(b, None)
+            if y is not None:
+                del succ[y]
+            if x is not None:
+                self._store(a, g, a if x == b else x)
+            if y is not None:
+                self._store(y, g, a)
+
+    def add_path(self, w: Word, start: int = BASEPOINT, end: int = BASEPOINT) -> None:
+        """Attach a path spelling the reduced word w from `start` to `end`
+        through one new vertex per interior letter (a loop by default)."""
+        prev = start
         for k, x in enumerate(w):
-            nxt = 0 if k == len(w) - 1 else self.new_vertex()
+            nxt = end if k == len(w) - 1 else self.new_vertex()
             if x > 0:
-                self.edges.add((prev, x - 1, nxt))
+                self.add_edge(prev, x - 1, nxt)
             else:
-                self.edges.add((nxt, -x - 1, prev))
+                self.add_edge(nxt, -x - 1, prev)
             prev = nxt
 
-    def add_graph(self, other: StallingsGraph) -> None:
-        """Wedge another graph on at the basepoint (basepoints identified)."""
-        offset = len(self.parent)
-        for _ in range(other.nverts - 1):
-            self.new_vertex()
-
-        def mapped(v: int) -> int:
-            return 0 if v == BASEPOINT else offset + v - 1
-
+    def add_graph(self, other: StallingsGraph, at: int = BASEPOINT) -> None:
+        """Hang a copy of another graph with its basepoint at vertex `at`."""
+        image = [at] + [self.new_vertex() for _ in range(other.nverts - 1)]
         for g in range(other.ctx.rank):
             for u, v in other.succ[g].items():
-                self.edges.add((mapped(u), g, mapped(v)))
-
-    def fold(self) -> None:
-        """Identify targets (sources) of equally-labelled edges sharing a
-        source (target) until none remain — Stallings folding."""
-        changed = True
-        while changed:
-            changed = False
-            self.edges = {(self.find(u), g, self.find(v)) for u, g, v in self.edges}
-            by_src: dict[tuple[int, int], int] = {}
-            by_dst: dict[tuple[int, int], int] = {}
-            for u, g, v in self.edges:
-                w = by_src.get((u, g))
-                if w is None:
-                    by_src[(u, g)] = v
-                elif w != v:
-                    self.union(v, w)
-                    changed = True
-                w = by_dst.get((g, v))
-                if w is None:
-                    by_dst[(g, v)] = u
-                elif w != u:
-                    self.union(u, w)
-                    changed = True
+                self.add_edge(image[u], g, image[v])
 
     def finalize(self) -> StallingsGraph:
-        """Reachable part from the basepoint, trimmed to the core, canonical."""
-        base = self.find(0)
-        edges = {(self.find(u), g, self.find(v)) for u, g, v in self.edges}
-        adj: dict[int, set[tuple[int, int, int]]] = {base: set()}
-        for u, g, v in edges:
-            adj.setdefault(u, set()).add((u, g, v))
-            adj.setdefault(v, set()).add((u, g, v))
-        # reachable component
-        seen = {base}
-        stack = [base]
+        """Trim non-basepoint vertices of degree <= 1 off the folded tables
+        (a loop counts 2), then canonicalize. Every graph built here is
+        connected, which `_canonical` checks."""
+        tables = [*zip(self.succ, self.pred), *zip(self.pred, self.succ)]
+        degree: Counter[int] = Counter()
+        for t, _ in tables:
+            degree.update(t.keys())
+        live = {v for v, root in enumerate(self.parent) if v == root}
+        stack = [v for v in live if v != BASEPOINT and degree[v] <= 1]
         while stack:
-            u = stack.pop()
-            for e in adj[u]:
-                for w in (e[0], e[2]):
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        # iteratively trim degree<=1 vertices (loops contribute 2)
-        degree = {
-            v: sum(2 if e[0] == e[2] else 1 for e in adj.get(v, ()))
-            for v in seen
-        }
-        removable = [v for v in seen if v != base and degree[v] <= 1]
-        dead: set[int] = set()
-        while removable:
-            v = removable.pop()
-            if v in dead:
+            v = stack.pop()
+            if v not in live:
                 continue
-            dead.add(v)
-            for e in list(adj.get(v, ())):
-                u, g, w = e
-                other = w if u == v else u
-                adj[u].discard(e)
-                adj[w].discard(e)
-                if other != v and other not in dead:
-                    degree[other] -= 1
-                    if other != base and degree[other] <= 1:
-                        removable.append(other)
-        live = seen - dead
-        succ = [dict() for _ in range(self.ctx.rank)]
-        pred = [dict() for _ in range(self.ctx.rank)]
-        for u, g, v in edges:
-            if u in live and v in live:
-                succ[g][u] = v
-                pred[g][v] = u
-        return _canonical(self.ctx, live, succ, pred, base)
+            live.remove(v)
+            for t, back in tables:
+                w = t.pop(v, None)
+                if w is not None:
+                    del back[w]
+                    degree[w] -= 1
+                    if w != BASEPOINT and degree[w] <= 1:
+                        stack.append(w)
+        return _canonical(self.ctx, live, self.succ, self.pred, BASEPOINT)
 
 
 def _canonical(
@@ -379,21 +355,16 @@ def _canonical(
     """Renumber by BFS from the basepoint in canonical letter order."""
     number = {base: 0}
     order = [base]
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for g in range(ctx.rank):
-            for table in (succ[g], pred[g]):
-                v = table.get(u)
-                if v is not None and v not in number:
-                    number[v] = len(order)
-                    order.append(v)
+    tables = [t for pair in zip(succ, pred) for t in pair]  # gen 1 out, gen 1 in, …
+    for u in order:
+        for table in tables:
+            v = table.get(u)
+            if v is not None and v not in number:
+                number[v] = len(order)
+                order.append(v)
     if len(number) != len(set(live)):
         raise AssertionError("core graph must be connected")
-    new_succ = tuple(
-        {number[u]: number[v] for u, v in succ[g].items()} for g in range(ctx.rank)
-    )
+    new_succ = tuple({number[u]: number[v] for u, v in s.items()} for s in succ)
     return StallingsGraph(ctx, len(number), new_succ)
 
 
@@ -420,8 +391,7 @@ def from_generators(
     budget = budget or current()
     builder = _Builder(ctx, budget)
     for w in generators:
-        builder.add_word_loop(check_word(reduce_word(w), ctx))
-    builder.fold()
+        builder.add_path(check_word(reduce_word(w), ctx))
     return builder.finalize()
 
 
@@ -439,8 +409,7 @@ def join(
         builder.add_graph(other)
     else:
         for w in other:
-            builder.add_word_loop(check_word(reduce_word(w), H.ctx))
-    builder.fold()
+            builder.add_path(check_word(reduce_word(w), H.ctx))
     return builder.finalize()
 
 
@@ -485,9 +454,7 @@ def intersect(
                     pred[g][number[u]] = number[v]
     builder = _Builder(H.ctx, budget)
     builder.parent = list(range(len(number)))
-    builder.edges = {
-        (u, g, v) for g in range(r) for u, v in succ[g].items()
-    }
+    builder.succ, builder.pred = succ, pred
     return builder.finalize()
 
 
@@ -512,28 +479,10 @@ def conjugate_subgroup(
         base = H.walk(BASEPOINT, invert(g))
         return _canonical(H.ctx, range(H.nverts), H.succ, H.pred, base)
     builder = _Builder(H.ctx, budget)
-    # tail: new basepoint --g--> old basepoint (old vertices shifted by +len(g))
-    # builder vertex 0 is the new basepoint; create tail interior vertices.
-    tail = [0] + [builder.new_vertex() for _ in range(len(g) - 1)]
+    # a tail new basepoint --g--> old basepoint, with H hung at its end
     old_base = builder.new_vertex()
-    for _ in range(H.nverts - 1):
-        builder.new_vertex()
-    chain = tail + [old_base]
-    for k, x in enumerate(g):
-        u, v = chain[k], chain[k + 1]
-        if x > 0:
-            builder.edges.add((u, x - 1, v))
-        else:
-            builder.edges.add((v, -x - 1, u))
-    offset = old_base
-
-    def mapped(v: int) -> int:
-        return offset + v
-
-    for gen in range(H.ctx.rank):
-        for u, v in H.succ[gen].items():
-            builder.edges.add((mapped(u), gen, mapped(v)))
-    builder.fold()
+    builder.add_path(g, BASEPOINT, old_base)
+    builder.add_graph(H, old_base)
     return builder.finalize()
 
 
@@ -748,6 +697,9 @@ class HomSubgroup:
             self.images = tuple(imgs)
             perms = frozenset(tuple(int(x) for x in p) for p in accepted)
             ident = tuple(range(n))
+            for p in perms:
+                if sorted(p) != list(ident):
+                    raise MalformedInputError(f"{p} is not a permutation of 0..{n - 1}")
             if ident not in perms:
                 raise MalformedInputError("accepted permutations must include the identity")
             for p in perms:

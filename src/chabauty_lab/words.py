@@ -132,12 +132,10 @@ def power(w: Word, n: int) -> Word:
 # ── canonical order ──────────────────────────────────────────────────────────
 
 
-def letter_key(x: int) -> tuple[int, int]:
-    return (abs(x), 0 if x > 0 else 1)
-
-
 def word_key(w: Word):
-    return (len(w), tuple(letter_key(x) for x in w))
+    """Shortlex key: length, then letters ranked a < A < b < B < … (letter x
+    has rank 2x − 1 if x > 0, and 2|x| if x < 0)."""
+    return (len(w), tuple([2 * x - 1 if x > 0 else -2 * x for x in w]))
 
 
 def sorted_words(ws: Iterable[Word]) -> list[Word]:
@@ -283,5 +281,5 @@ def graded_ball(radius: int) -> list[Word]:
                     grow(w + (x,), weight + i)
 
     grow(IDENTITY, 0)
-    out.sort(key=lambda w: (graded_length(w), len(w), tuple(letter_key(x) for x in w)))
+    out.sort(key=lambda w: (graded_length(w), *word_key(w)))
     return out

@@ -6,12 +6,15 @@ criterion object reports pass/fail plus a one-line summary. The battery is
 deterministic — every sampler is seeded — so these tests are stable.
 
 Run with ``-v`` to see one line per criterion; each test also prints the
-battery's own ``criterion NN [PASS] …`` line.
+battery's own ``criterion NN [PASS] …`` line. The battery takes minutes, so
+its tests carry the ``slow`` marker: ``pytest -m "not slow"`` leaves it out.
 """
 
 import pytest
 
 from chabauty_lab import acceptance
+
+pytestmark = pytest.mark.slow
 
 _RESULTS = {}
 

@@ -91,6 +91,58 @@ def test_malformed_chabauty_documents_are_two(capsys, tmp_path, doc):
     assert "error" in err
 
 
+_FOLNER_H = {"context": F2_CTX, "generators": ["b"]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        ["subgroup"],  # `"subgroup" in doc` holds for a list
+        {"subgroup": _FOLNER_H, "sets": 5, "elements": ["a"]},
+        {"subgroup": _FOLNER_H, "sets": [["a"]], "elements": ["a"], "tolerances": [[1]]},
+        {"subgroup": _FOLNER_H, "sets": [["a"]], "elements": ["a"], "tolerances": ["x"]},
+    ],
+)
+def test_malformed_folner_documents_are_two(capsys, tmp_path, doc):
+    spec = spec_file(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, "folner", spec)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "hom",
+    [
+        {"target": {"kind": "lattice", "param": 1}, "images": [1, 0], "accepted": "zero"},
+        {"target": {"kind": "cyclic", "param": 2}, "images": [1, 0], "accepted": 0},
+        {"target": {"kind": "lattice", "param": 1}, "images": [[1], [0]],
+         "accepted": {"generators": 2}},
+        {"target": {"kind": "cyclic", "param": 2}, "images": 3, "accepted": [0]},
+        {"target": {"kind": "permutation", "param": 2}, "images": [[1, 0], [0, 1]],
+         "accepted": [[0, 1], [5, 6]]},
+    ],
+)
+def test_malformed_hom_documents_are_two(capsys, tmp_path, hom):
+    spec = spec_file(tmp_path, "hom.json", {"context": F2_CTX, "hom": hom})
+    code, out, err = run(capsys, "schreier", spec, "--radius", "2")
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_stallings_vertex_blowout_is_three(capsys, tmp_path):
+    # the loops create 1 + 3 + 1 = 5 vertices before folding leaves 2
+    spec = spec_file(tmp_path, "h.json", {"context": F2_CTX, "generators": ["aaaa", "aa"]})
+    code, out, err = run(capsys, "stallings", spec, "--budget-vertices", "4")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+    code, out, _ = run(capsys, "stallings", spec, "--budget-vertices", "5")
+    assert code == 0
+    assert json.loads(out)["result"]["subgroup"]["vertices"] == 2
+
+
 def test_equal_pair_at_radius_12_and_13(capsys, tmp_path):
     H = {"context": F2_CTX, "generators": ["ab", "bbA", "aBaB"]}
     spec = spec_file(tmp_path, "pair.json", {"pair": [H, H]})
