@@ -92,6 +92,11 @@ class ClopenSet:
     ins: tuple
     outs: tuple
     trivially_empty: bool = dataclasses.field(init=False)
+    # The out-words in plain tuple order, so that words sharing a prefix sit
+    # together, and each one's longest common prefix with its predecessor:
+    # what `_meets` walks.
+    outs_lex: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    outs_lcp: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ins", tuple(self.ins))
@@ -99,6 +104,20 @@ class ClopenSet:
         object.__setattr__(
             self, "trivially_empty", bool(set(self.ins) & set(self.outs))
         )
+        lex = sorted(self.outs)
+        object.__setattr__(self, "outs_lex", tuple(lex))
+        object.__setattr__(
+            self,
+            "outs_lcp",
+            tuple(_common_prefix(u, v) for u, v in zip([()] + lex, lex)),
+        )
+
+
+def _common_prefix(u: Word, v: Word) -> int:
+    n = 0
+    while n < len(u) and n < len(v) and u[n] == v[n]:
+        n += 1
+    return n
 
 
 def clopen(ins: Iterable[Word], outs: Iterable[Word]) -> ClopenSet:
@@ -109,9 +128,38 @@ def clopen(ins: Iterable[Word], outs: Iterable[Word]) -> ClopenSet:
 
 
 def in_clopen(H, V: ClopenSet) -> bool:
-    return all(H.contains(w) for w in V.ins) and not any(
-        H.contains(w) for w in V.outs
-    )
+    """H ∈ 𝒱(ins, outs), for H a membership automaton over a free group."""
+    return all(H.contains(w) for w in V.ins) and not _meets(H, V)
+
+
+def _meets(H, V: ClopenSet) -> bool:
+    """Whether H contains some out-word of V, in one pass of H's automaton
+    over the out-words in tuple order.
+
+    `states[k]` is the state after the first k letters of the last walked
+    word, and each word resumes from its common prefix with its predecessor.
+    If the last walk left the automaton after `reach` letters, a word whose
+    common prefix exceeds `reach` has the failing letter in the same place
+    and is skipped; the next word's common prefix with a skipped word is
+    also its common prefix with the last walked word.
+    """
+    step, accepting = H.step, H.accepting
+    states = [H.start]
+    reach = 0
+    for w, lcp in zip(V.outs_lex, V.outs_lcp):
+        if lcp > reach:
+            continue
+        del states[lcp + 1:]
+        s = states[lcp]
+        for x in w[lcp:]:
+            s = step(s, x)
+            if s is None:
+                break
+            states.append(s)
+        reach = len(states) - 1
+        if reach == len(w) and accepting(s):
+            return True
+    return False
 
 
 # ── truncated distance ───────────────────────────────────────────────────────
@@ -131,9 +179,6 @@ class DistanceBound:
     @property
     def value(self) -> Fraction:
         return Fraction(1, 2 ** self.exponent)
-
-    def is_exact(self) -> bool:
-        return self.kind == "exact"
 
 
 def distance_up_to(H, K, radius: int, budget: Budget | None = None) -> DistanceBound:

@@ -480,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--radius", type=int, default=8, help="ball radius (default 8)")
     common.add_argument("--out", metavar="DIR", help="also write report and artifacts here")
     common.add_argument("--seed", type=int, default=0,
-                        help="recorded in provenance; built-in commands are deterministic")
+                        help="accepted but unused: built-in commands are deterministic")
     common.add_argument("--budget-vertices", type=int, metavar="N",
                         help="cap graph/coset constructions at N vertices")
     common.add_argument("--budget-length", type=int, metavar="N",

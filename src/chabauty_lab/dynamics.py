@@ -21,6 +21,7 @@ from .chabauty import (
     Certification,
     ClopenSet,
     DistanceBound,
+    _meets,
     certify_bounds,
     clopen,
     in_clopen,
@@ -154,7 +155,13 @@ def free_product_certify(
     if A.is_trivial() or B.is_trivial():
         raise MalformedInputError("free-product factors must be nontrivial")
     budget = budget or current()
-    J = join(A, B, budget)
+    return _freeness(A, B, join(A, B, budget), budget)
+
+
+def _freeness(
+    A: StallingsGraph, B: StallingsGraph, J: StallingsGraph, budget: Budget
+) -> FreeProductCertificate:
+    """Settle freeness of two nontrivial factors whose join J is known."""
     I = intersect(A, B, budget)
     if not I.is_trivial():
         return FreeProductCertificate(
@@ -229,9 +236,7 @@ def validate_task(task: TransitivityTask) -> None:
             where = f"{side} pair {i + 1}"
             if V.trivially_empty:
                 raise TaskInvalidError(f"{where}: ins and outs overlap")
-            gen = from_generators(task.ctx, V.ins, task.budget)
-            hit = next((o for o in V.outs if gen.contains(o)), None)
-            if hit is not None:
+            if _meets(from_generators(task.ctx, V.ins, task.budget), V):
                 raise TaskInvalidError(
                     f"{where}: clopen set is empty (⟨ins⟩ contains an out-word)"
                 )
@@ -298,7 +303,8 @@ def _try_candidate(
         if delta == lam_s or delta == lam_t_conj:
             freeness = "absorbed"
         else:
-            fp = free_product_certify(lam_s, lam_t_conj, budget)
+            # neither factor absorbs the other, so neither is trivial
+            fp = _freeness(lam_s, lam_t_conj, delta, budget)
             if not fp.certified():
                 return None, passed, f"pair {i + 1}: join not free ({fp.reason})"
             freeness = "certified"
@@ -394,21 +400,6 @@ def multi_transitivity_move(
             "conjugator_len_cap": budget.conjugator_len_cap,
         },
     )
-
-
-def transitivity_move(
-    source: ClopenSet,
-    target: ClopenSet,
-    source_witness: StallingsGraph,
-    target_witness: StallingsGraph,
-    budget: Budget | None = None,
-) -> MoveCertificate:
-    """Single-pair move: wrap into a one-pair task and solve."""
-    ctx = source_witness.ctx
-    task = make_task(
-        ctx, [(source, target, source_witness, target_witness)], budget
-    )
-    return multi_transitivity_move(task)
 
 
 def obstruction_task(budget: Budget | None = None) -> TransitivityTask:

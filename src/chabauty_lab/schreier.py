@@ -82,16 +82,6 @@ class SchreierGraph:
             out[d] += 1
         return out
 
-    def growth(self) -> list[int]:
-        """Cumulative vertex counts per radius 0..R."""
-        spheres = self.sphere_sizes()
-        out = []
-        total = 0
-        for s in spheres:
-            total += s
-            out.append(total)
-        return out
-
     def undirected_adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.nverts)]
         for table in self.succ:

@@ -26,11 +26,9 @@ from .budgets import Budget, current
 from .chabauty import Certification, ClopenSet, DistanceBound, clopen
 from .dynamics import (
     FolnerReport,
-    FreeProductCertificate,
     MoveCertificate,
     NonisolationWitness,
     TransitivityTask,
-    VarietySequence,
     make_task,
 )
 from .errors import MalformedInputError
@@ -104,8 +102,7 @@ def word_from_json(obj: Any, ctx: GroupContext) -> Word:
         if not isinstance(obj, str):
             raise MalformedInputError(f"expected a word string, got {obj!r}")
         return parse_word(obj, ctx)
-    if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
-        raise MalformedInputError(f"expected an integer vector, got {obj!r}")
+    _ints(obj, "a lattice vector")
     if len(obj) != ctx.rank:
         raise MalformedInputError(
             f"vector {obj!r} has length {len(obj)}, context wants {ctx.rank}"
@@ -367,16 +364,6 @@ def json_of_move(cert: MoveCertificate, ctx: GroupContext) -> dict:
     }
 
 
-def json_of_free_product(c: FreeProductCertificate) -> dict:
-    return {
-        "kind": c.kind,
-        "reason": c.reason,
-        "witness": None if c.witness is None else format_word(c.witness),
-        "ranks": None if c.ranks is None else list(c.ranks),
-        "join_rank": c.join.rank(),
-    }
-
-
 def json_of_nonisolation(w: NonisolationWitness) -> dict:
     return {
         "subgroup": [format_word(x) for x in w.subgroup.basis()],
@@ -452,14 +439,6 @@ def json_of_folner(rep: FolnerReport, ctx: GroupContext) -> dict:
             }
             for s in rep.sets
         ],
-    }
-
-
-def json_of_variety(seq: VarietySequence) -> dict:
-    return {
-        "limit_basis": [format_word(w) for w in seq.limit.basis()],
-        "indices": list(seq.indices),
-        "term_ranks": [t.rank() for t in seq.terms],
     }
 
 

@@ -57,9 +57,7 @@ class StallingsGraph:
         self.nverts = nverts
         self.succ = succ
         self.pred = tuple({v: u for u, v in s.items()} for s in succ)
-        self._hash = hash(
-            (ctx, nverts, tuple(tuple(sorted(s.items())) for s in succ))
-        )
+        self._hash: int | None = None  # computed by the first __hash__
 
     # membership ---------------------------------------------------------
 
@@ -204,6 +202,9 @@ class StallingsGraph:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            tables = tuple(tuple(sorted(s.items())) for s in self.succ)
+            self._hash = hash((self.ctx, self.nverts, tables))
         return self._hash
 
     def __repr__(self):

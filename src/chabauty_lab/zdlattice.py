@@ -177,14 +177,6 @@ def hnf_from_generators(dim: int, generators: Iterable[Sequence[int]]) -> HnfSub
     return HnfSubgroup(dim, tuple(tuple(r) for r in hnf_rows))
 
 
-def membership(H: HnfSubgroup, v: Sequence[int]) -> bool:
-    return H.contains(v)
-
-
-def index(H: HnfSubgroup) -> int | None:
-    return H.index()
-
-
 def cb_erasing_rank(H: HnfSubgroup) -> int:
     """d − rk(H) + 1: how many erasing steps the subgroup survives in the
     Chabauty space of Z^d (trivial subgroup: d + 1; finite index: 1)."""
@@ -339,13 +331,13 @@ def enumerate_by_index(
     positive diagonal (p_0..p_{d-1}) with Π p_i = index, and above-diagonal
     entries in column i ranging over [0, p_i).
     """
+    if dim < 1 or max_index < 1:
+        raise MalformedInputError("dimension and index bound must be >= 1")
     budget = budget or current()
     if dim > budget.lattice_dim_cap:
         raise BudgetExceededError("lattice dimension", budget.lattice_dim_cap, dim)
     if max_index > budget.lattice_index_cap:
         raise BudgetExceededError("lattice index", budget.lattice_index_cap, max_index)
-    if dim < 1 or max_index < 1:
-        raise MalformedInputError("dimension and index bound must be >= 1")
     out: dict[int, list[HnfSubgroup]] = {n: [] for n in range(1, max_index + 1)}
     for diag in _diagonals(dim, max_index):
         idx = 1

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from chabauty_lab.chabauty import (
     Certification,
+    ClopenSet,
     DistanceBound,
+    _meets,
     certify_convergence,
     clopen,
     distance_up_to,
@@ -29,8 +31,10 @@ from chabauty_lab.errors import (
     ContextMismatchError,
     MalformedInputError,
 )
+from chabauty_lab.specio import json_of_clopen
 from chabauty_lab.stallings import (
     HomSubgroup,
+    StallingsGraph,
     Target,
     from_generators,
     hall_completion,
@@ -287,6 +291,77 @@ def test_clopen_detects_trivial_emptiness():
 def test_clopen_whole_group_in_ins_only():
     V = clopen([w("abAB")], [])
     assert in_clopen(whole_group(F2), V)
+
+
+def scan_in_clopen(H, V):
+    """The definition: test every in-word and every out-word separately."""
+    return all(H.contains(x) for x in V.ins) and not any(H.contains(x) for x in V.outs)
+
+
+@st.composite
+def prefix_sharing_words(draw, rank, H):
+    """Reduced words grown from a few stems (basis words of H among them, so
+    that some land in H): heavy prefix sharing, words that are prefixes of
+    other drawn words, and at times the empty word."""
+    letter = st.sampled_from(letters(rank))
+    stem = st.lists(letter, max_size=4).map(tuple)
+    if isinstance(H, StallingsGraph) and not H.is_trivial():
+        stem = st.one_of(stem, st.sampled_from(H.basis()))
+    stems = draw(st.lists(stem, min_size=1, max_size=3))
+    words = set()
+    for _ in range(draw(st.integers(0, 12))):
+        tail = tuple(draw(st.lists(letter, max_size=4)))
+        word = reduce_word(draw(st.sampled_from(stems)) + tail)
+        words.add(word)
+        words.add(word[: draw(st.integers(1, max(1, len(word))))])
+    words.discard(())
+    if draw(st.integers(0, 4)) == 3:
+        words.add(())
+    return sorted(words)
+
+
+@st.composite
+def clopen_cases(draw):
+    """(H, V): Stallings graphs over F₂ and F₃, or homomorphism preimages
+    with cyclic, permutation and lattice targets; ins empty or a few short
+    words, outs prefix-sharing."""
+    rank = draw(st.sampled_from([2, 3]))
+    H = draw(st.one_of(free_subgroups(rank), hom_subgroups(rank)))
+    letter = st.sampled_from(letters(rank))
+    ins = draw(st.lists(st.lists(letter, max_size=3).map(reduce_word), max_size=2))
+    return H, clopen(ins, draw(prefix_sharing_words(rank, H)))
+
+
+@given(clopen_cases())
+@settings(max_examples=400, deadline=None)
+def test_clopen_walk_matches_scan(case):
+    H, V = case
+    assert _meets(H, V) == any(H.contains(x) for x in V.outs)
+    assert in_clopen(H, V) == scan_in_clopen(H, V)
+
+
+def test_walk_resumes_below_the_depth_where_it_died():
+    # In ⟨ab⟩ (0 -a-> 1 -b-> 0) the walk of aab dies after one letter; aabb
+    # shares that failing letter and is skipped; ab shares only "a" with it
+    # and must resume from the state after "a", where it closes.
+    H = gens("ab")
+    V = ClopenSet((), (w("aab"), w("aabb"), w("ab")))
+    assert V.outs_lex == (w("aab"), w("aabb"), w("ab"))
+    assert V.outs_lcp == (0, 3, 1)
+    assert _meets(H, V) and not in_clopen(H, V)
+    assert not _meets(H, ClopenSet((), (w("aab"), w("aabb"))))
+
+
+def test_walk_fields_leave_clopen_identity_unchanged():
+    V = clopen([w("a")], [w("b"), w("aa"), w("aB")])
+    # canonical (length, letter-lex) order for outs; plain tuple order for the walk
+    assert V.outs == (w("b"), w("aa"), w("aB"))
+    assert V.outs_lex == (w("aB"), w("aa"), w("b"))
+    assert V.outs_lcp == (0, 1, 0)
+    assert V == ClopenSet(V.ins, V.outs)
+    assert hash(V) == hash((V.ins, V.outs, V.trivially_empty))
+    assert repr(V) == f"ClopenSet(ins={V.ins!r}, outs={V.outs!r}, trivially_empty=False)"
+    assert json_of_clopen(V, F2) == {"ins": ["a"], "outs": ["b", "aa", "aB"]}
 
 
 # ── convergence certificates ─────────────────────────────────────────────────

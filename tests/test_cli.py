@@ -131,6 +131,27 @@ def test_malformed_hom_documents_are_two(capsys, tmp_path, hom):
     assert "error" in err
 
 
+def test_boolean_lattice_vector_is_two(capsys, tmp_path):
+    # JSON true is a Python int; a vector [true, 0] must not read as (1, 0)
+    spec = spec_file(
+        tmp_path, "lat.json", {"context": {"kind": "lattice", "dim": 2}, "generators": [[True, 0]]}
+    )
+    code, out, err = run(capsys, "zd", spec)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_enumerate_rejects_bad_dimension_before_budgets(capsys):
+    # index 100000 is over the index cap, but dimension 0 is malformed first
+    code, out, err = run(capsys, "zd", "--enumerate", "0", "100000")
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+    code, out, _ = run(capsys, "zd", "--enumerate", "2", "0")
+    assert code == 2 and out == ""
+
+
 def test_stallings_vertex_blowout_is_three(capsys, tmp_path):
     # the loops create 1 + 3 + 1 = 5 vertices before folding leaves 2
     spec = spec_file(tmp_path, "h.json", {"context": F2_CTX, "generators": ["aaaa", "aa"]})

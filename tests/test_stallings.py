@@ -180,6 +180,24 @@ def test_conjugate_round_trip():
     assert K == H
 
 
+def test_equal_subgroups_hash_equal_by_any_route():
+    H, g = gens("ab", "aab"), w("bbA")
+    E = gens("aa", "b", "abA")  # a covering: conjugation only moves the basepoint
+    routes = [
+        [H, gens("aab", "ab"), gens("ab", "aab", "abaab", "BA")],
+        [gens("ab", "bA"), join(gens("ab"), gens("bA")), join(gens("bA"), [w("ab")])],
+        [H, conjugate_subgroup(conjugate_subgroup(H, g), invert(g))],
+        [E, conjugate_subgroup(conjugate_subgroup(E, w("ab")), w("BA"))],
+    ]
+    for graphs in routes:
+        assert all(G == graphs[0] for G in graphs)
+        hashes = [hash(G) for G in graphs]
+        assert len(set(hashes)) == 1
+        assert len(set(graphs)) == 1
+        assert [hash(G) for G in graphs] == hashes  # stable on repeated calls
+    assert len({H, gens("aab", "ab"), E}) == 2
+
+
 def test_conjugation_preserves_index_and_rank():
     H = gens("aa", "b", "abA")
     C = conjugate_subgroup(H, w("ab"))
