@@ -184,7 +184,7 @@ class DistanceBound:
 def distance_up_to(H, K, radius: int, budget: Budget | None = None) -> DistanceBound:
     """Truncated Chabauty distance: the canonically-least element of the ball
     on which H and K disagree, found by product-automaton BFS in free groups
-    and by a vectorized ball scan in Z^d."""
+    and by comparing the canonically ordered lattice balls in Z^d."""
     require_same_context(H.ctx, K.ctx, "distance")
     if H.ctx.kind == "free":
         return _product_distance(H, K, radius, budget or current())

@@ -15,27 +15,26 @@ convergence of every level; the matching *upper* bound (no deeper nesting
 survives) is a statement about all possible approximating sequences and has
 no finite certificate, so it is not machine-checked here.
 
-All arithmetic is exact (Python ints); numpy is used only to test membership
-of whole L¹ balls at once.
+All arithmetic is exact (Python ints).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+from bisect import bisect_left
+from operator import add
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .budgets import Budget, current
 from .errors import BudgetExceededError, MalformedInputError
-from .words import GroupContext, Vector, iter_lattice_ball, lattice
+from .words import GroupContext, Vector, lattice
 
 
 class HnfSubgroup:
     """Sublattice of Z^d in canonical (row) Hermite normal form."""
 
-    __slots__ = ("dim", "rows", "pivots", "_hash")
+    __slots__ = ("dim", "rows", "pivots", "_hash", "_ball")
 
     def __init__(self, dim: int, rows: tuple[tuple[int, ...], ...]):
         # `rows` must already be in HNF; use hnf_from_generators to build.
@@ -45,6 +44,7 @@ class HnfSubgroup:
             (i, next(j for j, x in enumerate(r) if x != 0)) for i, r in enumerate(rows)
         )
         self._hash = hash((dim, rows))
+        self._ball = None  # (radius, ball) for the largest radius asked; see _sorted_ball
 
     @property
     def ctx(self) -> GroupContext:
@@ -55,19 +55,8 @@ class HnfSubgroup:
         return len(self.rows)
 
     def contains(self, v: Sequence[int]) -> bool:
-        if len(v) != self.dim:
-            raise MalformedInputError(f"vector of length {len(v)} in Z^{self.dim}")
-        v = list(v)
-        for i, c in self.pivots:
-            row = self.rows[i]
-            p = row[c]
-            if v[c] % p != 0:
-                return False
-            q = v[c] // p
-            if q:
-                for j in range(self.dim):
-                    v[j] -= q * row[j]
-        return all(x == 0 for x in v)
+        # the canonical representative of H itself is 0
+        return not any(self.residue(v))
 
     def residue(self, v: Sequence[int]) -> Vector:
         """Canonical representative of the coset v + H: each pivot coordinate
@@ -84,20 +73,6 @@ class HnfSubgroup:
                     v[j] -= q * row[j]
         return tuple(v)
 
-    def batch_contains(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (N, d) int array."""
-        v = points.astype(np.int64).copy()
-        good = np.ones(len(v), dtype=bool)
-        for i, c in self.pivots:
-            row = np.asarray(self.rows[i], dtype=np.int64)
-            p = int(row[c])
-            rem = v[:, c] % p
-            good &= rem == 0
-            q = (v[:, c] - rem) // p
-            v -= q[:, None] * row[None, :]
-        good &= np.all(v == 0, axis=1)
-        return good
-
     def index(self) -> int | None:
         """[Z^d : H] = product of pivots when full-rank, else None (infinite)."""
         if self.rank != self.dim:
@@ -106,9 +81,6 @@ class HnfSubgroup:
         for i, c in self.pivots:
             out *= self.rows[i][c]
         return out
-
-    def matrix(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, HnfSubgroup):
@@ -183,38 +155,63 @@ def cb_erasing_rank(H: HnfSubgroup) -> int:
     return H.dim - H.rank + 1
 
 
-# ── ball membership (vectorized) ─────────────────────────────────────────────
-
-_BALL_CACHE: dict[tuple[int, int], np.ndarray] = {}
+# ── ball membership ──────────────────────────────────────────────────────────
 
 
-def _ball_array(dim: int, radius: int) -> np.ndarray:
-    key = (dim, radius)
-    if key not in _BALL_CACHE:
-        pts = list(iter_lattice_ball(dim, radius))
-        _BALL_CACHE[key] = np.array(pts, dtype=np.int64).reshape(len(pts), dim)
-    return _BALL_CACHE[key]
+def _members(H: HnfSubgroup, radius: int) -> list[tuple[int, Vector]]:
+    """(|v|₁, v) for each v in H ∩ {|v|₁ ≤ radius}, unordered.
+
+    A member is Σ aᵢ·rowᵢ, and once a₀..aᵢ₋₁ are fixed the coordinates left of
+    row i's pivot are final (the rows below are zero there). So level i keeps
+    the partial sums whose final coordinates fit in the ball, and aᵢ ranges
+    over the values that keep the pivot coordinate inside the radius left:
+    Fincke–Pohst enumeration over the triangular HNF basis, in the L¹ norm.
+    """
+    ends = [c for _, c in H.pivots[1:]] + [H.dim]
+    level = [(0, (0,) * H.dim)]
+    for (i, c), end in zip(H.pivots, ends):
+        row = H.rows[i]
+        p = row[c]
+        grown = []
+        for n, v in level:
+            room = radius - n
+            lo = -((room + v[c]) // p)
+            w = tuple(x + lo * y for x, y in zip(v, row))
+            for _ in range(lo, (room - v[c]) // p + 1):
+                m = n + sum(map(abs, w[c:end]))
+                if m <= radius:
+                    grown.append((m, w))
+                w = tuple(map(add, w, row))
+        level = grown
+    return level
+
+
+def _sorted_ball(H: HnfSubgroup, radius: int) -> list[tuple[int, Vector]]:
+    """(|v|₁, v) for each v in H ∩ {|v|₁ ≤ radius}, in canonical (norm, lex)
+    order. The subgroup keeps the largest ball asked for, and a smaller ball
+    is a prefix of it."""
+    if radius < 0:
+        raise MalformedInputError("radius must be >= 0")
+    if H._ball is None or H._ball[0] < radius:
+        H._ball = (radius, sorted(_members(H, radius)))
+    ball = H._ball[1]
+    return ball[: bisect_left(ball, (radius + 1,))]
 
 
 def members_in_ball(H: HnfSubgroup, radius: int) -> list[Vector]:
     """H ∩ {|v|₁ ≤ radius} in canonical (norm, lex) order."""
-    if H.rank == 0:
-        return [tuple([0] * H.dim)]
-    pts = _ball_array(H.dim, radius)
-    mask = H.batch_contains(pts)
-    return [tuple(int(x) for x in row) for row in pts[mask]]
+    return [v for _, v in _sorted_ball(H, radius)]
 
 
 def first_difference_in_ball(H: HnfSubgroup, K: HnfSubgroup, radius: int) -> Vector | None:
     """The canonically-least vector of {|v|₁ ≤ radius} that lies in exactly
-    one of H and K, or None when they agree on the whole ball."""
-    if radius < 0:
-        raise MalformedInputError("radius must be >= 0")
-    pts = _ball_array(H.dim, radius)
-    diff = np.flatnonzero(H.batch_contains(pts) != K.batch_contains(pts))
-    if len(diff) == 0:
+    one of H and K, or None when they agree on the whole ball: the two sorted
+    balls first part there."""
+    a, b = _sorted_ball(H, radius), _sorted_ball(K, radius)
+    if a == b:
         return None
-    return tuple(int(x) for x in pts[diff[0]])
+    parted = next(((x, y) for x, y in zip(a, b) if x != y), a[len(b) :] + b[len(a) :])
+    return min(parted)[1]
 
 
 # ── witness sequences and chains ─────────────────────────────────────────────
@@ -253,7 +250,6 @@ def witness_sequence(
     with H on the ball. Only finitely many m disagree, so the scan terminates.
     """
     v = witness_direction(H)
-    base = set(members_in_ball(H, radius_max))
     terms: list[HnfSubgroup] = []
     good_streak = 0
     m = 0
@@ -264,7 +260,7 @@ def witness_sequence(
             raise BudgetExceededError("witness sequence length", cap)
         H_m = hnf_from_generators(H.dim, list(H.rows) + [tuple(m * x for x in v)])
         terms.append(H_m)
-        if set(members_in_ball(H_m, radius_max)) == base:
+        if first_difference_in_ball(H_m, H, radius_max) is None:
             good_streak += 1
         else:
             good_streak = 0

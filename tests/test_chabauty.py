@@ -12,7 +12,7 @@ disagree. A radius-L scan either finds that least length exactly (kind
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chabauty_lab.chabauty import (
@@ -441,14 +441,20 @@ def free_sequences(draw):
     return terms, limit, draw(st.integers(1, 6))
 
 
+# entries past the int64 range catch ball membership in fixed-width integers
+LATTICE_ENTRIES = st.one_of(
+    st.integers(-3, 3), st.sampled_from([2**62, -(2**62), 2**70, -(2**70)])
+)
+
+
 def lattice_subgroups(d):
-    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple)
-    return st.lists(vec, max_size=2).map(lambda gs: hnf_from_generators(d, gs))
+    vec = st.lists(LATTICE_ENTRIES, min_size=d, max_size=d).map(tuple)
+    return st.lists(vec, max_size=3).map(lambda gs: hnf_from_generators(d, gs))
 
 
 @st.composite
 def lattice_sequences(draw):
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
     limit = draw(lattice_subgroups(d))
     terms = draw(st.lists(lattice_subgroups(d), min_size=1, max_size=5))
     return terms, limit, draw(st.integers(1, 6))
@@ -464,15 +470,21 @@ def test_certification_matches_trace_definition(case):
 
 
 @given(
-    st.integers(1, 3).flatmap(lambda d: st.tuples(lattice_subgroups(d), lattice_subgroups(d))),
+    st.integers(1, 4).flatmap(lambda d: st.tuples(lattice_subgroups(d), lattice_subgroups(d))),
+    st.integers(0, 7),
     st.integers(0, 7),
 )
+# both balls hold a vector where they part, and K's is the lesser
+@example((hnf_from_generators(2, [(0, 1)]), hnf_from_generators(2, [(1, 0)])), 1, 3)
 @settings(max_examples=80, deadline=None)
-def test_lattice_distance_matches_ball_scan(pair, radius):
+def test_lattice_distance_matches_ball_scan(pair, r, r2):
     H, K = pair
-    expected = DistanceBound("at_most", radius + 1)
-    for x in iter_lattice_ball(H.dim, radius):
-        if H.contains(x) != K.contains(x):
-            expected = DistanceBound("exact", sum(map(abs, x)), x)
-            break
-    assert distance_up_to(H, K, radius) == expected
+    # the same subgroups at r, r2, r: a ball kept from an earlier radius must
+    # not leak into a later answer
+    for radius in (r, r2, r):
+        expected = DistanceBound("at_most", radius + 1)
+        for x in iter_lattice_ball(H.dim, radius):
+            if H.contains(x) != K.contains(x):
+                expected = DistanceBound("exact", sum(map(abs, x)), x)
+                break
+        assert distance_up_to(H, K, radius) == expected

@@ -7,9 +7,12 @@ Exit code contract: 0 success, 2 malformed input, 3 budget exceeded,
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import chabauty_lab
 from chabauty_lab.cli import main
 
 F2_CTX = {"kind": "free", "rank": 2}
@@ -256,6 +259,51 @@ def test_witness_on_lattice_subgroup(capsys, tmp_path):
     report = json.loads(out)["result"]
     assert len(report["terms"]) == 18
     assert report["certification"]["kind"] == "certified"
+
+
+LATTICE_2 = {"kind": "lattice", "dim": 2}
+
+
+def test_lattice_entries_past_int64_are_exact(capsys, tmp_path):
+    # ⟨(1, 2⁶²)⟩ meets the radius-4 ball only in 0, so it agrees with ⟨⟩ there
+    trivial = {"context": LATTICE_2, "generators": []}
+    for big in ([1, 4611686018427387904], [1180591620717411303424, 1]):
+        H = {"context": LATTICE_2, "generators": [big]}
+        spec = spec_file(tmp_path, "pair.json", {"pair": [H, trivial]})
+        code, out, _ = run(capsys, "chabauty", spec, "--radius", "4")
+        assert code == 0
+        distance = json.loads(out)["result"]["distance"]
+        assert distance["kind"] == "at_most"
+        assert distance["exponent"] == 5
+
+
+def test_witness_on_lattice_entries_past_int64(capsys, tmp_path):
+    spec = spec_file(
+        tmp_path, "lat.json", {"context": LATTICE_2, "generators": [[1, 4611686018427387904]]}
+    )
+    code, out, _ = run(capsys, "witness", spec, "--radius", "4")
+    assert code == 0
+    assert json.loads(out)["result"]["certification"]["kind"] == "certified"
+
+
+def test_lattice_ops_need_only_the_standard_library(tmp_path):
+    """The package has no runtime dependency: a lattice distance runs in a
+    fresh interpreter without site-packages (`-S`) and loads no module from
+    outside the standard library."""
+    H = {"context": LATTICE_2, "generators": [[1, 3]]}
+    K = {"context": LATTICE_2, "generators": [[2, 0]]}
+    spec = spec_file(tmp_path, "pair.json", {"pair": [H, K]})
+    src = os.path.dirname(os.path.dirname(chabauty_lab.__file__))
+    script = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import chabauty_lab.cli\n"
+        f"code = chabauty_lab.cli.main(['chabauty', {spec!r}, '--radius', '4'])\n"
+        "loaded = {m.split('.')[0] for m in sys.modules}\n"
+        "print(code, sorted(loaded - set(sys.stdlib_module_names) - {'__main__', 'chabauty_lab'}))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_paired_transit_demo(capsys):

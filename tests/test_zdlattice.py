@@ -12,11 +12,12 @@ iff they produce identical rows. Frozen fixtures:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chabauty_lab.chabauty import certify_convergence, distance_up_to
 from chabauty_lab.errors import BudgetExceededError, MalformedInputError
+from chabauty_lab.words import iter_lattice_ball
 from chabauty_lab.zdlattice import (
     HnfSubgroup,
     cb_erasing_rank,
@@ -127,12 +128,32 @@ def test_erasing_rank_interpolates():
     assert cb_erasing_rank(hnf_from_generators(3, [(5, 0, 1)])) == 3
 
 
-def test_members_in_ball_l1():
-    H = hnf_from_generators(2, [(1, 3)])
-    members = members_in_ball(H, 4)
-    assert (0, 0) in members and (1, 3) in members and (-1, -3) in members
-    assert (2, 6) not in members  # L¹ norm 8 > 4
-    assert all(H.contains(v) for v in members)
+@st.composite
+def ball_queries(draw):
+    """A subgroup of Z^d (d ≤ 4, zero to d + 1 generators, entries at times
+    past the int64 range) and three radii r, r2, r, small enough in Z⁴ for
+    the ball scan."""
+    d = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-4, 4), st.sampled_from([2**62, -(2**70)]))
+    gens = draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=d + 1))
+    top = (14, 10, 8, 6)[d - 1]
+    r, r2 = draw(st.integers(0, top)), draw(st.integers(0, top))
+    return hnf_from_generators(d, gens), (r, r2, r)
+
+
+@given(ball_queries())
+@example((hnf_from_generators(2, [(1, 3)]), (4, 8, 4)))
+@example((hnf_from_generators(3, []), (0, 3, 0)))  # rank 0
+@example((hnf_from_generators(3, [(1, 0, 0), (0, 2, 1), (0, 0, 3)]), (5, 0, 5)))  # full rank
+@settings(max_examples=120, deadline=None)
+def test_members_in_ball_l1(case):
+    """members_in_ball is the ball scan's list, in its (norm, lex) order,
+    whatever radius the same subgroup was asked before."""
+    H, radii = case
+    for r in radii:
+        assert members_in_ball(H, r) == [
+            v for v in iter_lattice_ball(H.dim, r) if H.contains(v)
+        ]
 
 
 # ── the subgroup catalogue ───────────────────────────────────────────────────
