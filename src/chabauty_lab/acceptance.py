@@ -519,7 +519,7 @@ def criterion_7() -> CriterionResult:
     )
     per_radius = []
     for radius in (6, 8, 10):
-        reports = fiber_diameters(ker, even, radius)
+        reports = fiber_diameters(schreier_build(ker, radius), even)
         if not any(r.lower_bound for r in reports):
             problems.append(f"no lower-bound fiber at radius {radius}")
         per_radius.append(sorted(r.diameter for r in reports))

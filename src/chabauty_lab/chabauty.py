@@ -71,7 +71,7 @@ def trace(H, radius: int, budget: Budget | None = None) -> SubgroupTrace:
     if ctx.kind == "free":
         members = tuple(x for x in iter_ball(ctx.rank, radius, budget) if H.contains(x))
     else:
-        members = tuple(zdlattice.members_in_ball(H, radius))
+        members = tuple(zdlattice.members_in_ball(H, radius, budget))
     return SubgroupTrace(ctx, radius, members)
 
 
@@ -188,7 +188,7 @@ def distance_up_to(H, K, radius: int, budget: Budget | None = None) -> DistanceB
     require_same_context(H.ctx, K.ctx, "distance")
     if H.ctx.kind == "free":
         return _product_distance(H, K, radius, budget or current())
-    x = zdlattice.first_difference_in_ball(H, K, radius)
+    x = zdlattice.first_difference_in_ball(H, K, radius, budget)
     if x is None:
         return DistanceBound("at_most", radius + 1)
     return DistanceBound("exact", sum(abs(c) for c in x), x)

@@ -6,8 +6,8 @@ Subcommands:
   (normal form, membership, intersection, conjugation, completion);
 * ``chabauty`` — distances between two subgroups, or a convergence
   certificate for a sequence against its limit;
-* ``zd`` — lattice subgroups: normal form and invariants, or the full
-  index-bounded catalogue (``--enumerate``);
+* ``zd`` — lattice subgroups: normal form and invariants, or how many
+  subgroups there are of each bounded index (``--enumerate``);
 * ``schreier`` — coset geometry: the Schreier ball, ends estimates, the
   line probe, and fiber diameters over an intermediate subgroup;
 * ``witness`` — convergence witness sequences: nonisolation terms for a
@@ -53,7 +53,7 @@ from .errors import (
     SearchFailure,
 )
 from .schreier import build as schreier_build
-from .schreier import ends_estimate, fiber_diameters, qi_to_line_probe
+from .schreier import ends_profile, fiber_diameters, qi_to_line_probe
 from .stallings import (
     StallingsGraph,
     conjugate_subgroup,
@@ -62,7 +62,7 @@ from .stallings import (
     intersect,
 )
 from .words import format_word, free_group, parse_word
-from .zdlattice import HnfSubgroup, cb_erasing_rank, enumerate_by_index, witness_sequence
+from .zdlattice import HnfSubgroup, cb_erasing_rank, count_by_index, witness_sequence
 from .dynamics import nonisolation_witness
 
 
@@ -223,16 +223,16 @@ def rows_to_json(rows):
 def cmd_zd(args, budget: Budget):
     if args.enumerate:
         dim, max_index = args.enumerate
-        catalogue = enumerate_by_index(dim, max_index, budget)
-        counts = {n: len(subs) for n, subs in sorted(catalogue.items())}
-        rows = [(n, c) for n, c in counts.items()]
+        counts = count_by_index(dim, max_index, budget)
+        rows = list(counts.items())
         header = ["index", "count"]
         if dim == 2:
             header.append("divisor_sum")
-            rows = [
-                (n, c, sum(a for a in range(1, n + 1) if n % a == 0))
-                for n, c in rows
-            ]
+            sigma = [0] * (max_index + 1)
+            for a in range(1, max_index + 1):
+                for n in range(a, max_index + 1, a):
+                    sigma[n] += a
+            rows = [(n, c, sigma[n]) for n, c in rows]
         result = {
             "dimension": dim,
             "max_index": max_index,
@@ -273,7 +273,8 @@ def cmd_schreier(args, budget: Budget):
     H = specio.subgroup_from_json(sub_doc, budget)
     radius = args.radius
     S = schreier_build(H, radius, budget)
-    ends = [(r, ends_estimate(S, r)) for r in range(1, min(6, radius - 1) + 1)]
+    profile = ends_profile(S)
+    ends = [(r, profile[r]) for r in range(1, min(6, radius - 1) + 1)]
     result: dict[str, Any] = {
         "radius": radius,
         "graph": specio.json_of_schreier(S),
@@ -284,12 +285,12 @@ def cmd_schreier(args, budget: Budget):
         f"complete {S.is_complete()}, ends window {[e for _, e in ends]}"
     ]
     if radius >= 8:
-        probe = qi_to_line_probe(H, radius, budget)
+        probe = qi_to_line_probe(S)
         result["line_probe"] = specio.json_of_probe(probe)
         summary.append(f"line probe: {probe.verdict} ({probe.reason})")
     if isinstance(doc, dict) and "over" in doc:
         K = specio.subgroup_from_json(doc["over"], budget)
-        reports = fiber_diameters(H, K, radius, budget)
+        reports = fiber_diameters(S, K)
         result["fibers"] = specio.json_of_fibers(reports, H.ctx)
         summary.append(
             "fiber diameters: "
@@ -482,7 +483,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="accepted but unused: built-in commands are deterministic")
     common.add_argument("--budget-vertices", type=int, metavar="N",
-                        help="cap graph/coset constructions at N vertices")
+                        help="cap graph/coset constructions at N vertices "
+                             "and lattice ball listings at N points")
     common.add_argument("--budget-length", type=int, metavar="N",
                         help="cap searched conjugator length at N")
 
@@ -496,10 +498,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="JSON with 'pair' or 'sequence'+'limit'")
     p.set_defaults(func=cmd_chabauty)
 
-    p = sub.add_parser("zd", parents=[common], help="lattice subgroups and catalogues")
+    p = sub.add_parser("zd", parents=[common], help="lattice subgroups and subgroup counts")
     p.add_argument("spec", nargs="?", help="lattice subgroup JSON document")
     p.add_argument("--enumerate", nargs=2, type=int, metavar=("DIM", "MAXINDEX"),
-                   help="catalogue all subgroups of Z^DIM with index <= MAXINDEX")
+                   help="count the subgroups of Z^DIM of each index <= MAXINDEX")
     p.set_defaults(func=cmd_zd)
 
     p = sub.add_parser("schreier", parents=[common], help="coset geometry of a subgroup")

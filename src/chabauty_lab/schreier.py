@@ -4,10 +4,11 @@ checks.
 
 The Schreier graph of H ≤ F_r has the right cosets Hu as vertices and an edge
 Hu --g--> Hug per generator. We materialize the ball of radius R around the
-trivial coset by BFS; a subgroup only needs to answer `coset_key` (a
-canonical label for Hu) for this to work, which both Stallings graphs (core
-vertex + hanging-tree suffix) and homomorphism-defined subgroups (canonical
-image residue) do.
+trivial coset by BFS; a subgroup only needs to be a coset automaton for this
+to work (`coset_start`, and `coset_step(state, letter)` returning the state of
+Hu·letter, where equal states mean equal cosets), which both Stallings graphs
+(core vertex + hanging suffix) and homomorphism-defined subgroups (canonical
+image residue) are. Each vertex keeps its state, so an edge costs one step.
 
 Truncation discipline: the graph stores its frontier (sphere-R vertices) and
 every quantity computed from the ball is reported as exact or as a lower
@@ -20,48 +21,36 @@ import dataclasses
 
 from .budgets import Budget, current
 from .errors import BudgetExceededError, MalformedInputError
-from .stallings import BASEPOINT, HomSubgroup, StallingsGraph
+from .stallings import HomSubgroup, StallingsGraph
 from .words import (
     GroupContext,
     IDENTITY,
     Word,
     ball_size,
     iter_lattice_ball,
-    multiply,
 )
 
 
-def _coset_key(H, w: Word):
-    if isinstance(H, StallingsGraph):
-        v = BASEPOINT
-        for i, x in enumerate(w):
-            table = H.succ[x - 1] if x > 0 else H.pred[-x - 1]
-            nxt = table.get(v)
-            if nxt is None:
-                return (v, w[i:])
-            v = nxt
-        return (v, IDENTITY)
-    if hasattr(H, "coset_key"):
-        return H.coset_key(w)
-    raise MalformedInputError(
-        f"{type(H).__name__} does not expose cosets (no coset_key)"
-    )
-
-
 class SchreierGraph:
-    """Ball of radius R in the Schreier graph of H. Vertex 0 is the trivial
-    coset; `reps[v]` is the canonically-least word reaching vertex v (its
-    length equals the BFS distance)."""
+    """Ball of radius R in the Schreier graph of the subgroup H. Vertex 0 is
+    the trivial coset; `reps[v]` is the canonically-least word reaching vertex
+    v (its length equals the BFS distance), and for v > 0 it is
+    reps[parent[v]] followed by one letter."""
 
-    __slots__ = ("ctx", "radius", "reps", "dist", "succ", "frontier")
+    __slots__ = ("subgroup", "radius", "reps", "dist", "parent", "succ", "frontier")
 
-    def __init__(self, ctx, radius, reps, dist, succ, frontier):
-        self.ctx = ctx
+    def __init__(self, subgroup, radius, reps, dist, parent, succ, frontier):
+        self.subgroup = subgroup
         self.radius = radius
         self.reps = reps
         self.dist = dist
+        self.parent = parent
         self.succ = succ  # per generator: {vertex: vertex·g}
         self.frontier = frontier
+
+    @property
+    def ctx(self) -> GroupContext:
+        return self.subgroup.ctx
 
     @property
     def nverts(self) -> int:
@@ -121,21 +110,24 @@ def build(H, radius: int, budget: Budget | None = None) -> SchreierGraph:
     if ctx.kind != "free":
         raise MalformedInputError("Schreier graphs are built over free groups")
     letters = [x for i in range(1, ctx.rank + 1) for x in (i, -i)]
-    keys = {_coset_key(H, IDENTITY): 0}
+    step = H.coset_step
+    states = [H.coset_start]
+    keys = {states[0]: 0}
     reps: list[Word] = [IDENTITY]
     dist: list[int] = [0]
+    parent: list[int] = [-1]
     succ: list[dict[int, int]] = [dict() for _ in range(ctx.rank)]
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
+    v = 0
+    # vertices are numbered in BFS order, so the queue is 0, 1, 2, ...
+    while v < len(reps):
+        state, rep, d = states[v], reps[v], dist[v]
         for x in letters:
-            u = multiply(reps[v], (x,))
-            key = _coset_key(H, u)
+            key = step(state, x)
             w = keys.get(key)
             if w is None:
-                if dist[v] >= radius:
+                # a letter cancelling the end of rep lands on the known
+                # parent, so a new vertex's rep is reduced as written
+                if d >= radius:
                     continue
                 if len(reps) >= budget.schreier_vertex_cap:
                     raise BudgetExceededError(
@@ -143,16 +135,18 @@ def build(H, radius: int, budget: Budget | None = None) -> SchreierGraph:
                     )
                 w = len(reps)
                 keys[key] = w
-                reps.append(u)
-                dist.append(dist[v] + 1)
-                queue.append(w)
+                states.append(key)
+                reps.append(rep + (x,))
+                dist.append(d + 1)
+                parent.append(v)
             if x > 0:
                 succ[x - 1][v] = w
             else:
                 succ[-x - 1][w] = v
+        v += 1
     frontier = frozenset(v for v, d in enumerate(dist) if d == radius)
     return SchreierGraph(
-        ctx, radius, tuple(reps), tuple(dist), tuple(succ), frontier
+        H, radius, tuple(reps), tuple(dist), tuple(parent), tuple(succ), frontier
     )
 
 
@@ -185,6 +179,43 @@ def ends_estimate(S: SchreierGraph, r: int) -> int:
                     parent[ru] = rv
     roots = {find(v) for v in S.frontier if v in parent}
     return len(roots)
+
+
+def ends_profile(S: SchreierGraph) -> list[int]:
+    """[ends_estimate(S, r) for r in range(S.radius)] in one sweep.
+
+    Edges join one union-find from the outside in: once the edges among
+    vertices at distance > r are in, the components holding a frontier
+    vertex are the ends at r. Each root carries a "reaches the frontier"
+    flag, and the flagged roots are counted.
+    """
+    R, dist = S.radius, S.dist
+    # an edge joins the union-find with the nearer of its endpoints
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(R + 1)]
+    for table in S.succ:
+        for u, v in table.items():
+            edges[min(dist[u], dist[v])].append((u, v))
+    parent = list(range(S.nverts))
+    flagged = [d == R for d in dist]
+    count = sum(flagged)
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    out = [0] * R
+    for r in range(R - 1, -1, -1):
+        for u, v in edges[r + 1]:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                if flagged[ru] and flagged[rv]:
+                    count -= 1
+                parent[ru] = rv
+                flagged[rv] = flagged[rv] or flagged[ru]
+        out[r] = count
+    return out
 
 
 # ── fibers of a covering H ≤ K ───────────────────────────────────────────────
@@ -228,56 +259,77 @@ def _verify_containment(H, K) -> None:
     )
 
 
-def fiber_diameters(
-    H, K, radius: int, budget: Budget | None = None
-) -> list[FiberReport]:
-    """Diameters of the fibers of Schreier(H) → Schreier(K) over the ball.
+def fiber_diameters(S: SchreierGraph, K) -> list[FiberReport]:
+    """Diameters of the fibers of Schreier(H) → Schreier(K) over the ball S
+    of H.
 
     Requires H ≤ K (verified). Fibers are listed by the canonically-least
-    H-coset representative they contain.
+    H-coset representative they contain. Distance is symmetric, so the
+    diameter of a fiber v₀ < v₁ < … is the largest distance from some vᵢ to
+    a later vⱼ, and each BFS stops once its later mates are all reached; the
+    fiber is disconnected within the ball iff one of them runs out first.
     """
-    _verify_containment(H, K)
-    S = build(H, radius, budget)
+    if K.ctx.kind != "free":
+        raise MalformedInputError("fibers are taken over a free-group subgroup")
+    _verify_containment(S.subgroup, K)
+    # K·reps[v] = K·reps[parent[v]]·letter, stepped in BFS order
+    step = K.coset_step
+    kstates = [K.coset_start]
+    for v in range(1, S.nverts):
+        kstates.append(step(kstates[S.parent[v]], S.reps[v][-1]))
     fibers: dict = {}
-    for v in range(S.nverts):
-        fibers.setdefault(_coset_key(K, S.reps[v]), []).append(v)
-    adj = S.undirected_adjacency()
+    for v, key in enumerate(kstates):
+        fibers.setdefault(key, []).append(v)
+    adj = [tuple(a) for a in S.undirected_adjacency()]
+    seen = [0] * S.nverts  # seen[v] == run: v reached by this BFS
+    target = [0] * S.nverts  # target[v] == run: v is a later mate
+    run = 0
     reports = []
-    for key, verts in sorted(fibers.items(), key=lambda kv: min(kv[1])):
-        vs = sorted(verts)
-        touched_frontier = any(v in S.frontier for v in vs)
-        # BFS inside the truncated H-graph from each fiber vertex
+    # vertices are listed in order, so each fiber is sorted and the fibers
+    # are in order of their least vertex
+    for vs in fibers.values():
         diameter = 0
         disconnected = False
-        target_set = set(vs)
-        for src in vs:
-            seen = {src: 0}
-            layer = [src]
-            remaining = len(target_set) - 1 if src in target_set else len(target_set)
-            while layer and remaining:
-                nxt = []
-                for u in layer:
-                    for w in adj[u]:
-                        if w not in seen:
-                            seen[w] = seen[u] + 1
-                            if w in target_set:
-                                remaining -= 1
-                            nxt.append(w)
-                layer = nxt
-            for v in vs:
-                if v in seen:
-                    diameter = max(diameter, seen[v])
-                else:
-                    disconnected = True
+        for i in range(len(vs) - 1):
+            run += 1
+            for t in vs[i + 1 :]:
+                target[t] = run
+            far, missed = _reach(adj, vs[i], len(vs) - 1 - i, run, seen, target)
+            diameter = max(diameter, far)
+            disconnected = disconnected or missed > 0
         reports.append(
             FiberReport(
                 representative=S.reps[vs[0]],
                 size=len(vs),
                 diameter=diameter,
-                lower_bound=touched_frontier or disconnected,
+                lower_bound=disconnected or any(v in S.frontier for v in vs),
             )
         )
     return reports
+
+
+def _reach(adj, src: int, remaining: int, run: int, seen: list, target: list):
+    """BFS from src until the `remaining` vertices with target[v] == run are
+    reached. Returns the distance of the last one reached and how many were
+    not reached."""
+    seen[src] = run
+    layer = [src]
+    d = far = 0
+    while layer:
+        d += 1
+        nxt = []
+        for u in layer:
+            for w in adj[u]:
+                if seen[w] != run:
+                    seen[w] = run
+                    nxt.append(w)
+                    if target[w] == run:
+                        far = d
+                        remaining -= 1
+                        if not remaining:
+                            return far, 0
+        layer = nxt
+    return far, remaining
 
 
 # ── quasi-isometry bookkeeping ───────────────────────────────────────────────
@@ -319,23 +371,25 @@ class ProbeReport:
     complete: bool
 
 
-def qi_to_line_probe(H, radius: int, budget: Budget | None = None) -> ProbeReport:
-    """Test whether the Schreier graph looks quasi-isometric to the line Z
-    (two stable ends, near-linear growth) or the ray N (one stable end).
+def qi_to_line_probe(S: SchreierGraph) -> ProbeReport:
+    """Test whether the Schreier graph, seen in the ball S, looks
+    quasi-isometric to the line Z (two stable ends, near-linear growth) or the
+    ray N (one stable end).
 
     The verdict is a screen, not a proof: it reports the finite evidence
     (sphere sizes and an ends-stability window) and errs on "neither".
     """
+    radius = S.radius
     if radius < 8:
         raise MalformedInputError("the probe needs radius >= 8 for a stable window")
-    S = build(H, radius, budget)
     spheres = tuple(S.sphere_sizes())
     if S.is_complete():
         return ProbeReport(
             "neither", "coset space is finite (bounded orbit)", spheres, (), True
         )
     lo, hi = radius // 4, radius // 2
-    window = tuple((r, ends_estimate(S, r)) for r in range(lo, hi + 1))
+    ends = ends_profile(S)
+    window = tuple((r, ends[r]) for r in range(lo, hi + 1))
     values = {e for _, e in window}
     stable = len(values) == 1
     # growth screen: sphere sizes must not blow up between R/2 and R

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .words import (
     GroupContext,
+    IDENTITY,
     Word,
     check_word,
     invert,
@@ -86,6 +87,20 @@ class StallingsGraph:
 
     def accepting(self, state: int) -> bool:
         return state == BASEPOINT
+
+    # coset automaton ----------------------------------------------------
+    # The state of the right coset H·w is (v, s): v is where the longest
+    # prefix of w that stays in the core ends and s is the rest of w, hanging
+    # off the core. Equal states ⟺ equal cosets.
+
+    coset_start = (BASEPOINT, IDENTITY)
+
+    def coset_step(self, state: tuple[int, Word], letter: int) -> tuple[int, Word]:
+        v, s = state
+        if s:
+            return (v, s[:-1]) if s[-1] == -letter else (v, s + (letter,))
+        u = self.step(v, letter)
+        return (v, (letter,)) if u is None else (u, IDENTITY)
 
     # structure ----------------------------------------------------------
 
@@ -633,7 +648,8 @@ class HomSubgroup:
 
     Membership-complete even when the subgroup is not finitely generated
     (kernels of F_r → Z^k are the main use). `coset_key` canonically labels
-    the right coset H·w, which is what Schreier constructions consume.
+    the right coset H·w, and `coset_step` moves that label by one letter,
+    which is what Schreier constructions consume.
 
     No rank is defined here: rank = edges − vertices + 1 needs a finite core
     graph, and these subgroups generally have none.
@@ -760,12 +776,26 @@ class HomSubgroup:
 
     def coset_key(self, w: Word):
         """Canonical label of the right coset H·w (equal keys ⟺ equal cosets)."""
-        img = self.image(w)
+        return self._image_key(self.image(w))
+
+    def _image_key(self, img):
+        """Canonical label of the coset A·img of the accepted subgroup."""
         if self.target.kind == "lattice":
             return self.accepted.residue(img)
         if self.target.kind == "cyclic":
             return img % self._cyclic_gcd
         return min(_perm_mul(p, img) for p in self.accepted)
+
+    # coset automaton ----------------------------------------------------
+    # The state of H·w is its coset_key. The key is an image in the coset
+    # A·φ(w) it labels, so stepping the key and relabelling steps the coset.
+
+    @property
+    def coset_start(self):
+        return self._image_key(self.start)
+
+    def coset_step(self, state, letter: int):
+        return self._image_key(self.step(state, letter))
 
     def __eq__(self, other):
         if not isinstance(other, HomSubgroup):

@@ -158,7 +158,7 @@ def cb_erasing_rank(H: HnfSubgroup) -> int:
 # ── ball membership ──────────────────────────────────────────────────────────
 
 
-def _members(H: HnfSubgroup, radius: int) -> list[tuple[int, Vector]]:
+def _members(H: HnfSubgroup, radius: int, budget: Budget) -> list[tuple[int, Vector]]:
     """(|v|₁, v) for each v in H ∩ {|v|₁ ≤ radius}, unordered.
 
     A member is Σ aᵢ·rowᵢ, and once a₀..aᵢ₋₁ are fixed the coordinates left of
@@ -166,6 +166,8 @@ def _members(H: HnfSubgroup, radius: int) -> list[tuple[int, Vector]]:
     the partial sums whose final coordinates fit in the ball, and aᵢ ranges
     over the values that keep the pivot coordinate inside the radius left:
     Fincke–Pohst enumeration over the triangular HNF basis, in the L¹ norm.
+    A level holding more than `budget.vertex_cap` points raises
+    BudgetExceededError.
     """
     ends = [c for _, c in H.pivots[1:]] + [H.dim]
     level = [(0, (0,) * H.dim)]
@@ -182,32 +184,36 @@ def _members(H: HnfSubgroup, radius: int) -> list[tuple[int, Vector]]:
                 if m <= radius:
                     grown.append((m, w))
                 w = tuple(map(add, w, row))
+            if len(grown) > budget.vertex_cap:
+                raise BudgetExceededError("lattice ball points", budget.vertex_cap, len(grown))
         level = grown
     return level
 
 
-def _sorted_ball(H: HnfSubgroup, radius: int) -> list[tuple[int, Vector]]:
+def _sorted_ball(H: HnfSubgroup, radius: int, budget: Budget | None) -> list[tuple[int, Vector]]:
     """(|v|₁, v) for each v in H ∩ {|v|₁ ≤ radius}, in canonical (norm, lex)
     order. The subgroup keeps the largest ball asked for, and a smaller ball
     is a prefix of it."""
     if radius < 0:
         raise MalformedInputError("radius must be >= 0")
     if H._ball is None or H._ball[0] < radius:
-        H._ball = (radius, sorted(_members(H, radius)))
+        H._ball = (radius, sorted(_members(H, radius, budget or current())))
     ball = H._ball[1]
     return ball[: bisect_left(ball, (radius + 1,))]
 
 
-def members_in_ball(H: HnfSubgroup, radius: int) -> list[Vector]:
+def members_in_ball(H: HnfSubgroup, radius: int, budget: Budget | None = None) -> list[Vector]:
     """H ∩ {|v|₁ ≤ radius} in canonical (norm, lex) order."""
-    return [v for _, v in _sorted_ball(H, radius)]
+    return [v for _, v in _sorted_ball(H, radius, budget)]
 
 
-def first_difference_in_ball(H: HnfSubgroup, K: HnfSubgroup, radius: int) -> Vector | None:
+def first_difference_in_ball(
+    H: HnfSubgroup, K: HnfSubgroup, radius: int, budget: Budget | None = None
+) -> Vector | None:
     """The canonically-least vector of {|v|₁ ≤ radius} that lies in exactly
     one of H and K, or None when they agree on the whole ball: the two sorted
     balls first part there."""
-    a, b = _sorted_ball(H, radius), _sorted_ball(K, radius)
+    a, b = _sorted_ball(H, radius, budget), _sorted_ball(K, radius, budget)
     if a == b:
         return None
     parted = next(((x, y) for x, y in zip(a, b) if x != y), a[len(b) :] + b[len(a) :])
@@ -249,6 +255,7 @@ def witness_sequence(
     the first m ≥ 2·radius_max + 2 that ends three consecutive terms agreeing
     with H on the ball. Only finitely many m disagree, so the scan terminates.
     """
+    budget = budget or current()
     v = witness_direction(H)
     terms: list[HnfSubgroup] = []
     good_streak = 0
@@ -260,7 +267,7 @@ def witness_sequence(
             raise BudgetExceededError("witness sequence length", cap)
         H_m = hnf_from_generators(H.dim, list(H.rows) + [tuple(m * x for x in v)])
         terms.append(H_m)
-        if first_difference_in_ball(H_m, H, radius_max) is None:
+        if first_difference_in_ball(H_m, H, radius_max, budget) is None:
             good_streak += 1
         else:
             good_streak = 0
@@ -327,13 +334,7 @@ def enumerate_by_index(
     positive diagonal (p_0..p_{d-1}) with Π p_i = index, and above-diagonal
     entries in column i ranging over [0, p_i).
     """
-    if dim < 1 or max_index < 1:
-        raise MalformedInputError("dimension and index bound must be >= 1")
-    budget = budget or current()
-    if dim > budget.lattice_dim_cap:
-        raise BudgetExceededError("lattice dimension", budget.lattice_dim_cap, dim)
-    if max_index > budget.lattice_index_cap:
-        raise BudgetExceededError("lattice index", budget.lattice_index_cap, max_index)
+    _check_catalogue(dim, max_index, budget)
     out: dict[int, list[HnfSubgroup]] = {n: [] for n in range(1, max_index + 1)}
     for diag in _diagonals(dim, max_index):
         idx = 1
@@ -352,6 +353,36 @@ def enumerate_by_index(
     for lst in out.values():
         lst.sort(key=lambda h: h.rows)
     return out
+
+
+def count_by_index(
+    dim: int, max_index: int, budget: Budget | None = None
+) -> dict[int, int]:
+    """How many subgroups of Z^d have each index n ≤ max_index, without
+    building them: column i of an HNF with diagonal (p_0..p_{d-1}) has i free
+    entries in [0, p_i), so that diagonal carries Π p_i^i subgroups of index
+    Π p_i (the HNF form of the subgroup zeta function of Z^d; Lubotzky–Segal,
+    *Subgroup Growth*, ch. 15). Equal to the sizes of
+    :func:`enumerate_by_index`, with the same checks in the same order."""
+    _check_catalogue(dim, max_index, budget)
+    out = dict.fromkeys(range(1, max_index + 1), 0)
+    for diag in _diagonals(dim, max_index):
+        idx = subgroups = 1
+        for i, p in enumerate(diag):
+            idx *= p
+            subgroups *= p ** i
+        out[idx] += subgroups
+    return out
+
+
+def _check_catalogue(dim: int, max_index: int, budget: Budget | None) -> None:
+    if dim < 1 or max_index < 1:
+        raise MalformedInputError("dimension and index bound must be >= 1")
+    budget = budget or current()
+    if dim > budget.lattice_dim_cap:
+        raise BudgetExceededError("lattice dimension", budget.lattice_dim_cap, dim)
+    if max_index > budget.lattice_index_cap:
+        raise BudgetExceededError("lattice index", budget.lattice_index_cap, max_index)
 
 
 def _diagonals(dim: int, max_index: int) -> Iterable[tuple[int, ...]]:

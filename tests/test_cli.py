@@ -13,7 +13,9 @@ import sys
 import pytest
 
 import chabauty_lab
+from chabauty_lab import specio
 from chabauty_lab.cli import main
+from chabauty_lab.zdlattice import enumerate_by_index
 
 F2_CTX = {"kind": "free", "rank": 2}
 
@@ -237,6 +239,40 @@ def test_enumerate_counts_match_divisor_sums(capsys, tmp_path):
     assert all(line.split(",")[1] == line.split(",")[2] for line in csv_lines[1:])
 
 
+def test_enumerate_in_z4_counts_without_building(capsys):
+    code, out, _ = run(capsys, "zd", "--enumerate", "4", "40")
+    assert code == 0
+    assert json.loads(out)["result"]["total"] == 1_460_652
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 97, 120, 200])
+def test_enumerate_counts_csv_matches_the_catalogue_and_trial_division(capsys, tmp_path, n):
+    """counts.csv for Z² is byte-equal to the one built from the catalogue's
+    sizes and σ(n) by trial division."""
+    out_dir = tmp_path / "zd"
+    code, _, _ = run(capsys, "zd", "--enumerate", "2", str(n), "--out", str(out_dir))
+    assert code == 0
+    rows = [
+        (k, len(subs), sum(a for a in range(1, k + 1) if k % a == 0))
+        for k, subs in sorted(enumerate_by_index(2, n).items())
+    ]
+    expected = specio.csv_text(["index", "count", "divisor_sum"], rows)
+    assert (out_dir / "counts.csv").read_text() == expected
+
+
+def test_lattice_ball_past_the_vertex_cap_is_three(capsys, tmp_path):
+    # the radius-60 ball of Z⁴ holds ~8.9 million points
+    ctx = {"kind": "lattice", "dim": 4}
+    basis = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    pair = [{"context": ctx, "generators": basis},
+            {"context": ctx, "generators": basis[:3] + [[0, 0, 0, 2]]}]
+    spec = spec_file(tmp_path, "pair.json", {"pair": pair})
+    code, out, err = run(capsys, "chabauty", spec, "--radius", "60")
+    assert code == 3
+    assert out == ""
+    assert "lattice ball points" in err
+
+
 def test_witness_on_cyclic_subgroup_all_rows_nontrivial(capsys, tmp_path):
     spec = spec_file(tmp_path, "a.json", {"context": F2_CTX, "generators": ["a"]})
     out_dir = tmp_path / "wit"
@@ -314,6 +350,19 @@ def test_paired_transit_demo(capsys):
     assert cert["conjugator"] == "bA"
     assert cert["candidates_tried"] == 35
     assert cert["reverified"] is True
+
+
+def test_fibers_over_a_lattice_subgroup_are_two(capsys, tmp_path):
+    # the trivial subgroup has no basis word to test, so only the kind of K
+    # can reject the document
+    spec = spec_file(tmp_path, "fib.json", {
+        "subgroup": {"context": F2_CTX, "generators": []},
+        "over": {"context": {"kind": "lattice", "dim": 2}, "generators": [[1, 0]]},
+    })
+    code, out, err = run(capsys, "schreier", spec, "--radius", "2")
+    assert code == 2
+    assert out == ""
+    assert "error" in err
 
 
 def test_schreier_line_probe(capsys, tmp_path):

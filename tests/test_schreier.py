@@ -7,24 +7,31 @@ every vertex: ball of radius 10 = 21 vertices (cosets −10..10), 41 edges
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chabauty_lab.errors import BudgetExceededError, MalformedInputError
 from chabauty_lab.schreier import (
+    SchreierGraph,
     build,
     ends_estimate,
+    ends_profile,
     fiber_diameters,
     intermediate_bound,
     qi_constants,
     qi_to_line_probe,
 )
 from chabauty_lab.stallings import (
+    BASEPOINT,
     HomSubgroup,
+    StallingsGraph,
     Target,
     from_generators,
+    hall_completion,
     kernel,
     trivial_subgroup,
 )
-from chabauty_lab.words import free_group, parse_word
+from chabauty_lab.words import IDENTITY, free_group, invert, multiply, parse_word, reduce_word
 from chabauty_lab.zdlattice import hnf_from_generators
 
 F2 = free_group(2)
@@ -110,15 +117,15 @@ def test_ends_estimate_needs_interior_radius():
 
 
 def test_probe_recognizes_the_line():
-    p = qi_to_line_probe(KER, 10)
+    p = qi_to_line_probe(build(KER, 10))
     assert p.verdict == "Z"
     assert not p.complete
     assert p.sphere_sizes[1:] == (2,) * 10
 
 
 def test_probe_rejects_finite_and_branching():
-    assert qi_to_line_probe(gens("aa", "b", "abA"), 8).verdict == "neither"
-    assert qi_to_line_probe(trivial_subgroup(F2), 8).verdict == "neither"
+    assert qi_to_line_probe(build(gens("aa", "b", "abA"), 8)).verdict == "neither"
+    assert qi_to_line_probe(build(trivial_subgroup(F2), 8)).verdict == "neither"
 
 
 # ── fiber diameters ──────────────────────────────────────────────────────────
@@ -126,7 +133,7 @@ def test_probe_rejects_finite_and_branching():
 
 def test_fibers_of_even_subgroup_in_whole_group():
     H = gens("aa", "b", "abA")
-    reports = fiber_diameters(H, from_generators(F2, [w("a"), w("b")]), 6)
+    reports = fiber_diameters(build(H, 6), from_generators(F2, [w("a"), w("b")]))
     assert len(reports) == 1
     r = reports[0]
     assert r.representative == ()
@@ -142,14 +149,14 @@ def test_fibers_of_kernel_over_index_two_preimage():
         [(1,), (0,)],
         hnf_from_generators(1, [(2,)]),
     )
-    reports = fiber_diameters(KER, even_preimage, 10)
+    reports = fiber_diameters(build(KER, 10), even_preimage)
     stats = [(r.size, r.diameter, r.lower_bound) for r in reports]
     assert stats == [(11, 20, True), (10, 18, False)]
 
 
 def test_fiber_containment_enforced():
     with pytest.raises(MalformedInputError):
-        fiber_diameters(gens("a"), gens("b"), 6)  # a ∉ ⟨b⟩: not intermediate
+        fiber_diameters(build(gens("a"), 6), gens("b"))  # a ∉ ⟨b⟩: not intermediate
 
 
 # ── quasi-isometry arithmetic ────────────────────────────────────────────────
@@ -163,3 +170,236 @@ def test_qi_constant_propagation():
 
 def test_intermediate_bound_for_f2():
     assert intermediate_bound(F2, 1) == 32
+
+
+# ── oracles: the coset-key BFS and the all-sources fiber BFS ─────────────────
+
+
+def _oracle_coset_key(H, w):
+    """Label of H·w read off the whole word: the Stallings core vertex where
+    w leaves the core plus the rest of w, or the homomorphism's coset key."""
+    if isinstance(H, StallingsGraph):
+        v = BASEPOINT
+        for i, x in enumerate(w):
+            table = H.succ[x - 1] if x > 0 else H.pred[-x - 1]
+            nxt = table.get(v)
+            if nxt is None:
+                return (v, w[i:])
+            v = nxt
+        return (v, IDENTITY)
+    return H.coset_key(w)
+
+
+def _oracle_build(H, radius):
+    """(reps, dist, succ, frontier) by BFS that multiplies each rep by each
+    letter and keys the reduced product from scratch."""
+    rank = H.ctx.rank
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    keys = {_oracle_coset_key(H, IDENTITY): 0}
+    reps, dist = [IDENTITY], [0]
+    succ = [dict() for _ in range(rank)]
+    queue = [0]
+    for v in queue:
+        for x in letters:
+            u = multiply(reps[v], (x,))
+            key = _oracle_coset_key(H, u)
+            w = keys.get(key)
+            if w is None:
+                if dist[v] >= radius:
+                    continue
+                w = len(reps)
+                keys[key] = w
+                reps.append(u)
+                dist.append(dist[v] + 1)
+                queue.append(w)
+            if x > 0:
+                succ[x - 1][v] = w
+            else:
+                succ[-x - 1][w] = v
+    frontier = frozenset(v for v, d in enumerate(dist) if d == radius)
+    return tuple(reps), tuple(dist), tuple(succ), frontier
+
+
+def _oracle_fibers(S, K):
+    """(representative, size, diameter, lower_bound) per fiber: a BFS from
+    every fiber vertex until it has reached all the others."""
+    fibers = {}
+    for v in range(S.nverts):
+        fibers.setdefault(_oracle_coset_key(K, S.reps[v]), []).append(v)
+    adj = S.undirected_adjacency()
+    out = []
+    for verts in sorted(fibers.values(), key=min):
+        vs = sorted(verts)
+        diameter, disconnected = 0, False
+        for src in vs:
+            seen = {src: 0}
+            layer = [src]
+            while layer and any(v not in seen for v in vs):
+                nxt = []
+                for u in layer:
+                    for w in adj[u]:
+                        if w not in seen:
+                            seen[w] = seen[u] + 1
+                            nxt.append(w)
+                layer = nxt
+            for v in vs:
+                if v in seen:
+                    diameter = max(diameter, seen[v])
+                else:
+                    disconnected = True
+        touched = any(v in S.frontier for v in vs)
+        out.append((S.reps[vs[0]], len(vs), diameter, touched or disconnected))
+    return out
+
+
+def _fiber_tuples(reports):
+    return [(r.representative, r.size, r.diameter, r.lower_bound) for r in reports]
+
+
+def _letters(rank):
+    return [x for i in range(1, rank + 1) for x in (i, -i)]
+
+
+def _words(rank, max_size=5):
+    return st.lists(st.sampled_from(_letters(rank)), max_size=max_size).map(reduce_word)
+
+
+def _perm_closure(n, gens):
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[i] for i in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return sorted(group)
+
+
+@st.composite
+def _hom_pairs(draw, rank):
+    """H ≤ K: one homomorphism to Z/m, Sym(n) or Z^k, nested accepted
+    subgroups."""
+    ctx = free_group(rank)
+    kind = draw(st.sampled_from(["cyclic", "permutation", "lattice"]))
+    if kind == "cyclic":
+        m = draw(st.integers(1, 8))
+        images = draw(st.lists(st.integers(0, m - 1), min_size=rank, max_size=rank))
+        dk = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+        dh = draw(st.sampled_from([d for d in range(dk, m + 1) if m % d == 0 and d % dk == 0]))
+        target = Target("cyclic", m)
+        acc = lambda d: sorted({(d * k) % m for k in range(m)})
+        return HomSubgroup(ctx, target, images, acc(dh)), HomSubgroup(ctx, target, images, acc(dk))
+    if kind == "permutation":
+        n = draw(st.integers(1, 4))
+        perm = st.permutations(list(range(n))).map(tuple)
+        images = draw(st.lists(perm, min_size=rank, max_size=rank))
+        gh = draw(st.lists(perm, max_size=1))
+        gk = gh + draw(st.lists(perm, max_size=1))
+        target = Target("permutation", n)
+        return (
+            HomSubgroup(ctx, target, images, _perm_closure(n, gh)),
+            HomSubgroup(ctx, target, images, _perm_closure(n, gk)),
+        )
+    k = draw(st.integers(1, 2))
+    vec = st.lists(st.integers(-2, 2), min_size=k, max_size=k).map(tuple)
+    images = draw(st.lists(vec, min_size=rank, max_size=rank))
+    gh = draw(st.lists(vec, max_size=2))
+    gk = gh + draw(st.lists(vec, max_size=1))
+    target = Target("lattice", k)
+    return (
+        HomSubgroup(ctx, target, images, hnf_from_generators(k, gh)),
+        HomSubgroup(ctx, target, images, hnf_from_generators(k, gk)),
+    )
+
+
+@st.composite
+def _graph_pairs(draw, rank):
+    """H ≤ K as Stallings graphs: K adds generators to H, or is a finite-index
+    Hall completion of H; H may be trivial."""
+    ctx = free_group(rank)
+    gens = draw(st.lists(_words(rank), max_size=3))
+    H = from_generators(ctx, gens)
+    if draw(st.booleans()):
+        K = hall_completion(H, draw(st.integers(0, 3)))
+    else:
+        K = from_generators(ctx, gens + draw(st.lists(_words(rank), max_size=2)))
+    return H, K
+
+
+@st.composite
+def _commutator_pairs(draw, rank):
+    """A Stallings H generated by commutators, under the kernel-like K of a
+    homomorphism to an abelian target (commutators map to 0)."""
+    ctx = free_group(rank)
+    _, K = draw(_hom_pairs(rank).filter(lambda p: p[1].target.kind != "permutation"))
+    comms = [
+        reduce_word(u + v + invert(u) + invert(v))
+        for u, v in draw(st.lists(st.tuples(_words(rank, 3), _words(rank, 3)), max_size=2))
+    ]
+    return from_generators(ctx, comms), K
+
+
+@st.composite
+def subgroup_pairs(draw, max_radius=(6, 4)):
+    """(H, K, radius) with H ≤ K over F₂ (radius ≤ max_radius[0]) or F₃
+    (radius ≤ max_radius[1])."""
+    rank = draw(st.sampled_from([2, 3]))
+    radius = draw(st.integers(0, max_radius[0] if rank == 2 else max_radius[1]))
+    shape = draw(st.sampled_from([_graph_pairs, _hom_pairs, _commutator_pairs]))
+    H, K = draw(shape(rank))
+    return H, K, radius
+
+
+@given(subgroup_pairs())
+@settings(max_examples=150, deadline=None)
+def test_build_matches_the_coset_key_bfs(case):
+    H, K, radius = case
+    for sub in (H, K):
+        S = build(sub, radius)
+        assert (S.reps, S.dist, S.succ, S.frontier) == _oracle_build(sub, radius)
+        assert S.parent[0] == -1
+        for v in range(1, S.nverts):
+            assert S.reps[v][:-1] == S.reps[S.parent[v]]
+
+
+@given(subgroup_pairs())
+@settings(max_examples=150, deadline=None)
+def test_ends_profile_matches_ends_estimate(case):
+    H, K, radius = case
+    for sub in (H, K):
+        S = build(sub, radius)
+        assert ends_profile(S) == [ends_estimate(S, r) for r in range(S.radius)]
+
+
+def test_ends_profile_of_the_line_and_the_tree():
+    assert ends_profile(build(KER, 10)) == [2] * 10
+    assert ends_profile(build(trivial_subgroup(F2), 4)) == [4, 12, 36, 108]
+    assert ends_profile(build(gens("aa", "b", "abA"), 6)) == [0] * 6
+
+
+@given(subgroup_pairs(max_radius=(4, 3)))
+@settings(max_examples=120, deadline=None)
+def test_fiber_diameters_match_all_sources_bfs(case):
+    H, K, radius = case
+    S = build(H, radius)
+    assert _fiber_tuples(fiber_diameters(S, K)) == _oracle_fibers(S, K)
+
+
+def test_fiber_oracle_on_frontier_and_disconnected_fibers():
+    even = HomSubgroup(F2, Target("lattice", 1), [(1,), (0,)], hnf_from_generators(1, [(2,)]))
+    S = build(KER, 6)
+    expected = _oracle_fibers(S, even)
+    assert expected[0][3]  # the even fiber holds the frontier cosets ±6
+    assert _fiber_tuples(fiber_diameters(S, even)) == expected
+    # Cut the a-edge from the trivial coset to Ha: the segment splits in two,
+    # and each fiber is disconnected within what is left.
+    a = S.succ[0]
+    cut = SchreierGraph(
+        S.subgroup, S.radius, S.reps, S.dist, S.parent,
+        ({u: v for u, v in a.items() if u != 0},) + S.succ[1:], S.frontier,
+    )
+    expected = _oracle_fibers(cut, even)
+    assert [f[2:] for f in expected] == [(6, True), (4, True)]
+    assert _fiber_tuples(fiber_diameters(cut, even)) == expected

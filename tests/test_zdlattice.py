@@ -15,13 +15,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chabauty_lab.budgets import Budget
 from chabauty_lab.chabauty import certify_convergence, distance_up_to
 from chabauty_lab.errors import BudgetExceededError, MalformedInputError
 from chabauty_lab.words import iter_lattice_ball
 from chabauty_lab.zdlattice import (
     HnfSubgroup,
     cb_erasing_rank,
+    count_by_index,
     enumerate_by_index,
+    first_difference_in_ball,
     hnf_from_generators,
     members_in_ball,
     witness_chain,
@@ -183,6 +186,72 @@ def test_catalogue_respects_budget_caps():
         enumerate_by_index(2, 500)
     with pytest.raises(BudgetExceededError):
         enumerate_by_index(9, 2)
+
+
+# the largest index per dimension whose catalogue builds in well under a second
+_ORACLE_INDEX = {1: 200, 2: 60, 3: 16, 4: 8}
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(1, _ORACLE_INDEX[d]))
+    )
+)
+@settings(max_examples=40, deadline=None)
+@example((4, 8))
+@example((3, 16))
+def test_count_by_index_matches_the_catalogue(case):
+    d, n = case
+    counts = count_by_index(d, n)
+    assert counts == {k: len(subs) for k, subs in enumerate_by_index(d, n).items()}
+    assert list(counts) == list(range(1, n + 1))
+
+
+@pytest.mark.parametrize(
+    "args, error, field",
+    [
+        ((0, 5), MalformedInputError, None),
+        ((2, 0), MalformedInputError, None),
+        ((0, 100_000), MalformedInputError, None),  # malformed before the caps
+        ((5, 2), BudgetExceededError, "lattice dimension"),
+        ((9, 500), BudgetExceededError, "lattice dimension"),  # dimension first
+        ((2, 201), BudgetExceededError, "lattice index"),
+    ],
+)
+def test_count_and_catalogue_fail_alike(args, error, field):
+    raised = []
+    for fn in (count_by_index, enumerate_by_index):
+        with pytest.raises(error) as info:
+            fn(*args)
+        raised.append(str(info.value))
+        if field is not None:
+            assert info.value.what == field
+    assert raised[0] == raised[1]
+
+
+def test_count_by_index_in_z4_up_to_index_40():
+    counts = count_by_index(4, 40)
+    assert sum(counts.values()) == 1_460_652
+    assert counts[1] == 1 and counts[2] == 15  # 2⁴ − 1 sublattices of index 2
+
+
+def test_lattice_ball_answers_to_the_vertex_cap():
+    """Listing H ∩ B(L) raises once a level of the enumeration holds more
+    than vertex_cap points, and keeps no partial ball."""
+    # a fresh Z² each time, since a subgroup keeps the largest ball it listed;
+    # its radius-5 ball holds 2·5·6 + 1 = 61 points
+    z2 = lambda: hnf_from_generators(2, [(1, 0), (0, 1)])
+    tight = Budget(vertex_cap=60)
+    with pytest.raises(BudgetExceededError) as info:
+        members_in_ball(z2(), 5, tight)
+    assert info.value.what == "lattice ball points"
+    assert len(members_in_ball(z2(), 5, Budget(vertex_cap=61))) == 61
+    with pytest.raises(BudgetExceededError):
+        first_difference_in_ball(z2(), hnf_from_generators(2, [(2, 0)]), 5, tight)
+    with pytest.raises(BudgetExceededError):
+        distance_up_to(z2(), hnf_from_generators(2, [(2, 0)]), 5, tight)
+    with pytest.raises(BudgetExceededError):
+        witness_sequence(hnf_from_generators(2, [(1, 0)]), 4, Budget(vertex_cap=8))
 
 
 # ── witness sequences and chains ─────────────────────────────────────────────
