@@ -20,7 +20,8 @@ Subcommands:
 Every run prints exactly one JSON document to stdout — byte-identical
 across reruns of the same input (sorted keys, no timestamps) — and a short
 human summary to stderr.  ``--out DIR`` additionally writes ``report.json``,
-``summary.md``, and the command's tabular/graph artifacts into DIR.
+``summary.md``, and the command's tabular/graph artifacts into DIR; each
+command hands its artifacts over as renderers, called only then.
 
 Exit codes: 0 success; 2 malformed input, context mismatch, or invalid
 task; 3 budget exceeded; 4 verified negative outcome (a search that
@@ -31,6 +32,7 @@ non-converging sequence, a failing acceptance criterion).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -92,14 +94,16 @@ def _budget_from_args(args: argparse.Namespace) -> Budget:
 
 
 def _write_out(out_dir: str, report_text: str, summary: list[str], artifacts: dict):
+    """Write the report, the summary and each artifact; `artifacts` maps a
+    file name to a zero-argument renderer, called only here."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report_text)
     with open(os.path.join(out_dir, "summary.md"), "w", encoding="utf-8") as fh:
         fh.write(specio.summary_text("chabauty-lab report", summary))
-    for name, text in artifacts.items():
+    for name, render in artifacts.items():
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(render())
 
 
 # ── subcommands ──────────────────────────────────────────────────────────────
@@ -143,7 +147,7 @@ def cmd_stallings(args, budget: Budget):
         result["completion"] = specio.json_of_graph(K)
         result["completion"]["agreement_radius"] = n
         summary.append(f"completion at radius {n}: index {K.index()}")
-    artifacts = {"core.dot": H.to_dot()}
+    artifacts = {"core.dot": H.to_dot}
     return result, summary, artifacts, False, raw
 
 
@@ -207,7 +211,7 @@ def _convergence(terms, limit, radius: int, budget: Budget):
 
 def _convergence_artifacts(rows) -> dict:
     return {
-        "convergence.csv": specio.csv_text(
+        "convergence.csv": lambda: specio.csv_text(
             ["n", "distance_exponent", "nontrivial"], rows
         )
     }
@@ -224,15 +228,19 @@ def cmd_zd(args, budget: Budget):
     if args.enumerate:
         dim, max_index = args.enumerate
         counts = count_by_index(dim, max_index, budget)
-        rows = list(counts.items())
-        header = ["index", "count"]
-        if dim == 2:
-            header.append("divisor_sum")
-            sigma = [0] * (max_index + 1)
-            for a in range(1, max_index + 1):
-                for n in range(a, max_index + 1, a):
-                    sigma[n] += a
-            rows = [(n, c, sigma[n]) for n, c in rows]
+
+        def counts_csv() -> str:
+            rows = list(counts.items())
+            header = ["index", "count"]
+            if dim == 2:
+                header.append("divisor_sum")
+                sigma = [0] * (max_index + 1)
+                for a in range(1, max_index + 1):
+                    for n in range(a, max_index + 1, a):
+                        sigma[n] += a
+                rows = [(n, c, sigma[n]) for n, c in rows]
+            return specio.csv_text(header, rows)
+
         result = {
             "dimension": dim,
             "max_index": max_index,
@@ -242,7 +250,7 @@ def cmd_zd(args, budget: Budget):
         summary = [
             f"Z^{dim} subgroups of index <= {max_index}: {sum(counts.values())} total"
         ]
-        artifacts = {"counts.csv": specio.csv_text(header, rows)}
+        artifacts = {"counts.csv": counts_csv}
         return result, summary, artifacts, False, None
     if not args.spec:
         raise MalformedInputError("zd needs a spec file or --enumerate DIM MAXINDEX")
@@ -297,8 +305,8 @@ def cmd_schreier(args, budget: Budget):
             + ", ".join(str(r.diameter) + ("+" if r.lower_bound else "") for r in reports)
         )
     artifacts = {
-        "schreier.dot": S.to_dot(),
-        "spheres.csv": specio.csv_text(
+        "schreier.dot": S.to_dot,
+        "spheres.csv": lambda: specio.csv_text(
             ["r", "sphere_size"], list(enumerate(S.sphere_sizes()))
         ),
     }
@@ -423,17 +431,16 @@ def cmd_folner(args, budget: Budget):
         f"{len(report.sets)} candidate sets, "
         + ("all within tolerance" if ok else "tolerance exceeded")
     ]
-    rows = []
-    for i, srep in enumerate(report.sets, start=1):
-        for g, ratio in srep.ratios:
-            rows.append(
-                (i, srep.size, specio.json_of_word(g, ctx), str(ratio), str(srep.tolerance), srep.ok)
-            )
-    artifacts = {
-        "ratios.csv": specio.csv_text(
-            ["set", "size", "element", "ratio", "tolerance", "ok"], rows
-        )
-    }
+
+    def ratios_csv() -> str:
+        rows = [
+            (i, srep.size, specio.json_of_word(g, ctx), str(ratio), str(srep.tolerance), srep.ok)
+            for i, srep in enumerate(report.sets, start=1)
+            for g, ratio in srep.ratios
+        ]
+        return specio.csv_text(["set", "size", "element", "ratio", "tolerance", "ok"], rows)
+
+    artifacts = {"ratios.csv": ratios_csv}
     return result, summary, artifacts, not ok, raw
 
 
@@ -463,7 +470,9 @@ def cmd_suite(args, budget: Budget):
         (r.number, "PASS" if r.passed else "FAIL", r.title, r.detail) for r in results
     ]
     artifacts = {
-        "matrix.csv": specio.csv_text(["criterion", "status", "title", "detail"], rows)
+        "matrix.csv": lambda: specio.csv_text(
+            ["criterion", "status", "title", "detail"], rows
+        )
     }
     return result, summary, artifacts, any(not r.passed for r in results), None
 
@@ -471,7 +480,10 @@ def cmd_suite(args, budget: Budget):
 # ── argument parsing and entry point ─────────────────────────────────────────
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later
+    one: it holds no per-call state (budgets are read per call)."""
     parser = argparse.ArgumentParser(
         prog="chabauty-lab",
         description="desk-scale experiments in the Chabauty space of a countable group",

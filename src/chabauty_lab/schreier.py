@@ -28,6 +28,7 @@ from .words import (
     Word,
     ball_size,
     iter_lattice_ball,
+    require_same_context,
 )
 
 
@@ -271,6 +272,7 @@ def fiber_diameters(S: SchreierGraph, K) -> list[FiberReport]:
     """
     if K.ctx.kind != "free":
         raise MalformedInputError("fibers are taken over a free-group subgroup")
+    require_same_context(S.subgroup.ctx, K.ctx, "fibers")
     _verify_containment(S.subgroup, K)
     # K·reps[v] = K·reps[parent[v]]·letter, stepped in BFS order
     step = K.coset_step

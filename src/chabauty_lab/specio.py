@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io
 import json
+import operator
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -51,8 +52,82 @@ TOOL_NAME = "chabauty-lab"
 
 
 def canonical_json(obj: Any) -> str:
-    """Stable serialization: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Stable serialization: sorted keys, fixed separators, trailing newline.
+
+    The text is byte-identical to ``json.dumps(obj, sort_keys=True,
+    indent=2) + "\\n"``. With ``indent`` set, ``json`` runs its pure-Python
+    generator encoder; this direct recursion does the same work with one
+    call per container instead of a generator per value.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+# Dispatch on the exact type: bool is an int subclass, yet prints true/false.
+_SCALAR_TEXT = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_KEY = operator.itemgetter(0)
+
+
+def _encode(o: Any, newline: str) -> str:
+    """JSON text of `o`; `newline` is "\\n" plus the indent of o's first line."""
+    text_of = _SCALAR_TEXT.get(type(o))
+    if text_of is not None:
+        return text_of(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        get = _SCALAR_TEXT.get
+        parts = [
+            text_of(v) if (text_of := get(type(v))) is not None else _encode(v, inner)
+            for v in o
+        ]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        get = _SCALAR_TEXT.get
+        parts = [
+            (_ESCAPE(k) if type(k) is str else _key_text(k))
+            + ": "
+            + (text_of(v) if (text_of := get(type(v))) is not None else _encode(v, inner))
+            for k, v in sorted(o.items(), key=_KEY)
+        ]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    for base in (str, int, float):  # subclasses, as json.dumps writes them
+        if isinstance(o, base):
+            return _SCALAR_TEXT[base](o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(k: Any) -> str:
+    """A dict key other than a str, converted and quoted as json.dumps does."""
+    if isinstance(k, str):
+        return _ESCAPE(k)
+    for base in (float, bool, type(None), int):
+        if isinstance(k, base):
+            return _ESCAPE(_SCALAR_TEXT[base](k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def sha256_of(text: str) -> str:

@@ -145,21 +145,25 @@ def sorted_words(ws: Iterable[Word]) -> list[Word]:
 # ── text form ────────────────────────────────────────────────────────────────
 
 _LOWER = string.ascii_lowercase
-_UPPER = string.ascii_uppercase
+# Letter ↔ character: x ↦ the x-th lowercase letter, −x ↦ its uppercase.
+_CHAR_OF_LETTER = {
+    sign * (i + 1): ch
+    for sign, chars in ((1, _LOWER), (-1, string.ascii_uppercase))
+    for i, ch in enumerate(chars)
+}
+_LETTER_OF_CHAR = {ch: x for x, ch in _CHAR_OF_LETTER.items()}
 
 
 def parse_word(text: str, ctx: GroupContext | None = None) -> Word:
     """Parse ``"abA"`` → (1, 2, -1), validating letters against ctx when given."""
     if not isinstance(text, str):
         raise MalformedInputError(f"expected a word string, got {type(text).__name__}")
-    letters = []
-    for ch in text:
-        if ch in _LOWER:
-            letters.append(_LOWER.index(ch) + 1)
-        elif ch in _UPPER:
-            letters.append(-(_UPPER.index(ch) + 1))
-        else:
-            raise MalformedInputError(f"bad character {ch!r} in word {text!r}")
+    try:
+        letters = [_LETTER_OF_CHAR[ch] for ch in text]
+    except KeyError as exc:
+        raise MalformedInputError(
+            f"bad character {exc.args[0]!r} in word {text!r}"
+        ) from None
     w = reduce_word(letters)
     if ctx is not None:
         check_word(w, ctx)
@@ -168,13 +172,10 @@ def parse_word(text: str, ctx: GroupContext | None = None) -> Word:
 
 def format_word(w: Word) -> str:
     """Inverse of parse_word; the identity prints as the empty string."""
-    out = []
-    for x in w:
-        i = abs(x) - 1
-        if i >= 26:
-            raise MalformedInputError("text form supports at most 26 generators")
-        out.append(_LOWER[i] if x > 0 else _UPPER[i])
-    return "".join(out)
+    try:
+        return "".join([_CHAR_OF_LETTER[x] for x in w])
+    except KeyError:
+        raise MalformedInputError("text form supports at most 26 generators") from None
 
 
 def check_word(w: Word, ctx: GroupContext) -> Word:

@@ -5,12 +5,17 @@ Exit code contract: 0 success, 2 malformed input, 3 budget exceeded,
 4 verified negative outcome.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import chabauty_lab
 from chabauty_lab import specio
@@ -365,6 +370,28 @@ def test_fibers_over_a_lattice_subgroup_are_two(capsys, tmp_path):
     assert "error" in err
 
 
+_FIBERS_ACROSS_CONTEXTS = {
+    "subgroup": {"context": {"kind": "free", "rank": 3}, "generators": ["c"]},
+    "over": {"context": {"kind": "free", "rank": 2}, "generators": ["a"]},
+}
+
+
+@pytest.mark.parametrize("doc", [
+    # K's tables have no edge for c: without the context check, the
+    # containment walk raised IndexError
+    _FIBERS_ACROSS_CONTEXTS,
+    # H's basis walks in K's tables, yet a subgroup of F₂ lies in no subgroup of F₃
+    {"subgroup": {"context": F2_CTX, "generators": ["a"]},
+     "over": {"context": {"kind": "free", "rank": 3}, "generators": ["a", "c"]}},
+])
+def test_fibers_over_another_free_context_are_two(capsys, tmp_path, doc):
+    spec = spec_file(tmp_path, "fib.json", doc)
+    code, out, err = run(capsys, "schreier", spec, "--radius", "2")
+    assert code == 2
+    assert out == ""
+    assert "contexts differ" in err
+
+
 def test_schreier_line_probe(capsys, tmp_path):
     spec = spec_file(
         tmp_path,
@@ -448,3 +475,192 @@ def test_env_budget_binds_the_cli(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "chabauty", spec, "--radius", "8")
     assert code == 3
     assert "budget" in err
+
+
+# ── one parser per process ───────────────────────────────────────────────────
+
+_SRC = os.path.dirname(os.path.dirname(chabauty_lab.__file__))
+_KER_Z = {
+    "context": F2_CTX,
+    "hom": {"target": {"kind": "lattice", "param": 1}, "images": [[1], [0]], "accepted": "zero"},
+}
+_REUSE_DOCS = {
+    "even.json": {"context": F2_CTX, "generators": ["aa", "b", "abA"],
+                  "queries": ["a", "aa", "bab"], "completion_radius": 3},
+    "pair.json": {"pair": [{"context": F2_CTX, "generators": ["a"]},
+                           {"context": F2_CTX, "generators": ["a", "bbaBB"]}]},
+    "ker.json": _KER_Z,
+    "a.json": {"context": F2_CTX, "generators": ["a"]},
+    "folner.json": {"subgroup": _KER_Z, "sets": [["", "a", "A"]], "elements": ["a"],
+                    "tolerances": ["1/100"]},
+}
+# Every subcommand, each flag, an argparse error and --version, with flags
+# that should not outlive their call followed by calls without them.
+_REUSE_RUNS = [
+    ["stallings", "even.json", "--out", "out-stallings"],
+    ["stallings", "even.json", "--budget-vertices", "3"],
+    ["stallings", "even.json"],
+    ["chabauty", "pair.json", "--radius", "5"],
+    ["chabauty", "pair.json"],
+    ["zd", "--enumerate", "2", "12", "--out", "out-zd"],
+    ["zd", "--enumerate", "2"],
+    ["schreier", "ker.json", "--radius", "10", "--budget-vertices", "15", "--out", "out-sch"],
+    ["schreier", "ker.json", "--radius", "10", "--out", "out-schreier"],
+    ["witness", "a.json", "--radius", "4", "--out", "out-witness"],
+    ["transit", "--demo", "paired", "--budget-length", "1"],
+    ["transit", "--demo", "paired"],
+    ["folner", "folner.json", "--out", "out-folner"],
+    ["folner", "--demo"],
+    ["suite", "--only", "3", "--out", "out-suite"],
+    ["--version"],
+    ["stallings", "even.json", "--bogus"],
+    ["witness", "a.json"],
+]
+
+
+def _tree(directory):
+    return {
+        os.path.relpath(os.path.join(root, name), directory):
+            open(os.path.join(root, name), encoding="utf-8").read()
+        for root, _, names in os.walk(directory)
+        for name in names
+    }
+
+
+def test_parser_reuse_leaves_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    """A sequence of calls in one process gives, call by call, the exit code,
+    stdout and files of the same argv in a fresh interpreter."""
+    monkeypatch.delenv("CHABAUTY_LAB_BUDGET", raising=False)
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    inproc, fresh = tmp_path / "inproc", tmp_path / "fresh"
+    for directory in (inproc, fresh):
+        directory.mkdir()
+        for name, doc in _REUSE_DOCS.items():
+            (directory / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(inproc)
+    codes = []
+    for argv in _REUSE_RUNS:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        done = subprocess.run(
+            [sys.executable, "-m", "chabauty_lab.cli", *argv],
+            cwd=fresh, env=env, capture_output=True, text=True,
+        )
+        assert (code, out) == (done.returncode, done.stdout), argv
+        codes.append(code)
+    assert _tree(inproc) == _tree(fresh)
+    # only runs that print a report write files, and only under their --out
+    out_dirs = {
+        argv[argv.index("--out") + 1]
+        for argv, code in zip(_REUSE_RUNS, codes)
+        if "--out" in argv and code in (0, 4)
+    }
+    assert {path.split(os.sep)[0] for path in _tree(inproc)} == set(_REUSE_DOCS) | out_dirs
+    assert {0, 2, 3, 4} <= set(codes)
+
+
+# ── exit-code fuzzing ────────────────────────────────────────────────────────
+
+_FUZZ_KEYS = [
+    "context", "kind", "rank", "dim", "generators", "hom", "target", "param", "images",
+    "accepted", "queries", "intersect_with", "conjugate_by", "completion_radius", "pair",
+    "sequence", "limit", "subgroup", "over", "sets", "elements", "tolerances", "pairs",
+    "source", "source_witness", "target_witness", "ins", "outs", "budget",
+]
+_fuzz_atoms = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=4)
+    | st.sampled_from(["free", "lattice", "cyclic", "permutation", "zero", "", "a", "abA",
+                       "bB", "c", "1/2", "x"])
+)
+_fuzz_words = st.text(alphabet="abcAB", max_size=4)
+_fuzz_word_lists = st.lists(_fuzz_words, max_size=3)
+_fuzz_vectors = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3)
+_fuzz_contexts = st.fixed_dictionaries({
+    "kind": st.sampled_from(["free", "lattice"]),
+    "rank": st.integers(min_value=1, max_value=3),
+})
+
+
+def _fuzz_generated(**optional):
+    free = st.fixed_dictionaries({
+        "context": st.sampled_from([F2_CTX, {"kind": "free", "rank": 3}]),
+        "generators": _fuzz_word_lists,
+    }, optional=optional)
+    z2 = st.fixed_dictionaries({
+        "context": st.just(LATTICE_2),
+        "generators": st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), max_size=3),
+    }, optional=optional)
+    anything = st.fixed_dictionaries({
+        "context": _fuzz_contexts,
+        "generators": st.lists(_fuzz_words | _fuzz_vectors, max_size=3),
+    }, optional=optional)
+    return free | z2 | anything
+
+
+_fuzz_subgroups = _fuzz_generated() | st.fixed_dictionaries({
+    "context": st.just(F2_CTX),
+    "hom": st.fixed_dictionaries({
+        "target": st.fixed_dictionaries({
+            "kind": st.just("cyclic"), "param": st.integers(min_value=1, max_value=4),
+        }),
+        "images": st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=2),
+        "accepted": st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+    }),
+})
+_fuzz_clopens = st.fixed_dictionaries({"ins": _fuzz_word_lists, "outs": _fuzz_word_lists})
+# per subcommand, documents of the shape it reads with small random contents
+_FUZZ_SHAPED = {
+    "stallings": _fuzz_generated(
+        queries=_fuzz_word_lists, intersect_with=_fuzz_subgroups, conjugate_by=_fuzz_words,
+        completion_radius=st.integers(min_value=-1, max_value=3),
+    ),
+    "chabauty": st.fixed_dictionaries({"pair": st.lists(_fuzz_subgroups, min_size=2, max_size=2)})
+    | st.fixed_dictionaries({"sequence": st.lists(_fuzz_subgroups, max_size=3),
+                             "limit": _fuzz_subgroups}),
+    "zd": _fuzz_generated(queries=st.lists(_fuzz_vectors, max_size=2)),
+    "schreier": _fuzz_subgroups
+    | st.fixed_dictionaries({"subgroup": _fuzz_subgroups, "over": _fuzz_subgroups}),
+    "witness": _fuzz_subgroups,
+    "transit": st.fixed_dictionaries({"context": st.just(F2_CTX), "pairs": st.lists(
+        st.fixed_dictionaries({
+            "source": _fuzz_clopens, "target": _fuzz_clopens,
+            "source_witness": _fuzz_word_lists, "target_witness": _fuzz_word_lists,
+        }), max_size=2)}),
+    "folner": st.fixed_dictionaries(
+        {"subgroup": _fuzz_subgroups, "sets": st.lists(_fuzz_word_lists, max_size=2),
+         "elements": _fuzz_word_lists},
+        optional={"tolerances": st.lists(st.sampled_from(["1/2", "1", "0", "x", 1]), max_size=2)},
+    ),
+}
+_fuzz_docs = st.recursive(
+    _fuzz_atoms | st.one_of(list(_FUZZ_SHAPED.values())),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS), children, max_size=4),
+    max_leaves=10,
+)
+_fuzz_runs = st.one_of(
+    [st.tuples(st.just(command), shaped) for command, shaped in _FUZZ_SHAPED.items()]
+) | st.tuples(st.sampled_from(sorted(_FUZZ_SHAPED)), _fuzz_docs)
+
+
+@given(_fuzz_runs, st.sampled_from(["1", "3", "8"]))
+@example(("schreier", _FIBERS_ACROSS_CONTEXTS), "2")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_document_exits_with_a_contract_code(command_and_doc, radius):
+    command, doc = command_and_doc
+    with tempfile.TemporaryDirectory() as directory:
+        spec = os.path.join(directory, "doc.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, spec, "--radius", radius,
+                         "--budget-vertices", "64", "--budget-length", "2"])
+    assert code in (0, 2, 3, 4)
+    if code not in (0, 4):
+        assert out.getvalue() == ""

@@ -1,10 +1,14 @@
 """JSON document round trips for subgroups, tasks, and reports."""
 
+import json
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chabauty_lab import specio
+from chabauty_lab.cli import main
 from chabauty_lab.errors import MalformedInputError
 from chabauty_lab.stallings import HomSubgroup, Target, from_generators, kernel
 from chabauty_lab.words import GroupContext, free_group, parse_word, reduce_word
@@ -18,6 +22,152 @@ def test_canonical_json_is_sorted_and_newline_terminated():
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
     assert specio.canonical_json({"a": 1}) == specio.canonical_json({"a": 1})
+
+
+def json_dumps_oracle(obj):
+    """The text canonical_json must reproduce, byte for byte."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+json_strings = st.text() | st.text(alphabet='a"\\/\n\t\x00\x1f\x7fé€😀\u2028', max_size=8)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**80).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | json_strings
+)
+
+
+def json_containers(children):
+    # the keys of one dict share one type, as json.dumps must sort them
+    keys = [json_strings, st.integers(), st.booleans(), st.none()]
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.one_of([st.dictionaries(k, children, max_size=5) for k in keys])
+    )
+
+
+json_trees = st.recursive(json_scalars, json_containers, max_leaves=30)
+
+
+@given(json_trees)
+@settings(max_examples=250, deadline=None)
+def test_canonical_json_matches_json_dumps(obj):
+    assert specio.canonical_json(obj) == json_dumps_oracle(obj)
+
+
+def test_canonical_json_writes_subclasses_as_json_dumps():
+    class Text(str):
+        pass
+
+    class Count(int):
+        pass
+
+    class Real(float):
+        pass
+
+    obj = {Text("k"): [Text("v"), Count(3), Real(0.5)], "n": {Count(2): Real(1e300)}}
+    assert specio.canonical_json(obj) == json_dumps_oracle(obj)
+
+
+def test_canonical_json_rejects_what_json_dumps_rejects():
+    for obj in [{(1, 2): 0}, [object()], {"a": {1, 2}}]:
+        with pytest.raises(TypeError) as ours:
+            specio.canonical_json(obj)
+        with pytest.raises(TypeError) as theirs:
+            json_dumps_oracle(obj)
+        assert str(ours.value) == str(theirs.value)
+
+
+_F2_CTX = {"kind": "free", "rank": 2}
+_KER_Z = {
+    "context": _F2_CTX,
+    "hom": {"target": {"kind": "lattice", "param": 1}, "images": [[1], [0]], "accepted": "zero"},
+}
+
+
+def _ker_mod_4(accepted):
+    return {
+        "context": _F2_CTX,
+        "hom": {"target": {"kind": "cyclic", "param": 4}, "images": [1, 0], "accepted": accepted},
+    }
+
+
+# The README's command-line examples (the full battery as its `--only 2,8`
+# run) and one document per subcommand from the command-line tests.
+_REPORT_DOCS = {
+    "even.json": {"context": _F2_CTX, "generators": ["aa", "b", "abA"],
+                  "queries": ["a", "aa", "bab"], "completion_radius": 3},
+    "pair.json": {"pair": [{"context": _F2_CTX, "generators": ["a"]},
+                           {"context": _F2_CTX, "generators": ["a", "bbaBB"]}]},
+    "ker.json": _KER_Z,
+    "a.json": {"context": _F2_CTX, "generators": ["a"]},
+    "ops.json": {"context": _F2_CTX, "generators": ["ab", "ba"],
+                 "intersect_with": {"context": _F2_CTX, "generators": ["a", "b"]},
+                 "conjugate_by": "aB"},
+    "seq.json": {"sequence": [{"context": _F2_CTX, "generators": ["a", "bbb"]},
+                              {"context": _F2_CTX, "generators": ["a"]}],
+                 "limit": {"context": _F2_CTX, "generators": ["a"]}},
+    "latpair.json": {"pair": [{"context": {"kind": "lattice", "dim": 2}, "generators": [[1, 3]]},
+                              {"context": {"kind": "lattice", "dim": 2}, "generators": [[2, 0]]}]},
+    "lat.json": {"context": {"kind": "lattice", "dim": 2}, "generators": [[1, 3]],
+                 "queries": [[2, 6], [1, 0]]},
+    "fibers.json": {"subgroup": _ker_mod_4([0]), "over": _ker_mod_4([0, 2])},
+    "task.json": {"context": _F2_CTX, "pairs": [{
+        "source": {"ins": ["abab"], "outs": []}, "target": {"ins": ["BABA"], "outs": []},
+        "source_witness": ["abab"], "target_witness": ["BABA"]}]},
+    "folner.json": {"subgroup": _KER_Z, "sets": [["", "a", "A"]], "elements": ["a"],
+                    "tolerances": ["1/100"]},
+}
+_REPORT_RUNS = [
+    ["stallings", "even.json"],
+    ["chabauty", "pair.json", "--radius", "8"],
+    ["zd", "--enumerate", "2", "12"],
+    ["schreier", "ker.json", "--radius", "10"],
+    ["witness", "a.json", "--radius", "8"],
+    ["transit", "--demo", "paired"],
+    ["transit", "--demo", "obstruction"],
+    ["folner", "--demo"],
+    ["suite", "--only", "2,8"],
+    ["stallings", "ops.json"],
+    ["chabauty", "seq.json", "--radius", "4"],
+    ["chabauty", "latpair.json", "--radius", "4"],
+    ["zd", "lat.json"],
+    ["schreier", "fibers.json", "--radius", "8"],
+    ["witness", "lat.json", "--radius", "8"],
+    ["transit", "task.json", "--budget-length", "1"],
+    ["folner", "folner.json"],
+]
+
+
+def test_canonical_json_matches_json_dumps_on_every_report_kind(tmp_path, monkeypatch, capsys):
+    encode = specio.canonical_json
+    reports = []
+
+    def checked(obj):
+        text = encode(obj)
+        assert text == json_dumps_oracle(obj)
+        reports.append(obj)
+        return text
+
+    monkeypatch.setattr(specio, "canonical_json", checked)
+    monkeypatch.chdir(tmp_path)
+    for name, doc in _REPORT_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    for argv in _REPORT_RUNS:
+        assert main(argv) in (0, 4), argv
+        assert capsys.readouterr().out == json_dumps_oracle(reports[-1])
+    assert len(reports) == len(_REPORT_RUNS)
+    kinds = {key for report in reports for key in report["result"]}
+    for key in ("subgroup", "membership", "completion", "intersection", "conjugate",
+                "distance", "certification", "terms", "counts", "graph", "ends",
+                "line_probe", "fibers", "witness", "certificate", "failure", "folner",
+                "results", "rows"):
+        assert key in kinds, key
 
 
 def test_free_subgroup_round_trip():

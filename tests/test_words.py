@@ -5,14 +5,17 @@ closed form 1 + 2r·((2r-1)^L - 1)/(2r-2), orderings by hand from the
 (length, letter-lex) rule with a < a⁻¹ < b < b⁻¹.
 """
 
+import string
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chabauty_lab.errors import BudgetExceededError, MalformedInputError
 from chabauty_lab.words import (
     IDENTITY,
     ball,
+    check_word,
     ball_size,
     conjugate,
     format_word,
@@ -61,6 +64,93 @@ def test_format_inverse_case():
 @given(reduced_words)
 def test_parse_format_roundtrip(w):
     assert parse_word(format_word(w), F2) == w
+
+
+# The per-letter loops parse_word and format_word ran before their tables,
+# kept as the oracles of the table-driven versions.
+
+
+def parse_word_oracle(text, ctx=None):
+    if not isinstance(text, str):
+        raise MalformedInputError(f"expected a word string, got {type(text).__name__}")
+    letters = []
+    for ch in text:
+        if ch in string.ascii_lowercase:
+            letters.append(string.ascii_lowercase.index(ch) + 1)
+        elif ch in string.ascii_uppercase:
+            letters.append(-(string.ascii_uppercase.index(ch) + 1))
+        else:
+            raise MalformedInputError(f"bad character {ch!r} in word {text!r}")
+    w = reduce_word(letters)
+    if ctx is not None:
+        check_word(w, ctx)
+    return w
+
+
+def format_word_oracle(w):
+    out = []
+    for x in w:
+        i = abs(x) - 1
+        if i >= 26:
+            raise MalformedInputError("text form supports at most 26 generators")
+        out.append(string.ascii_lowercase[i] if x > 0 else string.ascii_uppercase[i])
+    return "".join(out)
+
+
+def outcome(fn, *args):
+    """A call's value, or the message of the MalformedInputError it raised."""
+    try:
+        return "value", fn(*args)
+    except MalformedInputError as exc:
+        return "error", str(exc)
+
+
+ranks = st.integers(min_value=1, max_value=26)
+
+
+def letters_of_rank(rank):
+    return st.integers(min_value=1, max_value=rank).flatmap(lambda i: st.sampled_from([i, -i]))
+
+
+words_with_rank = ranks.flatmap(
+    lambda r: st.tuples(st.just(r), st.lists(letters_of_rank(r), max_size=30).map(tuple))
+)
+
+
+@given(words_with_rank)
+@settings(max_examples=300)
+def test_word_text_matches_the_per_letter_oracles(rank_and_letters):
+    rank, letters = rank_and_letters
+    ctx = free_group(rank)
+    text = format_word(letters)
+    assert text == format_word_oracle(letters)
+    w = parse_word(text, ctx)
+    assert w == parse_word_oracle(text, ctx) == reduce_word(letters)
+    assert parse_word(format_word(w), ctx) == w
+    assert format_word(w) == format_word_oracle(w)
+
+
+@given(
+    st.text(alphabet=string.ascii_letters + "1 !é_\n", max_size=20),
+    st.sampled_from([None, 1, 2, 5, 26]),
+)
+@example("ab1A", 2)
+@example("aZz", 2)  # reduces to "a": the rank is checked after reduction
+@example("abc", 2)
+@settings(max_examples=300)
+def test_parse_word_errors_match_the_oracle(text, rank):
+    ctx = None if rank is None else free_group(rank)
+    assert outcome(parse_word, text, ctx) == outcome(parse_word_oracle, text, ctx)
+
+
+def test_word_text_error_messages():
+    assert outcome(parse_word, "ab1A") == ("error", "bad character '1' in word 'ab1A'")
+    assert outcome(parse_word, 5) == ("error", "expected a word string, got int")
+    for letter in (27, -27, 40):
+        assert outcome(format_word, (1, letter)) == outcome(format_word_oracle, (1, letter))
+        assert outcome(format_word, (letter,))[0] == "error"
+    assert format_word(tuple(range(1, 27))) == string.ascii_lowercase
+    assert format_word(tuple(range(-1, -27, -1))) == string.ascii_uppercase
 
 
 # ── group laws (the reduction is the normal form of F_2) ─────────────────────

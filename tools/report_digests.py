@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Per-op report digests of one benchmark workload, for one source tree.
+
+    python3 tools/report_digests.py SRC WORKLOAD SEED
+
+SRC is the ``src`` directory of a checkout (``src`` for this one). The ops
+come from ``perfbench/workloads.make_ops`` of this checkout, and their
+documents are written as the benchmark's set-up writes them, at the same
+relative paths, inside a temporary directory. Every op then runs through
+SRC's ``chabauty_lab.cli.main`` in one process, and one line per op is
+printed: ``op_id exit sha256``, the digest being that of the op's stdout.
+
+Two source trees give the same reports and exit codes on a workload iff
+their outputs are equal::
+
+    diff <(python3 tools/report_digests.py ../parent/src fold-build 11) \\
+         <(python3 tools/report_digests.py src fold-build 11)
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import checks  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _run(cli, argv: list[str]) -> tuple[object, str]:
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, out.getvalue()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        print("usage: report_digests.py SRC WORKLOAD SEED", file=sys.stderr)
+        return 2
+    src, workload, seed = Path(argv[0]).resolve(), argv[1], int(argv[2])
+    ops = workloads.make_ops(workload, seed)
+    os.environ.pop("CHABAUTY_LAB_BUDGET", None)
+    sys.path.insert(0, str(src))
+    import chabauty_lab.cli as cli
+
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        Path(workloads.op_dir(workload, seed)).mkdir(parents=True)
+        for op in ops:
+            if op["doc"] is not None:
+                Path(op["path"]).write_text(checks.doc_text(op["doc"]), encoding="utf-8")
+        for op in ops:
+            code, text = _run(cli, op["argv"])
+            print(op["id"], code, hashlib.sha256(text.encode("utf-8")).hexdigest())
+        os.chdir(ROOT)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
