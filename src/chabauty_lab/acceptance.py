@@ -16,7 +16,7 @@ import dataclasses
 import random
 from typing import Callable, Iterable, Sequence
 
-from .chabauty import certify_convergence, clopen, distance_up_to
+from .chabauty import Certification, DistanceBound, certify_bounds, clopen, distance_up_to
 from .dynamics import (
     interval_folner_demo,
     folner_transfer_check,
@@ -433,6 +433,20 @@ def _hnf2_independent(v: tuple[int, int], w: tuple[int, int]):
     return (a, b), (0, d)
 
 
+def _certify_radii(seq: Sequence, limit, max_radius: int) -> list[Certification]:
+    """certify_convergence(seq, limit, r) for r = 1..max_radius, from one
+    distance per term at max_radius. Canonical order is norm-first, so a
+    bound with exponent e <= r (exact: "at_most" has e = max_radius + 1) is
+    the radius-r bound too, with the same least witness; every other
+    radius-r bound is "at_most" r + 1."""
+    bounds = [distance_up_to(term, limit, max_radius) for term in seq]
+    at_most = [DistanceBound("at_most", r + 1) for r in range(max_radius + 1)]
+    return [
+        certify_bounds([b if b.exponent <= r else at_most[r] for b in bounds], r)
+        for r in range(1, max_radius + 1)
+    ]
+
+
 def criterion_6() -> CriterionResult:
     """The full small-entry HNF catalogue in dimensions <= 3: the erasing
     rank detects finite index, witness chains certify at every radius <= 8,
@@ -454,10 +468,8 @@ def criterion_6() -> CriterionResult:
                 stack.extend(nd.expanded)
                 if nd.sequence is None:
                     continue
-                for radius in range(1, 9):
-                    cert = certify_convergence(
-                        nd.sequence.terms, nd.subgroup, radius
-                    )
+                certs = _certify_radii(nd.sequence.terms, nd.subgroup, 8)
+                for radius, cert in enumerate(certs, start=1):
                     if not cert.certified():
                         problems.append(
                             f"chain at {H.rows} in Z^{d} fails radius {radius}"

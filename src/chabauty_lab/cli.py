@@ -57,7 +57,6 @@ from .errors import (
 from .schreier import build as schreier_build
 from .schreier import ends_profile, fiber_diameters, qi_to_line_probe
 from .stallings import (
-    StallingsGraph,
     conjugate_subgroup,
     from_generators,
     hall_completion,
@@ -111,9 +110,7 @@ def _write_out(out_dir: str, report_text: str, summary: list[str], artifacts: di
 
 def cmd_stallings(args, budget: Budget):
     doc, raw = _load_spec(args.spec)
-    H = specio.subgroup_from_json(doc, budget)
-    if not isinstance(H, StallingsGraph):
-        raise MalformedInputError("stallings expects a generator-defined free subgroup")
+    H = specio.generated_subgroup_from_json(doc, "the stallings document", budget, free=True)
     ctx = H.ctx
     result: dict[str, Any] = {"subgroup": specio.json_of_graph(H)}
     summary = [
@@ -128,9 +125,9 @@ def cmd_stallings(args, budget: Budget):
         inside = sum(result["membership"].values())
         summary.append(f"membership: {inside}/{len(words)} queried words inside")
     if "intersect_with" in doc:
-        K = specio.subgroup_from_json(doc["intersect_with"], budget)
-        if not isinstance(K, StallingsGraph):
-            raise MalformedInputError("intersect_with must be generator-defined")
+        K = specio.generated_subgroup_from_json(
+            doc["intersect_with"], "intersect_with", budget, free=True
+        )
         M = intersect(H, K, budget)
         result["intersection"] = specio.json_of_graph(M)
         summary.append(f"intersection rank {M.rank()}")
@@ -315,25 +312,19 @@ def cmd_schreier(args, budget: Budget):
 
 def cmd_witness(args, budget: Budget):
     doc, raw = _load_spec(args.spec)
-    H = specio.subgroup_from_json(doc, budget)
+    H = specio.generated_subgroup_from_json(doc, "the witness document", budget)
     radius = args.radius
-    if isinstance(H, StallingsGraph):
+    if H.ctx.kind == "free":
         witness = nonisolation_witness(H, radius, budget)
         terms = [t.term for t in witness.terms]
-        limit = H
         result: dict[str, Any] = {"witness": specio.json_of_nonisolation(witness)}
-    elif isinstance(H, HnfSubgroup):
+    else:
         seq = witness_sequence(H, radius, budget)
         terms = list(seq.terms)
-        limit = H
         result = {"witness": specio.json_of_witness_sequence(seq)}
-    else:
-        raise MalformedInputError(
-            "witness sequences need a finitely generated or lattice subgroup"
-        )
-    cert, rows = _convergence(terms, limit, radius, budget)
+    cert, rows = _convergence(terms, H, radius, budget)
     result["radius"] = radius
-    result["certification"] = specio.json_of_certification(cert, limit.ctx)
+    result["certification"] = specio.json_of_certification(cert, H.ctx)
     result["terms"] = rows_to_json(rows)
     summary = [
         f"{len(terms)} terms, certification {cert.kind}"

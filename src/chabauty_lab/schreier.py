@@ -7,8 +7,9 @@ Hu --g--> Hug per generator. We materialize the ball of radius R around the
 trivial coset by BFS; a subgroup only needs to be a coset automaton for this
 to work (`coset_start`, and `coset_step(state, letter)` returning the state of
 Hu·letter, where equal states mean equal cosets), which both Stallings graphs
-(core vertex + hanging suffix) and homomorphism-defined subgroups (canonical
-image residue) are. Each vertex keeps its state, so an edge costs one step.
+(core vertex + hanging suffix; finite-target preimages are coverings, so the
+suffix stays empty) and lattice preimages (image residue modulo the accepted
+sublattice) are. Each vertex keeps its state, so an edge costs one step.
 
 Truncation discipline: the graph stores its frontier (sphere-R vertices) and
 every quantity computed from the ball is reported as exact or as a lower
@@ -244,16 +245,16 @@ def _verify_containment(H, K) -> None:
             )
         return
     if isinstance(H, HomSubgroup) and isinstance(K, HomSubgroup):
-        if H.ctx == K.ctx and H.target == K.target and H.images == K.images:
-            if H.target.kind == "lattice":
-                ok = all(K.accepted.contains(r) for r in H.accepted.rows)
-            else:
-                ok = set(H.accepted) <= set(K.accepted)
-            if ok:
-                return
+        if (
+            H.ctx == K.ctx
+            and H.target == K.target
+            and H.images == K.images
+            and all(K.accepted.contains(r) for r in H.accepted.rows)
+        ):
+            return
         raise MalformedInputError(
-            "containment of homomorphism-defined subgroups is only decidable "
-            "for a common homomorphism with nested accepted subgroups"
+            "containment of lattice preimages is only decidable for a common "
+            "homomorphism with nested accepted sublattices"
         )
     raise MalformedInputError(
         f"cannot verify containment for {type(H).__name__} ≤ {type(K).__name__}"

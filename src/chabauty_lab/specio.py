@@ -34,7 +34,7 @@ from .dynamics import (
 )
 from .errors import MalformedInputError
 from .schreier import FiberReport, ProbeReport, SchreierGraph
-from .stallings import HomSubgroup, StallingsGraph, Target, from_generators
+from .stallings import StallingsGraph, Target, from_generators, preimage
 from .words import (
     GroupContext,
     Word,
@@ -203,7 +203,7 @@ def _int_tuples(obj: Any, where: str) -> list[tuple[int, ...]]:
     return [tuple(_ints(v, f"each of the {where}")) for v in obj]
 
 
-def _hom_from_json(ctx: GroupContext, obj: Any) -> HomSubgroup:
+def _hom_from_json(ctx: GroupContext, obj: Any, budget: Budget | None):
     tgt = _require(obj, "target", "hom")
     kind = _require(tgt, "kind", "hom target")
     param = _require(tgt, "param", "hom target")
@@ -221,7 +221,7 @@ def _hom_from_json(ctx: GroupContext, obj: Any) -> HomSubgroup:
     else:
         images = _int_tuples(images, "image permutations")
         accepted = _int_tuples(accepted, "accepted permutations")
-    return HomSubgroup(ctx, target, images, accepted)
+    return preimage(ctx, target, images, accepted, budget)
 
 
 def subgroup_from_json(obj: Any, budget: Budget | None = None):
@@ -229,11 +229,14 @@ def subgroup_from_json(obj: Any, budget: Budget | None = None):
 
     ``{"context": C, "generators": [...]}`` builds a folded core graph (free
     contexts, within `budget`) or an HNF row span (lattice contexts).
-    ``{"context": C, "hom": {...}}`` builds a preimage subgroup φ⁻¹(A).
+    ``{"context": C, "hom": {...}}`` builds the preimage φ⁻¹(A): the
+    covering of the rose for a cyclic or permutation target (within
+    `budget`), so it equals the core graph of any generator document of the
+    same subgroup, and a :class:`HomSubgroup` for a lattice target.
     """
     ctx = context_from_json(_require(obj, "context", "subgroup"))
     if "hom" in obj:
-        return _hom_from_json(ctx, obj["hom"])
+        return _hom_from_json(ctx, obj["hom"], budget)
     gens_json = _require(obj, "generators", "subgroup")
     if not isinstance(gens_json, list):
         raise MalformedInputError("subgroup generators must be a list")
@@ -243,41 +246,19 @@ def subgroup_from_json(obj: Any, budget: Budget | None = None):
     return hnf_from_generators(ctx.rank, gens)
 
 
-def json_of_subgroup(H) -> dict:
-    if isinstance(H, StallingsGraph):
-        return {
-            "context": {"kind": "free", "rank": H.ctx.rank},
-            "generators": [format_word(w) for w in H.basis()],
-        }
-    if isinstance(H, HnfSubgroup):
-        return {
-            "context": {"kind": "lattice", "rank": H.dim},
-            "generators": [list(r) for r in H.rows],
-        }
-    if isinstance(H, HomSubgroup):
-        t = H.target
-        if t.kind == "lattice":
-            acc: Any = (
-                "zero"
-                if H.accepted.rank == 0
-                else {"generators": [list(r) for r in H.accepted.rows]}
-            )
-            images: Any = [list(v) for v in H.images]
-        elif t.kind == "cyclic":
-            acc = sorted(H.accepted)
-            images = list(H.images)
-        else:
-            acc = sorted(list(p) for p in H.accepted)
-            images = [list(p) for p in H.images]
-        return {
-            "context": {"kind": "free", "rank": H.ctx.rank},
-            "hom": {
-                "target": {"kind": t.kind, "param": t.param},
-                "images": images,
-                "accepted": acc,
-            },
-        }
-    raise MalformedInputError(f"cannot serialize {type(H).__name__}")
+def generated_subgroup_from_json(
+    obj: Any, where: str, budget: Budget | None = None, free: bool = False
+) -> StallingsGraph | HnfSubgroup:
+    """A generator-defined subgroup document (of a free group if `free`), for
+    the places that take no homomorphism documents. The "hom" key is refused
+    before parsing, so the refusal does not depend on what the homomorphism
+    describes: a finite target's preimage would parse to a Stallings graph."""
+    if isinstance(obj, dict) and "hom" in obj:
+        raise MalformedInputError(f"{where} must be generator-defined, not a homomorphism")
+    H = subgroup_from_json(obj, budget)
+    if free and H.ctx.kind != "free":
+        raise MalformedInputError(f"{where} must be a free-group subgroup")
+    return H
 
 
 def clopen_from_json(obj: Any, ctx: GroupContext) -> ClopenSet:
@@ -297,10 +278,7 @@ def _witness_from_json(obj: Any, ctx: GroupContext) -> StallingsGraph:
     """A witness subgroup: either a generator list or a subgroup document."""
     if isinstance(obj, list):
         return from_generators(ctx, [word_from_json(w, ctx) for w in obj])
-    H = subgroup_from_json(obj)
-    if not isinstance(H, StallingsGraph):
-        raise MalformedInputError("task witnesses must be finitely generated")
-    return H
+    return generated_subgroup_from_json(obj, "a task witness", free=True)
 
 
 def task_from_json(obj: Any, default_budget: Budget | None = None) -> TransitivityTask:

@@ -1,5 +1,6 @@
 """Stallings folded automata for finitely generated subgroups of free groups,
-plus homomorphism-defined subgroups (kernels and preimages).
+plus homomorphism-defined subgroups (kernels and preimages): coverings of the
+rose for finite targets, :class:`HomSubgroup` for lattice targets.
 
 A subgroup H ≤ F_r is stored as its core graph: a finite connected digraph
 with edges labelled by generators 1..r, a basepoint, no two equally-labelled
@@ -20,6 +21,7 @@ Everything here is exact and deterministic; resource caps come from
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from collections import Counter
@@ -600,28 +602,20 @@ def _traces_agree(
 # ── homomorphism-defined subgroups ───────────────────────────────────────────
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
 class Target:
     """Target of a homomorphism from F_r: Z^k, Z/m, or a permutation group."""
 
-    __slots__ = ("kind", "param")
+    kind: str
+    param: int
 
-    def __init__(self, kind: str, param: int):
-        if kind not in ("lattice", "cyclic", "permutation"):
-            raise MalformedInputError(f"unknown target kind {kind!r}")
-        if not isinstance(param, int) or param < 1:
+    def __post_init__(self):
+        if self.kind not in ("lattice", "cyclic", "permutation"):
+            raise MalformedInputError(f"unknown target kind {self.kind!r}")
+        # bool is an int subclass: JSON true must not read as 1
+        p = self.param
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise MalformedInputError("target parameter must be a positive integer")
-        self.kind = kind
-        self.param = param
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Target)
-            and self.kind == other.kind
-            and self.param == other.param
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.param))
 
     def __repr__(self):
         return {
@@ -629,6 +623,93 @@ class Target:
             "cyclic": f"Z/{self.param}",
             "permutation": f"Sym({self.param})",
         }[self.kind]
+
+
+def preimage(
+    ctx: GroupContext,
+    target: Target,
+    images,
+    accepted,
+    budget: Budget | None = None,
+) -> StallingsGraph | HomSubgroup:
+    """φ⁻¹(A) for the homomorphism φ: F_r → target sending generator i to
+    images[i − 1], and an accepted subgroup A of the target.
+
+    Z/m and Sym(n) are finite, so φ⁻¹(A) has finite index and is returned as
+    its covering of the rose (Stallings 1983): the vertices are the right
+    cosets A·φ(w), and the g-edges multiply them by φ(g) on the right. The
+    cosets are numbered by BFS from A in canonical letter order, which is
+    `_canonical`'s numbering, so the graph equals that of every other
+    description of the same subgroup. A coset space larger than
+    `budget.vertex_cap` raises. Lattice targets give a :class:`HomSubgroup`.
+    """
+    if target.kind == "lattice":
+        return HomSubgroup(ctx, target, images, accepted)
+    if ctx.kind != "free":
+        raise ContextMismatchError("homomorphism sources are free groups")
+    if len(images) != ctx.rank:
+        raise MalformedInputError(f"need {ctx.rank} generator images, got {len(images)}")
+    cosets = _cyclic_cosets if target.kind == "cyclic" else _permutation_cosets
+    start, step = cosets(target.param, images, accepted)
+    budget = budget or current()
+    letters = [x for i in range(1, ctx.rank + 1) for x in (i, -i)]
+    number = {start: 0}
+    order = [start]
+    succ = tuple({} for _ in range(ctx.rank))
+    for u, coset in enumerate(order):
+        for x in letters:
+            label = step(coset, x)
+            if label not in number:
+                if len(order) >= budget.vertex_cap:
+                    raise BudgetExceededError("graph vertices", budget.vertex_cap)
+                number[label] = len(order)
+                order.append(label)
+            if x > 0:
+                succ[x - 1][u] = number[label]
+    return StallingsGraph(ctx, len(order), succ)
+
+
+def _cyclic_cosets(m: int, images, accepted):
+    """(label of A, letter action) on the cosets of A ≤ Z/m. A = dZ/m for
+    d = gcd(m, A), so the coset of x is labelled by x mod d."""
+    vals = frozenset(int(v) % m for v in accepted)
+    if not vals:
+        raise MalformedInputError("accepted subgroup cannot be empty")
+    d = math.gcd(m, *vals)
+    if vals != set(range(0, m, d)):
+        raise MalformedInputError(f"accepted set {sorted(vals)} is not a subgroup of Z/{m}")
+    moves = {e * i: e * int(v) % d for i, v in enumerate(images, 1) for e in (1, -1)}
+    return 0, lambda x, letter: (x + moves[letter]) % d
+
+
+def _permutation_cosets(n: int, images, accepted):
+    """(label of A, letter action) on the right cosets A·p of A ≤ Sym(n),
+    each labelled by its least element."""
+    perms = [_permutation(p, n) for p in images]
+    group = frozenset(_permutation(p, n) for p in accepted)
+    if tuple(range(n)) not in group:
+        raise MalformedInputError("accepted permutations must include the identity")
+    for p in group:
+        if _perm_inv(p) not in group:
+            raise MalformedInputError("accepted permutations not inverse-closed")
+        for q in group:
+            if _perm_mul(p, q) not in group:
+                raise MalformedInputError("accepted permutations not closed")
+    moves = {i: p for i, p in enumerate(perms, 1)}
+    moves.update({-i: _perm_inv(p) for i, p in enumerate(perms, 1)})
+
+    def step(label: tuple, letter: int) -> tuple:
+        p = _perm_mul(label, moves[letter])
+        return min(_perm_mul(a, p) for a in group)
+
+    return min(group), step
+
+
+def _permutation(p, n: int) -> tuple:
+    p = tuple(int(x) for x in p)
+    if sorted(p) != list(range(n)):
+        raise MalformedInputError(f"{p} is not a permutation of 0..{n - 1}")
+    return p
 
 
 def _perm_mul(p: tuple, q: tuple) -> tuple:
@@ -644,158 +725,81 @@ def _perm_inv(p: tuple) -> tuple:
 
 
 class HomSubgroup:
-    """φ⁻¹(A) for a homomorphism φ: F_r → T and an accepted subgroup A ≤ T.
+    """φ⁻¹(A) for a homomorphism φ: F_r → Z^k and a sublattice A ≤ Z^k.
 
     Membership-complete even when the subgroup is not finitely generated
     (kernels of F_r → Z^k are the main use). `coset_key` canonically labels
-    the right coset H·w, and `coset_step` moves that label by one letter,
-    which is what Schreier constructions consume.
+    the right coset H·w by the residue of φ(w) modulo A, and `coset_step`
+    moves that label by one letter, which is what Schreier constructions
+    consume. Finite targets do not reach this class: :func:`preimage` builds
+    their preimages as coverings.
 
     No rank is defined here: rank = edges − vertices + 1 needs a finite core
     graph, and these subgroups generally have none.
     """
 
     __slots__ = (
-        "ctx", "target", "images", "accepted", "start", "_action", "_cyclic_gcd", "_hash"
+        "ctx", "target", "images", "accepted", "start", "coset_start", "_action", "_hash"
     )
 
     def __init__(self, ctx: GroupContext, target: Target, images, accepted):
         if ctx.kind != "free":
             raise ContextMismatchError("homomorphism sources are free groups")
-        self.ctx = ctx
-        self.target = target
+        if target.kind != "lattice":
+            raise MalformedInputError(
+                f"HomSubgroup takes lattice targets, not {target!r}: use preimage()"
+            )
         if len(images) != ctx.rank:
             raise MalformedInputError(
                 f"need {ctx.rank} generator images, got {len(images)}"
             )
-        if target.kind == "lattice":
-            imgs = []
-            for v in images:
-                v = tuple(int(x) for x in v)
-                if len(v) != target.param:
-                    raise MalformedInputError("image vector has wrong dimension")
-                imgs.append(v)
-            self.images = tuple(imgs)
-            if accepted == "zero":
-                accepted = zdlattice.hnf_from_generators(target.param, [])
-            if not isinstance(accepted, zdlattice.HnfSubgroup):
-                raise MalformedInputError(
-                    "lattice targets accept an HnfSubgroup or 'zero'"
-                )
-            if accepted.dim != target.param:
-                raise MalformedInputError("accepted sublattice has wrong dimension")
-            self.accepted = accepted
-            self._cyclic_gcd = None
-            self.start = (0,) * target.param
-            inverse = lambda v: tuple(-c for c in v)
-        elif target.kind == "cyclic":
-            m = target.param
-            self.images = tuple(int(v) % m for v in images)
-            vals = frozenset(int(v) % m for v in accepted)
-            if not vals:
-                raise MalformedInputError("accepted subgroup cannot be empty")
-            g = math.gcd(m, *vals) if vals != {0} else m
-            if vals != {(g * k) % m for k in range(m // g if g else 1)} and vals != {0}:
-                raise MalformedInputError(
-                    f"accepted set {sorted(vals)} is not a subgroup of Z/{m}"
-                )
-            self.accepted = vals
-            self._cyclic_gcd = g if vals != {0} else m
-            self.start = 0
-            inverse = lambda v: -v % m
-        else:  # permutation
-            n = target.param
-            imgs = []
-            for p in images:
-                p = tuple(int(x) for x in p)
-                if sorted(p) != list(range(n)):
-                    raise MalformedInputError(f"{p} is not a permutation of 0..{n - 1}")
-                imgs.append(p)
-            self.images = tuple(imgs)
-            perms = frozenset(tuple(int(x) for x in p) for p in accepted)
-            ident = tuple(range(n))
-            for p in perms:
-                if sorted(p) != list(ident):
-                    raise MalformedInputError(f"{p} is not a permutation of 0..{n - 1}")
-            if ident not in perms:
-                raise MalformedInputError("accepted permutations must include the identity")
-            for p in perms:
-                if _perm_inv(p) not in perms:
-                    raise MalformedInputError("accepted permutations not inverse-closed")
-                for q in perms:
-                    if _perm_mul(p, q) not in perms:
-                        raise MalformedInputError("accepted permutations not closed")
-            self.accepted = perms
-            self._cyclic_gcd = None
-            self.start = ident
-            inverse = _perm_inv
-        # letter ±i acts on the running image by φ(generator i)^±1
-        self._action = {}
-        for i, v in enumerate(self.images, start=1):
-            self._action[i] = v
-            self._action[-i] = inverse(v)
-        self._hash = hash((ctx, target, self.images, self._accepted_key()))
-
-    def _accepted_key(self):
-        if self.target.kind == "lattice":
-            return self.accepted
-        return tuple(sorted(self.accepted))
+        k = target.param
+        self.images = tuple(tuple(int(x) for x in v) for v in images)
+        if any(len(v) != k for v in self.images):
+            raise MalformedInputError("image vector has wrong dimension")
+        if accepted == "zero":
+            accepted = zdlattice.hnf_from_generators(k, [])
+        if not isinstance(accepted, zdlattice.HnfSubgroup):
+            raise MalformedInputError("lattice targets accept an HnfSubgroup or 'zero'")
+        if accepted.dim != k:
+            raise MalformedInputError("accepted sublattice has wrong dimension")
+        self.ctx = ctx
+        self.target = target
+        self.accepted = accepted
+        # the residue of 0 is 0, so one vector starts both automata
+        self.start = self.coset_start = (0,) * k
+        # letter ±i adds ±φ(generator i) to the running image
+        self._action = {
+            e * i: tuple(e * c for c in v) for i, v in enumerate(self.images, 1) for e in (1, -1)
+        }
+        self._hash = hash((ctx, target, self.images, accepted))
 
     # membership automaton -----------------------------------------------
     # The state is the running image φ(prefix).
 
     def step(self, state, letter: int):
-        a = self._action[letter]
-        kind = self.target.kind
-        if kind == "cyclic":
-            return (state + a) % self.target.param
-        if kind == "lattice":
-            return tuple([x + y for x, y in zip(state, a)])
-        return _perm_mul(state, a)
+        return tuple([x + y for x, y in zip(state, self._action[letter])])
 
     def accepting(self, state) -> bool:
-        if self.target.kind == "lattice":
-            return self.accepted.contains(state)
-        return state in self.accepted
+        return self.accepted.contains(state)
 
     def image(self, w: Word):
-        """φ(w), the state reached on w, in one pass (Schreier constructions
-        call this once per coset representative)."""
-        act = self._action
-        if self.target.kind == "cyclic":
-            return sum(map(act.__getitem__, w)) % self.target.param
-        if self.target.kind == "lattice":
-            return tuple(map(sum, zip(self.start, *map(act.__getitem__, w))))
-        p = self.start
-        for x in w:
-            p = _perm_mul(p, act[x])
-        return p
+        """φ(w), the state reached on w, in one pass."""
+        return tuple(map(sum, zip(self.start, *map(self._action.__getitem__, w))))
 
     def contains(self, w: Word) -> bool:
         return self.accepting(self.image(w))
 
     def coset_key(self, w: Word):
         """Canonical label of the right coset H·w (equal keys ⟺ equal cosets)."""
-        return self._image_key(self.image(w))
-
-    def _image_key(self, img):
-        """Canonical label of the coset A·img of the accepted subgroup."""
-        if self.target.kind == "lattice":
-            return self.accepted.residue(img)
-        if self.target.kind == "cyclic":
-            return img % self._cyclic_gcd
-        return min(_perm_mul(p, img) for p in self.accepted)
+        return self.accepted.residue(self.image(w))
 
     # coset automaton ----------------------------------------------------
-    # The state of H·w is its coset_key. The key is an image in the coset
-    # A·φ(w) it labels, so stepping the key and relabelling steps the coset.
-
-    @property
-    def coset_start(self):
-        return self._image_key(self.start)
+    # The state of H·w is its coset_key, a vector of the coset φ(w) + A, so
+    # stepping the key and reducing it again steps the coset.
 
     def coset_step(self, state, letter: int):
-        return self._image_key(self.step(state, letter))
+        return self.accepted.residue(self.step(state, letter))
 
     def __eq__(self, other):
         if not isinstance(other, HomSubgroup):
@@ -804,7 +808,7 @@ class HomSubgroup:
             self.ctx == other.ctx
             and self.target == other.target
             and self.images == other.images
-            and self._accepted_key() == other._accepted_key()
+            and self.accepted == other.accepted
         )
 
     def __hash__(self):
@@ -814,10 +818,9 @@ class HomSubgroup:
         return f"HomSubgroup(F_{self.ctx.rank} → {self.target!r})"
 
 
-def kernel(ctx: GroupContext, target: Target, images) -> HomSubgroup:
-    """ker φ as a membership-complete subgroup."""
-    if target.kind == "lattice":
-        return HomSubgroup(ctx, target, images, "zero")
-    if target.kind == "cyclic":
-        return HomSubgroup(ctx, target, images, [0])
-    return HomSubgroup(ctx, target, images, [tuple(range(target.param))])
+def kernel(
+    ctx: GroupContext, target: Target, images, budget: Budget | None = None
+) -> StallingsGraph | HomSubgroup:
+    """ker φ: a covering for finite targets, a HomSubgroup for lattices."""
+    trivial = {"lattice": "zero", "cyclic": [0], "permutation": [tuple(range(target.param))]}
+    return preimage(ctx, target, images, trivial[target.kind], budget)

@@ -131,6 +131,10 @@ def test_malformed_folner_documents_are_two(capsys, tmp_path, doc):
         {"target": {"kind": "cyclic", "param": 2}, "images": 3, "accepted": [0]},
         {"target": {"kind": "permutation", "param": 2}, "images": [[1, 0], [0, 1]],
          "accepted": [[0, 1], [5, 6]]},
+        # JSON true is a Python int; it must not read as Z/1 or Z^1
+        {"target": {"kind": "cyclic", "param": True}, "images": [0, 0], "accepted": [0]},
+        {"target": {"kind": "lattice", "param": True}, "images": [[1], [0]],
+         "accepted": "zero"},
     ],
 )
 def test_malformed_hom_documents_are_two(capsys, tmp_path, hom):
@@ -139,6 +143,92 @@ def test_malformed_hom_documents_are_two(capsys, tmp_path, hom):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def _hom_doc(kind, param, images, accepted):
+    return {"context": F2_CTX, "hom": {"target": {"kind": kind, "param": param},
+                                       "images": images, "accepted": accepted}}
+
+
+# ker(F₂ → Z/2, a ↦ 1, b ↦ 0) written three ways, and the kernel of a ↦ 1 in Z/4
+_EVEN_GENERATORS = {"context": F2_CTX, "generators": ["aa", "b", "abA"]}
+_EVEN_CYCLIC = _hom_doc("cyclic", 2, [1, 0], [0])
+_EVEN_SWAP = _hom_doc("permutation", 2, [[1, 0], [0, 1]], [[0, 1]])
+_KERNEL_MOD_4 = _hom_doc("cyclic", 4, [1, 0], [0])
+
+
+def _transit_with_witness(witness):
+    return {"context": F2_CTX, "pairs": [{
+        "source": {"ins": ["a"], "outs": ["b"]}, "target": {"ins": ["ab"], "outs": ["ba"]},
+        "source_witness": witness, "target_witness": ["ab"],
+    }]}
+
+
+@pytest.mark.parametrize("hom", [_EVEN_CYCLIC, _EVEN_SWAP, _hom_doc("cyclic", 65, [1, 0], [0])],
+                         ids=["cyclic", "permutation", "past-the-vertex-cap"])
+@pytest.mark.parametrize("command, doc", [
+    ("stallings", lambda hom: hom),
+    ("stallings", lambda hom: {**_EVEN_GENERATORS, "intersect_with": hom}),
+    ("witness", lambda hom: hom),
+    ("transit", _transit_with_witness),
+], ids=["stallings", "intersect_with", "witness", "transit-witness"])
+def test_hom_documents_are_two_where_generators_are_required(capsys, tmp_path, hom,
+                                                             command, doc):
+    """A finite target parses to a Stallings graph, yet these places refuse
+    every homomorphism document by its "hom" key, before any budget binds."""
+    spec = spec_file(tmp_path, "doc.json", doc(hom))
+    code, out, err = run(capsys, command, spec, "--budget-vertices", "64")
+    assert code == 2
+    assert out == ""
+    assert "homomorphism" in err
+
+
+@pytest.mark.parametrize("limit", [_EVEN_CYCLIC, _EVEN_SWAP])
+def test_equal_subgroups_from_other_documents_are_not_nontrivial(capsys, tmp_path, limit):
+    """The term ⟨aa, b, abA⟩ is the limit's subgroup: `nontrivial` is false."""
+    spec = spec_file(tmp_path, "seq.json", {"sequence": [_EVEN_GENERATORS], "limit": limit})
+    code, out, _ = run(capsys, "chabauty", spec, "--radius", "6")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["certification"]["kind"] == "certified"
+    assert result["certification"]["n0"] == 1
+    assert result["terms"] == [{"n": 1, "distance_exponent": 7, "nontrivial": False}]
+    subgroups = [specio.subgroup_from_json(d) for d in (_EVEN_GENERATORS, _EVEN_CYCLIC, _EVEN_SWAP)]
+    assert len(set(subgroups)) == 1 and subgroups[0] == subgroups[1] == subgroups[2]
+
+
+def test_finite_coset_space_past_the_vertex_cap_is_three(capsys, tmp_path):
+    z64, z65 = (_hom_doc("cyclic", m, [1, 0], [0]) for m in (64, 65))
+    runs = {
+        "chabauty": lambda H: {"pair": [H, _EVEN_GENERATORS]},
+        "schreier": lambda H: H,
+        "folner": lambda H: {"subgroup": H, "sets": [["", "a"]], "elements": ["a"]},
+    }
+    for command, doc in runs.items():
+        spec = spec_file(tmp_path, "z65.json", doc(z65))
+        code, out, err = run(capsys, command, spec, "--budget-vertices", "64")
+        assert (code, out) == (3, ""), command
+        assert "graph vertices: limit 64" in err
+        spec = spec_file(tmp_path, "z64.json", doc(z64))
+        code, out, _ = run(capsys, command, spec, "--budget-vertices", "64")
+        assert code == 0 and out, command
+
+
+def test_fibers_of_coverings_from_two_documents(capsys, tmp_path):
+    """ker(a ↦ 1 in Z/4) over ker(a ↦ 1 in Z/2): containment is checked on
+    the basis of the first covering."""
+    spec = spec_file(tmp_path, "fib.json", {"subgroup": _KERNEL_MOD_4, "over": _EVEN_CYCLIC})
+    code, out, _ = run(capsys, "schreier", spec, "--radius", "4")
+    assert code == 0
+    fibers = json.loads(out)["result"]["fibers"]
+    assert [(f["representative"], f["size"], f["diameter"]) for f in fibers] == [
+        ("", 2, 2), ("a", 2, 2),
+    ]
+    # the other way round, the basis word aa is not in the Z/4 kernel
+    spec = spec_file(tmp_path, "fib.json", {"subgroup": _EVEN_CYCLIC, "over": _KERNEL_MOD_4})
+    code, out, err = run(capsys, "schreier", spec, "--radius", "4")
+    assert (code, out) == (2, "")
+    assert "not contained" in err
 
 
 def test_boolean_lattice_vector_is_two(capsys, tmp_path):

@@ -29,9 +29,18 @@ from chabauty_lab.stallings import (
     from_generators,
     hall_completion,
     kernel,
+    preimage,
     trivial_subgroup,
 )
-from chabauty_lab.words import IDENTITY, free_group, invert, multiply, parse_word, reduce_word
+from chabauty_lab.words import (
+    IDENTITY,
+    ball,
+    free_group,
+    invert,
+    multiply,
+    parse_word,
+    reduce_word,
+)
 from chabauty_lab.zdlattice import hnf_from_generators
 
 F2 = free_group(2)
@@ -73,11 +82,9 @@ def test_trivial_subgroup_ball_is_the_group_ball():
 def test_generator_sets_match_between_hom_and_graph_subgroups():
     """The same subgroup given two ways yields the same coset geometry."""
     graph_even = gens("aa", "b", "abA")
-    hom_even = HomSubgroup(
-        F2, Target("cyclic", 2), [1, 0], [0]
-    )
+    hom_even = kernel(F2, Target("cyclic", 2), [1, 0])
     S1, S2 = build(graph_even, 6), build(hom_even, 6)
-    assert S1.nverts == S2.nverts
+    assert (S1.reps, S1.dist, S1.succ, S1.frontier) == (S2.reps, S2.dist, S2.succ, S2.frontier)
     assert S1.sphere_sizes() == S2.sphere_sizes()
 
 
@@ -190,19 +197,22 @@ def _oracle_coset_key(H, w):
     return H.coset_key(w)
 
 
-def _oracle_build(H, radius):
+def _oracle_build(H, radius, coset_key=None):
     """(reps, dist, succ, frontier) by BFS that multiplies each rep by each
-    letter and keys the reduced product from scratch."""
+    letter and keys the reduced product from scratch (by `coset_key`, or
+    else by `_oracle_coset_key`)."""
+    if coset_key is None:
+        coset_key = lambda u: _oracle_coset_key(H, u)
     rank = H.ctx.rank
     letters = [x for i in range(1, rank + 1) for x in (i, -i)]
-    keys = {_oracle_coset_key(H, IDENTITY): 0}
+    keys = {coset_key(IDENTITY): 0}
     reps, dist = [IDENTITY], [0]
     succ = [dict() for _ in range(rank)]
     queue = [0]
     for v in queue:
         for x in letters:
             u = multiply(reps[v], (x,))
-            key = _oracle_coset_key(H, u)
+            key = coset_key(u)
             w = keys.get(key)
             if w is None:
                 if dist[v] >= radius:
@@ -278,11 +288,11 @@ def _perm_closure(n, gens):
 
 
 @st.composite
-def _hom_pairs(draw, rank):
+def _hom_pairs(draw, rank, kinds=("cyclic", "permutation", "lattice")):
     """H ≤ K: one homomorphism to Z/m, Sym(n) or Z^k, nested accepted
     subgroups."""
     ctx = free_group(rank)
-    kind = draw(st.sampled_from(["cyclic", "permutation", "lattice"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "cyclic":
         m = draw(st.integers(1, 8))
         images = draw(st.lists(st.integers(0, m - 1), min_size=rank, max_size=rank))
@@ -290,7 +300,7 @@ def _hom_pairs(draw, rank):
         dh = draw(st.sampled_from([d for d in range(dk, m + 1) if m % d == 0 and d % dk == 0]))
         target = Target("cyclic", m)
         acc = lambda d: sorted({(d * k) % m for k in range(m)})
-        return HomSubgroup(ctx, target, images, acc(dh)), HomSubgroup(ctx, target, images, acc(dk))
+        return preimage(ctx, target, images, acc(dh)), preimage(ctx, target, images, acc(dk))
     if kind == "permutation":
         n = draw(st.integers(1, 4))
         perm = st.permutations(list(range(n))).map(tuple)
@@ -299,8 +309,8 @@ def _hom_pairs(draw, rank):
         gk = gh + draw(st.lists(perm, max_size=1))
         target = Target("permutation", n)
         return (
-            HomSubgroup(ctx, target, images, _perm_closure(n, gh)),
-            HomSubgroup(ctx, target, images, _perm_closure(n, gk)),
+            preimage(ctx, target, images, _perm_closure(n, gh)),
+            preimage(ctx, target, images, _perm_closure(n, gk)),
         )
     k = draw(st.integers(1, 2))
     vec = st.lists(st.integers(-2, 2), min_size=k, max_size=k).map(tuple)
@@ -333,7 +343,7 @@ def _commutator_pairs(draw, rank):
     """A Stallings H generated by commutators, under the kernel-like K of a
     homomorphism to an abelian target (commutators map to 0)."""
     ctx = free_group(rank)
-    _, K = draw(_hom_pairs(rank).filter(lambda p: p[1].target.kind != "permutation"))
+    _, K = draw(_hom_pairs(rank, kinds=("cyclic", "lattice")))
     comms = [
         reduce_word(u + v + invert(u) + invert(v))
         for u, v in draw(st.lists(st.tuples(_words(rank, 3), _words(rank, 3)), max_size=2))
@@ -403,3 +413,62 @@ def test_fiber_oracle_on_frontier_and_disconnected_fibers():
     expected = _oracle_fibers(cut, even)
     assert [f[2:] for f in expected] == [(6, True), (4, True)]
     assert _fiber_tuples(fiber_diameters(cut, even)) == expected
+
+
+# ── finite targets: the covering against the homomorphism ───────────────────
+
+
+@st.composite
+def _finite_homs(draw):
+    """(ctx, target, images, accepted) for φ from F₂ or F₃ to Z/m (m ≤ 8) or
+    Sym(n) (n ≤ 4), with A a random subgroup of the target."""
+    rank = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 8))
+        images = draw(st.lists(st.integers(0, m - 1), min_size=rank, max_size=rank))
+        d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+        return free_group(rank), Target("cyclic", m), images, list(range(0, m, d))
+    n = draw(st.integers(1, 4))
+    perm = st.permutations(list(range(n))).map(tuple)
+    images = draw(st.lists(perm, min_size=rank, max_size=rank))
+    accepted = _perm_closure(n, draw(st.lists(perm, max_size=2)))
+    return free_group(rank), Target("permutation", n), images, accepted
+
+
+def _phi(target, images, w):
+    """φ(w) straight from the generator images: a residue mod m, or the
+    permutation that applies φ of the first letter first."""
+    if target.kind == "cyclic":
+        return sum(images[x - 1] if x > 0 else -images[-x - 1] for x in w) % target.param
+    p = tuple(range(target.param))
+    for x in w:
+        g = images[abs(x) - 1]
+        if x < 0:
+            g = tuple(sorted(range(len(g)), key=g.__getitem__))  # g⁻¹
+        p = tuple(g[i] for i in p)
+    return p
+
+
+def _coset_of_image(target, accepted, x):
+    """The right coset A·x, as a set."""
+    if target.kind == "cyclic":
+        return frozenset((a + x) % target.param for a in accepted)
+    return frozenset(tuple(x[i] for i in a) for a in accepted)
+
+
+@given(_finite_homs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_finite_preimage_is_the_covering_of_its_cosets(hom, data):
+    """The covering accepts w iff φ(w) ∈ A, and its Schreier ball is the BFS
+    keyed by the coset A·φ(w)."""
+    ctx, target, images, accepted = hom
+    H = preimage(ctx, target, images, accepted)
+    assert H.is_covering()
+    words = ball(ctx, 3) + data.draw(st.lists(_words(ctx.rank, 8), max_size=30))
+    for w in words:
+        assert H.contains(w) == (_phi(target, images, w) in accepted)
+    radius = data.draw(st.integers(0, 8))
+    S = build(H, radius)
+    key = lambda u: _coset_of_image(target, accepted, _phi(target, images, u))
+    assert (S.reps, S.dist, S.succ, S.frontier) == _oracle_build(H, radius, key)
+

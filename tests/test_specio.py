@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from chabauty_lab import specio
 from chabauty_lab.cli import main
 from chabauty_lab.errors import MalformedInputError
-from chabauty_lab.stallings import HomSubgroup, Target, from_generators, kernel
-from chabauty_lab.words import GroupContext, free_group, parse_word, reduce_word
+from chabauty_lab.stallings import HomSubgroup, Target, from_generators, kernel, preimage
+from chabauty_lab.words import GroupContext, format_word, free_group, parse_word, reduce_word
 from chabauty_lab.zdlattice import hnf_from_generators
 
 F2 = free_group(2)
@@ -172,7 +172,7 @@ def test_canonical_json_matches_json_dumps_on_every_report_kind(tmp_path, monkey
 
 def test_free_subgroup_round_trip():
     H = from_generators(F2, [parse_word("abab", F2), parse_word("bbA", F2)])
-    doc = specio.json_of_subgroup(H)
+    doc = {"context": {"kind": "free", "rank": 2}, "generators": ["abab", "bbA"]}
     assert specio.subgroup_from_json(doc) == H
 
 
@@ -184,18 +184,24 @@ gen_words = st.lists(letters, min_size=1, max_size=5).map(reduce_word)
 @settings(max_examples=40, deadline=None)
 def test_free_subgroup_round_trip_property(gs):
     H = from_generators(F2, gs)
-    assert specio.subgroup_from_json(specio.json_of_subgroup(H)) == H
+    for words in (gs, H.basis()):
+        doc = {"context": {"kind": "free", "rank": 2}, "generators": [format_word(x) for x in words]}
+        assert specio.subgroup_from_json(doc) == H
 
 
 def test_lattice_subgroup_round_trip():
     H = hnf_from_generators(3, [(2, 0, 1), (0, 3, 0)])
-    doc = specio.json_of_subgroup(H)
+    doc = {"context": {"kind": "lattice", "rank": 3}, "generators": [[2, 0, 1], [0, 3, 0]]}
     assert specio.subgroup_from_json(doc) == H
 
 
 def test_hom_subgroup_round_trip():
     ker = kernel(F2, Target("lattice", 2), [(1, 0), (0, 1)])
-    doc = specio.json_of_subgroup(ker)
+    doc = {
+        "context": {"kind": "free", "rank": 2},
+        "hom": {"target": {"kind": "lattice", "param": 2},
+                "images": [[1, 0], [0, 1]], "accepted": "zero"},
+    }
     assert specio.subgroup_from_json(doc) == ker
     even = HomSubgroup(
         F2,
@@ -203,12 +209,24 @@ def test_hom_subgroup_round_trip():
         [(1,), (0,)],
         hnf_from_generators(1, [(2,)]),
     )
-    assert specio.subgroup_from_json(specio.json_of_subgroup(even)) == even
+    doc = {
+        "context": {"kind": "free", "rank": 2},
+        "hom": {"target": {"kind": "lattice", "param": 1},
+                "images": [[1], [0]], "accepted": {"generators": [[2]]}},
+    }
+    assert specio.subgroup_from_json(doc) == even
 
 
 def test_permutation_hom_round_trip():
-    sub = HomSubgroup(F2, Target("permutation", 2), [(1, 0), (0, 1)], [(0, 1)])
-    assert specio.subgroup_from_json(specio.json_of_subgroup(sub)) == sub
+    doc = {
+        "context": {"kind": "free", "rank": 2},
+        "hom": {"target": {"kind": "permutation", "param": 2},
+                "images": [[1, 0], [0, 1]], "accepted": [[0, 1]]},
+    }
+    sub = specio.subgroup_from_json(doc)
+    assert sub == preimage(F2, Target("permutation", 2), [(1, 0), (0, 1)], [(0, 1)])
+    # the finite target parses to the covering: equal to the generator document
+    assert sub == from_generators(F2, [parse_word(t, F2) for t in ("aa", "b", "abA")])
 
 
 def test_word_parsing_rejects_wrong_shape():

@@ -29,6 +29,7 @@ from chabauty_lab.errors import (
 from chabauty_lab.stallings import (
     BASEPOINT,
     HomSubgroup,
+    StallingsGraph,
     Target,
     conjugate_subgroup,
     from_generators,
@@ -36,6 +37,7 @@ from chabauty_lab.stallings import (
     intersect,
     join,
     kernel,
+    preimage,
     trivial_subgroup,
     whole_group,
 )
@@ -269,25 +271,64 @@ def test_cyclic_target_kernel():
     ker = kernel(F2, Target("cyclic", 3), [1, 1])
     assert ker.contains(w("aaa")) and ker.contains(w("aB"))
     assert not ker.contains(w("ab"))
-    assert len({ker.coset_key(v) for v in ball(F2, 3)}) == 3
+    assert ker.index() == 3
+    assert len({ker.walk(BASEPOINT, v) for v in ball(F2, 3)}) == 3
 
 
 def test_permutation_target_kernel():
     # a ↦ the swap, b ↦ identity on two points; accepted = {identity}
-    sub = HomSubgroup(F2, Target("permutation", 2), [(1, 0), (0, 1)], [(0, 1)])
+    sub = preimage(F2, Target("permutation", 2), [(1, 0), (0, 1)], [(0, 1)])
     assert sub.contains(w("aa")) and sub.contains(w("b"))
     assert not sub.contains(w("a"))
-    assert len({sub.coset_key(v) for v in ball(F2, 3)}) == 2
+    assert sub.index() == 2
+    assert len({sub.walk(BASEPOINT, v) for v in ball(F2, 3)}) == 2
 
 
 def test_permutation_accepted_must_be_subgroup():
     with pytest.raises(MalformedInputError):
-        HomSubgroup(
+        preimage(
             F2,
             Target("permutation", 2),
             [(1, 0), (0, 1)],
             [(1, 0)],  # not closed: misses the identity
         )
+
+
+def test_finite_targets_give_the_canonical_covering():
+    """ker(F₂ → Z/2, a ↦ 1) and its Sym(2) twin are the folded graph of
+    ⟨aa, b, abA⟩: equal, with equal hashes."""
+    even = gens("aa", "b", "abA")
+    cyclic = kernel(F2, Target("cyclic", 2), [1, 0])
+    swap = preimage(F2, Target("permutation", 2), [(1, 0), (0, 1)], [(0, 1)])
+    for H in (cyclic, swap):
+        assert isinstance(H, StallingsGraph) and H.is_covering()
+        assert H == even and hash(H) == hash(even)
+    # accepting a larger subgroup merges cosets: Z/4 with A = {0, 2} is Z/2
+    assert preimage(F2, Target("cyclic", 4), [1, 0], [0, 2]) == even
+
+
+def test_hom_subgroup_takes_only_lattice_targets():
+    for target, images, accepted in (
+        (Target("cyclic", 2), [1, 0], [0]),
+        (Target("permutation", 2), [(1, 0), (0, 1)], [(0, 1)]),
+    ):
+        with pytest.raises(MalformedInputError):
+            HomSubgroup(F2, target, images, accepted)
+    assert isinstance(kernel(F2, Target("lattice", 1), [(1,), (0,)]), HomSubgroup)
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "lattice", "permutation"])
+def test_boolean_target_parameter_is_rejected(kind):
+    with pytest.raises(MalformedInputError):
+        Target(kind, True)
+
+
+def test_permutation_coset_space_is_bounded_by_the_vertex_cap():
+    # Sym(5) is generated by a 5-cycle and a transposition: 120 cosets
+    sym5 = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+    assert kernel(F2, Target("permutation", 5), sym5, Budget(vertex_cap=120)).nverts == 120
+    with pytest.raises(BudgetExceededError):
+        kernel(F2, Target("permutation", 5), sym5, Budget(vertex_cap=119))
 
 
 def test_hom_subgroup_trace_matches_direct_check():

@@ -314,3 +314,34 @@ def test_witness_chain_structure():
         for leaf in child.expanded:
             assert leaf.subgroup.rank == H.rank + 2
             assert leaf.sequence is None  # depth exhausted
+
+
+def _chains(d: int, every: int):
+    """The witness sequences of criterion 6's chains over every `every`-th
+    catalogue subgroup of Z^d, each with its limit."""
+    from chabauty_lab.acceptance import _all_hnf_subgroups
+
+    for H in _all_hnf_subgroups(d)[::every]:
+        stack = [witness_chain(H, d - H.rank)]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.expanded)
+            if node.sequence is not None:
+                yield list(node.sequence.terms), node.subgroup
+
+
+@pytest.mark.parametrize("d, every", [(1, 1), (2, 1), (3, 20)])
+def test_certifications_from_one_radius_match_per_radius_calls(d, every):
+    """Criterion 6 reads the certifications at radii 1..8 off one radius-8
+    distance per term. Each must equal certify_convergence at its radius: on
+    the chains as built, reversed, and against their first term (so that
+    failures and their witnesses are compared too)."""
+    from chabauty_lab.acceptance import _certify_radii
+
+    kinds = set()
+    for terms, limit in _chains(d, every):
+        for seq, lim in ((terms, limit), (terms[::-1], limit), (terms, terms[0])):
+            derived = _certify_radii(seq, lim, 8)
+            assert derived == [certify_convergence(seq, lim, r) for r in range(1, 9)]
+            kinds.update(c.kind for c in derived)
+    assert kinds == {"certified", "fails"}
