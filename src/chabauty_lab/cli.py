@@ -252,7 +252,7 @@ def cmd_zd(args, budget: Budget):
     if not args.spec:
         raise MalformedInputError("zd needs a spec file or --enumerate DIM MAXINDEX")
     doc, raw = _load_spec(args.spec)
-    H = specio.subgroup_from_json(doc, budget)
+    H = specio.generated_subgroup_from_json(doc, "the zd document", budget)
     if not isinstance(H, HnfSubgroup):
         raise MalformedInputError("zd expects a lattice subgroup document")
     result = {
@@ -403,6 +403,8 @@ def cmd_folner(args, budget: Budget):
             raise MalformedInputError("folner expects a JSON object")
         H0 = specio.subgroup_from_json(doc.get("subgroup", doc), budget)
         ctx = H0.ctx
+        if ctx.kind != "free":
+            raise MalformedInputError("folner takes a free-group subgroup document")
         if "sets" not in doc or "elements" not in doc:
             raise MalformedInputError("folner spec needs 'sets' and 'elements'")
         if not isinstance(doc["sets"], list):

@@ -50,7 +50,6 @@ from .words import (
     graded_length,
     invert,
     iter_ball,
-    multiply,
     power,
     reduce_word,
     sorted_words,
@@ -541,12 +540,17 @@ def folner_transfer_check(
     """Check a claimed Følner sequence for the coset action of F_r on H0\\F_r.
 
     candidate_sets[i] lists coset representatives of the set B_{i+1}; the
-    default tolerance for the i-th set is 1/(i+1). For each test element γ,
-    γB and B are compared as coset sets via membership in H0 — the ratio
-    |γB △ B| / |B| is exact (Fractions). Representatives that collide (two
-    words in one coset) invalidate their set: almost-invariance of a
-    multiset is not evidence.
+    default tolerance for the i-th set is 1/(i+1). Each word is labelled by
+    the state of its coset H0·w in H0's coset automaton (`coset_start` /
+    `coset_step`, equal states ⟺ equal cosets), so γB and B are compared as
+    coset sets by their states, and the ratio |γB △ B| / |B| is exact
+    (Fractions). Representatives that collide (two words in one coset)
+    invalidate their set: almost-invariance of a multiset is not evidence.
+    The collision reported is (B[j], B[k]) for the least j with a later word
+    in its coset, and the least such k.
     """
+    if H0.ctx.kind != "free":
+        raise MalformedInputError("Følner ratios are taken in a free-group subgroup's cosets")
     sets = list(candidate_sets)
     if not sets:
         raise MalformedInputError("need at least one candidate set")
@@ -554,33 +558,38 @@ def folner_transfer_check(
         tolerances = [Fraction(1, i + 1) for i in range(len(sets))]
     if len(tolerances) != len(sets):
         raise MalformedInputError("one tolerance per candidate set")
+    step, start = H0.coset_step, H0.coset_start
+
+    def walk(state, w: Word):
+        for x in w:
+            state = step(state, x)
+        return state
+
     reports = []
     for B, tol in zip(sets, tolerances):
         B = [reduce_word(w) for w in B]
         if not B:
             raise MalformedInputError("candidate sets must be nonempty")
+        states = [walk(start, w) for w in B]
+        first: dict = {}
         collision = None
-        for j in range(len(B)):
-            for k in range(j + 1, len(B)):
-                if H0.contains(multiply(B[j], invert(B[k]))):
-                    collision = (B[j], B[k])
-                    break
-            if collision:
-                break
+        for k, state in enumerate(states):
+            j = first.setdefault(state, k)
+            if j != k and (collision is None or j < collision[0]):
+                collision = (j, k)
         if collision:
+            j, k = collision
             reports.append(
-                FolnerSetReport(len(B), False, collision, (), Fraction(tol), False)
+                FolnerSetReport(len(B), False, (B[j], B[k]), (), Fraction(tol), False)
             )
             continue
         ratios = []
         ok = True
         for g in test_elements:
             g = reduce_word(g)
-            moved = [multiply(g, w) for w in B]
-            matched = 0
-            for mw in moved:
-                if any(H0.contains(multiply(mw, invert(w))) for w in B):
-                    matched += 1
+            # H0·gw is H0·g stepped by w
+            moved = walk(start, g)
+            matched = sum(1 for w in B if walk(moved, w) in first)
             ratio = Fraction(2 * (len(B) - matched), len(B))
             ratios.append((g, ratio))
             ok = ok and ratio <= tol

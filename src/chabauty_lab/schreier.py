@@ -19,6 +19,7 @@ bound depending on whether the frontier interferes.
 from __future__ import annotations
 
 import dataclasses
+from math import comb
 
 from .budgets import Budget, current
 from .errors import BudgetExceededError, MalformedInputError
@@ -28,7 +29,6 @@ from .words import (
     IDENTITY,
     Word,
     ball_size,
-    iter_lattice_ball,
     require_same_context,
 )
 
@@ -266,10 +266,11 @@ def fiber_diameters(S: SchreierGraph, K) -> list[FiberReport]:
     of H.
 
     Requires H ≤ K (verified). Fibers are listed by the canonically-least
-    H-coset representative they contain. Distance is symmetric, so the
-    diameter of a fiber v₀ < v₁ < … is the largest distance from some vᵢ to
-    a later vⱼ, and each BFS stops once its later mates are all reached; the
-    fiber is disconnected within the ball iff one of them runs out first.
+    H-coset representative they contain. A BFS from a fiber's least vertex
+    finds the piece of the fiber in its component of the ball; the vertices
+    it misses form the later pieces, and a fiber of more than one piece is
+    disconnected within the ball. The diameter is the largest distance
+    within a piece, each measured by :func:`_piece_diameter`.
     """
     if K.ctx.kind != "free":
         raise MalformedInputError("fibers are taken over a free-group subgroup")
@@ -283,23 +284,23 @@ def fiber_diameters(S: SchreierGraph, K) -> list[FiberReport]:
     fibers: dict = {}
     for v, key in enumerate(kstates):
         fibers.setdefault(key, []).append(v)
-    adj = [tuple(a) for a in S.undirected_adjacency()]
-    seen = [0] * S.nverts  # seen[v] == run: v reached by this BFS
-    target = [0] * S.nverts  # target[v] == run: v is a later mate
-    run = 0
+    sweeps = _Sweeps(S)
+    seen = sweeps.seen
     reports = []
     # vertices are listed in order, so each fiber is sorted and the fibers
     # are in order of their least vertex
     for vs in fibers.values():
         diameter = 0
         disconnected = False
-        for i in range(len(vs) - 1):
-            run += 1
-            for t in vs[i + 1 :]:
-                target[t] = run
-            far, missed = _reach(adj, vs[i], len(vs) - 1 - i, run, seen, target)
-            diameter = max(diameter, far)
-            disconnected = disconnected or missed > 0
+        rest = vs
+        while len(rest) > 1:
+            sweeps.aim(rest)
+            piece = sweeps.sweep(rest[0], len(rest))
+            run = sweeps.run
+            rest = [v for v in rest if seen[v] != run]
+            disconnected = disconnected or bool(rest)
+            if len(piece) > 1:
+                diameter = max(diameter, _piece_diameter(sweeps, piece))
         reports.append(
             FiberReport(
                 representative=S.reps[vs[0]],
@@ -311,28 +312,90 @@ def fiber_diameters(S: SchreierGraph, K) -> list[FiberReport]:
     return reports
 
 
-def _reach(adj, src: int, remaining: int, run: int, seen: list, target: list):
-    """BFS from src until the `remaining` vertices with target[v] == run are
-    reached. Returns the distance of the last one reached and how many were
-    not reached."""
-    seen[src] = run
-    layer = [src]
-    d = far = 0
-    while layer:
-        d += 1
-        nxt = []
-        for u in layer:
-            for w in adj[u]:
-                if seen[w] != run:
-                    seen[w] = run
-                    nxt.append(w)
-                    if target[w] == run:
-                        far = d
-                        remaining -= 1
-                        if not remaining:
-                            return far, 0
-        layer = nxt
-    return far, remaining
+class _Sweeps:
+    """BFS runs over the undirected ball graph, each stopping once it has
+    reached a given number of goal vertices. The marks are stamped with the
+    run (or goal set) they belong to, so a run costs only what it visits."""
+
+    def __init__(self, S: SchreierGraph):
+        self.adj = [tuple(a) for a in S.undirected_adjacency()]
+        self.seen = [0] * S.nverts  # seen[v] == run: v reached by this run
+        self.depth = [0] * S.nverts  # distance from the source, once seen
+        self.goal = [0] * S.nverts  # goal[v] == tag: v is a goal vertex
+        self.run = self.tag = 0
+
+    def aim(self, vs) -> None:
+        """Make vs the goal vertices of the following runs."""
+        self.tag += 1
+        for v in vs:
+            self.goal[v] = self.tag
+
+    def sweep(self, src: int, need: int) -> list[int]:
+        """BFS from src until `need` goal vertices are reached (or the
+        component runs out); returns those reached, nearest first."""
+        self.run += 1
+        run, tag, adj, seen, depth, goal = (
+            self.run, self.tag, self.adj, self.seen, self.depth, self.goal
+        )
+        seen[src] = run
+        depth[src] = 0
+        found = [src] if goal[src] == tag else []
+        if len(found) == need:
+            return found
+        layer = [src]
+        d = 0
+        while layer:
+            d += 1
+            nxt = []
+            for u in layer:
+                for w in adj[u]:
+                    if seen[w] != run:
+                        seen[w] = run
+                        depth[w] = d
+                        nxt.append(w)
+                        if goal[w] == tag:
+                            found.append(w)
+                            if len(found) == need:
+                                return found
+            layer = nxt
+        return found
+
+
+def _piece_diameter(sweeps: _Sweeps, piece: list[int]) -> int:
+    """Largest distance between two vertices of `piece`, the goal vertices of
+    the sweep that just ran from piece[0] (listed nearest first).
+
+    iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino, TCS 514, 2013): a double
+    sweep from piece[0] gives a, the piece vertex farthest from it, and b,
+    the one farthest from a; the centre c is the midpoint of a shortest a–b
+    path, which minimises max(d(a, ·), d(b, ·)). Eccentricities are then
+    taken from the piece vertices farthest from c inward. By the triangle
+    inequality through c, two vertices not yet taken are at most the sum of
+    their distances from c apart, so the search stops once the best
+    eccentricity found reaches the two largest of those distances.
+    """
+    adj, seen, depth = sweeps.adj, sweeps.seen, sweeps.depth
+    n = len(piece)
+    s, a = piece[0], piece[-1]
+    best = depth[a]  # the eccentricity of s
+    sweeps.aim(piece)
+    b = sweeps.sweep(a, n)[-1]
+    best = max(best, depth[b])
+    # every vertex nearer to a than b is reached, so the walk back from b
+    # along decreasing distance from a stays on marked vertices
+    run = sweeps.run
+    c = b
+    for _ in range(depth[b] // 2):
+        c = next(w for w in adj[c] if seen[w] == run and depth[w] == depth[c] - 1)
+    layers = sweeps.sweep(c, n)
+    radii = [depth[v] for v in layers]
+    i = n - 1
+    while i > 0 and best < radii[i] + radii[i - 1]:
+        v = layers[i]
+        if v != s and v != a:
+            best = max(best, depth[sweeps.sweep(v, n)[-1]])
+        i -= 1
+    return best
 
 
 # ── quasi-isometry bookkeeping ───────────────────────────────────────────────
@@ -341,13 +404,16 @@ def _reach(adj, src: int, remaining: int, run: int, seen: list, target: list):
 def intermediate_bound(ctx: GroupContext, D: int, budget: Budget | None = None) -> int:
     """2^|B(id, D)|: how many subgroups can sit between H and K when they
     D-approximate each other — any intermediate subgroup is determined by
-    which ball elements it meets."""
+    which ball elements it meets. The L¹ ball of Z^d holds
+    Σ_k 2^k·C(d, k)·C(D, k) points: choose the k nonzero coordinates, their
+    signs, and their absolute values, k positive integers summing to ≤ D."""
     if D < 0:
         raise MalformedInputError("D must be >= 0")
     if ctx.kind == "free":
         n = ball_size(ctx.rank, D)
     else:
-        n = sum(1 for _ in iter_lattice_ball(ctx.rank, D))
+        d = ctx.rank
+        n = sum(2 ** k * comb(d, k) * comb(D, k) for k in range(min(d, D) + 1))
     return 2 ** n
 
 

@@ -121,6 +121,28 @@ def test_malformed_folner_documents_are_two(capsys, tmp_path, doc):
     assert "error" in err
 
 
+_Z2_CTX = {"kind": "lattice", "rank": 2}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # its vectors were read as free words, and it exited 0 with "ok"
+        {"subgroup": {"context": _Z2_CTX, "generators": [[2, 0]]}, "sets": [[[1, 1]]],
+         "elements": []},
+        {"subgroup": {"context": _Z2_CTX, "generators": [[2, 0]]}, "sets": [[[0, 1]]],
+         "elements": [[1, 0]]},
+        {"subgroup": {"context": _Z2_CTX, "generators": []}},
+    ],
+    ids=["was-ok", "zero-letter", "no-sets"],
+)
+def test_folner_refuses_lattice_subgroups_before_reading_the_sets(capsys, tmp_path, doc):
+    spec = spec_file(tmp_path, "z2.json", doc)
+    code, out, err = run(capsys, "folner", spec)
+    assert (code, out) == (2, "")
+    assert "free-group subgroup" in err
+
+
 @pytest.mark.parametrize(
     "hom",
     [
@@ -171,7 +193,8 @@ def _transit_with_witness(witness):
     ("stallings", lambda hom: {**_EVEN_GENERATORS, "intersect_with": hom}),
     ("witness", lambda hom: hom),
     ("transit", _transit_with_witness),
-], ids=["stallings", "intersect_with", "witness", "transit-witness"])
+    ("zd", lambda hom: hom),
+], ids=["stallings", "intersect_with", "witness", "transit-witness", "zd"])
 def test_hom_documents_are_two_where_generators_are_required(capsys, tmp_path, hom,
                                                              command, doc):
     """A finite target parses to a Stallings graph, yet these places refuse
@@ -181,6 +204,17 @@ def test_hom_documents_are_two_where_generators_are_required(capsys, tmp_path, h
     assert code == 2
     assert out == ""
     assert "homomorphism" in err
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget-vertices", "64"]], ids=["default", "cap-64"])
+def test_zd_refuses_hom_documents_whatever_the_budget(capsys, tmp_path, budget):
+    """ker(F₂ → Z/65, a ↦ 1) exited 3 under a 64-vertex cap, because its
+    covering was built before the kind check; now the "hom" key decides."""
+    for hom in (_hom_doc("cyclic", 65, [1, 0], [0]), _hom_doc("lattice", 1, [[1], [0]], "zero")):
+        spec = spec_file(tmp_path, "hom.json", hom)
+        code, out, err = run(capsys, "zd", spec, *budget)
+        assert (code, out) == (2, "")
+        assert "generator-defined" in err
 
 
 @pytest.mark.parametrize("limit", [_EVEN_CYCLIC, _EVEN_SWAP])

@@ -14,9 +14,13 @@ Frozen fixtures:
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chabauty_lab.chabauty import certify_convergence, clopen, distance_up_to, in_clopen
 from chabauty_lab.dynamics import (
+    FolnerReport,
+    FolnerSetReport,
     folner_transfer_check,
     free_product_certify,
     interval_folner_demo,
@@ -31,8 +35,9 @@ from chabauty_lab.errors import (
     SearchFailure,
     TaskInvalidError,
 )
-from chabauty_lab.stallings import from_generators, kernel, Target, whole_group
-from chabauty_lab.words import free_group, invert, multiply, parse_word
+from chabauty_lab.stallings import from_generators, kernel, preimage, Target, whole_group
+from chabauty_lab.words import free_group, invert, multiply, parse_word, reduce_word
+from chabauty_lab.zdlattice import hnf_from_generators
 
 F2 = free_group(2)
 
@@ -228,12 +233,123 @@ def test_interval_folner_ratios_are_exact():
 
 def test_folner_collision_detected():
     H0, _, elements, _ = interval_folner_demo([2])
-    # b and the identity represent the same coset of ker(a-exponent... no:
-    # H0 = ker(F₂ → Z, a↦1, b↦0) so b ∈ H0 and [b] = [1] collide
+    # H0 = ker(F₂ → Z, a ↦ 1, b ↦ 0), so b ∈ H0 and H0·b = H0·1 collide
     report = folner_transfer_check(H0, [[w("b"), w("")]], elements)
     assert not report.ok()
     assert not report.sets[0].distinct
-    assert report.sets[0].collision is not None
+    assert report.sets[0].collision == (w("b"), w(""))
+
+
+def test_folner_reports_the_first_word_with_a_later_mate():
+    """The identity meets its mate b first, but a comes earlier and has the
+    later mates ba and bab: the pair is (a, ba)."""
+    H0, _, elements, _ = interval_folner_demo([2])
+    sets = [[w("a"), w(""), w("b"), w("ba"), w("bab")]]
+    assert folner_transfer_check(H0, sets, elements).sets[0].collision == (w("a"), w("ba"))
+
+
+def test_folner_refuses_a_lattice_subgroup():
+    H = hnf_from_generators(2, [(2, 0)])
+    with pytest.raises(MalformedInputError):
+        folner_transfer_check(H, [[(1, 1)]], [])
+
+
+def _pairwise_folner(H0, candidate_sets, test_elements, tolerances=None):
+    """The Følner report by membership in H0: words u, v share a coset iff
+    u·v⁻¹ ∈ H0, tried pair by pair."""
+    sets = list(candidate_sets)
+    if tolerances is None:
+        tolerances = [Fraction(1, i + 1) for i in range(len(sets))]
+    reports = []
+    for B, tol in zip(sets, tolerances):
+        B = [reduce_word(u) for u in B]
+        collision = None
+        for j in range(len(B)):
+            for k in range(j + 1, len(B)):
+                if H0.contains(multiply(B[j], invert(B[k]))):
+                    collision = (B[j], B[k])
+                    break
+            if collision:
+                break
+        if collision:
+            reports.append(FolnerSetReport(len(B), False, collision, (), Fraction(tol), False))
+            continue
+        ratios = []
+        ok = True
+        for g in test_elements:
+            g = reduce_word(g)
+            moved = [multiply(g, u) for u in B]
+            matched = sum(
+                1 for mu in moved if any(H0.contains(multiply(mu, invert(u))) for u in B)
+            )
+            ratio = Fraction(2 * (len(B) - matched), len(B))
+            ratios.append((g, ratio))
+            ok = ok and ratio <= tol
+        reports.append(FolnerSetReport(len(B), True, None, tuple(ratios), Fraction(tol), ok))
+    return FolnerReport(tuple(reports))
+
+
+def _raw_words(rank, max_size=6):
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(tuple)
+
+
+@st.composite
+def _folner_subgroups(draw):
+    """(H0, words of H0): a core graph, the covering of a finite target's
+    preimage, or a kernel to Z^k, over F₂ or F₃. Words of H0 are its basis,
+    or commutators for a kernel to Z^k."""
+    rank = draw(st.sampled_from([2, 3]))
+    ctx = free_group(rank)
+    kind = draw(st.sampled_from(["graph", "cyclic", "permutation", "lattice"]))
+    if kind == "graph":
+        H = from_generators(ctx, draw(st.lists(_raw_words(rank, 4), max_size=3)))
+    elif kind == "cyclic":
+        m = draw(st.integers(1, 6))
+        images = draw(st.lists(st.integers(0, m - 1), min_size=rank, max_size=rank))
+        H = preimage(ctx, Target("cyclic", m), images, [0])
+    elif kind == "permutation":
+        perm = st.permutations([0, 1, 2]).map(tuple)
+        images = draw(st.lists(perm, min_size=rank, max_size=rank))
+        H = preimage(ctx, Target("permutation", 3), images, [(0, 1, 2)])
+    else:
+        k = draw(st.integers(1, 2))
+        vec = st.lists(st.integers(-1, 1), min_size=k, max_size=k)
+        H = kernel(ctx, Target("lattice", k), draw(st.lists(vec, min_size=rank, max_size=rank)))
+        letters = range(1, rank + 1)
+        return H, [(x, y, -x, -y) for x in letters for y in letters if x != y]
+    return H, H.basis()
+
+
+@st.composite
+def _folner_cases(draw):
+    """(H0, sets, elements, tolerances); a set may repeat a word or hold
+    h·u beside u for some h ∈ H0, so that two of its words collide."""
+    H, members = draw(_folner_subgroups())
+    rank = H.ctx.rank
+    sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        B = draw(st.lists(_raw_words(rank), min_size=1, max_size=6))
+        for _ in range(draw(st.integers(0, 2))):
+            u = draw(st.sampled_from(B))
+            h = draw(st.sampled_from(members)) if members and draw(st.booleans()) else ()
+            B.insert(draw(st.integers(0, len(B))), multiply(h, u))
+        sets.append(B)
+    elements = draw(st.lists(_raw_words(rank, 3), max_size=3))
+    tolerances = None
+    if draw(st.booleans()):
+        fraction = st.fractions(min_value=0, max_value=2, max_denominator=6)
+        tolerances = draw(st.lists(fraction, min_size=len(sets), max_size=len(sets)))
+    return H, sets, elements, tolerances
+
+
+@given(_folner_cases())
+@settings(max_examples=200, deadline=None)
+def test_folner_states_match_pairwise_membership(case):
+    H, sets, elements, tolerances = case
+    assert folner_transfer_check(H, sets, elements, tolerances) == _pairwise_folner(
+        H, sets, elements, tolerances
+    )
 
 
 def test_folner_tolerance_violation_flags_set():

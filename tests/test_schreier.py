@@ -37,6 +37,8 @@ from chabauty_lab.words import (
     ball,
     free_group,
     invert,
+    iter_lattice_ball,
+    lattice,
     multiply,
     parse_word,
     reduce_word,
@@ -179,6 +181,12 @@ def test_intermediate_bound_for_f2():
     assert intermediate_bound(F2, 1) == 32
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_intermediate_bound_counts_the_lattice_ball_by_its_closed_form(d):
+    for D in range(11):
+        assert intermediate_bound(lattice(d), D) == 2 ** len(list(iter_lattice_ball(d, D)))
+
+
 # ── oracles: the coset-key BFS and the all-sources fiber BFS ─────────────────
 
 
@@ -288,13 +296,13 @@ def _perm_closure(n, gens):
 
 
 @st.composite
-def _hom_pairs(draw, rank, kinds=("cyclic", "permutation", "lattice")):
-    """H ≤ K: one homomorphism to Z/m, Sym(n) or Z^k, nested accepted
-    subgroups."""
+def _hom_pairs(draw, rank, kinds=("cyclic", "permutation", "lattice"), max_m=8, max_n=4):
+    """H ≤ K: one homomorphism to Z/m (m ≤ max_m), Sym(n) (n ≤ max_n) or
+    Z^k, nested accepted subgroups."""
     ctx = free_group(rank)
     kind = draw(st.sampled_from(kinds))
     if kind == "cyclic":
-        m = draw(st.integers(1, 8))
+        m = draw(st.integers(1, max_m))
         images = draw(st.lists(st.integers(0, m - 1), min_size=rank, max_size=rank))
         dk = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
         dh = draw(st.sampled_from([d for d in range(dk, m + 1) if m % d == 0 and d % dk == 0]))
@@ -302,7 +310,7 @@ def _hom_pairs(draw, rank, kinds=("cyclic", "permutation", "lattice")):
         acc = lambda d: sorted({(d * k) % m for k in range(m)})
         return preimage(ctx, target, images, acc(dh)), preimage(ctx, target, images, acc(dk))
     if kind == "permutation":
-        n = draw(st.integers(1, 4))
+        n = draw(st.integers(1, max_n))
         perm = st.permutations(list(range(n))).map(tuple)
         images = draw(st.lists(perm, min_size=rank, max_size=rank))
         gh = draw(st.lists(perm, max_size=1))
@@ -395,6 +403,100 @@ def test_fiber_diameters_match_all_sources_bfs(case):
     H, K, radius = case
     S = build(H, radius)
     assert _fiber_tuples(fiber_diameters(S, K)) == _oracle_fibers(S, K)
+
+
+@given(_hom_pairs(2, max_m=30, max_n=5), st.integers(3, 8))
+@settings(max_examples=120, deadline=None)
+def test_fiber_diameters_of_larger_quotients_match_all_sources_bfs(pair, radius):
+    """Finite quotients up to Z/30 and Sym(5) and lattice quotients out to
+    radius 8: fibers whose diameter the double sweep alone can miss."""
+    H, K = pair
+    S = build(H, radius)
+    assert _fiber_tuples(fiber_diameters(S, K)) == _oracle_fibers(S, K)
+
+
+_SHORT_SWEEPS = [
+    # ker(F₂ → Z/25, a ↦ 9, b ↦ 11) in F₂: one fiber, the whole ball
+    (Target("cyclic", 25), [9, 11], [0], list(range(25)), 3),
+    # preimages of ⟨(3 2 0 1)⟩ ≤ ⟨(3 2 0 1), (3 1 2 0)⟩ ≤ Sym(4)
+    (Target("permutation", 4), [(1, 3, 0, 2), (2, 3, 0, 1)],
+     [(3, 2, 0, 1)], [(3, 2, 0, 1), (3, 1, 2, 0)], 3),
+    # preimages of ⟨(1 3 0 4 2)⟩ ≤ ⟨(1 3 0 4 2), (1 3 4 0 2)⟩ ≤ Sym(5)
+    (Target("permutation", 5), [(3, 2, 4, 1, 0), (4, 3, 0, 2, 1)],
+     [(1, 3, 0, 4, 2)], [(1, 3, 0, 4, 2), (1, 3, 4, 0, 2)], 8),
+    # lattice preimages under a ↦ (−1, 1), b ↦ (1, 1)
+    (Target("lattice", 2), [(-1, 1), (1, 1)],
+     [(-2, -1), (2, 1)], [(-2, -1), (2, 1), (2, -1)], 4),
+]
+
+
+@pytest.mark.parametrize("target, images, h_gens, k_gens, radius", _SHORT_SWEEPS,
+                         ids=["z25", "sym4", "sym5", "z2-lattice"])
+def test_fiber_diameters_where_the_double_sweep_falls_short(
+    target, images, h_gens, k_gens, radius
+):
+    """Pieces whose diameter the double sweep misses, so that only the
+    layered eccentricities find it (for the Sym(5) and lattice pieces, only
+    if they run until the triangle bound is met)."""
+    if target.kind == "lattice":
+        H, K = (HomSubgroup(F2, target, images, hnf_from_generators(2, g))
+                for g in (h_gens, k_gens))
+    elif target.kind == "permutation":
+        H, K = (preimage(F2, target, images, _perm_closure(target.param, g))
+                for g in (h_gens, k_gens))
+    else:
+        H, K = (preimage(F2, target, images, g) for g in (h_gens, k_gens))
+    S = build(H, radius)
+    assert _fiber_tuples(fiber_diameters(S, K)) == _oracle_fibers(S, K)
+
+
+def _plane_pair(images, line):
+    """ker(F₂ → Z², generator images `images`) inside the preimage of the
+    line spanned by `line`: the Schreier graph is the grid Z², and the fibers
+    are the lines parallel to `line`."""
+    target = Target("lattice", 2)
+    return (
+        kernel(F2, target, images),
+        HomSubgroup(F2, target, images, hnf_from_generators(2, [line])),
+    )
+
+
+@st.composite
+def _plane_pairs(draw):
+    """Grid fibers out to radius 12: the coordinate axes as images in either
+    generator order and with either sign, over a coordinate line (and, less
+    often, a diagonal or a steeper line)."""
+    e1 = (draw(st.sampled_from([1, -1])), 0)
+    e2 = (0, draw(st.sampled_from([1, -1])))
+    images = [e1, e2] if draw(st.booleans()) else [e2, e1]
+    line = draw(st.sampled_from([(0, 1), (1, 0), (0, 1), (1, 0), (1, 1), (1, -2)]))
+    return _plane_pair(images, line) + (draw(st.integers(0, 12)),)
+
+
+@given(_plane_pairs())
+@settings(max_examples=40, deadline=None)
+def test_fiber_diameters_of_grid_lines_match_all_sources_bfs(case):
+    """Fibers many layers deep around their centre, where the search stops
+    early."""
+    H, K, radius = case
+    S = build(H, radius)
+    assert _fiber_tuples(fiber_diameters(S, K)) == _oracle_fibers(S, K)
+
+
+@pytest.mark.parametrize("radius", [8, 12])
+@pytest.mark.parametrize("images", [[(1, 0), (0, 1)], [(0, 1), (1, 0)]])
+def test_grid_columns_are_as_long_as_they_are_wide(radius, images):
+    """Over the line spanned by (0, 1), a fiber is a column x = const of the
+    radius-R diamond: 2(R − |x|) + 1 vertices, its ends 2(R − |x|) apart
+    and on the frontier."""
+    H, K = _plane_pair(images, (0, 1))
+    S = build(H, radius)
+    reports = fiber_diameters(S, K)
+    assert _fiber_tuples(reports) == _oracle_fibers(S, K)
+    assert sorted(r.size for r in reports) == sorted(
+        2 * (radius - abs(x)) + 1 for x in range(-radius, radius + 1)
+    )
+    assert all(r.diameter == r.size - 1 and r.lower_bound for r in reports)
 
 
 def test_fiber_oracle_on_frontier_and_disconnected_fibers():
