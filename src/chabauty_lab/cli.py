@@ -290,7 +290,7 @@ def cmd_schreier(args, budget: Budget):
         f"complete {S.is_complete()}, ends window {[e for _, e in ends]}"
     ]
     if radius >= 8:
-        probe = qi_to_line_probe(S)
+        probe = qi_to_line_probe(S, profile)
         result["line_probe"] = specio.json_of_probe(probe)
         summary.append(f"line probe: {probe.verdict} ({probe.reason})")
     if isinstance(doc, dict) and "over" in doc:

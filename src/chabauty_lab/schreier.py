@@ -440,10 +440,11 @@ class ProbeReport:
     complete: bool
 
 
-def qi_to_line_probe(S: SchreierGraph) -> ProbeReport:
+def qi_to_line_probe(S: SchreierGraph, ends: list[int] | None = None) -> ProbeReport:
     """Test whether the Schreier graph, seen in the ball S, looks
     quasi-isometric to the line Z (two stable ends, near-linear growth) or the
-    ray N (one stable end).
+    ray N (one stable end). `ends` is ``ends_profile(S)`` when the caller
+    already has it.
 
     The verdict is a screen, not a proof: it reports the finite evidence
     (sphere sizes and an ends-stability window) and errs on "neither".
@@ -457,7 +458,8 @@ def qi_to_line_probe(S: SchreierGraph) -> ProbeReport:
             "neither", "coset space is finite (bounded orbit)", spheres, (), True
         )
     lo, hi = radius // 4, radius // 2
-    ends = ends_profile(S)
+    if ends is None:
+        ends = ends_profile(S)
     window = tuple((r, ends[r]) for r in range(lo, hi + 1))
     values = {e for _, e in window}
     stable = len(values) == 1

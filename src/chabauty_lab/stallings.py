@@ -39,7 +39,6 @@ from .words import (
     GroupContext,
     IDENTITY,
     Word,
-    check_word,
     invert,
     reduce_word,
     require_same_context,
@@ -251,23 +250,48 @@ class StallingsGraph:
 class _Builder:
     """Union-find vertices with one succ/pred table per letter, keyed by
     roots and kept folded as edges arrive (a worklist fold: each merge moves
-    only the losing root's at most 2r entries); trim and canonicalize."""
+    only the losing root's at most 2r entries); trim and canonicalize.
 
-    def __init__(self, ctx: GroupContext, budget: Budget):
+    A word is read into the folded tables from both ends before it is
+    attached (Touikan, IJAC 16, 2006), so only its unread middle gets new
+    vertices. `vertex_cap` still binds on the naive wedge count: 1 for the
+    basepoint (or n for a seed of n vertices), |w| − 1 per path and
+    nverts − 1 per hung graph, whatever the fold leaves.
+    """
+
+    def __init__(
+        self,
+        ctx: GroupContext,
+        budget: Budget,
+        seed: tuple[int, Sequence[dict], Sequence[dict]] | None = None,
+    ):
+        """Start from the basepoint alone, or from `seed` = (n, succ, pred):
+        the tables of a folded graph on 0..n−1, copied as they are."""
         self.ctx = ctx
         self.budget = budget
-        self.parent: list[int] = []
-        self.succ: list[dict[int, int]] = [dict() for _ in range(ctx.rank)]
-        self.pred: list[dict[int, int]] = [dict() for _ in range(ctx.rank)]
+        self.created = 0
+        if seed is None:
+            self.parent: list[int] = []
+            self.succ: list[dict[int, int]] = [dict() for _ in range(ctx.rank)]
+            self.pred: list[dict[int, int]] = [dict() for _ in range(ctx.rank)]
+            self.new_vertex()  # basepoint = 0
+        else:
+            n, succ, pred = seed
+            self._charge(n)
+            self.parent = list(range(n))
+            self.succ = [dict(t) for t in succ]
+            self.pred = [dict(t) for t in pred]
         self.pending: list[tuple[int, int]] = []  # vertex pairs to identify
-        self.new_vertex()  # basepoint = 0
+
+    def _charge(self, n: int) -> None:
+        self.created += n
+        if self.created > self.budget.vertex_cap:
+            raise BudgetExceededError("graph vertices", self.budget.vertex_cap)
 
     def new_vertex(self) -> int:
-        v = len(self.parent)
-        if v >= self.budget.vertex_cap:
-            raise BudgetExceededError("graph vertices", self.budget.vertex_cap)
-        self.parent.append(v)
-        return v
+        self._charge(1)
+        self.parent.append(len(self.parent))
+        return len(self.parent) - 1
 
     def find(self, v: int) -> int:
         root = v
@@ -280,6 +304,9 @@ class _Builder:
     def add_edge(self, u: int, g: int, v: int) -> None:
         """Add u --g--> v (g 0-based) and fold everything it forces."""
         self._store(self.find(u), g, self.find(v))
+        self._fold()
+
+    def _fold(self) -> None:
         while self.pending:
             self._merge(*self.pending.pop())
 
@@ -321,33 +348,76 @@ class _Builder:
 
     def add_path(self, w: Word, start: int = BASEPOINT, end: int = BASEPOINT) -> None:
         """Attach a path spelling the reduced word w from `start` to `end`
-        through one new vertex per interior letter (a loop by default)."""
-        prev = start
-        for k, x in enumerate(w):
-            nxt = end if k == len(w) - 1 else self.new_vertex()
-            if x > 0:
-                self.add_edge(prev, x - 1, nxt)
-            else:
-                self.add_edge(nxt, -x - 1, prev)
-            prev = nxt
+        (a loop by default).
 
-    def add_graph(self, other: StallingsGraph, at: int = BASEPOINT) -> None:
-        """Hang a copy of another graph with its basepoint at vertex `at`."""
-        image = [at] + [self.new_vertex() for _ in range(other.nverts - 1)]
+        The longest prefix of w that reads forward from `start` and the
+        longest rest that reads backward from `end` already lie in the
+        folded tables. Only the unread middle gets new vertices, stored
+        as they are: its edges cannot clash, except the last one when both
+        walks stop at one vertex and the middle starts and ends with
+        inverse letters, so that edge alone is folded in. A word read
+        whole only identifies the two vertices where the walks stop.
+        """
+        n = len(w)
+        if not n:
+            return
+        self._charge(n - 1)
+        succ, pred = self.succ, self.pred
+        u, i = self.find(start), 0
+        while i < n:
+            x = w[i]
+            nxt = succ[x - 1].get(u) if x > 0 else pred[-x - 1].get(u)
+            if nxt is None:
+                break
+            u, i = nxt, i + 1
+        v, j = self.find(end), n
+        while j > i:
+            x = w[j - 1]
+            nxt = pred[x - 1].get(v) if x > 0 else succ[-x - 1].get(v)
+            if nxt is None:
+                break
+            v, j = nxt, j - 1
+        if i == j:
+            if u != v:
+                self._merge(u, v)
+                self._fold()
+            return
+        parent = self.parent
+        prev = u
+        for x in w[i : j - 1]:
+            nxt = len(parent)
+            parent.append(nxt)
+            if x > 0:
+                succ[x - 1][prev] = nxt
+                pred[x - 1][nxt] = prev
+            else:
+                pred[-x - 1][prev] = nxt
+                succ[-x - 1][nxt] = prev
+            prev = nxt
+        x = w[j - 1]
+        if x > 0:
+            self.add_edge(prev, x - 1, v)
+        else:
+            self.add_edge(v, -x - 1, prev)
+
+    def add_graph(self, other: StallingsGraph) -> None:
+        """Hang a copy of another graph with its basepoint at the basepoint."""
+        image = [BASEPOINT] + [self.new_vertex() for _ in range(other.nverts - 1)]
         for g in range(other.ctx.rank):
             for u, v in other.succ[g].items():
                 self.add_edge(image[u], g, image[v])
 
-    def finalize(self) -> StallingsGraph:
-        """Trim non-basepoint vertices of degree <= 1 off the folded tables
-        (a loop counts 2), then canonicalize. Every graph built here is
-        connected, which `_canonical` checks."""
+    def finalize(self, base: int = BASEPOINT) -> StallingsGraph:
+        """Trim vertices of degree <= 1 other than the basepoint `base` off
+        the folded tables (a loop counts 2), then canonicalize from `base`.
+        Every graph built here is connected, which `_canonical` checks."""
+        base = self.find(base)
         tables = [*zip(self.succ, self.pred), *zip(self.pred, self.succ)]
         degree: Counter[int] = Counter()
         for t, _ in tables:
             degree.update(t.keys())
         live = {v for v, root in enumerate(self.parent) if v == root}
-        stack = [v for v in live if v != BASEPOINT and degree[v] <= 1]
+        stack = [v for v in live if v != base and degree[v] <= 1]
         while stack:
             v = stack.pop()
             if v not in live:
@@ -358,9 +428,9 @@ class _Builder:
                 if w is not None:
                     del back[w]
                     degree[w] -= 1
-                    if w != BASEPOINT and degree[w] <= 1:
+                    if w != base and degree[w] <= 1:
                         stack.append(w)
-        return _canonical(self.ctx, live, self.succ, self.pred, BASEPOINT)
+        return _canonical(self.ctx, live, self.succ, self.pred, base)
 
 
 def _canonical(
@@ -409,7 +479,7 @@ def from_generators(
     budget = budget or current()
     builder = _Builder(ctx, budget)
     for w in generators:
-        builder.add_path(check_word(reduce_word(w), ctx))
+        builder.add_path(reduce_word(w, ctx))
     return builder.finalize()
 
 
@@ -418,16 +488,16 @@ def join(
     other: StallingsGraph | Iterable[Word],
     budget: Budget | None = None,
 ) -> StallingsGraph:
-    """⟨H ∪ other⟩: wedge the graphs (or extra generator loops) and refold."""
+    """⟨H ∪ other⟩: wedge the graphs (or extra generator loops) onto H's
+    folded tables and refold."""
     budget = budget or current()
-    builder = _Builder(H.ctx, budget)
-    builder.add_graph(H)
+    builder = _Builder(H.ctx, budget, (H.nverts, H.succ, H.pred))
     if isinstance(other, StallingsGraph):
         require_same_context(H.ctx, other.ctx, "join")
         builder.add_graph(other)
     else:
         for w in other:
-            builder.add_path(check_word(reduce_word(w), H.ctx))
+            builder.add_path(reduce_word(w, H.ctx))
     return builder.finalize()
 
 
@@ -470,10 +540,7 @@ def intersect(
                 else:
                     succ[g][number[v]] = number[u]
                     pred[g][number[u]] = number[v]
-    builder = _Builder(H.ctx, budget)
-    builder.parent = list(range(len(number)))
-    builder.succ, builder.pred = succ, pred
-    return builder.finalize()
+    return _Builder(H.ctx, budget, (len(number), succ, pred)).finalize()
 
 
 def conjugate_subgroup(
@@ -483,10 +550,12 @@ def conjugate_subgroup(
     basepoint to the free end of the tail, and refold.
 
     (A loop at the new basepoint spells g·h·g⁻¹ iff it runs down the tail,
-    around a loop of H, and back.)
+    around a loop of H, and back.) The tail is read into H first, so the
+    new basepoint may land on a vertex of H: ⟨bab⁻¹⟩ conjugated by b⁻¹ is
+    ⟨a⟩.
     """
     budget = budget or current()
-    g = check_word(reduce_word(g), H.ctx)
+    g = reduce_word(g, H.ctx)
     if not g or H.is_trivial():
         return H
     if H.is_covering():
@@ -496,12 +565,11 @@ def conjugate_subgroup(
         # basepoint, i.e. w lies in g H g^-1.
         base = H.walk(BASEPOINT, invert(g))
         return _canonical(H.ctx, range(H.nverts), H.succ, H.pred, base)
-    builder = _Builder(H.ctx, budget)
-    # a tail new basepoint --g--> old basepoint, with H hung at its end
-    old_base = builder.new_vertex()
-    builder.add_path(g, BASEPOINT, old_base)
-    builder.add_graph(H, old_base)
-    return builder.finalize()
+    builder = _Builder(H.ctx, budget, (H.nverts, H.succ, H.pred))
+    # a tail new basepoint --g--> old basepoint
+    base = builder.new_vertex()
+    builder.add_path(g, base, BASEPOINT)
+    return builder.finalize(base)
 
 
 # ── Hall completions ─────────────────────────────────────────────────────────

@@ -84,21 +84,34 @@ def require_same_context(a: GroupContext, b: GroupContext, op: str) -> None:
 # ── free reduction and group operations ──────────────────────────────────────
 
 
-def reduce_word(letters: Iterable[int]) -> Word:
-    """Freely reduce: cancel adjacent x·x⁻¹ pairs until none remain.
+def reduce_word(letters: Iterable[int], ctx: GroupContext | None = None) -> Word:
+    """Freely reduce: cancel adjacent x·x⁻¹ pairs until none remain. With a
+    context, also check the reduced word's letters against it, as
+    :func:`check_word` would.
 
     One stack pass suffices — a new cancellation can only appear at the top of
-    the stack, so every letter is pushed/popped at most once.
+    the stack, so every letter is pushed/popped at most once. The same pass
+    notes letters beyond the rank; only then is the reduced word checked
+    again, since such a letter may cancel ("aZz" is "a" in F₂).
     """
+    if ctx is not None and ctx.kind != "free":
+        raise ContextMismatchError("words live in free-group contexts")
+    rank = float("inf") if ctx is None else ctx.rank
+    outside = False
     stack: list[int] = []
     for x in letters:
         if not isinstance(x, int) or x == 0:
             raise MalformedInputError(f"letters must be nonzero integers, got {x!r}")
+        if x > rank or x < -rank:
+            outside = True
         if stack and stack[-1] == -x:
             stack.pop()
         else:
             stack.append(x)
-    return tuple(stack)
+    w = tuple(stack)
+    if outside:
+        check_word(w, ctx)  # type: ignore[arg-type]
+    return w
 
 
 def invert(w: Word) -> Word:
@@ -164,10 +177,7 @@ def parse_word(text: str, ctx: GroupContext | None = None) -> Word:
         raise MalformedInputError(
             f"bad character {exc.args[0]!r} in word {text!r}"
         ) from None
-    w = reduce_word(letters)
-    if ctx is not None:
-        check_word(w, ctx)
-    return w
+    return reduce_word(letters, ctx)
 
 
 def format_word(w: Word) -> str:

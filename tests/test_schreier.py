@@ -137,6 +137,12 @@ def test_probe_rejects_finite_and_branching():
     assert qi_to_line_probe(build(trivial_subgroup(F2), 8)).verdict == "neither"
 
 
+def test_probe_reads_a_given_ends_profile_as_its_own():
+    for H in (KER, gens("aa", "b", "abA"), trivial_subgroup(F2), gens("a", "bab")):
+        S = build(H, 9)
+        assert qi_to_line_probe(S, ends_profile(S)) == qi_to_line_probe(S)
+
+
 # ── fiber diameters ──────────────────────────────────────────────────────────
 
 

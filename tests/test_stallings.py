@@ -16,7 +16,7 @@ replaced (`_oracle_core`), and `basis` against the path-tuple construction.
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chabauty_lab import stallings
@@ -453,6 +453,7 @@ def _oracle_from_generators(ctx, words):
 
 
 @given(word_lists())
+@example((F2, [(-2, -1, 2), (-1,)]))  # BAb after A: the middle's last edge clashes
 @settings(max_examples=150, deadline=None)
 def test_fold_matches_full_rebuild_oracle(drawn):
     ctx, words = drawn
@@ -460,6 +461,7 @@ def test_fold_matches_full_rebuild_oracle(drawn):
 
 
 @given(word_lists(max_words=3, max_len=5), st.sampled_from([1, 2]))
+@example((F3, [(1, 2, 3, -1, -2, -3), (1, 1, 3, 2)]), 2)  # a rank-3 closure
 @settings(max_examples=40, deadline=None)
 def test_fold_of_normal_closure_matches_oracle(drawn, radius):
     """{w·r·w⁻¹ : |w| <= radius}: many long loops that collapse heavily."""
@@ -491,10 +493,42 @@ def test_conjugate_subgroup_matches_oracle(drawn, data):
     letter = st.integers(1, ctx.rank).flatmap(lambda i: st.sampled_from([i, -i]))
     g = reduce_word(tuple(data.draw(st.lists(letter, min_size=1, max_size=6))))
     assume(g and not H.is_covering() and not H.is_trivial())
-    # tail 0 → 1 → … → |g| spelling g, H hung at |g| (its old basepoint)
+    assert conjugate_subgroup(H, g) == _oracle_conjugate(H, g)
+
+
+def _oracle_conjugate(H, g):
+    """g·H·g⁻¹ by the oracle fold: a tail 0 → 1 → … → |g| spelling g, H hung
+    at |g| (its old basepoint)."""
     edges = [(k, x - 1, k + 1) if x > 0 else (k + 1, -x - 1, k) for k, x in enumerate(g)]
     edges += _graph_edges(H, lambda v: len(g) + v)
-    assert conjugate_subgroup(H, g) == _oracle_core(ctx, len(g) + H.nverts, edges)
+    return _oracle_core(H.ctx, len(g) + H.nverts, edges)
+
+
+def test_conjugation_can_move_the_basepoint_into_the_core():
+    """b⁻¹·⟨bab⁻¹⟩·b = ⟨a⟩: the tail B reads wholly into the core, so the
+    new basepoint is identified with a vertex of H."""
+    H = gens("baB")
+    assert conjugate_subgroup(H, w("B")) == gens("a") == _oracle_conjugate(H, w("B"))
+    # tails read wholly (B, AB, Ba) or in part (aaB, BBa) into ⟨a, bab⟩
+    H = gens("a", "bab")
+    for g in ("B", "AB", "aaB", "Ba", "BBa"):
+        assert conjugate_subgroup(H, w(g)) == _oracle_conjugate(H, w(g))
+
+
+def test_join_of_words_read_inside_h_only_merges():
+    """Words that read wholly inside H add no vertex: attaching each one is a
+    single identification of two vertices of H. A prefix of a generator
+    reads from the basepoint, and still does after earlier identifications."""
+    H = gens("aab", "bAbb", "abba")
+    words = [w("aa"), w("bAb"), w("ab"), w("abb")]
+    for k in range(1, len(words) + 1):
+        builder = stallings._Builder(F2, Budget(), (H.nverts, H.succ, H.pred))
+        for x in words[:k]:
+            builder.add_path(x)
+        assert len(builder.parent) == H.nverts
+        loops, nxt = _loop_edges(words[:k], H.nverts)
+        oracle = _oracle_core(F2, nxt, _graph_edges(H, lambda v: v) + loops)
+        assert builder.finalize() == join(H, words[:k]) == oracle
 
 
 @given(word_lists(max_words=3), word_lists(max_words=3))

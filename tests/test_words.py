@@ -11,7 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chabauty_lab.errors import BudgetExceededError, MalformedInputError
+from chabauty_lab.errors import (
+    BudgetExceededError,
+    ContextMismatchError,
+    MalformedInputError,
+)
 from chabauty_lab.words import (
     IDENTITY,
     ball,
@@ -141,6 +145,31 @@ def test_word_text_matches_the_per_letter_oracles(rank_and_letters):
 def test_parse_word_errors_match_the_oracle(text, rank):
     ctx = None if rank is None else free_group(rank)
     assert outcome(parse_word, text, ctx) == outcome(parse_word_oracle, text, ctx)
+
+
+@given(
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 27, 0, True, 1.0]), max_size=8),
+    st.sampled_from([None, 1, 2, 3]),
+)
+@example([3, 1, -3], 2)  # an out-of-rank letter that survives
+@example([3, -3, 1], 2)  # an out-of-rank pair that cancels
+@example([3, 0], 2)  # the zero is reported, though the 3 comes first
+@settings(max_examples=300)
+def test_reduce_word_with_context_matches_reduce_then_check(letters, rank):
+    ctx = None if rank is None else free_group(rank)
+
+    def reduce_then_check(ls, ctx):
+        w = reduce_word(ls)
+        return w if ctx is None else check_word(w, ctx)
+
+    assert outcome(reduce_word, letters, ctx) == outcome(reduce_then_check, letters, ctx)
+
+
+def test_reduce_word_checks_the_context_kind_first():
+    with pytest.raises(ContextMismatchError):
+        reduce_word([0], lattice(2))
+    with pytest.raises(ContextMismatchError):
+        parse_word("ab", lattice(2))
 
 
 def test_word_text_error_messages():

@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Per-op report digests of one benchmark workload, for one source tree.
+"""Per-op report digests of benchmark workloads, for one source tree.
 
     python3 tools/report_digests.py SRC WORKLOAD SEED
 
-SRC is the ``src`` directory of a checkout (``src`` for this one). The ops
-come from ``perfbench/workloads.make_ops`` of this checkout, and their
-documents are written as the benchmark's set-up writes them, at the same
-relative paths, inside a temporary directory. Every op then runs through
-SRC's ``chabauty_lab.cli.main`` in one process, and one line per op is
-printed: ``op_id exit sha256``, the digest being that of the op's stdout.
+SRC is the ``src`` directory of a checkout (``src`` for this one). WORKLOAD
+is a workload name or ``all``; SEED is a seed or a comma-separated list of
+seeds. The ops come from ``perfbench/workloads.make_ops`` of this checkout,
+and their documents are written as the benchmark's set-up writes them, at
+the same relative paths, inside a temporary directory. Every op then runs
+through SRC's ``chabauty_lab.cli.main`` in one process, and one line per op
+is printed: ``op_id exit sha256``, the digest being that of the op's
+stdout. With more than one (workload, seed) block, each block opens with a
+``# workload seed`` line.
 
 Two source trees give the same reports and exit codes on a workload iff
 their outputs are equal::
 
-    diff <(python3 tools/report_digests.py ../parent/src fold-build 11) \\
-         <(python3 tools/report_digests.py src fold-build 11)
+    diff <(python3 tools/report_digests.py ../parent/src all 11,7) \\
+         <(python3 tools/report_digests.py src all 11,7)
 """
 
 from __future__ import annotations
@@ -44,16 +47,8 @@ def _run(cli, argv: list[str]) -> tuple[object, str]:
     return code, out.getvalue()
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 3:
-        print("usage: report_digests.py SRC WORKLOAD SEED", file=sys.stderr)
-        return 2
-    src, workload, seed = Path(argv[0]).resolve(), argv[1], int(argv[2])
+def _digests(cli, workload: str, seed: int) -> None:
     ops = workloads.make_ops(workload, seed)
-    os.environ.pop("CHABAUTY_LAB_BUDGET", None)
-    sys.path.insert(0, str(src))
-    import chabauty_lab.cli as cli
-
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         Path(workloads.op_dir(workload, seed)).mkdir(parents=True)
@@ -64,6 +59,23 @@ def main(argv: list[str]) -> int:
             code, text = _run(cli, op["argv"])
             print(op["id"], code, hashlib.sha256(text.encode("utf-8")).hexdigest())
         os.chdir(ROOT)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        print("usage: report_digests.py SRC WORKLOAD|all SEED[,SEED...]", file=sys.stderr)
+        return 2
+    src = Path(argv[0]).resolve()
+    names = sorted(workloads.WORKLOADS) if argv[1] == "all" else [argv[1]]
+    blocks = [(name, int(seed)) for name in names for seed in argv[2].split(",")]
+    os.environ.pop("CHABAUTY_LAB_BUDGET", None)
+    sys.path.insert(0, str(src))
+    import chabauty_lab.cli as cli
+
+    for workload, seed in blocks:
+        if len(blocks) > 1:
+            print("#", workload, seed)
+        _digests(cli, workload, seed)
     return 0
 
 
