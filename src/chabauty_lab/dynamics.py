@@ -34,6 +34,7 @@ from .errors import (
 )
 from .stallings import (
     StallingsGraph,
+    basis_outside,
     conjugate_subgroup,
     from_generators,
     hall_completion,
@@ -110,8 +111,7 @@ def nonisolation_witness(
         term = None
         for extra in range(budget.witness_radius_slack + 1):
             K = hall_completion(H, n + extra, budget)
-            candidates = [w for w in K.basis() if not H.contains(w)]
-            for k in candidates[: budget.witness_candidate_cap]:
+            for k in basis_outside(K, H, budget.witness_candidate_cap):
                 H_n = join(H, [k], budget)
                 if H_n.index() is None:
                     term = WitnessTerm(n, K, k, H_n)

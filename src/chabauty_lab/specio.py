@@ -322,8 +322,8 @@ def json_of_task(task: TransitivityTask) -> dict:
             {
                 "source": json_of_clopen(s, ctx),
                 "target": json_of_clopen(t, ctx),
-                "source_witness": [format_word(w) for w in sw.basis()],
-                "target_witness": [format_word(w) for w in tw.basis()],
+                "source_witness": sw.basis_text(),
+                "target_witness": tw.basis_text(),
             }
             for s, t, sw, tw in zip(
                 task.sources, task.targets, task.source_witnesses, task.target_witnesses
@@ -376,7 +376,7 @@ def json_of_graph(G: StallingsGraph) -> dict:
             {str(g + 1): {str(u): v for u, v in sorted(G.succ[g].items())}}
             for g in range(G.ctx.rank)
         ],
-        "basis": [format_word(w) for w in G.basis()],
+        "basis": G.basis_text(),
     }
 
 
@@ -407,7 +407,7 @@ def json_of_move(cert: MoveCertificate, ctx: GroupContext) -> dict:
         "reverified": cert.reverified,
         "pairs": [
             {
-                "delta_basis": [format_word(w) for w in p.delta.basis()],
+                "delta_basis": p.delta.basis_text(),
                 "freeness": p.freeness,
                 "source_check": p.source_check,
                 "target_check": p.target_check,
@@ -419,7 +419,7 @@ def json_of_move(cert: MoveCertificate, ctx: GroupContext) -> dict:
 
 def json_of_nonisolation(w: NonisolationWitness) -> dict:
     return {
-        "subgroup": [format_word(x) for x in w.subgroup.basis()],
+        "subgroup": w.subgroup.basis_text(),
         "terms": [
             {
                 "n": t.n,

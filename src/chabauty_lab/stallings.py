@@ -36,12 +36,17 @@ from .errors import (
     MalformedInputError,
 )
 from .words import (
+    _CHAR_OF_LETTER,
+    _LOWER,
     GroupContext,
     IDENTITY,
     Word,
+    format_word,
     invert,
+    parse_word,
     reduce_word,
     require_same_context,
+    text_key,
     word_key,
 )
 
@@ -165,6 +170,14 @@ class StallingsGraph:
                     out.append((*reversed(up(u)), x, *[-y for y in up(v)]))
         return sorted(out, key=word_key)
 
+    def basis_text(self) -> list[str]:
+        """``[format_word(w) for w in self.basis()]``, spelled as text along
+        the same spanning tree without building a word. Contexts beyond the
+        text form's 26 generators take the word route, and raise as it does."""
+        if self.ctx.rank > len(_LOWER):
+            return [format_word(w) for w in self.basis()]
+        return _spelled_basis(self, None)
+
     def shortest_nontrivial(self) -> Word | None:
         """Shortest nontrivial element of H, or None for the trivial subgroup.
 
@@ -231,8 +244,6 @@ class StallingsGraph:
 
     def to_dot(self) -> str:
         """Graphviz form; generator i is labelled with its letter."""
-        from .words import _LOWER
-
         lines = ["digraph stallings {", '  rankdir=LR;', "  0 [shape=doublecircle];"]
         for v in range(1, self.nverts):
             lines.append(f"  {v} [shape=circle];")
@@ -242,6 +253,57 @@ class StallingsGraph:
                 lines.append(f'  {u} -> {v} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _spelled_basis(G: StallingsGraph, H: StallingsGraph | None) -> list[str]:
+    """Text of G.basis() (rank ≤ 26), without the words that lie in H.
+
+    The canonical BFS of :meth:`StallingsGraph.basis` stores, per vertex v,
+    the tree word path(v) as text and the text of its inverse, so a non-tree
+    edge u --x--> v spells fwd[u] + x + inv[v]. With H it also stores hs[v],
+    H's vertex at the end of path(v) (None if the walk leaves H). H is
+    folded, so that word lies in H iff H's x-edge takes hs[u] to hs[v]."""
+    r = G.ctx.rank
+    chars = [(_CHAR_OF_LETTER[g + 1], _CHAR_OF_LETTER[-g - 1]) for g in range(r)]
+    succ, pred = G.succ, G.pred
+    h_succ, h_pred = (H.succ, H.pred) if H is not None else ([{}] * r, [{}] * r)
+    fwd: list[str | None] = [None] * G.nverts
+    inv: list[str] = [""] * G.nverts
+    hs: list[int | None] = [None] * G.nverts
+    fwd[BASEPOINT], hs[BASEPOINT] = "", BASEPOINT
+    tree: list[set[int]] = [set() for _ in range(r)]  # sources of tree edges
+    order = [BASEPOINT]
+    for u in order:
+        fu, iu, hu = fwd[u], inv[u], hs[u]
+        for g, (out_ch, in_ch) in enumerate(chars):
+            v = succ[g].get(u)
+            if v is not None and fwd[v] is None:
+                fwd[v], inv[v], hs[v] = fu + out_ch, in_ch + iu, h_succ[g].get(hu)
+                tree[g].add(u)
+                order.append(v)
+            v = pred[g].get(u)
+            if v is not None and fwd[v] is None:
+                fwd[v], inv[v], hs[v] = fu + in_ch, out_ch + iu, h_pred[g].get(hu)
+                tree[g].add(v)
+                order.append(v)
+    out = []
+    for g, (out_ch, _) in enumerate(chars):
+        tree_g, h_g = tree[g], h_succ[g]
+        for u, v in succ[g].items():
+            if u not in tree_g:
+                h = h_g.get(hs[u])
+                if h is None or h != hs[v]:
+                    out.append(fwd[u] + out_ch + inv[v])  # type: ignore[operator]
+    out.sort(key=text_key)
+    return out
+
+
+def basis_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
+    """``[w for w in K.basis() if not H.contains(w)][:cap]``: the basis words
+    are spelled and sorted as text, and only the first `cap` are parsed."""
+    if K.ctx.rank > len(_LOWER):
+        return [w for w in K.basis() if not H.contains(w)][:cap]
+    return [parse_word(s, K.ctx) for s in _spelled_basis(K, H)[:cap]]
 
 
 # ── construction pipeline ────────────────────────────────────────────────────
@@ -408,29 +470,38 @@ class _Builder:
                 self.add_edge(image[u], g, image[v])
 
     def finalize(self, base: int = BASEPOINT) -> StallingsGraph:
-        """Trim vertices of degree <= 1 other than the basepoint `base` off
-        the folded tables (a loop counts 2), then canonicalize from `base`.
-        Every graph built here is connected, which `_canonical` checks."""
+        """Trim the folded tables to the core at the basepoint `base`, then
+        canonicalize from `base`. Every graph built here is connected, which
+        `_canonical` checks."""
         base = self.find(base)
-        tables = [*zip(self.succ, self.pred), *zip(self.pred, self.succ)]
-        degree: Counter[int] = Counter()
-        for t, _ in tables:
-            degree.update(t.keys())
         live = {v for v, root in enumerate(self.parent) if v == root}
-        stack = [v for v in live if v != base and degree[v] <= 1]
-        while stack:
-            v = stack.pop()
-            if v not in live:
-                continue
-            live.remove(v)
-            for t, back in tables:
-                w = t.pop(v, None)
-                if w is not None:
-                    del back[w]
-                    degree[w] -= 1
-                    if w != base and degree[w] <= 1:
-                        stack.append(w)
+        _trim(live, self.succ, self.pred, base)
         return _canonical(self.ctx, live, self.succ, self.pred, base)
+
+
+def _trim(live: set[int], succ: Sequence[dict], pred: Sequence[dict], base: int) -> bool:
+    """Remove vertices of degree <= 1 other than `base` (a loop counts 2)
+    from `live` and their edges from the tables, until none is left. True
+    iff any vertex was removed."""
+    tables = [*zip(succ, pred), *zip(pred, succ)]
+    degree: Counter[int] = Counter()
+    for t, _ in tables:
+        degree.update(t.keys())
+    stack = [v for v in live if v != base and degree[v] <= 1]
+    trimmed = bool(stack)
+    while stack:
+        v = stack.pop()
+        if v not in live:
+            continue
+        live.remove(v)
+        for t, back in tables:
+            w = t.pop(v, None)
+            if w is not None:
+                del back[w]
+                degree[w] -= 1
+                if w != base and degree[w] <= 1:
+                    stack.append(w)
+    return trimmed
 
 
 def _canonical(
@@ -489,13 +560,18 @@ def join(
     budget: Budget | None = None,
 ) -> StallingsGraph:
     """⟨H ∪ other⟩: wedge the graphs (or extra generator loops) onto H's
-    folded tables and refold."""
+    folded tables and refold. Of two graphs, the larger one seeds the
+    builder: the join and the vertex count charged, H.n + K.n − 1, are
+    symmetric, and the smaller one has fewer edges to re-add."""
     budget = budget or current()
-    builder = _Builder(H.ctx, budget, (H.nverts, H.succ, H.pred))
     if isinstance(other, StallingsGraph):
         require_same_context(H.ctx, other.ctx, "join")
+        if other.nverts > H.nverts:
+            H, other = other, H
+        builder = _Builder(H.ctx, budget, (H.nverts, H.succ, H.pred))
         builder.add_graph(other)
     else:
+        builder = _Builder(H.ctx, budget, (H.nverts, H.succ, H.pred))
         for w in other:
             builder.add_path(reduce_word(w, H.ctx))
     return builder.finalize()
@@ -508,7 +584,19 @@ def intersect(
     (basepoint, basepoint) along edges present in both graphs. The product of
     folded graphs is folded, so only trimming is needed afterwards."""
     require_same_context(H.ctx, K.ctx, "intersect")
-    budget = budget or current()
+    n, succ, pred = _product(H, K, budget or current())
+    live = set(range(n))
+    if _trim(live, succ, pred, BASEPOINT):
+        return _canonical(H.ctx, live, succ, pred, BASEPOINT)
+    # untrimmed, the product's BFS numbering is already _canonical's
+    return StallingsGraph(H.ctx, n, tuple(succ))
+
+
+def _product(
+    H: StallingsGraph, K: StallingsGraph, budget: Budget
+) -> tuple[int, list[dict], list[dict]]:
+    """(n, succ, pred) of the fibre product's component of (basepoint,
+    basepoint), its vertices numbered by BFS in canonical letter order."""
     r = H.ctx.rank
     start = (BASEPOINT, BASEPOINT)
     number = {start: 0}
@@ -540,7 +628,7 @@ def intersect(
                 else:
                     succ[g][number[v]] = number[u]
                     pred[g][number[u]] = number[v]
-    return _Builder(H.ctx, budget, (len(number), succ, pred)).finalize()
+    return len(order), succ, pred
 
 
 def conjugate_subgroup(

@@ -14,9 +14,11 @@ Frozen fixtures:
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chabauty_lab import specio
+from chabauty_lab.budgets import Budget
 from chabauty_lab.chabauty import certify_convergence, clopen, distance_up_to, in_clopen
 from chabauty_lab.dynamics import (
     FolnerReport,
@@ -31,12 +33,29 @@ from chabauty_lab.dynamics import (
     variety_limit_sequence,
 )
 from chabauty_lab.errors import (
+    BudgetExceededError,
     MalformedInputError,
     SearchFailure,
     TaskInvalidError,
 )
-from chabauty_lab.stallings import from_generators, kernel, preimage, Target, whole_group
-from chabauty_lab.words import free_group, invert, multiply, parse_word, reduce_word
+from chabauty_lab.stallings import (
+    Target,
+    basis_outside,
+    from_generators,
+    hall_completion,
+    join,
+    kernel,
+    preimage,
+    whole_group,
+)
+from chabauty_lab.words import (
+    format_word,
+    free_group,
+    invert,
+    multiply,
+    parse_word,
+    reduce_word,
+)
 from chabauty_lab.zdlattice import hnf_from_generators
 
 F2 = free_group(2)
@@ -85,6 +104,83 @@ def test_nonisolation_rejects_finite_index():
         nonisolation_witness(gens("aa", "b", "abA"), 4)
     with pytest.raises(MalformedInputError):
         nonisolation_witness(whole_group(F2), 4)
+
+
+def _oracle_witness_terms(H, length, budget):
+    """(n, K_n, k_n) of nonisolation_witness by the word route: the whole
+    basis of K_n, each word walked through H."""
+    terms = []
+    for n in range(1, length + 1):
+        for extra in range(budget.witness_radius_slack + 1):
+            K = hall_completion(H, n + extra, budget)
+            candidates = [x for x in K.basis() if not H.contains(x)]
+            good = [k for k in candidates[: budget.witness_candidate_cap]
+                    if join(H, [k], budget).index() is None]
+            if good:
+                terms.append((n, K, good[0]))
+                break
+        else:
+            raise BudgetExceededError("nonisolation candidates", budget.witness_candidate_cap)
+    return terms
+
+
+def _terms(witness):
+    return [(t.n, t.completion, t.adjoined) for t in witness.terms]
+
+
+@st.composite
+def _graph_pairs(draw):
+    """(K, H) over F₂ or F₃: H a core graph, K a Hall completion of H or an
+    unrelated core graph (so the walk of a tree word can leave H)."""
+    rank = draw(st.sampled_from([2, 3]))
+    ctx = free_group(rank)
+    H = from_generators(ctx, draw(st.lists(_raw_words(rank), max_size=3)))
+    if draw(st.booleans()):
+        K = hall_completion(H, draw(st.integers(1, 3)))
+    else:
+        K = from_generators(ctx, draw(st.lists(_raw_words(rank, 8), max_size=5)))
+    return K, H
+
+
+@given(_graph_pairs(), st.sampled_from([1, 2, 20, 10**6]))
+@settings(max_examples=150, deadline=None)
+def test_candidates_match_the_membership_walk(pair, cap):
+    K, H = pair
+    assert basis_outside(K, H, cap) == [x for x in K.basis() if not H.contains(x)][:cap]
+
+
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda r: st.lists(_raw_words(r), min_size=1, max_size=3).map(lambda ws: (r, ws))
+), st.integers(1, 2))
+@settings(max_examples=30, deadline=None)
+def test_nonisolation_matches_the_word_route(drawn, length):
+    rank, words = drawn
+    H = from_generators(free_group(rank), words)
+    assume(H.index() is None)
+    assert _terms(nonisolation_witness(H, length)) == _oracle_witness_terms(H, length, Budget())
+
+
+def test_nonisolation_beyond_26_generators_matches_the_word_route():
+    """Past the text form's 26 letters, candidates and reports take the word
+    route: the same terms, and the same report or the same error."""
+    F27 = free_group(27)
+    H = from_generators(F27, [(1,), (2, 3, -2)])
+    K = hall_completion(H, 1)
+    for cap in (1, 20, 10**6):
+        assert basis_outside(K, H, cap) == [x for x in K.basis() if not H.contains(x)][:cap]
+    for gens27, spelled in (([(1,), (2, 3, -2)], True), ([(27, 1)], False)):
+        H = from_generators(F27, gens27)
+        witness = nonisolation_witness(H, 2)
+        assert _terms(witness) == _oracle_witness_terms(H, 2, Budget())
+        if spelled:
+            report = specio.json_of_nonisolation(witness)
+            assert report["subgroup"] == [format_word(x) for x in H.basis()] == ["a", "bcB"]
+            assert [t["adjoined"] for t in report["terms"]] == [
+                format_word(t.adjoined) for t in witness.terms
+            ]
+        else:
+            with pytest.raises(MalformedInputError, match="at most 26 generators"):
+                specio.json_of_nonisolation(witness)
 
 
 # ── free-product certificates ────────────────────────────────────────────────

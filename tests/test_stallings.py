@@ -44,12 +44,14 @@ from chabauty_lab.stallings import (
 from chabauty_lab.words import (
     ball,
     conjugate,
+    format_word,
     free_group,
     graded_ball,
     invert,
     multiply,
     parse_word,
     reduce_word,
+    text_key,
     word_key,
 )
 
@@ -589,6 +591,11 @@ def _cap(n):
         (lambda b: from_generators(F2, [w("aaaa"), w("aa")], b), 5),
         # wedge: 1 + (3 − 1) + (2 − 1)
         (lambda b: join(gens("a", "bab"), gens("aa", "b", "abA"), b), 4),
+        # the same wedge with the larger graph second, which then seeds it
+        pytest.param(
+            lambda b: join(gens("aa", "b", "abA"), gens("a", "bab"), b), 4,
+            id="join-larger-second-4",
+        ),
         # wedge with loops: 1 + (3 − 1) + (4 − 1)
         (lambda b: join(gens("a", "bab"), [w("baBA")], b), 6),
         # tail of |g| edges: |g| + 3 vertices, folding back onto ⟨a, bab⟩
@@ -599,3 +606,74 @@ def test_vertex_cap_binds_at_the_created_count(build, created):
     build(_cap(created))
     with pytest.raises(BudgetExceededError):
         build(_cap(created - 1))
+
+
+# ── the text basis, spelled without words ───────────────────────────────────
+
+
+@given(word_lists(max_words=5, max_len=9), st.sampled_from([None, 1, 3]))
+@example((F2, [(1, 2, -1), (2, 2)]), 2)
+@settings(max_examples=100, deadline=None)
+def test_basis_text_matches_formatted_basis(drawn, completion_radius):
+    ctx, words = drawn
+    G = from_generators(ctx, words)
+    if completion_radius is not None:
+        G = hall_completion(G, completion_radius)
+    assert G.basis_text() == [format_word(x) for x in G.basis()]
+
+
+def test_basis_text_of_completions_matches_formatted_basis():
+    for text in ("a", "ab", "aBAb", "aab"):
+        K = hall_completion(gens(text), 4)
+        assert K.basis_text() == [format_word(x) for x in K.basis()]
+
+
+@given(st.lists(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 26, -26]), max_size=6)))
+@settings(max_examples=100, deadline=None)
+def test_text_key_order_is_word_key_order(raw):
+    ws = [reduce_word(x) for x in raw]
+    texts = [format_word(x) for x in ws]
+    assert sorted(texts, key=text_key) == [format_word(x) for x in sorted(ws, key=word_key)]
+
+
+def test_basis_text_beyond_26_generators_takes_the_word_route():
+    F27 = free_group(27)
+    G = from_generators(F27, [(1,), (2, 3, -2)])
+    assert G.basis_text() == [format_word(x) for x in G.basis()] == ["a", "bcB"]
+    G = from_generators(F27, [(1,), (2, 27, -2)])
+    for spell in (G.basis_text, lambda: [format_word(x) for x in G.basis()]):
+        with pytest.raises(MalformedInputError, match="at most 26 generators"):
+            spell()
+
+
+# ── joins are symmetric; untrimmed intersections skip the renumbering ───────
+
+
+@given(word_lists(max_words=3), word_lists(max_words=3))
+@settings(max_examples=60, deadline=None)
+def test_join_is_symmetric(drawn_h, drawn_k):
+    (ctx, words_h), (_, words_k) = drawn_h, drawn_k
+    words_k = [x for x in words_k if all(abs(y) <= ctx.rank for y in x)]
+    H, K = from_generators(ctx, words_h), from_generators(ctx, words_k)
+    assert join(H, K) == join(K, H)
+
+
+@given(word_lists(max_words=3), word_lists(max_words=3), st.booleans(), st.booleans())
+@example((F2, [(1, 1), (2,)]), (F2, [(1, 1, 1), (2, 2)]), False, False)
+@settings(max_examples=80, deadline=None)
+def test_untrimmed_intersection_is_canonical_as_numbered(drawn_h, drawn_k, cover_h, cover_k):
+    """When the trim removes nothing, intersect returns the product tables as
+    numbered; they must equal their own _canonical renumbering."""
+    (ctx, words_h), (_, words_k) = drawn_h, drawn_k
+    words_k = [x for x in words_k if all(abs(y) <= ctx.rank for y in x)]
+    H, K = from_generators(ctx, words_h), from_generators(ctx, words_k)
+    # coverings have untrimmed products, so both cases are drawn often
+    H = hall_completion(H, 1) if cover_h else H
+    K = hall_completion(K, 1) if cover_k else K
+    n, succ, pred = stallings._product(H, K, Budget())
+    tables = ([dict(t) for t in succ], [dict(t) for t in pred])
+    untrimmed = not stallings._trim(set(range(n)), *tables, BASEPOINT)
+    assume(untrimmed)
+    canonical = stallings._canonical(ctx, range(n), succ, pred, BASEPOINT)
+    assert canonical.succ == tuple(succ)
+    assert intersect(H, K) == canonical
