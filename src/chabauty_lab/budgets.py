@@ -23,10 +23,13 @@ from .errors import MalformedInputError
 
 @dataclasses.dataclass(frozen=True)
 class Budget:
-    # Stallings graph construction (folding, completions, pullbacks).
+    # Stallings graph construction (folding, completions, pullbacks), and the
+    # fibre pairs of a core-graph distance searched past ball_radius_cap.
     vertex_cap: int = 100_000
     # Word-ball enumeration cap for free groups (the ball at radius 12 in F_2
-    # already holds ~1.06 million words).
+    # already holds ~1.06 million words), and the radius cap of distances to a
+    # lattice preimage. Distances between two core graphs saturate, so past
+    # this radius they answer to vertex_cap instead.
     ball_radius_cap: int = 12
     # Schreier ball construction.
     schreier_vertex_cap: int = 200_000

@@ -1,6 +1,5 @@
 """Dynamics on the space of subgroups: nonisolation witnesses, free-product
-certificates, transitivity moves under conjugation, limits along free
-varieties, and Følner-set transfer.
+certificates, transitivity moves under conjugation, and Følner-set transfer.
 
 Everything returned by this module is a *certificate*: enough finite data to
 re-verify the claim by membership queries alone, independently of the search
@@ -17,15 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .budgets import Budget, current
-from .chabauty import (
-    Certification,
-    ClopenSet,
-    DistanceBound,
-    _meets,
-    certify_bounds,
-    clopen,
-    in_clopen,
-)
+from .chabauty import ClopenSet, _meets, clopen, distance_up_to, in_clopen
 from .errors import (
     BudgetExceededError,
     MalformedInputError,
@@ -40,6 +31,7 @@ from .stallings import (
     hall_completion,
     intersect,
     join,
+    trivial_subgroup,
 )
 from .words import (
     GroupContext,
@@ -47,8 +39,6 @@ from .words import (
     Word,
     conjugate,
     free_group,
-    graded_ball,
-    graded_length,
     invert,
     iter_ball,
     power,
@@ -163,9 +153,11 @@ def _freeness(
     """Settle freeness of two nontrivial factors whose join J is known."""
     I = intersect(A, B, budget)
     if not I.is_trivial():
+        # its shortest element: a nontrivial core graph on n vertices has a
+        # reduced basepoint loop of length < 2n
+        shortest = distance_up_to(I, trivial_subgroup(I.ctx), 2 * I.nverts, budget)
         return FreeProductCertificate(
-            "refuted", J, reason="nontrivial-intersection",
-            witness=I.shortest_nontrivial(),
+            "refuted", J, reason="nontrivial-intersection", witness=shortest.witness
         )
     ranks = (A.rank(), B.rank(), J.rank())
     if ranks[2] != ranks[0] + ranks[1]:
@@ -445,66 +437,6 @@ def obstruction_task(budget: Budget | None = None) -> TransitivityTask:
         ],
         budget,
     )
-
-
-# ── limits along the free variety ────────────────────────────────────────────
-
-
-def _graded_distance(H, K, radius: int, words: Sequence[Word]) -> DistanceBound:
-    """First word of the graded ball `words` = graded_ball(radius) of F_∞ on
-    which H and K disagree. A subgroup presented over the first r generators
-    contains no word using later ones, so membership of any graded word is
-    decidable against it."""
-
-    def member(S, w):
-        return all(abs(x) <= S.ctx.rank for x in w) and S.contains(w)
-
-    for w in words:
-        if member(H, w) != member(K, w):
-            return DistanceBound("exact", graded_length(w), w)
-    return DistanceBound("at_most", radius + 1)
-
-
-@dataclasses.dataclass(frozen=True)
-class VarietySequence:
-    """Terms L_i = ⟨L, s_i⟩ for fresh graded generators s_i: ranks grow
-    without bound while the terms converge to L in the graded Chabauty
-    metric (a word using s_i has graded length ≥ i)."""
-
-    limit: StallingsGraph
-    indices: tuple[int, ...]
-    terms: tuple[StallingsGraph, ...]
-
-    def certify(self, radius: int) -> Certification:
-        """Convergence on the graded ball of the given radius."""
-        words = graded_ball(radius)
-        return certify_bounds(
-            [_graded_distance(t, self.limit, radius, words) for t in self.terms],
-            radius,
-        )
-
-
-def variety_limit_sequence(
-    L: StallingsGraph, indices: Sequence[int], budget: Budget | None = None
-) -> VarietySequence:
-    """Adjoin fresh generators s_i (i in `indices`, each exceeding the support
-    of L) one at a time: L_i = ⟨L, s_i⟩ inside F_∞ with the graded filtration."""
-    budget = budget or current()
-    idx = tuple(indices)
-    if not idx:
-        raise MalformedInputError("need at least one fresh generator index")
-    if list(idx) != sorted(set(idx)):
-        raise MalformedInputError("fresh generator indices must be strictly increasing")
-    if idx[0] <= L.ctx.rank:
-        raise MalformedInputError(
-            f"fresh generator indices must exceed the support rank {L.ctx.rank}"
-        )
-    base = L.basis()
-    terms = []
-    for i in idx:
-        ctx_i = free_group(i)
-        terms.append(from_generators(ctx_i, base + [(i,)], budget))
-    return VarietySequence(L, idx, tuple(terms))
 
 
 # ── Følner transfer ──────────────────────────────────────────────────────────

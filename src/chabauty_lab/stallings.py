@@ -178,47 +178,6 @@ class StallingsGraph:
             return [format_word(w) for w in self.basis()]
         return _spelled_basis(self, None)
 
-    def shortest_nontrivial(self) -> Word | None:
-        """Shortest nontrivial element of H, or None for the trivial subgroup.
-
-        BFS over non-backtracking walk states (vertex, incoming letter): in a
-        folded graph these are exactly the reduced words readable from the
-        basepoint, so the first closed walk found is the canonically-least
-        nontrivial element.
-        """
-        if self.is_trivial():
-            return None
-        letters = [x for i in range(1, self.ctx.rank + 1) for x in (i, -i)]
-        start = (BASEPOINT, 0)
-        parents: dict[tuple[int, int], tuple[tuple[int, int], int]] = {start: (start, 0)}
-        queue = [start]
-        while queue:
-            nxt = []
-            for state in queue:
-                v, last = state
-                for x in letters:
-                    if x == -last:
-                        continue
-                    table = self.succ[x - 1] if x > 0 else self.pred[-x - 1]
-                    w = table.get(v)
-                    if w is None:
-                        continue
-                    if w == BASEPOINT:
-                        # reconstruct: word to `state`, then x
-                        letters_rev = [x]
-                        cur = state
-                        while cur != start:
-                            prev, lx = parents[cur]
-                            letters_rev.append(lx)
-                            cur = prev
-                        return tuple(reversed(letters_rev))
-                    ns = (w, x)
-                    if ns not in parents:
-                        parents[ns] = (state, x)
-                        nxt.append(ns)
-            queue = nxt
-        return None
-
     # comparison / export --------------------------------------------------
 
     def __eq__(self, other):
@@ -686,7 +645,7 @@ def hall_completion(
         return H
     for attempt in range(3):
         K = _complete(H, L + attempt, budget)
-        if _traces_agree(H, K, L, budget):
+        if distance_up_to(H, K, L, budget).kind == "at_most":
             return K
     raise AssertionError("completion failed to preserve the trace")  # unreachable
 
@@ -744,15 +703,6 @@ def _complete(H: StallingsGraph, L: int, budget: Budget) -> StallingsGraph:
             succ[g][u] = v
             pred[g][v] = u
     return _canonical(H.ctx, range(nverts), succ, pred, BASEPOINT)
-
-
-def _traces_agree(
-    H: StallingsGraph, K: StallingsGraph, L: int, budget: Budget
-) -> bool:
-    ball_budget = budget if L <= budget.ball_radius_cap else budget.replace(
-        ball_radius_cap=L
-    )
-    return distance_up_to(H, K, L, ball_budget).kind == "at_most"
 
 
 # ── homomorphism-defined subgroups ───────────────────────────────────────────

@@ -253,18 +253,18 @@ def witness_sequence(
     (an m-multiple of v can conspire with H to produce a short new vector),
     so the sequence length is chosen adaptively: scan m upward and stop at
     the first m ≥ 2·radius_max + 2 that ends three consecutive terms agreeing
-    with H on the ball. Only finitely many m disagree, so the scan terminates.
+    with H on the ball. Only finitely many m disagree, so the scan terminates;
+    more than `budget.vertex_cap` terms raise BudgetExceededError.
     """
     budget = budget or current()
     v = witness_direction(H)
     terms: list[HnfSubgroup] = []
     good_streak = 0
     m = 0
-    cap = 500
     while True:
         m += 1
-        if m > cap:
-            raise BudgetExceededError("witness sequence length", cap)
+        if m > budget.vertex_cap:
+            raise BudgetExceededError("witness sequence length", budget.vertex_cap)
         H_m = hnf_from_generators(H.dim, list(H.rows) + [tuple(m * x for x in v)])
         terms.append(H_m)
         if first_difference_in_ball(H_m, H, radius_max, budget) is None:

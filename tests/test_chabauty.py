@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chabauty_lab.budgets import Budget
 from chabauty_lab.chabauty import (
     Certification,
     ClopenSet,
@@ -152,8 +153,14 @@ def test_distance_radius_guards():
     H = gens("a")
     with pytest.raises(MalformedInputError):
         distance_up_to(H, H, -1)
-    with pytest.raises(BudgetExceededError):
-        distance_up_to(H, H, 13)  # one past the default ball_radius_cap
+    # one past the default ball_radius_cap: two core graphs saturate, so the
+    # search runs on; a lattice preimage's states are unbounded, so it refuses
+    assert distance_up_to(H, H, 13) == DistanceBound("at_most", 14)
+    ker_z = preimage(F2, Target("lattice", 1), [(1,), (0,)], "zero")
+    distance_up_to(ker_z, H, 12)
+    with pytest.raises(BudgetExceededError) as info:
+        distance_up_to(ker_z, H, 13)
+    assert info.value.what == "ball radius"
 
 
 # ── the product search against the ball-scan oracle ──────────────────────────
@@ -269,6 +276,65 @@ def free_pairs(draw):
 def test_product_search_matches_ball_scan(pair):
     H, K, radius = pair
     assert distance_up_to(H, K, radius) == ball_scan_distance(H, K, radius)
+
+
+# ── core-graph pairs past the radius cap ──────────────────────────────────────
+
+
+@st.composite
+def core_graph_pairs(draw):
+    """(H, K): two folded core graphs over F₂ or F₃, unrelated, a subgroup
+    and one of its Hall completions (they agree on a ball), or equal ones
+    built by another route."""
+    rank = draw(st.sampled_from([2, 3]))
+    H = draw(free_subgroups(rank))
+    shape = draw(st.sampled_from(["graphs", "completion", "equal"]))
+    if shape == "graphs":
+        K = draw(free_subgroups(rank))
+    elif shape == "completion":
+        K = hall_completion(H, draw(st.integers(0, 5 if rank == 2 else 3)))
+    else:
+        K = from_generators(H.ctx, list(reversed(H.basis())))
+    return (K, H) if draw(st.booleans()) else (H, K)
+
+
+@given(core_graph_pairs())
+@example((from_generators(F2, [(1,) * 20]), from_generators(F2, [(1,) * 40])))  # a²⁰
+@settings(max_examples=120, deadline=None)
+def test_core_graph_pairs_past_the_radius_cap(pair):
+    """A search run far past the saturation bound (|V_H|+1)(|V_K|+1)·2r
+    separates H from K iff they differ; the radius-13 and -40 searches are its
+    truncations, the radius-12 search agrees wherever it finds a witness, and
+    short witnesses are the ball scan's."""
+    H, K = pair
+    full = distance_up_to(H, K, 10**6)
+    assert (full.kind == "at_most") == (H == K)
+    for radius in (13, 40):
+        if full.kind == "exact" and full.exponent <= radius:
+            assert distance_up_to(H, K, radius) == full
+        else:
+            assert distance_up_to(H, K, radius) == DistanceBound("at_most", radius + 1)
+    if full.kind == "at_most":
+        assert full.exponent == 10**6 + 1
+        return
+    capped = distance_up_to(H, K, 12)
+    if capped.kind == "exact":
+        assert capped == full
+    if len(full.witness) <= 8:
+        assert full == ball_scan_distance(H, K, len(full.witness))
+
+
+def test_coprime_cyclic_kernels_part_at_a60_under_the_vertex_cap():
+    """ker(F₂ → Z/60) and ker(F₂ → Z/61), a ↦ 1, b ↦ 0, first differ at a⁶⁰.
+    Past the radius cap their search charges the fibre pairs it reaches, as
+    `intersect` charges the product's vertices: about 2ℓ + 1 of them by
+    length ℓ, so 100 of them run out near ℓ = 50."""
+    Z60 = preimage(F2, Target("cyclic", 60), [1, 0], [0])
+    Z61 = preimage(F2, Target("cyclic", 61), [1, 0], [0])
+    assert distance_up_to(Z60, Z61, 100) == DistanceBound("exact", 60, (1,) * 60)
+    with pytest.raises(BudgetExceededError) as info:
+        distance_up_to(Z60, Z61, 100, Budget(vertex_cap=100))
+    assert (info.value.what, info.value.limit) == ("graph vertices", 100)
 
 
 # ── clopen sets ──────────────────────────────────────────────────────────────

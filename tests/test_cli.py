@@ -73,6 +73,7 @@ def test_wrong_schema_is_two(capsys, tmp_path):
 
 
 def test_budget_blowout_is_three(capsys, tmp_path):
+    # two core graphs saturate, so radius 99 runs past the ball radius cap
     spec = spec_file(
         tmp_path,
         "pair.json",
@@ -81,8 +82,16 @@ def test_budget_blowout_is_three(capsys, tmp_path):
             {"context": F2_CTX, "generators": ["b"]},
         ]},
     )
-    code, _, err = run(capsys, "chabauty", spec, "--radius", "99")
+    code, out, _ = run(capsys, "chabauty", spec, "--radius", "99")
+    assert code == 0
+    assert json.loads(out)["result"]["distance"]["witness"] == "a"
+    # a lattice preimage's states are unbounded: past the cap it exits 3
+    spec = spec_file(
+        tmp_path, "ker.json", {"pair": [_KER_Z, {"context": F2_CTX, "generators": ["a"]}]}
+    )
+    code, out, err = run(capsys, "chabauty", spec, "--radius", "99")
     assert code == 3
+    assert out == ""
     assert "budget" in err
 
 
@@ -304,9 +313,53 @@ def test_equal_pair_at_radius_12_and_13(capsys, tmp_path):
     code, out, _ = run(capsys, "chabauty", spec, "--radius", "12")
     assert code == 0
     assert json.loads(out)["result"]["distance"]["kind"] == "at_most"
+    # past the default ball_radius_cap, two core graphs still saturate
     code, out, _ = run(capsys, "chabauty", spec, "--radius", "13")
-    assert code == 3  # past the default ball_radius_cap
+    assert code == 0
+    distance = json.loads(out)["result"]["distance"]
+    assert (distance["kind"], distance["exponent"]) == ("at_most", 14)
+    # a lattice preimage is refused there, and only there
+    spec = spec_file(tmp_path, "ker.json", {"pair": [_KER_Z, _KER_Z]})
+    code, _, _ = run(capsys, "chabauty", spec, "--radius", "12")
+    assert code == 0
+    code, out, _ = run(capsys, "chabauty", spec, "--radius", "13")
+    assert code == 3
     assert out == ""
+
+
+def test_coprime_cyclic_kernels_answer_to_the_vertex_cap(capsys, tmp_path):
+    def ker(m):
+        hom = {"target": {"kind": "cyclic", "param": m}, "images": [1, 0], "accepted": [0]}
+        return {"context": F2_CTX, "hom": hom}
+
+    spec = spec_file(tmp_path, "pair.json", {"pair": [ker(60), ker(61)]})
+    code, out, _ = run(capsys, "chabauty", spec, "--radius", "100")
+    assert code == 0
+    distance = json.loads(out)["result"]["distance"]
+    assert (distance["kind"], distance["witness"]) == ("exact", "a" * 60)
+    code, out, err = run(capsys, "chabauty", spec, "--radius", "100", "--budget-vertices", "100")
+    assert code == 3
+    assert out == ""
+    assert "graph vertices" in err
+
+
+def test_lattice_witness_sequence_answers_to_the_vertex_cap(capsys, tmp_path):
+    # the trivial subgroup of Z at radius 8: terms mZ for m = 1..2·8 + 2 = 18;
+    # the largest ball listed, Z's, holds 17 points, so a vertex cap of 17
+    # binds on the sequence length alone
+    spec = spec_file(tmp_path, "z.json", {"context": {"kind": "lattice", "rank": 1},
+                                          "generators": []})
+    code, out, _ = run(capsys, "witness", spec, "--radius", "8", "--budget-vertices", "18")
+    assert code == 0
+    assert len(json.loads(out)["result"]["terms"]) == 18
+    code, out, err = run(capsys, "witness", spec, "--radius", "8", "--budget-vertices", "17")
+    assert code == 3
+    assert out == ""
+    assert "witness sequence length" in err
+    # 2·250 + 2 = 502 terms, well inside the default vertex_cap
+    code, out, _ = run(capsys, "witness", spec, "--radius", "250")
+    assert code == 0
+    assert len(json.loads(out)["result"]["terms"]) == 502
 
 
 def test_obstruction_demo_is_four(capsys):
@@ -596,9 +649,21 @@ def test_env_budget_binds_the_cli(capsys, tmp_path, monkeypatch):
             {"context": F2_CTX, "generators": ["b"]},
         ]},
     )
+    # the free pair searches on past the radius cap of 4...
+    code, out, _ = run(capsys, "chabauty", spec, "--radius", "8")
+    assert code == 0
+    assert json.loads(out)["result"]["distance"]["witness"] == "a"
+    # ...but a lattice preimage is held to it, where the default cap of 12
+    # would let radius 8 run
+    spec = spec_file(
+        tmp_path, "ker.json", {"pair": [_KER_Z, {"context": F2_CTX, "generators": ["a"]}]}
+    )
     code, _, err = run(capsys, "chabauty", spec, "--radius", "8")
     assert code == 3
     assert "budget" in err
+    monkeypatch.delenv("CHABAUTY_LAB_BUDGET")
+    code, _, _ = run(capsys, "chabauty", spec, "--radius", "8")
+    assert code == 0
 
 
 # ── one parser per process ───────────────────────────────────────────────────
@@ -772,7 +837,7 @@ _fuzz_runs = st.one_of(
 ) | st.tuples(st.sampled_from(sorted(_FUZZ_SHAPED)), _fuzz_docs)
 
 
-@given(_fuzz_runs, st.sampled_from(["1", "3", "8"]))
+@given(_fuzz_runs, st.sampled_from(["1", "3", "8", "13"]))
 @example(("schreier", _FIBERS_ACROSS_CONTEXTS), "2")
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_every_document_exits_with_a_contract_code(command_and_doc, radius):

@@ -1,5 +1,5 @@
 """Dynamics on subgroup space: nonisolation witnesses, free-product
-certificates, transitivity moves, variety limits, Folner transfer.
+certificates, transitivity moves, Folner transfer.
 
 Frozen fixtures:
 
@@ -30,7 +30,6 @@ from chabauty_lab.dynamics import (
     multi_transitivity_move,
     nonisolation_witness,
     obstruction_task,
-    variety_limit_sequence,
 )
 from chabauty_lab.errors import (
     BudgetExceededError,
@@ -197,6 +196,9 @@ def test_free_product_refuted_by_common_power():
     assert not cert.certified()
     assert cert.reason == "nontrivial-intersection"
     assert cert.witness == w("aaaaaa")
+    # ⟨a⁴⟩ ∩ ⟨a⁵⟩ = ⟨a²⁰⟩: a witness longer than the ball radius cap
+    cert = free_product_certify(gens("aaaa"), gens("aaaaa"), Budget(ball_radius_cap=4))
+    assert cert.witness == (1,) * 20
 
 
 def test_free_product_of_conjugates():
@@ -285,32 +287,6 @@ def test_obstruction_task_produces_verified_failure():
     assert progress["candidates_tried"] == 193
     assert progress["best_checks_passed"] == 4
     assert progress["checks_per_candidate"] == 6
-
-
-# ── variety limits ───────────────────────────────────────────────────────────
-
-
-def test_variety_terms_have_growing_rank_but_converge():
-    L = gens("ab")
-    seq = variety_limit_sequence(L, [3, 4, 5, 6])
-    assert [T.rank() for T in seq.terms] == [2, 2, 2, 2]
-    # each term lives in a bigger ambient group and adds one fresh generator
-    assert [T.ctx.rank for T in seq.terms] == [3, 4, 5, 6]
-    cert = seq.certify(4)
-    assert cert.certified()
-    assert cert.n0 == 3
-    # s_4 has graded length 4, so the last term of ⟨ab, s_3⟩, ⟨ab, s_4⟩ still
-    # differs at radius 4; the refutation starts at term 1 with witness s_3
-    fail = variety_limit_sequence(L, [3, 4]).certify(4)
-    assert (fail.kind, fail.index, fail.witness) == ("fails", 1, (3,))
-
-
-def test_variety_indices_must_be_fresh_and_increasing():
-    L = gens("ab")
-    with pytest.raises(MalformedInputError):
-        variety_limit_sequence(L, [2, 3])  # 2 does not exceed the support rank
-    with pytest.raises(MalformedInputError):
-        variety_limit_sequence(L, [5, 4])
 
 
 # ── Folner transfer ──────────────────────────────────────────────────────────

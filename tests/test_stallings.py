@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from chabauty_lab import stallings
 from chabauty_lab.budgets import Budget
+from chabauty_lab.chabauty import distance_up_to
 from chabauty_lab.errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -223,7 +224,14 @@ def test_completion_of_trivial_subgroup():
     assert K.index() == K.nverts == 53
     # nothing of length <= 3 sneaks in: the trace is still trivial
     assert all(not K.contains(v) for v in ball(F2, 3) if v != ())
-    assert K.shortest_nontrivial() == (1, 1, 1, 1, -2, -1, -1)
+    assert _shortest_element(K) == (1, 1, 1, 1, -2, -1, -1)
+
+
+def _shortest_element(H):
+    """The shortest nontrivial element of H as the product search finds it:
+    the first word on which H and the trivial subgroup disagree. A nontrivial
+    core graph on n vertices has a reduced basepoint loop of length < 2n."""
+    return distance_up_to(H, trivial_subgroup(H.ctx), 2 * H.nverts).witness
 
 
 def test_completion_contains_subgroup_and_agrees_on_ball():
@@ -563,6 +571,56 @@ def test_basis_of_completions_matches_path_tuple_oracle():
     for text in ("a", "ab", "aBAb", "aab"):
         K = hall_completion(gens(text), 4)
         assert K.basis() == _oracle_basis(K)
+
+
+def _oracle_shortest_nontrivial(H):
+    """Shortest nontrivial element of H, or None for the trivial subgroup.
+
+    BFS over non-backtracking walk states (vertex, incoming letter): in a
+    folded graph these are exactly the reduced words readable from the
+    basepoint, so the first closed walk found is the canonically-least
+    nontrivial element.
+    """
+    if H.is_trivial():
+        return None
+    letters = [x for i in range(1, H.ctx.rank + 1) for x in (i, -i)]
+    start = (BASEPOINT, 0)
+    parents = {start: (start, 0)}
+    queue = [start]
+    while queue:
+        nxt = []
+        for state in queue:
+            v, last = state
+            for x in letters:
+                if x == -last:
+                    continue
+                u = H.step(v, x)
+                if u is None:
+                    continue
+                if u == BASEPOINT:
+                    word = [x]
+                    cur = state
+                    while cur != start:
+                        cur, y = parents[cur]
+                        word.append(y)
+                    return tuple(reversed(word))
+                if (u, x) not in parents:
+                    parents[(u, x)] = (state, x)
+                    nxt.append((u, x))
+        queue = nxt
+    return None
+
+
+@given(word_lists(max_words=4, max_len=9), st.sampled_from([None, 0, 2, 4]))
+@example((F2, [(1,) * 20]), None)  # a²⁰: longer than the radius cap
+@example((F2, []), 3)  # the trivial subgroup's completion, as above
+@settings(max_examples=150, deadline=None)
+def test_shortest_element_matches_walk_state_oracle(drawn, completion_radius):
+    ctx, words = drawn
+    H = from_generators(ctx, words)
+    if completion_radius is not None:
+        H = hall_completion(H, completion_radius)
+    assert _shortest_element(H) == _oracle_shortest_nontrivial(H)
 
 
 @given(st.lists(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 7, -7]), max_size=6)))

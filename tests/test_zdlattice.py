@@ -288,6 +288,16 @@ def test_witness_sequence_certifies_at_its_radius():
     assert b.kind == "exact"
 
 
+def test_witness_sequence_length_answers_to_the_vertex_cap():
+    # {0} ≤ Z at radius 8 needs the terms mZ, m = 1..18; Z's radius-8 ball,
+    # the largest listed, holds 17 points
+    trivial = hnf_from_generators(1, [])
+    assert len(witness_sequence(trivial, 8, Budget(vertex_cap=18)).terms) == 18
+    with pytest.raises(BudgetExceededError) as info:
+        witness_sequence(trivial, 8, Budget(vertex_cap=17))
+    assert (info.value.what, info.value.limit) == ("witness sequence length", 17)
+
+
 def test_witness_sequence_needs_infinite_index():
     full = hnf_from_generators(2, [(1, 0), (0, 1)])
     with pytest.raises(MalformedInputError):
