@@ -37,7 +37,7 @@ from .stallings import (
     hall_completion,
     kernel,
 )
-from .words import ball, free_group, invert, multiply, reduce_word
+from .words import ball, format_word, free_group, parse_word, reduce_word
 from .zdlattice import (
     HnfSubgroup,
     cb_erasing_rank,
@@ -144,33 +144,46 @@ def _fold_oracle_members(gens: Sequence[tuple], words: Sequence[tuple]) -> set:
     return members
 
 
+def _seam_product(u: str, v: str) -> str:
+    """u·v for reduced words as text: a letter cancels its swapped case."""
+    i, j = len(u), 0
+    while i and j < len(v) and u[i - 1] == v[j].swapcase():
+        i -= 1
+        j += 1
+    return u[:i] + v[j:]
+
+
 def _closure_members(
     gens: Sequence[tuple], radius: int, cap: int, size_guard: int = 1_500_000
 ) -> set | None:
     """Brute-force closure oracle: all products of the generators reachable
     without any intermediate exceeding `cap` letters, filtered to the ball
     of the given radius.  Returns None when the closure would exceed the
-    size guard (the caller then reports the draw instead of guessing)."""
-    seeds = [w for w in (reduce_word(g) for g in gens) if w]
-    mults: list[tuple] = []
-    for g in seeds:
-        for v in (g, invert(g)):
-            if v not in mults:
-                mults.append(v)
-    seen = {()}
-    frontier: list[tuple] = [()]
+    size guard (the caller then reports the draw instead of guessing).
+    Words are held as text while the closure grows."""
+    seeds = [format_word(w) for w in (reduce_word(g) for g in gens) if w]
+    mults = list(dict.fromkeys(v for g in seeds for v in (g, g[::-1].swapcase())))
+    # each multiplier with the inverses of its end letters: unless one of
+    # them meets the other factor at the seam, a product only concatenates
+    ends = [(v, v[0].swapcase(), v[-1].swapcase()) for v in mults]
+    seen = {""}
+    frontier = [""]
     while frontier:
-        out: list[tuple] = []
+        out: list[str] = []
         for s in frontier:
-            for v in mults:
-                for p in (multiply(s, v), multiply(v, s)):
+            first, last = s[:1], s[-1:]
+            for v, v_first_inv, v_last_inv in ends:
+                for p in (
+                    _seam_product(s, v) if last == v_first_inv else s + v,
+                    _seam_product(v, s) if first == v_last_inv else v + s,
+                ):
                     if len(p) <= cap and p not in seen:
                         seen.add(p)
                         if len(seen) > size_guard:
                             return None
                         out.append(p)
         frontier = out
-    return {w for w in seen if len(w) <= radius}
+    return {parse_word(w) for w in seen if len(w) <= radius}
 
 
 def criterion_1() -> CriterionResult:

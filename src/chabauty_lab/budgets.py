@@ -75,6 +75,6 @@ def current(overrides: dict | None = None) -> Budget:
     if unknown:
         raise MalformedInputError(f"unknown budget fields: {sorted(unknown)}")
     for key, val in values.items():
-        if not isinstance(val, int) or val <= 0:
+        if not isinstance(val, int) or isinstance(val, bool) or val <= 0:
             raise MalformedInputError(f"budget field {key!r} must be a positive integer")
     return Budget(**values)

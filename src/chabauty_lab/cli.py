@@ -138,7 +138,7 @@ def cmd_stallings(args, budget: Budget):
         summary.append(f"conjugate by {format_word(g)}: rank {C.rank()}")
     if "completion_radius" in doc:
         n = doc["completion_radius"]
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise MalformedInputError("completion_radius must be a positive integer")
         K = hall_completion(H, n, budget)
         result["completion"] = specio.json_of_graph(K)

@@ -22,7 +22,6 @@ Everything here is exact and deterministic; resource caps come from
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import math
 from collections import Counter
 from typing import Iterable, Sequence
@@ -137,38 +136,8 @@ class StallingsGraph:
     def basis(self) -> list[Word]:
         """Free basis of H from the canonical BFS spanning tree: one word
         path(u)·g·path(v)⁻¹ per non-tree edge u --g--> v, where path(v) is
-        the tree word from the basepoint to v."""
-        # parent[v] = (tree predecessor, letter read along the tree edge)
-        parent: list[tuple[int, int] | None] = [None] * self.nverts
-        parent[BASEPOINT] = (BASEPOINT, 0)
-        order = [BASEPOINT]
-        for u in order:
-            for x, (succ, pred) in enumerate(zip(self.succ, self.pred), 1):
-                v = succ.get(u)
-                if v is not None and parent[v] is None:
-                    parent[v] = (u, x)
-                    order.append(v)
-                v = pred.get(u)
-                if v is not None and parent[v] is None:
-                    parent[v] = (u, -x)
-                    order.append(v)
-
-        def up(v: int) -> list[int]:
-            """path(v) reversed: the letters read from the basepoint to v."""
-            letters = []
-            while v != BASEPOINT:
-                v, y = parent[v]  # type: ignore[misc]
-                letters.append(y)
-            return letters
-
-        # No letter cancels: g against the last letter of path(u) or path(v)
-        # would make u --g--> v a tree edge (the graph is folded).
-        out = []
-        for x, succ in enumerate(self.succ, 1):
-            for u, v in succ.items():
-                if parent[v] != (u, x) and parent[u] != (v, -x):
-                    out.append((*reversed(up(u)), x, *[-y for y in up(v)]))
-        return sorted(out, key=word_key)
+        the tree word from the basepoint to v, sorted by `word_key`."""
+        return _spelled_basis(self, None, text=False)
 
     def basis_text(self) -> list[str]:
         """``[format_word(w) for w in self.basis()]``, spelled as text along
@@ -176,7 +145,7 @@ class StallingsGraph:
         text form's 26 generators take the word route, and raise as it does."""
         if self.ctx.rank > len(_LOWER):
             return [format_word(w) for w in self.basis()]
-        return _spelled_basis(self, None)
+        return _spelled_basis(self, None, text=True)
 
     # comparison / export --------------------------------------------------
 
@@ -214,22 +183,25 @@ class StallingsGraph:
         return "\n".join(lines) + "\n"
 
 
-def _spelled_basis(G: StallingsGraph, H: StallingsGraph | None) -> list[str]:
-    """Text of G.basis() (rank ≤ 26), without the words that lie in H.
+def _spelled_basis(G: StallingsGraph, H: StallingsGraph | None, text: bool) -> list:
+    """G's basis without the words that lie in H: as text sorted by
+    `text_key` (rank ≤ 26), or as words sorted by `word_key`.
 
-    The canonical BFS of :meth:`StallingsGraph.basis` stores, per vertex v,
-    the tree word path(v) as text and the text of its inverse, so a non-tree
-    edge u --x--> v spells fwd[u] + x + inv[v]. With H it also stores hs[v],
-    H's vertex at the end of path(v) (None if the walk leaves H). H is
-    folded, so that word lies in H iff H's x-edge takes hs[u] to hs[v]."""
+    One BFS in canonical letter order stores, per vertex v, the tree word
+    path(v) and its inverse, so a non-tree edge u --x--> v spells
+    fwd[u] + x + inv[v]. No letter cancels there: x against the last letter
+    of path(u) or path(v) would make the edge a tree edge (G is folded).
+    With H it also stores hs[v], H's vertex at the end of path(v) (None if
+    the walk leaves H). H is folded, so that word lies in H iff H's x-edge
+    takes hs[u] to hs[v]."""
     r = G.ctx.rank
-    chars = [(_CHAR_OF_LETTER[g + 1], _CHAR_OF_LETTER[-g - 1]) for g in range(r)]
+    spell = _CHAR_OF_LETTER.__getitem__ if text else lambda x: (x,)
+    chars = [(spell(g + 1), spell(-g - 1)) for g in range(r)]
     succ, pred = G.succ, G.pred
     h_succ, h_pred = (H.succ, H.pred) if H is not None else ([{}] * r, [{}] * r)
-    fwd: list[str | None] = [None] * G.nverts
-    inv: list[str] = [""] * G.nverts
-    hs: list[int | None] = [None] * G.nverts
-    fwd[BASEPOINT], hs[BASEPOINT] = "", BASEPOINT
+    fwd, inv, hs = [None] * G.nverts, [None] * G.nverts, [None] * G.nverts
+    fwd[BASEPOINT] = inv[BASEPOINT] = "" if text else IDENTITY
+    hs[BASEPOINT] = BASEPOINT
     tree: list[set[int]] = [set() for _ in range(r)]  # sources of tree edges
     order = [BASEPOINT]
     for u in order:
@@ -252,17 +224,18 @@ def _spelled_basis(G: StallingsGraph, H: StallingsGraph | None) -> list[str]:
             if u not in tree_g:
                 h = h_g.get(hs[u])
                 if h is None or h != hs[v]:
-                    out.append(fwd[u] + out_ch + inv[v])  # type: ignore[operator]
-    out.sort(key=text_key)
+                    out.append(fwd[u] + out_ch + inv[v])
+    out.sort(key=text_key if text else word_key)
     return out
 
 
 def basis_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
     """``[w for w in K.basis() if not H.contains(w)][:cap]``: the basis words
-    are spelled and sorted as text, and only the first `cap` are parsed."""
+    are spelled and sorted as text, and only the first `cap` are parsed.
+    Contexts beyond the text form's 26 generators spell words."""
     if K.ctx.rank > len(_LOWER):
-        return [w for w in K.basis() if not H.contains(w)][:cap]
-    return [parse_word(s, K.ctx) for s in _spelled_basis(K, H)[:cap]]
+        return _spelled_basis(K, H, text=False)[:cap]
+    return [parse_word(s, K.ctx) for s in _spelled_basis(K, H, text=True)[:cap]]
 
 
 # ── construction pipeline ────────────────────────────────────────────────────
@@ -654,47 +627,35 @@ def _complete(H: StallingsGraph, L: int, budget: Budget) -> StallingsGraph:
     r = H.ctx.rank
     succ = [dict(s) for s in H.succ]
     pred = [dict(p) for p in H.pred]
+    tables = [t for g in range(r) for t in ((succ[g], pred[g]), (pred[g], succ[g]))]
+    # Schreier distances of the core vertices: H is numbered by BFS in
+    # canonical letter order, so one pass in vertex order is that BFS.
+    dist = [0] + [-1] * (H.nverts - 1)
+    layers: list[list[int]] = [[]]
+    for u in range(H.nverts):
+        if dist[u] == len(layers):
+            layers.append([])
+        layers[dist[u]].append(u)
+        for out, _ in tables:
+            v = out.get(u)
+            if v is not None and dist[v] < 0:
+                dist[v] = dist[u] + 1
+    # Grow the Schreier ball layer by layer, hanging a new vertex on each
+    # missing edge of a vertex closer than L. Hanging-tree vertices cannot
+    # shorten core distances, and each layer stays in id order.
     nverts = H.nverts
-    # Schreier distances of the existing core vertices.
-    dist = {BASEPOINT: 0}
-    frontier = [BASEPOINT]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in range(r):
-                for table in (succ[g], pred[g]):
-                    v = table.get(u)
-                    if v is not None and v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-        frontier = nxt
-    # Grow the Schreier ball: expand every vertex closer than L. Hanging-tree
-    # vertices cannot shorten core distances, so distances never need updates.
-    heap = [(d, v) for v, d in dist.items()]
-    heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d >= L:
-            continue
-        for g in range(r):
-            if u not in succ[g]:
-                if nverts >= budget.vertex_cap:
-                    raise BudgetExceededError("completion vertices", budget.vertex_cap)
-                v = nverts
-                nverts += 1
-                succ[g][u] = v
-                pred[g][v] = u
-                dist[v] = d + 1
-                heapq.heappush(heap, (d + 1, v))
-            if u not in pred[g]:
-                if nverts >= budget.vertex_cap:
-                    raise BudgetExceededError("completion vertices", budget.vertex_cap)
-                v = nverts
-                nverts += 1
-                pred[g][u] = v
-                succ[g][v] = u
-                dist[v] = d + 1
-                heapq.heappush(heap, (d + 1, v))
+    for d in range(L):
+        if d + 1 == len(layers):
+            layers.append([])
+        for u in layers[d]:
+            for out, back in tables:
+                if u not in out:
+                    if nverts >= budget.vertex_cap:
+                        raise BudgetExceededError("completion vertices", budget.vertex_cap)
+                    out[u] = nverts
+                    back[nverts] = u
+                    layers[d + 1].append(nverts)
+                    nverts += 1
     # Complete each generator's partial injection into a permutation.
     for g in range(r):
         sources = [v for v in range(nverts) if v not in succ[g]]

@@ -48,3 +48,16 @@ def test_env_var_must_be_json(monkeypatch):
     monkeypatch.setenv("CHABAUTY_LAB_BUDGET", "not json")
     with pytest.raises(MalformedInputError):
         current()
+
+
+@pytest.mark.parametrize("value", [True, False, 0, -3, 2.5, "7", None])
+def test_fields_must_be_positive_integers_not_bools(value):
+    """JSON `true` is a Python bool, and so an int: it must not pass as 1."""
+    with pytest.raises(MalformedInputError, match="positive integer"):
+        current({"u_len_cap": value})
+
+
+def test_env_var_rejects_bools(monkeypatch):
+    monkeypatch.setenv("CHABAUTY_LAB_BUDGET", '{"vertex_cap": true}')
+    with pytest.raises(MalformedInputError, match="positive integer"):
+        current()

@@ -666,6 +666,46 @@ def test_env_budget_binds_the_cli(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+def _paired_task(budget):
+    return {
+        "context": F2_CTX,
+        "pairs": [
+            {
+                "source": {"ins": ["abab"], "outs": []},
+                "target": {"ins": ["BABA"], "outs": []},
+                "source_witness": ["abab"],
+                "target_witness": ["BABA"],
+            }
+        ],
+        "budget": budget,
+    }
+
+
+def test_json_true_is_not_a_budget_or_a_radius(capsys, tmp_path, monkeypatch):
+    """JSON `true` is a Python bool, and so an int: a budget field, the
+    budget environment variable and a completion radius all refuse it with
+    exit 2 instead of reading it as 1."""
+    spec = spec_file(tmp_path, "task.json", _paired_task({"u_len_cap": True}))
+    code, out, err = run(capsys, "transit", spec)
+    assert (code, out) == (2, "")
+    assert "u_len_cap" in err
+    spec = spec_file(tmp_path, "task1.json", _paired_task({"u_len_cap": 1}))
+    assert run(capsys, "transit", spec)[0] == 0
+    monkeypatch.setenv("CHABAUTY_LAB_BUDGET", '{"u_len_cap": true}')
+    code, out, _ = run(capsys, "transit", spec)
+    assert (code, out) == (2, "")
+    monkeypatch.delenv("CHABAUTY_LAB_BUDGET")
+    for radius, expected in ((True, 2), (1, 0)):
+        spec = spec_file(
+            tmp_path, "h.json",
+            {"context": F2_CTX, "generators": ["a"], "completion_radius": radius},
+        )
+        code, out, _ = run(capsys, "stallings", spec)
+        assert code == expected
+        if expected == 0:
+            assert json.loads(out)["result"]["completion"]["agreement_radius"] == 1
+
+
 # ── one parser per process ───────────────────────────────────────────────────
 
 _SRC = os.path.dirname(os.path.dirname(chabauty_lab.__file__))

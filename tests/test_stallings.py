@@ -10,9 +10,11 @@ The hand-checked fixtures:
 * b·⟨a⟩·b⁻¹ = ⟨bab⁻¹⟩.
 
 The worklist fold is checked against the full-rebuild edge-set fold it
-replaced (`_oracle_core`), and `basis` against the path-tuple construction.
+replaced (`_oracle_core`), `basis` against the path-tuple construction, and
+the layered completion against the heap-ordered one it replaced.
 """
 
+import heapq
 import random
 
 import pytest
@@ -32,6 +34,7 @@ from chabauty_lab.stallings import (
     HomSubgroup,
     StallingsGraph,
     Target,
+    basis_outside,
     conjugate_subgroup,
     from_generators,
     hall_completion,
@@ -735,3 +738,148 @@ def test_untrimmed_intersection_is_canonical_as_numbered(drawn_h, drawn_k, cover
     canonical = stallings._canonical(ctx, range(n), succ, pred, BASEPOINT)
     assert canonical.succ == tuple(succ)
     assert intersect(H, K) == canonical
+
+
+# ── the layered completion against the heap-ordered one it replaced ─────────
+
+
+def _oracle_complete(H, L, budget):
+    """Hall completion grown from a heap of (distance, vertex): core
+    distances by a frontier BFS, then every vertex closer than L popped in
+    (distance, id) order, a new vertex hung on each missing edge."""
+    r = H.ctx.rank
+    succ = [dict(s) for s in H.succ]
+    pred = [dict(p) for p in H.pred]
+    nverts = H.nverts
+    dist = {BASEPOINT: 0}
+    frontier = [BASEPOINT]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in range(r):
+                for table in (succ[g], pred[g]):
+                    v = table.get(u)
+                    if v is not None and v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+        frontier = nxt
+    heap = [(d, v) for v, d in dist.items()]
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d >= L:
+            continue
+        for g in range(r):
+            if u not in succ[g]:
+                if nverts >= budget.vertex_cap:
+                    raise BudgetExceededError("completion vertices", budget.vertex_cap)
+                v = nverts
+                nverts += 1
+                succ[g][u] = v
+                pred[g][v] = u
+                dist[v] = d + 1
+                heapq.heappush(heap, (d + 1, v))
+            if u not in pred[g]:
+                if nverts >= budget.vertex_cap:
+                    raise BudgetExceededError("completion vertices", budget.vertex_cap)
+                v = nverts
+                nverts += 1
+                pred[g][u] = v
+                succ[g][v] = u
+                dist[v] = d + 1
+                heapq.heappush(heap, (d + 1, v))
+    for g in range(r):
+        sources = [v for v in range(nverts) if v not in succ[g]]
+        targets = [v for v in range(nverts) if v not in pred[g]]
+        for u, v in zip(sources, targets):
+            succ[g][u] = v
+            pred[g][v] = u
+    return stallings._canonical(H.ctx, range(nverts), succ, pred, BASEPOINT)
+
+
+@st.composite
+def completion_inputs(draw):
+    """A core graph over F₂ or F₃ (a fold, an intersection of two folds, or
+    the trivial subgroup) and a radius L in 0..6."""
+    ctx, words = draw(word_lists(max_words=3, max_len=6))
+    kind = draw(st.sampled_from(["fold", "intersect", "trivial"]))
+    if kind == "trivial":
+        H = trivial_subgroup(ctx)
+    else:
+        H = from_generators(ctx, words)
+    if kind == "intersect":
+        letter = st.integers(1, ctx.rank).flatmap(lambda i: st.sampled_from([i, -i]))
+        word = st.lists(letter, max_size=6).map(lambda ls: reduce_word(tuple(ls)))
+        H = intersect(H, from_generators(ctx, draw(st.lists(word, max_size=3))))
+    return H, draw(st.integers(0, 6))
+
+
+def _completion_outcome(complete, H, L, cap):
+    try:
+        return complete(H, L, _cap(cap))
+    except BudgetExceededError:
+        return "exceeded"
+
+
+@given(completion_inputs(), st.floats(0, 1))
+@example((trivial_subgroup(F3), 6), 0.5)
+@example((from_generators(F2, [(1, 2, -1)]), 0), 0.0)
+@settings(max_examples=80, deadline=None)
+def test_layered_completion_matches_heap_oracle(drawn, cap_fraction):
+    """Equal graphs, and under the same vertex_cap the same raise: the
+    cap-th created vertex is the first refused by both."""
+    H, L = drawn
+    K = stallings._complete(H, L, Budget())
+    assert K == _oracle_complete(H, L, Budget())
+    n = K.nverts  # the completion keeps every vertex it creates
+    for cap in {n, n - 1, max(1, round(n * cap_fraction))}:
+        layered = _completion_outcome(stallings._complete, H, L, cap)
+        assert layered == _completion_outcome(_oracle_complete, H, L, cap)
+        assert (layered == "exceeded") == (cap < n and n > H.nverts)
+
+
+def test_hall_completion_completes_once(monkeypatch):
+    calls, complete = [], stallings._complete
+
+    def counting(H, L, budget):
+        calls.append(L)
+        return complete(H, L, budget)
+
+    monkeypatch.setattr(stallings, "_complete", counting)
+    for H, L in ((gens("a", "bab"), 4), (trivial_subgroup(F3), 2), (gens("aBAb"), 0)):
+        calls.clear()
+        K = hall_completion(H, L)
+        assert calls == [L]
+        assert K.is_covering() and all(K.contains(x) for x in H.basis())
+
+
+# ── the word route past 26 generators ───────────────────────────────────────
+
+F27 = free_group(27)
+
+
+def _words27(max_words, max_len):
+    letter = st.sampled_from([1, 2, 26, 27]).flatmap(lambda i: st.sampled_from([i, -i]))
+    word = st.lists(letter, max_size=max_len).map(lambda ls: reduce_word(tuple(ls)))
+    return st.lists(word, max_size=max_words)
+
+
+@given(_words27(4, 6), _words27(2, 5), st.booleans(), st.sampled_from([1, 2, 20, 10**6]))
+@example([(1,), (2, 27, -2)], [], True, 20)
+@example([(1,), (2, 26, -2)], [(27,)], False, 2)
+@settings(max_examples=40, deadline=None)
+def test_word_route_beyond_26_generators(words, extra, complete, cap):
+    """Past the text form's 26 letters the basis and the witness candidates
+    are spelled as words, and `basis_text` raises iff a basis word holds
+    generator 27."""
+    H = from_generators(F27, words)
+    K = hall_completion(H, 1) if complete else join(H, extra)
+    for G in (H, K):
+        basis = G.basis()
+        assert basis == _oracle_basis(G)
+        if any(abs(x) == 27 for word in basis for x in word):
+            with pytest.raises(MalformedInputError, match="at most 26 generators"):
+                G.basis_text()
+        else:
+            assert G.basis_text() == [format_word(x) for x in basis]
+    assert basis_outside(K, H, cap) == [x for x in K.basis() if not H.contains(x)][:cap]
