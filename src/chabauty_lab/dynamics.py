@@ -281,16 +281,51 @@ def _candidate_conjugators(ctx: GroupContext, budget: Budget) -> Iterable[Word]:
 
 
 def _try_candidate(
-    task: TransitivityTask, w: Word, budget: Budget
+    task: TransitivityTask,
+    w: Word,
+    floor: int,
+    screens: list[tuple[list[Word], frozenset]],
 ) -> tuple[list[PairCertificate] | None, int, str]:
     """Evaluate one candidate; returns (pair certs | None, #checks passed,
-    first failure description)."""
+    first failure description).
+
+    The checks of pair i (0-based) are freeness, then the source check, then
+    the target check. `floor` is the most checks any earlier candidate
+    passed, and the search keeps a failed candidate only if it passes more.
+    A candidate that fails pair i's source check passes at most 3i + 1
+    checks, so once floor ≥ 3i + 1 only the source check of pair i can
+    still matter, and it is settled first:
+
+    - a pre-test that builds no graph: Δ_i contains w·b·w⁻¹ for every basis
+      word b of Λ'_i, so Δ_i is outside sources[i] if one of these is an
+      out-word;
+    - otherwise the source check on Δ_i, before the freeness `intersect`.
+
+    A candidate refuted this way reports the 3i checks it passed before pair
+    i, which cannot beat the floor; its freeness stays unsettled. This runs
+    only when n_s·(n_t + |w|) ≤ vertex_cap for n_s = |V(Λ_i)| and n_t =
+    |V(Λ'_i)|: that bounds the conjugation, the join, the fibre product and
+    `_freeness`'s one-fibre distance search, so none of the skipped steps
+    could have raised BudgetExceededError and every raise comes at the same
+    candidate as in check order. Past the guard, the checks run in order.
+    """
+    budget = task.budget
     certs = []
     passed = 0
     for i in range(task.r):
         lam_s = task.source_witnesses[i]
-        lam_t_conj = conjugate_subgroup(task.target_witnesses[i], w, budget)
+        lam_t = task.target_witnesses[i]
+        basis_t, outs = screens[i]
+        outside = f"pair {i + 1}: Δ outside the source set"
+        source_first = floor > passed and (
+            lam_s.nverts * (lam_t.nverts + len(w)) <= budget.vertex_cap
+        )
+        if source_first and any(conjugate(b, w) in outs for b in basis_t):
+            return None, passed, outside
+        lam_t_conj = conjugate_subgroup(lam_t, w, budget)
         delta = join(lam_s, lam_t_conj, budget)
+        if source_first and not in_clopen(delta, task.sources[i]):
+            return None, passed, outside
         if delta == lam_s or delta == lam_t_conj:
             freeness = "absorbed"
         else:
@@ -300,8 +335,8 @@ def _try_candidate(
                 return None, passed, f"pair {i + 1}: join not free ({fp.reason})"
             freeness = "certified"
         passed += 1
-        if not in_clopen(delta, task.sources[i]):
-            return None, passed, f"pair {i + 1}: Δ outside the source set"
+        if not source_first and not in_clopen(delta, task.sources[i]):
+            return None, passed, outside
         passed += 1
         moved = conjugate_subgroup(delta, invert(w), budget)
         if not in_clopen(moved, task.targets[i]):
@@ -345,9 +380,7 @@ def _reverify(task: TransitivityTask, w: Word, certs: list[PairCertificate]) -> 
                 raise AssertionError("certificate failed freeness re-check")
 
 
-def multi_transitivity_move(
-    task: TransitivityTask, budget: Budget | None = None
-) -> MoveCertificate:
+def multi_transitivity_move(task: TransitivityTask) -> MoveCertificate:
     """Find one conjugator moving every source pair into its target pair.
 
     For each candidate w the moved points are Δ_i = ⟨Λ_i, w·Λ'_i·w⁻¹⟩; the
@@ -358,15 +391,24 @@ def multi_transitivity_move(
     Candidates are searched in deterministic canonical order under the task's
     budget. Success returns a re-verified certificate; exhausting the budget
     with every candidate refuted raises SearchFailure with the refutation
-    transcript summary — a verified, budget-relative negative.
+    transcript summary — a verified, budget-relative negative. Each candidate
+    settles only the checks that can still change that transcript (see
+    `_try_candidate`); the certificate, the transcript and every budget raise
+    are those of running every check in order.
     """
-    budget = budget or task.budget
+    budget = task.budget
     validate_task(task)
+    # per pair, what the pre-test in _try_candidate reads: the basis words
+    # of the target witness and the source set's out-words
+    screens = [
+        (lam_t.basis(), frozenset(V.outs))
+        for lam_t, V in zip(task.target_witnesses, task.sources)
+    ]
     tried = 0
     best = (-1, IDENTITY, "no candidates evaluated")
     for w in _candidate_conjugators(task.ctx, budget):
         tried += 1
-        certs, passed, failure = _try_candidate(task, w, budget)
+        certs, passed, failure = _try_candidate(task, w, best[0], screens)
         if certs is not None:
             _reverify(task, w, certs)
             return MoveCertificate(

@@ -262,8 +262,8 @@ def generated_subgroup_from_json(
 
 
 def clopen_from_json(obj: Any, ctx: GroupContext) -> ClopenSet:
-    ins = [word_from_json(w, ctx) for w in _require(obj, "ins", "clopen set")]
-    outs = [word_from_json(w, ctx) for w in _require(obj, "outs", "clopen set")]
+    ins = words_from_json(_require(obj, "ins", "clopen set"), ctx, "clopen ins")
+    outs = words_from_json(_require(obj, "outs", "clopen set"), ctx, "clopen outs")
     return clopen(ins, outs)
 
 

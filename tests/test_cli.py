@@ -195,6 +195,46 @@ def _transit_with_witness(witness):
     }]}
 
 
+def _transit_with_source_ins(ins, rank=2):
+    """One pair whose source "ins" is not a list; as lists these would be
+    valid tasks: {"ins": ["ab"]} is solved by the identity, and ["b", "a"]
+    in F₃ by a conjugator after 54 candidates."""
+    ctx = {"kind": "free", "rank": rank}
+    if rank == 3:
+        return {"context": ctx, "pairs": [{
+            "source": {"ins": ins, "outs": ["c"]}, "target": {"ins": ["c"], "outs": ["a"]},
+            "source_witness": ["a", "b"], "target_witness": ["c"],
+        }]}
+    return {"context": ctx, "pairs": [{
+        "source": {"ins": ins, "outs": ["ba"]}, "target": {"ins": ["ab"], "outs": ["ba"]},
+        "source_witness": ["ab"], "target_witness": ["ab"],
+    }]}
+
+
+# clopen word lists given as a number, a string and an object: they raised a
+# TypeError, were read as the letters b and a, and as the keys ["ab"]
+_CLOPEN_INS_NOT_LISTS = [
+    _transit_with_source_ins(5),
+    _transit_with_source_ins("ba", rank=3),
+    _transit_with_source_ins({"ab": 1}),
+]
+
+
+@pytest.mark.parametrize("doc", _CLOPEN_INS_NOT_LISTS, ids=["number", "string", "object"])
+def test_clopen_word_lists_must_be_lists(capsys, tmp_path, doc):
+    spec = spec_file(tmp_path, "task.json", doc)
+    code, out, err = run(capsys, "transit", spec)
+    assert (code, out) == (2, "")
+    assert "clopen ins must be a list of words" in err
+    outs_doc = json.loads(json.dumps(doc))
+    source = outs_doc["pairs"][0]["source"]
+    source["ins"], source["outs"] = source["outs"], source["ins"]
+    spec = spec_file(tmp_path, "swapped.json", outs_doc)
+    code, out, err = run(capsys, "transit", spec)
+    assert (code, out) == (2, "")
+    assert "clopen outs must be a list of words" in err
+
+
 @pytest.mark.parametrize("hom", [_EVEN_CYCLIC, _EVEN_SWAP, _hom_doc("cyclic", 65, [1, 0], [0])],
                          ids=["cyclic", "permutation", "past-the-vertex-cap"])
 @pytest.mark.parametrize("command, doc", [
@@ -879,6 +919,9 @@ _fuzz_runs = st.one_of(
 
 @given(_fuzz_runs, st.sampled_from(["1", "3", "8", "13"]))
 @example(("schreier", _FIBERS_ACROSS_CONTEXTS), "2")
+@example(("transit", _CLOPEN_INS_NOT_LISTS[0]), "1")
+@example(("transit", _CLOPEN_INS_NOT_LISTS[1]), "1")
+@example(("transit", _CLOPEN_INS_NOT_LISTS[2]), "1")
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_every_document_exits_with_a_contract_code(command_and_doc, radius):
     command, doc = command_and_doc

@@ -11,18 +11,23 @@ Frozen fixtures:
   2/(2i+1) and b-ratio 0.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chabauty_lab import specio
+from chabauty_lab import dynamics, specio
 from chabauty_lab.budgets import Budget
 from chabauty_lab.chabauty import certify_convergence, clopen, distance_up_to, in_clopen
 from chabauty_lab.dynamics import (
     FolnerReport,
     FolnerSetReport,
+    MoveCertificate,
+    PairCertificate,
+    _candidate_conjugators,
+    _reverify,
     folner_transfer_check,
     free_product_certify,
     interval_folner_demo,
@@ -30,6 +35,7 @@ from chabauty_lab.dynamics import (
     multi_transitivity_move,
     nonisolation_witness,
     obstruction_task,
+    validate_task,
 )
 from chabauty_lab.errors import (
     BudgetExceededError,
@@ -40,6 +46,7 @@ from chabauty_lab.errors import (
 from chabauty_lab.stallings import (
     Target,
     basis_outside,
+    conjugate_subgroup,
     from_generators,
     hall_completion,
     join,
@@ -48,9 +55,11 @@ from chabauty_lab.stallings import (
     whole_group,
 )
 from chabauty_lab.words import (
+    conjugate,
     format_word,
     free_group,
     invert,
+    iter_ball,
     multiply,
     parse_word,
     reduce_word,
@@ -249,8 +258,6 @@ def test_move_certificate_checks_replay():
     """Re-run the clopen checks by hand: Δ_i ∈ source_i and w⁻¹·Δ_i·w ∈ target_i."""
     task = _paired_task()
     cert = multi_transitivity_move(task)
-    from chabauty_lab.stallings import conjugate_subgroup
-
     for pc, V_src, V_tgt in zip(cert.pairs, task.sources, task.targets):
         assert in_clopen(pc.delta, V_src)
         assert in_clopen(conjugate_subgroup(pc.delta, cert.conjugator), V_tgt)
@@ -287,6 +294,263 @@ def test_obstruction_task_produces_verified_failure():
     assert progress["candidates_tried"] == 193
     assert progress["best_checks_passed"] == 4
     assert progress["checks_per_candidate"] == 6
+
+
+# ── the search against its check-in-order oracle ────────────────────────────
+
+
+def _oracle_try_candidate(task, cand, budget):
+    """One candidate with every check in order: for each pair, the freeness
+    of the join, then the source check, then the target check."""
+    certs = []
+    passed = 0
+    for i in range(task.r):
+        lam_s = task.source_witnesses[i]
+        lam_t_conj = conjugate_subgroup(task.target_witnesses[i], cand, budget)
+        delta = join(lam_s, lam_t_conj, budget)
+        if delta == lam_s or delta == lam_t_conj:
+            freeness = "absorbed"
+        else:
+            fp = dynamics._freeness(lam_s, lam_t_conj, delta, budget)
+            if not fp.certified():
+                return None, passed, f"pair {i + 1}: join not free ({fp.reason})"
+            freeness = "certified"
+        passed += 1
+        if not in_clopen(delta, task.sources[i]):
+            return None, passed, f"pair {i + 1}: Δ outside the source set"
+        passed += 1
+        moved = conjugate_subgroup(delta, invert(cand), budget)
+        if not in_clopen(moved, task.targets[i]):
+            return None, passed, f"pair {i + 1}: w⁻¹Δw outside the target set"
+        passed += 1
+        certs.append(PairCertificate(delta, freeness, True, True))
+    return certs, passed, ""
+
+
+def _oracle_move(task):
+    """multi_transitivity_move with every check of every candidate settled."""
+    budget = task.budget
+    validate_task(task)
+    tried = 0
+    best = (-1, (), "no candidates evaluated")
+    for cand in _candidate_conjugators(task.ctx, budget):
+        tried += 1
+        certs, passed, failure = _oracle_try_candidate(task, cand, budget)
+        if certs is not None:
+            _reverify(task, cand, certs)
+            return MoveCertificate(invert(cand), cand, tuple(certs), tried, True)
+        if passed > best[0]:
+            best = (passed, cand, failure)
+    raise SearchFailure(
+        "every candidate conjugator was refuted within the budget",
+        progress={
+            "candidates_tried": tried,
+            "checks_per_candidate": 3 * task.r,
+            "best_checks_passed": best[0],
+            "best_candidate": best[1],
+            "best_failure": best[2],
+            "u_len_cap": budget.u_len_cap,
+            "exponent_cap": budget.exponent_cap,
+            "conjugator_len_cap": budget.conjugator_len_cap,
+        },
+    )
+
+
+def _outcome(search, task):
+    """A certificate, or what the search raised: the SearchFailure message
+    and progress, or the BudgetExceededError's field, limit and reach."""
+    try:
+        return search(task)
+    except SearchFailure as exc:
+        return ("search failure", str(exc), exc.progress)
+    except BudgetExceededError as exc:
+        return ("budget", exc.what, exc.limit, exc.reached)
+
+
+def _assert_same_outcome(task):
+    assert _outcome(multi_transitivity_move, task) == _outcome(_oracle_move, task)
+
+
+_SMALL_GRID = Budget(u_len_cap=2, exponent_cap=2, conjugator_len_cap=4)
+
+
+@st.composite
+def _move_tasks(draw):
+    """Tasks over F₂ or F₃ with 1–3 pairs on a small candidate grid. Each
+    clopen set asks for some basis words of its witness and excludes short
+    words outside it. Conjugates w·b·w⁻¹ of the target witness's basis words
+    b by grid candidates w enter the source side: as out-words, so that the
+    pre-test refutes (for one b and every w, so that some searches fail),
+    and as generators and in-words of the source witness, so that some
+    candidates w succeed."""
+    rank = draw(st.sampled_from([2, 3]))
+    ctx = free_group(rank)
+    grid = list(_candidate_conjugators(ctx, _SMALL_GRID))
+
+    def witness(extra=()):
+        words = draw(st.lists(_raw_words(rank, 4), max_size=2))
+        H = from_generators(ctx, [*words, *extra])
+        assume(H.index() is None)
+        return H
+
+    def clopen_for(H, ins=(), outs=()):
+        basis = H.basis()
+        ins = [*ins, *(draw(st.lists(st.sampled_from(basis), max_size=2)) if basis else [])]
+        drawn = [reduce_word(o) for o in draw(st.lists(_raw_words(rank, 3), max_size=6))]
+        return clopen(ins, [o for o in [*drawn, *outs] if not H.contains(o)])
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        lam_t = witness()
+        basis_t = lam_t.basis()
+
+        def conjugates(most):
+            if not basis_t:
+                return []
+            if most > 2 and draw(st.booleans()):  # one basis word over the whole grid
+                b = draw(st.sampled_from(basis_t))
+                return [conjugate(b, cand) for cand in grid]
+            return [
+                conjugate(draw(st.sampled_from(basis_t)), draw(st.sampled_from(grid)))
+                for _ in range(draw(st.integers(0, most)))
+            ]
+
+        inside = conjugates(2)
+        lam_s = witness(inside)
+        pairs.append((clopen_for(lam_s, inside, conjugates(8)), clopen_for(lam_t), lam_s, lam_t))
+    return make_task(ctx, pairs, _SMALL_GRID)
+
+
+@given(_move_tasks())
+@settings(max_examples=150, deadline=None)
+def test_move_matches_the_check_in_order_oracle(task):
+    _assert_same_outcome(task)
+
+
+def _obstruction_in_workload_shape(c, x, u_len_cap, exponent_cap):
+    """The obstructed pattern of obstruction_task with a base word c in
+    place of ab and c' = x·c·x⁻¹ in place of ba."""
+    budget = Budget(u_len_cap=u_len_cap, exponent_cap=exponent_cap)
+    lam_c = from_generators(F2, [c])
+    c2 = conjugate(c, x)
+    lam_c2 = from_generators(F2, [c2])
+    shadow = {conjugate(c, cand) for cand in _candidate_conjugators(F2, budget)}
+    source = clopen([c], [o for o in shadow if not lam_c.contains(o)])
+    return make_task(
+        F2,
+        [
+            (source, clopen([c], [c2]), lam_c, lam_c),
+            (source, clopen([c2], [c]), lam_c, lam_c2),
+        ],
+        budget,
+    )
+
+
+# cyclically reduced words of length 2 or 3 in both letters of F₂, none of
+# them a proper power
+_BASE_WORDS = [
+    c for c in iter_ball(2, 3)
+    if len(c) >= 2 and c[0] != -c[-1] and {abs(y) for y in c} == {1, 2}
+]
+
+
+@st.composite
+def _workload_obstructions(draw):
+    """A base word c, a letter x, and a grid (u_len_cap, exponent_cap) of
+    the workload's sizes."""
+    return _obstruction_in_workload_shape(
+        draw(st.sampled_from(_BASE_WORDS)),
+        (draw(st.sampled_from([1, -1, 2, -2])),),
+        draw(st.integers(2, 3)),
+        draw(st.integers(2, 4)),
+    )
+
+
+@given(_workload_obstructions())
+@settings(max_examples=25, deadline=None)
+def test_workload_obstructions_match_the_oracle(task):
+    outcome = _outcome(multi_transitivity_move, task)
+    assert outcome[0] == "search failure"
+    assert outcome == _outcome(_oracle_move, task)
+
+
+def test_obstruction_task_matches_the_oracle():
+    _assert_same_outcome(obstruction_task())
+
+
+def _with_vertex_cap(task, cap):
+    return dataclasses.replace(task, budget=task.budget.replace(vertex_cap=cap))
+
+
+@given(_move_tasks(), st.integers(4, 64))
+@settings(max_examples=100, deadline=None)
+def test_small_vertex_caps_raise_where_the_oracle_raises(task, cap):
+    _assert_same_outcome(_with_vertex_cap(task, cap))
+
+
+@pytest.mark.parametrize("cap", range(4, 65))
+def test_obstruction_under_small_vertex_caps_matches_the_oracle(cap):
+    _assert_same_outcome(_with_vertex_cap(obstruction_task(), cap))
+
+
+def test_one_check_above_the_floor_moves_the_transcript():
+    """⟨aa⟩ and w·⟨aaa⟩·w⁻¹ with the source set excluding w·aaa·w⁻¹ for every
+    grid candidate w: the powers of a fail freeness (0 checks) and the
+    others fail the source check (1 check). The identity sets the floor to
+    0, so b, passing exactly one check, must still run in check order."""
+    lam_s = gens("aa")
+    shadow = [conjugate(w("aaa"), cand) for cand in _candidate_conjugators(F2, _SMALL_GRID)]
+    V = clopen([w("aa")], [o for o in shadow if not lam_s.contains(o)])
+    task = make_task(F2, [(V, clopen([w("aaa")], []), lam_s, gens("aaa"))], _SMALL_GRID)
+    with pytest.raises(SearchFailure) as exc_info:
+        multi_transitivity_move(task)
+    progress = exc_info.value.progress
+    assert progress["best_checks_passed"] == 1
+    assert progress["best_candidate"] == w("b")
+    assert progress["best_failure"] == "pair 1: Δ outside the source set"
+    _assert_same_outcome(task)
+
+
+def _counting_freeness(monkeypatch):
+    calls = []
+    freeness = dynamics._freeness
+
+    def counted(*args):
+        calls.append(args)
+        return freeness(*args)
+
+    monkeypatch.setattr(dynamics, "_freeness", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cap", range(4, 12))
+def test_guard_failing_from_the_first_candidate_keeps_check_order(monkeypatch, cap):
+    """The obstruction on c = aab: the identity passes 4 checks, so every
+    later candidate w could skip at pair 1, but the guard
+    n_s·(n_t + |w|) = 3·(3 + |w|) ≤ vertex_cap fails for all of them. The
+    search then runs every check in order: the oracle's outcome, and as many
+    freeness tests as the oracle."""
+    task = _with_vertex_cap(_obstruction_in_workload_shape(w("aab"), w("b"), 2, 2), cap)
+    assert [lam.nverts for lam in task.source_witnesses] == [3, 3]
+    assert 3 * (3 + 1) > cap
+    calls = _counting_freeness(monkeypatch)
+    outcome = _outcome(multi_transitivity_move, task)
+    searched = len(calls)
+    calls.clear()
+    assert outcome == _outcome(_oracle_move, task)
+    assert searched == len(calls)
+
+
+def test_obstruction_settles_freeness_once(monkeypatch):
+    """The floor skips what cannot change the transcript: of the 193
+    refuted candidates only the identity, tried before there is a floor,
+    runs the freeness test. Checking every candidate in order runs it 193
+    times."""
+    calls = _counting_freeness(monkeypatch)
+    with pytest.raises(SearchFailure) as exc_info:
+        multi_transitivity_move(obstruction_task())
+    assert exc_info.value.progress["candidates_tried"] == 193
+    assert len(calls) <= 3
 
 
 # ── Folner transfer ──────────────────────────────────────────────────────────
