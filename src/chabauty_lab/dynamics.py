@@ -32,6 +32,7 @@ from .stallings import (
     intersect,
     join,
     trivial_subgroup,
+    wedge_conjugate,
 )
 from .words import (
     GroupContext,
@@ -296,18 +297,23 @@ def _try_candidate(
     checks, so once floor ≥ 3i + 1 only the source check of pair i can
     still matter, and it is settled first:
 
-    - a pre-test that builds no graph: Δ_i contains w·b·w⁻¹ for every basis
-      word b of Λ'_i, so Δ_i is outside sources[i] if one of these is an
-      out-word;
-    - otherwise the source check on Δ_i, before the freeness `intersect`.
+    - a pre-test that builds no graph: Δ_i contains w·b·w⁻¹ and w·b⁻¹·w⁻¹
+      for every basis word b of Λ'_i, so Δ_i is outside sources[i] if one
+      of these is an out-word (a source set may exclude a conjugacy class
+      in either orientation);
+    - otherwise the source check on `wedge_conjugate(Λ_i, Λ'_i, w)`, the
+      folded but unfinalized builder of Δ_i, which has Δ_i's membership.
+      Only a candidate that passes it finalizes the wedge into Δ_i, for the
+      absorption test, the freeness `intersect` and the certificate.
 
     A candidate refuted this way reports the 3i checks it passed before pair
     i, which cannot beat the floor; its freeness stays unsettled. This runs
     only when n_s·(n_t + |w|) ≤ vertex_cap for n_s = |V(Λ_i)| and n_t =
-    |V(Λ'_i)|: that bounds the conjugation, the join, the fibre product and
-    `_freeness`'s one-fibre distance search, so none of the skipped steps
-    could have raised BudgetExceededError and every raise comes at the same
-    candidate as in check order. Past the guard, the checks run in order.
+    |V(Λ'_i)|: that bounds the wedge (n_s + n_t + |w| − 1 vertices), the
+    conjugation, the join, the fibre product and `_freeness`'s one-fibre
+    distance search, so none of the skipped steps could have raised
+    BudgetExceededError and every raise comes at the same candidate as in
+    check order. Past the guard, the checks run in order.
     """
     budget = task.budget
     certs = []
@@ -315,17 +321,19 @@ def _try_candidate(
     for i in range(task.r):
         lam_s = task.source_witnesses[i]
         lam_t = task.target_witnesses[i]
-        basis_t, outs = screens[i]
+        words_t, outs = screens[i]
         outside = f"pair {i + 1}: Δ outside the source set"
         source_first = floor > passed and (
             lam_s.nverts * (lam_t.nverts + len(w)) <= budget.vertex_cap
         )
-        if source_first and any(conjugate(b, w) in outs for b in basis_t):
-            return None, passed, outside
+        if source_first:
+            if any(conjugate(b, w) in outs for b in words_t):
+                return None, passed, outside
+            wedge = wedge_conjugate(lam_s, lam_t, w, budget)
+            if not in_clopen(wedge, task.sources[i]):
+                return None, passed, outside
         lam_t_conj = conjugate_subgroup(lam_t, w, budget)
-        delta = join(lam_s, lam_t_conj, budget)
-        if source_first and not in_clopen(delta, task.sources[i]):
-            return None, passed, outside
+        delta = wedge.finalize() if source_first else join(lam_s, lam_t_conj, budget)
         if delta == lam_s or delta == lam_t_conj:
             freeness = "absorbed"
         else:
@@ -399,9 +407,10 @@ def multi_transitivity_move(task: TransitivityTask) -> MoveCertificate:
     budget = task.budget
     validate_task(task)
     # per pair, what the pre-test in _try_candidate reads: the basis words
-    # of the target witness and the source set's out-words
+    # of the target witness with their inverses, and the source set's
+    # out-words
     screens = [
-        (lam_t.basis(), frozenset(V.outs))
+        ([x for b in lam_t.basis() for x in (b, invert(b))], frozenset(V.outs))
         for lam_t, V in zip(task.target_witnesses, task.sources)
     ]
     tried = 0

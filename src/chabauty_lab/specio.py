@@ -274,11 +274,24 @@ def json_of_clopen(V: ClopenSet, ctx: GroupContext) -> dict:
     }
 
 
-def _witness_from_json(obj: Any, ctx: GroupContext) -> StallingsGraph:
+def _witness_from_json(obj: Any, ctx: GroupContext, budget: Budget) -> StallingsGraph:
     """A witness subgroup: either a generator list or a subgroup document."""
     if isinstance(obj, list):
-        return from_generators(ctx, [word_from_json(w, ctx) for w in obj])
-    return generated_subgroup_from_json(obj, "a task witness", free=True)
+        return from_generators(ctx, [word_from_json(w, ctx) for w in obj], budget)
+    return generated_subgroup_from_json(obj, "a task witness", budget, free=True)
+
+
+def _clopen_key(obj: Any) -> tuple | None:
+    """The word lists of a clopen document whose words are all strings, as a
+    key under which its parse can be shared; None for any other document."""
+    if not isinstance(obj, dict):
+        return None
+    ins, outs = obj.get("ins"), obj.get("outs")
+    if not (isinstance(ins, list) and isinstance(outs, list)):
+        return None
+    if not all(isinstance(w, str) for w in (*ins, *outs)):
+        return None
+    return tuple(ins), tuple(outs)
 
 
 def task_from_json(obj: Any, default_budget: Budget | None = None) -> TransitivityTask:
@@ -288,7 +301,9 @@ def task_from_json(obj: Any, default_budget: Budget | None = None) -> Transitivi
     [...], "target_witness": [...]}, ...], "budget": {...}?}``
 
     A document without a "budget" key gets `default_budget` (the caller's
-    ambient budget); an explicit "budget" object always wins.
+    ambient budget); an explicit "budget" object always wins, for the
+    witnesses' folds as for the search. A clopen document whose word lists
+    equal those of one already read is parsed once.
     """
     ctx = context_from_json(_require(obj, "context", "task"))
     if ctx.kind != "free":
@@ -296,21 +311,31 @@ def task_from_json(obj: Any, default_budget: Budget | None = None) -> Transitivi
     pairs_json = _require(obj, "pairs", "task")
     if not isinstance(pairs_json, list) or not pairs_json:
         raise MalformedInputError("task needs a nonempty list of pairs")
+    if obj.get("budget") is not None:
+        budget = budget_from_json(obj["budget"])
+    else:
+        budget = default_budget if default_budget is not None else current()
+    parsed: dict[tuple, ClopenSet] = {}
+
+    def clopen_set(V: Any) -> ClopenSet:
+        key = _clopen_key(V)
+        if key is None:
+            return clopen_from_json(V, ctx)
+        if key not in parsed:
+            parsed[key] = clopen_from_json(V, ctx)
+        return parsed[key]
+
     pairs = []
     for i, p in enumerate(pairs_json):
         where = f"task pair {i + 1}"
         pairs.append(
             (
-                clopen_from_json(_require(p, "source", where), ctx),
-                clopen_from_json(_require(p, "target", where), ctx),
-                _witness_from_json(_require(p, "source_witness", where), ctx),
-                _witness_from_json(_require(p, "target_witness", where), ctx),
+                clopen_set(_require(p, "source", where)),
+                clopen_set(_require(p, "target", where)),
+                _witness_from_json(_require(p, "source_witness", where), ctx, budget),
+                _witness_from_json(_require(p, "target_witness", where), ctx, budget),
             )
         )
-    if obj.get("budget") is not None:
-        budget = budget_from_json(obj["budget"])
-    else:
-        budget = default_budget if default_budget is not None else current()
     return make_task(ctx, pairs, budget)
 
 

@@ -394,12 +394,25 @@ class _Builder:
         else:
             self.add_edge(v, -x - 1, prev)
 
-    def add_graph(self, other: StallingsGraph) -> None:
-        """Hang a copy of another graph with its basepoint at the basepoint."""
-        image = [BASEPOINT] + [self.new_vertex() for _ in range(other.nverts - 1)]
+    def add_graph(self, other: StallingsGraph, at: int = BASEPOINT) -> None:
+        """Hang a copy of another graph with its basepoint at `at`."""
+        image = [at] + [self.new_vertex() for _ in range(other.nverts - 1)]
         for g in range(other.ctx.rank):
             for u, v in other.succ[g].items():
                 self.add_edge(image[u], g, image[v])
+
+    # membership automaton -------------------------------------------------
+    # StallingsGraph's, read off these tables. Once `_fold` has drained they
+    # are keyed by roots and folded, and the basepoint (0) is a root. The
+    # graph differs from its core only by hanging trees, which no reduced
+    # closed walk at the basepoint enters, so it accepts exactly the
+    # subgroup `finalize` would return.
+
+    start = StallingsGraph.start
+    step = StallingsGraph.step
+    accepting = StallingsGraph.accepting
+    walk = StallingsGraph.walk
+    contains = StallingsGraph.contains
 
     def finalize(self, base: int = BASEPOINT) -> StallingsGraph:
         """Trim the folded tables to the core at the basepoint `base`, then
@@ -507,6 +520,25 @@ def join(
         for w in other:
             builder.add_path(reduce_word(w, H.ctx))
     return builder.finalize()
+
+
+def wedge_conjugate(
+    H: StallingsGraph, K: StallingsGraph, w: Word, budget: Budget | None = None
+) -> _Builder:
+    """The folded builder of ⟨H, w·K·w⁻¹⟩, never trimmed or renumbered: H's
+    tables, a path spelling w from the basepoint to a new vertex x, and K
+    hung at x. As a membership automaton it equals
+    join(H, conjugate_subgroup(K, w)), and it charges H.n + K.n + |w| − 1
+    vertices."""
+    require_same_context(H.ctx, K.ctx, "join")
+    w = reduce_word(w, H.ctx)
+    builder = _Builder(H.ctx, budget or current(), (H.nverts, H.succ, H.pred))
+    at = BASEPOINT
+    if w:
+        at = builder.new_vertex()
+        builder.add_path(w, BASEPOINT, at)
+    builder.add_graph(K, at)
+    return builder
 
 
 def intersect(

@@ -721,6 +721,33 @@ def _paired_task(budget):
     }
 
 
+def test_a_task_budget_binds_its_witnesses(capsys, tmp_path, monkeypatch):
+    """The witnesses are folded under the budget the task runs under: its own
+    "budget" object when it has one, else the caller's. ⟨a⁶³⟩ charges 63
+    vertices, so an environment cap of 60 must not bind it when the task's
+    own cap of 100,000 holds it."""
+    a63 = "a" * 63
+    doc = {"context": F2_CTX, "pairs": [{
+        "source": {"ins": [a63], "outs": []}, "target": {"ins": [a63], "outs": []},
+        "source_witness": [a63], "target_witness": {"context": F2_CTX, "generators": [a63]},
+    }]}
+    spec = spec_file(tmp_path, "own.json", {**doc, "budget": {"vertex_cap": 100_000}})
+    code, out, _ = run(capsys, "transit", spec)
+    assert code == 0
+    result = json.loads(out)["result"]  # the provenance records the caller's budget
+    monkeypatch.setenv("CHABAUTY_LAB_BUDGET", '{"vertex_cap": 60}')
+    code, out, _ = run(capsys, "transit", spec)
+    assert code == 0 and json.loads(out)["result"] == result
+    monkeypatch.delenv("CHABAUTY_LAB_BUDGET")
+    code, out, _ = run(capsys, "transit", spec, "--budget-vertices", "30")
+    assert code == 0 and json.loads(out)["result"] == result
+    # without its own budget, the task and its witnesses answer to the caller's
+    spec = spec_file(tmp_path, "ambient.json", doc)
+    code, out, err = run(capsys, "transit", spec, "--budget-vertices", "62")
+    assert (code, out) == (3, "")
+    assert "limit 62" in err
+
+
 def test_json_true_is_not_a_budget_or_a_radius(capsys, tmp_path, monkeypatch):
     """JSON `true` is a Python bool, and so an int: a budget field, the
     budget environment variable and a completion radius all refuse it with

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chabauty_lab import dynamics, specio
+from chabauty_lab import dynamics, specio, stallings
 from chabauty_lab.budgets import Budget
 from chabauty_lab.chabauty import certify_convergence, clopen, distance_up_to, in_clopen
 from chabauty_lab.dynamics import (
@@ -511,15 +511,16 @@ def test_one_check_above_the_floor_moves_the_transcript():
     _assert_same_outcome(task)
 
 
-def _counting_freeness(monkeypatch):
+def _counting(monkeypatch, owner, name):
+    """Patch owner.name to record each call's positional arguments."""
     calls = []
-    freeness = dynamics._freeness
+    f = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return freeness(*args)
+        return f(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_freeness", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -533,7 +534,7 @@ def test_guard_failing_from_the_first_candidate_keeps_check_order(monkeypatch, c
     task = _with_vertex_cap(_obstruction_in_workload_shape(w("aab"), w("b"), 2, 2), cap)
     assert [lam.nverts for lam in task.source_witnesses] == [3, 3]
     assert 3 * (3 + 1) > cap
-    calls = _counting_freeness(monkeypatch)
+    calls = _counting(monkeypatch, dynamics, "_freeness")
     outcome = _outcome(multi_transitivity_move, task)
     searched = len(calls)
     calls.clear()
@@ -546,11 +547,73 @@ def test_obstruction_settles_freeness_once(monkeypatch):
     refuted candidates only the identity, tried before there is a floor,
     runs the freeness test. Checking every candidate in order runs it 193
     times."""
-    calls = _counting_freeness(monkeypatch)
+    calls = _counting(monkeypatch, dynamics, "_freeness")
     with pytest.raises(SearchFailure) as exc_info:
         multi_transitivity_move(obstruction_task())
     assert exc_info.value.progress["candidates_tried"] == 193
     assert len(calls) <= 3
+
+
+_OBSTRUCTION_GRID = Budget(u_len_cap=3, exponent_cap=4)
+
+
+def _product_shadow_task():
+    """obstruction_task with the source set excluding the products
+    ab·(w·ab·w⁻¹) instead of the conjugates w·ab·w⁻¹: Δ₁ = ⟨ab, w·ab·w⁻¹⟩
+    contains such a product, but no conjugate of ab^±1 is one (exponent
+    sums), so the pre-test never refutes and only the source check on the
+    wedge can."""
+    budget = _OBSTRUCTION_GRID
+    ab, ba = w("ab"), w("ba")
+    lam_ab, lam_ba = gens("ab"), gens("ba")
+    products = {multiply(ab, conjugate(ab, c)) for c in _candidate_conjugators(F2, budget)}
+    source = clopen([ab], [p for p in products if not lam_ab.contains(p)])
+    return make_task(
+        F2,
+        [
+            (source, clopen([ab], [ba]), lam_ab, lam_ab),
+            (source, clopen([ba], [ab]), lam_ab, lam_ba),
+        ],
+        budget,
+    )
+
+
+def test_product_shadow_matches_the_oracle():
+    outcome = _outcome(multi_transitivity_move, _product_shadow_task())
+    assert outcome[0] == "search failure"
+    assert outcome == _outcome(_oracle_move, _product_shadow_task())
+
+
+@pytest.mark.parametrize("make", [
+    obstruction_task,
+    _product_shadow_task,
+    # the basis of ⟨aBB⟩ is bbA: the source set excludes the conjugates of
+    # aBB, the inverses of what a pre-test on basis words alone looks up
+    lambda: _obstruction_in_workload_shape(w("aBB"), w("A"), 3, 4),
+], ids=["obstruction", "product-shadow", "inverse-orientation"])
+def test_refuted_candidates_finalize_no_graph(monkeypatch, make):
+    """Of the 193 candidates only the identity and the 8 powers of the base
+    word build and finalize graphs (30 calls, with the 4 folds of the
+    task's validation); every other one is refuted by the pre-test or the
+    wedge. Building Δ for every candidate that the pre-test on basis words
+    alone lets through takes 42, 414 and 414 calls."""
+    task = make()
+    calls = _counting(monkeypatch, stallings._Builder, "finalize")
+    with pytest.raises(SearchFailure) as exc_info:
+        multi_transitivity_move(task)
+    assert exc_info.value.progress["candidates_tried"] == 193
+    assert len(calls) <= 30
+
+
+def test_inverse_basis_words_settle_the_obstruction_without_a_wedge(monkeypatch):
+    """On the inverse-orientation obstruction, w·bbA·w⁻¹ is never an
+    out-word but its inverse w·aBB·w⁻¹ is, for every candidate outside
+    ⟨aBB⟩. So only the 8 powers of aBB build a wedge (15 in all, over both
+    pairs); looking up the basis words alone, 200 are built."""
+    calls = _counting(monkeypatch, dynamics, "wedge_conjugate")
+    task = _obstruction_in_workload_shape(w("aBB"), w("A"), 3, 4)
+    assert _outcome(multi_transitivity_move, task)[0] == "search failure"
+    assert len(calls) <= 16
 
 
 # ── Folner transfer ──────────────────────────────────────────────────────────

@@ -256,3 +256,45 @@ def test_csv_text_quotes_and_terminates():
     assert lines[0] == "x,note"
     assert lines[2] == '2,"has, comma"'
     assert text.endswith("\n")
+
+
+def _two_pair_task(source_a, source_b):
+    pair = {"target": {"ins": ["ab"], "outs": ["ba"]},
+            "source_witness": ["ab"], "target_witness": ["ab"]}
+    return {"context": {"kind": "free", "rank": 2},
+            "pairs": [{**pair, "source": source_a}, {**pair, "source": source_b}]}
+
+
+def test_a_repeated_clopen_document_is_parsed_once(monkeypatch):
+    """Equal word lists share one ClopenSet; the equal target sets too."""
+    parsed = []
+    clopen_from_json = specio.clopen_from_json
+    monkeypatch.setattr(specio, "clopen_from_json",
+                        lambda obj, ctx: parsed.append(obj) or clopen_from_json(obj, ctx))
+    source = {"ins": ["ab"], "outs": ["b", "a"]}
+    task = specio.task_from_json(_two_pair_task(source, dict(source)))
+    assert task.sources[0] is task.sources[1]
+    assert task.targets[0] is task.targets[1]
+    assert len(parsed) == 2
+    # the same words in another order are a separate document, with an
+    # equal parse
+    task = specio.task_from_json(_two_pair_task(source, {"ins": ["ab"], "outs": ["a", "b"]}))
+    assert task.sources[0] is not task.sources[1]
+    assert task.sources[0] == task.sources[1]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"ins": ["ab"], "outs": ["b", 7]}, "expected a word string, got 7"),
+    ({"ins": ["ab"], "outs": "ba"}, "clopen outs must be a list of words"),
+    ({"ins": ["ab"], "outs": ["bx"]}, None),
+])
+def test_a_repeated_malformed_clopen_document_keeps_its_error(bad, message):
+    """Documents that cannot be shared, or fail to parse, are read as
+    before: each exit-2 message is that of the single document."""
+    with pytest.raises(MalformedInputError) as alone:
+        specio.task_from_json(_two_pair_task({"ins": ["ab"], "outs": ["b"]}, bad))
+    with pytest.raises(MalformedInputError) as twice:
+        specio.task_from_json(_two_pair_task(bad, dict(bad)))
+    assert str(alone.value) == str(twice.value)
+    if message is not None:
+        assert message in str(alone.value)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from chabauty_lab import stallings
 from chabauty_lab.budgets import Budget
-from chabauty_lab.chabauty import distance_up_to
+from chabauty_lab.chabauty import _meets, clopen, distance_up_to, in_clopen
 from chabauty_lab.errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -43,6 +43,7 @@ from chabauty_lab.stallings import (
     kernel,
     preimage,
     trivial_subgroup,
+    wedge_conjugate,
     whole_group,
 )
 from chabauty_lab.words import (
@@ -542,6 +543,40 @@ def test_join_of_words_read_inside_h_only_merges():
         loops, nxt = _loop_edges(words[:k], H.nverts)
         oracle = _oracle_core(F2, nxt, _graph_edges(H, lambda v: v) + loops)
         assert builder.finalize() == join(H, words[:k]) == oracle
+
+
+@given(word_lists(max_words=3), st.data())
+@example((F2, [(1, 2, 1)]), None)  # w reads wholly into H: x merges into it
+@settings(max_examples=150, deadline=None)
+def test_wedge_conjugate_has_the_membership_of_the_join(drawn, data):
+    """The unfinalized wedge accepts what join(H, w·K·w⁻¹) accepts, on random
+    words and on the generators w·b·w⁻¹ and the basis of H, and charges
+    n_H + n_K + |w| − 1 vertices."""
+    ctx, words = drawn
+    letter = st.integers(1, ctx.rank).flatmap(lambda i: st.sampled_from([i, -i]))
+    word = st.lists(letter, max_size=6).map(lambda ls: reduce_word(tuple(ls)))
+    if data is None:  # the explicit example: ⟨aba⟩ wedge ⟨a⟩ at ab
+        H, K, g = from_generators(ctx, words), gens("a"), w("ab")
+    else:
+        H = from_generators(ctx, data.draw(st.lists(word, max_size=3)))
+        K = from_generators(ctx, words)
+        g = data.draw(word)
+    wedge = wedge_conjugate(H, K, g)
+    delta = join(H, conjugate_subgroup(K, g))
+    assert wedge.created == H.nverts + K.nverts + len(g) - 1
+    probes = [conjugate(b, g) for b in K.basis()] + H.basis()
+    probes += [multiply(x, y) for x in probes[:3] for y in probes[:3]]
+    # proper prefixes: walks that stay in the graph and end off the basepoint
+    probes += [x[:k] for x in probes for k in range(1, len(x))]
+    if data is not None:
+        probes += data.draw(st.lists(word, max_size=20))
+    for x in probes:
+        assert wedge.contains(x) == delta.contains(x)
+    members = [x for x in probes if delta.contains(x)]
+    for V in (clopen(probes[:2], probes[2:]),
+              clopen(members[:2], [x for x in probes if x not in members])):
+        assert _meets(wedge, V) == _meets(delta, V)
+        assert in_clopen(wedge, V) == in_clopen(delta, V)
 
 
 @given(word_lists(max_words=3), word_lists(max_words=3))

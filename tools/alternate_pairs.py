@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs of two checkouts, for perf claims.
+
+    python3 tools/alternate_pairs.py PARENT_ROOT CHANGE_ROOT WORKLOAD SEED N [--seconds S]
+
+PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts. Each of the N
+pairs runs ``perfbench/run.py --workload WORKLOAD --seed SEED --trace 0`` in
+both, one after the other; odd pairs run the parent first and even pairs
+the change first, so a drift of the host's speed falls on both sides. The
+last stdout line of every run is its JSON summary. Each run's metrics go to
+stderr as it finishes; stdout gets, per end-to-end metric of this
+checkout's ``BENCHMARK.json``:
+
+    metric  parent median [parent q1–q3]  ->  change median  wins k/N
+
+A pair is a win when the change's value is better in the metric's direction.
+A gain is shown when the change wins nearly every pair and its median beats
+the parent's by more than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _metrics(root: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """Run one benchmark in `root` and return its end-to-end metric values."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"benchmark failed in {root} (exit {proc.returncode}):\n{proc.stderr}")
+    summary = json.loads(lines[-1])
+    if not summary["correct"]:
+        sys.exit(f"benchmark in {root} reported failing ops:\n{proc.stderr}")
+    return {name: m["value"] for name, m in summary["metrics"].items()}
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def main(argv: list[str] | None = None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("workload")
+    parser.add_argument("seed", type=int)
+    parser.add_argument("n", type=int)
+    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    args = parser.parse_args(argv)
+    if args.n < 1:
+        parser.error("N must be at least 1")
+
+    runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+    for k in range(args.n):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            m = _metrics(getattr(args, side), args.workload, args.seed, args.seconds)
+            runs[side].append(m)
+            print(f"pair {k + 1} {side}: "
+                  + " ".join(f"{name}={value:.4g}" for name, value in m.items()),
+                  file=sys.stderr, flush=True)
+
+    print(f"{args.workload} seed {args.seed}, {args.n} alternating pairs")
+    for metric in bench["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        parent = [m[name] for m in runs["parent"]]
+        change = [m[name] for m in runs["change"]]
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        q1, q3 = _quartiles(parent)
+        print(f"  {name:18s} {statistics.median(parent):10.4g} [{q1:.4g}–{q3:.4g}]"
+              f"  ->  {statistics.median(change):10.4g}  wins {wins}/{args.n}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
