@@ -15,6 +15,7 @@ which is always distinguished from a verified negative result.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 
@@ -23,13 +24,12 @@ from .errors import MalformedInputError
 
 @dataclasses.dataclass(frozen=True)
 class Budget:
-    # Stallings graph construction (folding, completions, pullbacks), and the
-    # fibre pairs of a core-graph distance searched past ball_radius_cap.
+    # Stallings graph construction (folding, completions, pullbacks), the rank
+    # of a free context, and the product states of every free-group distance,
+    # checked after each level whatever the radius and subgroup kinds.
     vertex_cap: int = 100_000
     # Word-ball enumeration cap for free groups (the ball at radius 12 in F_2
-    # already holds ~1.06 million words), and the radius cap of distances to a
-    # lattice preimage. Distances between two core graphs saturate, so past
-    # this radius they answer to vertex_cap instead.
+    # already holds ~1.06 million words). Distances do not read it.
     ball_radius_cap: int = 12
     # Schreier ball construction.
     schreier_vertex_cap: int = 200_000
@@ -62,10 +62,7 @@ def current(overrides: dict | None = None) -> Budget:
     values = {}
     raw = os.environ.get(_ENV_VAR)
     if raw:
-        try:
-            env_values = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedInputError(f"{_ENV_VAR} is not valid JSON: {exc}") from exc
+        env_values, _ = decode_json(raw, _ENV_VAR)
         if not isinstance(env_values, dict):
             raise MalformedInputError(f"{_ENV_VAR} must hold a JSON object")
         values.update(env_values)
@@ -78,3 +75,15 @@ def current(overrides: dict | None = None) -> Budget:
         if not isinstance(val, int) or isinstance(val, bool) or val <= 0:
             raise MalformedInputError(f"budget field {key!r} must be a positive integer")
     return Budget(**values)
+
+
+def decode_json(data: str | bytes, source: str) -> tuple:
+    """(value, text) of a JSON document, bytes read as a text-mode read reads
+    UTF-8. Bad UTF-8 or syntax, nesting deeper than the parser recurses and
+    integers past Python's digit limit all raise MalformedInputError."""
+    try:
+        if isinstance(data, bytes):
+            data = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        return json.loads(data), data
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInputError(f"{source} is not valid JSON: {exc}") from exc

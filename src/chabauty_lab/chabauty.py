@@ -207,23 +207,18 @@ def _product_distance(H, K, radius: int, budget: Budget) -> DistanceBound:
     level adds no new state, and it never visits more states than the ball
     has words.
 
-    Two core graphs have at most (|V_H|+1)(|V_K|+1)·2r states, so their
-    search saturates at any radius: past `ball_radius_cap` it answers to
-    `vertex_cap` instead, on the fibre pairs (both walks inside their
-    graphs), which are the vertices `intersect` builds. A lattice preimage
-    has unboundedly many states (its running images), so a pair with one
-    keeps the radius cap.
+    One budget rule holds for every pair at every radius: after each level,
+    the states reached answer to `vertex_cap`. Two core graphs have at most
+    (|V_H|+1)(|V_K|+1)·2r states, and a lattice preimage's states are the
+    residues of φ(w) modulo its accepted lattice, finitely many when that
+    has finite index and polynomially many in the radius otherwise.
     """
     if radius < 0:
         raise MalformedInputError("radius must be >= 0")
-    cap = budget.ball_radius_cap
-    if radius > cap and not (hasattr(H, "nverts") and hasattr(K, "nverts")):
-        raise BudgetExceededError("ball radius", cap, radius)
     letters = [x for i in range(1, H.ctx.rank + 1) for x in (i, -i)]
     start = (H.start, K.start, 0)
     seen = {start}
     frontier = [(start, IDENTITY)]
-    fibres: set = set()
     for length in range(1, radius + 1):
         nxt = []
         for (u, v, last), w in frontier:
@@ -246,12 +241,8 @@ def _product_distance(H, K, radius: int, budget: Budget) -> DistanceBound:
                 nxt.append((state, wx))
         if not nxt:
             break
-        if length > cap:
-            # the first level past the cap counts every state reached so far
-            new = seen if length == cap + 1 else [s for s, _ in nxt]
-            fibres.update((a, b) for a, b, _ in new if a is not None and b is not None)
-            if len(fibres) > budget.vertex_cap:
-                raise BudgetExceededError("graph vertices", budget.vertex_cap)
+        if len(seen) > budget.vertex_cap:
+            raise BudgetExceededError("graph vertices", budget.vertex_cap, len(seen))
         frontier = nxt
     return DistanceBound("at_most", radius + 1)
 

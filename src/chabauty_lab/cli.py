@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Any
 
 from . import __version__, acceptance, specio
-from .budgets import Budget, current
+from .budgets import Budget, current, decode_json
 from .chabauty import certify_bounds, distance_up_to
 from .dynamics import (
     folner_transfer_check,
@@ -72,14 +71,11 @@ from .dynamics import nonisolation_witness
 
 def _load_spec(path: str) -> tuple[Any, str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise MalformedInputError(f"cannot read spec file {path}: {exc}") from exc
-    try:
-        return json.loads(raw), raw
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
+    return decode_json(data, path)
 
 
 def _budget_from_args(args: argparse.Namespace) -> Budget:

@@ -32,7 +32,7 @@ from .dynamics import (
     TransitivityTask,
     make_task,
 )
-from .errors import MalformedInputError
+from .errors import BudgetExceededError, MalformedInputError
 from .schreier import FiberReport, ProbeReport, SchreierGraph
 from .stallings import StallingsGraph, Target, from_generators, preimage
 from .words import (
@@ -156,7 +156,9 @@ def _require(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
-def context_from_json(obj: Any) -> GroupContext:
+def context_from_json(obj: Any, budget: Budget | None = None) -> GroupContext:
+    """A group context; a free rank above `vertex_cap` raises before anything
+    allocates per generator."""
     kind = _require(obj, "kind", "context")
     if isinstance(obj, dict) and "rank" not in obj and "dim" in obj:
         rank = obj["dim"]  # natural synonym for lattice contexts
@@ -165,6 +167,9 @@ def context_from_json(obj: Any) -> GroupContext:
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise MalformedInputError("context rank must be a positive integer")
     if kind == "free":
+        cap = (budget or current()).vertex_cap
+        if rank > cap:
+            raise BudgetExceededError("free rank (vertex_cap)", cap, rank)
         return free_group(rank)
     if kind == "lattice":
         return lattice(rank)
@@ -234,7 +239,7 @@ def subgroup_from_json(obj: Any, budget: Budget | None = None):
     `budget`), so it equals the core graph of any generator document of the
     same subgroup, and a :class:`HomSubgroup` for a lattice target.
     """
-    ctx = context_from_json(_require(obj, "context", "subgroup"))
+    ctx = context_from_json(_require(obj, "context", "subgroup"), budget)
     if "hom" in obj:
         return _hom_from_json(ctx, obj["hom"], budget)
     gens_json = _require(obj, "generators", "subgroup")
@@ -305,16 +310,17 @@ def task_from_json(obj: Any, default_budget: Budget | None = None) -> Transitivi
     witnesses' folds as for the search. A clopen document whose word lists
     equal those of one already read is parsed once.
     """
-    ctx = context_from_json(_require(obj, "context", "task"))
+    ctx_json = _require(obj, "context", "task")
+    if obj.get("budget") is not None:
+        budget = budget_from_json(obj["budget"])
+    else:
+        budget = default_budget if default_budget is not None else current()
+    ctx = context_from_json(ctx_json, budget)
     if ctx.kind != "free":
         raise MalformedInputError("transitivity tasks live in free groups")
     pairs_json = _require(obj, "pairs", "task")
     if not isinstance(pairs_json, list) or not pairs_json:
         raise MalformedInputError("task needs a nonempty list of pairs")
-    if obj.get("budget") is not None:
-        budget = budget_from_json(obj["budget"])
-    else:
-        budget = default_budget if default_budget is not None else current()
     parsed: dict[tuple, ClopenSet] = {}
 
     def clopen_set(V: Any) -> ClopenSet:

@@ -638,7 +638,8 @@ def hall_completion(
     sources to deficient targets in canonical vertex order. Every deficient
     vertex lies at Schreier distance ≥ L from the basepoint, and a reduced
     basepoint loop of length ℓ ≤ L stays within distance ⌊ℓ/2⌋ < L, so no loop
-    of length ≤ L uses a completion edge: the ball of K equals the ball of H.
+    of length ≤ L uses a completion edge: the ball of K equals the ball of H,
+    so the check of K against H below cannot fail.
 
     For finite-index H the graph is already a covering and is returned as-is.
     """
@@ -648,11 +649,10 @@ def hall_completion(
         raise MalformedInputError("agreement radius must be >= 0")
     if H.is_covering():
         return H
-    for attempt in range(3):
-        K = _complete(H, L + attempt, budget)
-        if distance_up_to(H, K, L, budget).kind == "at_most":
-            return K
-    raise AssertionError("completion failed to preserve the trace")  # unreachable
+    K = _complete(H, L, budget)
+    if distance_up_to(H, K, L, budget).kind != "at_most":
+        raise AssertionError("completion failed to preserve the trace")  # unreachable
+    return K
 
 
 def _complete(H: StallingsGraph, L: int, budget: Budget) -> StallingsGraph:
@@ -775,7 +775,8 @@ def _cyclic_cosets(m: int, images, accepted):
     if not vals:
         raise MalformedInputError("accepted subgroup cannot be empty")
     d = math.gcd(m, *vals)
-    if vals != set(range(0, m, d)):
+    # vals ⊆ dZ/m, so it is dZ/m iff it has m // d elements (m may be huge)
+    if len(vals) != m // d:
         raise MalformedInputError(f"accepted set {sorted(vals)} is not a subgroup of Z/{m}")
     moves = {e * i: e * int(v) % d for i, v in enumerate(images, 1) for e in (1, -1)}
     return 0, lambda x, letter: (x + moves[letter]) % d
@@ -806,7 +807,8 @@ def _permutation_cosets(n: int, images, accepted):
 
 def _permutation(p, n: int) -> tuple:
     p = tuple(int(x) for x in p)
-    if sorted(p) != list(range(n)):
+    # the length first: range(n) is listed only for an input as long
+    if len(p) != n or sorted(p) != list(range(n)):
         raise MalformedInputError(f"{p} is not a permutation of 0..{n - 1}")
     return p
 
@@ -827,11 +829,11 @@ class HomSubgroup:
     """φ⁻¹(A) for a homomorphism φ: F_r → Z^k and a sublattice A ≤ Z^k.
 
     Membership-complete even when the subgroup is not finitely generated
-    (kernels of F_r → Z^k are the main use). `coset_key` canonically labels
-    the right coset H·w by the residue of φ(w) modulo A, and `coset_step`
-    moves that label by one letter, which is what Schreier constructions
-    consume. Finite targets do not reach this class: :func:`preimage` builds
-    their preimages as coverings.
+    (kernels of F_r → Z^k are the main use). One automaton, over residues of
+    φ(prefix) modulo A, serves membership (a member's residue is 0) and the
+    right cosets H·w (equal residues ⟺ equal cosets), which is what Schreier
+    constructions consume. Finite targets do not reach this class:
+    :func:`preimage` builds their preimages as coverings.
 
     No rank is defined here: rank = edges − vertices + 1 needs a finite core
     graph, and these subgroups generally have none.
@@ -865,7 +867,6 @@ class HomSubgroup:
         self.ctx = ctx
         self.target = target
         self.accepted = accepted
-        # the residue of 0 is 0, so one vector starts both automata
         self.start = self.coset_start = (0,) * k
         # letter ±i adds ±φ(generator i) to the running image
         self._action = {
@@ -873,32 +874,28 @@ class HomSubgroup:
         }
         self._hash = hash((ctx, target, self.images, accepted))
 
-    # membership automaton -----------------------------------------------
-    # The state is the running image φ(prefix).
+    # membership and coset automaton ---------------------------------------
+    # The state is the residue of φ(prefix) modulo A. Acceptance depends only
+    # on it, so merging prefixes by residue is exact (Myhill–Nerode).
 
     def step(self, state, letter: int):
-        return tuple([x + y for x, y in zip(state, self._action[letter])])
+        return self.accepted.residue([x + y for x, y in zip(state, self._action[letter])])
+
+    coset_step = step
 
     def accepting(self, state) -> bool:
-        return self.accepted.contains(state)
+        return not any(state)
 
     def image(self, w: Word):
-        """φ(w), the state reached on w, in one pass."""
+        """φ(w), in one pass."""
         return tuple(map(sum, zip(self.start, *map(self._action.__getitem__, w))))
 
     def contains(self, w: Word) -> bool:
-        return self.accepting(self.image(w))
+        return self.accepted.contains(self.image(w))
 
     def coset_key(self, w: Word):
-        """Canonical label of the right coset H·w (equal keys ⟺ equal cosets)."""
+        """Canonical label of the right coset H·w: the state reached on w."""
         return self.accepted.residue(self.image(w))
-
-    # coset automaton ----------------------------------------------------
-    # The state of H·w is its coset_key, a vector of the coset φ(w) + A, so
-    # stepping the key and reducing it again steps the coset.
-
-    def coset_step(self, state, letter: int):
-        return self.accepted.residue(self.step(state, letter))
 
     def __eq__(self, other):
         if not isinstance(other, HomSubgroup):

@@ -10,6 +10,7 @@ disagree. A radius-L scan either finds that least length exactly (kind
 """
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -153,14 +154,18 @@ def test_distance_radius_guards():
     H = gens("a")
     with pytest.raises(MalformedInputError):
         distance_up_to(H, H, -1)
-    # one past the default ball_radius_cap: two core graphs saturate, so the
-    # search runs on; a lattice preimage's states are unbounded, so it refuses
+    # distances do not read ball_radius_cap: past it, core graphs and lattice
+    # preimages alike search on, and their states answer to vertex_cap
     assert distance_up_to(H, H, 13) == DistanceBound("at_most", 14)
     ker_z = preimage(F2, Target("lattice", 1), [(1,), (0,)], "zero")
-    distance_up_to(ker_z, H, 12)
+    assert distance_up_to(ker_z, H, 13) == DistanceBound("exact", 1, (1,))
+    assert distance_up_to(ker_z, ker_z, 13) == DistanceBound("at_most", 14)
+    assert distance_up_to(ker_z, ker_z, 13, Budget(ball_radius_cap=1)) == DistanceBound(
+        "at_most", 14
+    )
     with pytest.raises(BudgetExceededError) as info:
-        distance_up_to(ker_z, H, 13)
-    assert info.value.what == "ball radius"
+        distance_up_to(ker_z, ker_z, 13, Budget(vertex_cap=20))
+    assert (info.value.what, info.value.limit) == ("graph vertices", 20)
 
 
 # ── the product search against the ball-scan oracle ──────────────────────────
@@ -238,15 +243,17 @@ def hom_subgroups(draw, rank, kinds=("cyclic", "permutation", "lattice")):
 )
 @settings(max_examples=80, deadline=None)
 def test_hom_automaton_follows_the_homomorphism(case):
-    """Stepping a lattice preimage through a word reaches its image, and
-    x·x⁻¹ acts trivially: the ball-scan oracle cannot see a wrong inverse
-    table, since it reads membership off the same table. (Finite targets
-    build coverings, checked against the homomorphism in test_schreier.)"""
+    """Stepping a lattice preimage through a word reaches the residue of its
+    image, which is its coset key and decides its membership, and x·x⁻¹ acts
+    trivially: the ball-scan oracle cannot see a wrong inverse table, since
+    it reads membership off the same table. (Finite targets build coverings,
+    checked against the homomorphism in test_schreier.)"""
     H, word = case
     state = H.start
     for x in word:
         state = H.step(state, x)
-    assert state == H.image(tuple(word))
+    assert state == H.coset_key(tuple(word)) == H.accepted.residue(H.image(tuple(word)))
+    assert H.accepting(state) == H.contains(tuple(word))
     for x in range(1, H.ctx.rank + 1):
         assert H.image((x, -x)) == H.image((-x, x)) == H.start
         assert H.step(H.step(H.start, x), -x) == H.start
@@ -276,6 +283,76 @@ def free_pairs(draw):
 def test_product_search_matches_ball_scan(pair):
     H, K, radius = pair
     assert distance_up_to(H, K, radius) == ball_scan_distance(H, K, radius)
+
+
+def image_state_distance(H, K, radius):
+    """The product search as it ran on two lattice preimages when their
+    states were running images: each side steps φ(prefix) in Z^k unreduced
+    and accepts it iff it lies in A, with no budget."""
+    moves = [{x: S.image((x,)) for x in letters(S.ctx.rank)} for S in (H, K)]
+    start = (H.start, K.start, 0)
+    seen = {start}
+    frontier = [(start, ())]
+    for length in range(1, radius + 1):
+        nxt = []
+        for (u, v, last), word in frontier:
+            for x in letters(H.ctx.rank):
+                if x == -last:
+                    continue
+                a = tuple(map(add, u, moves[0][x]))
+                b = tuple(map(add, v, moves[1][x]))
+                state = (a, b, x)
+                if state in seen:
+                    continue
+                seen.add(state)
+                wx = word + (x,)
+                if H.accepted.contains(a) != K.accepted.contains(b):
+                    return DistanceBound("exact", length, wx)
+                nxt.append((state, wx))
+        frontier = nxt
+    return DistanceBound("at_most", radius + 1)
+
+
+@st.composite
+def lattice_preimage_pairs(draw):
+    """(H, K, radius): two lattice preimages over F₂ or F₃, unrelated, or
+    with the same φ and accepted lattices A ≤ A' (so they may agree far out),
+    or equal, with radius ≤ 12."""
+    rank = draw(st.sampled_from([2, 3]))
+    radius = draw(st.integers(0, 12))
+    H = draw(hom_subgroups(rank, kinds=("lattice",)))
+    shape = draw(st.sampled_from(["unrelated", "coarser", "equal"]))
+    if shape == "unrelated":
+        K = draw(hom_subgroups(rank, kinds=("lattice",)))
+    else:
+        k = H.target.param
+        vec = st.lists(st.integers(-6, 6), min_size=k, max_size=k).map(tuple)
+        extra = draw(st.lists(vec, max_size=1)) if shape == "coarser" else []
+        accepted = hnf_from_generators(k, list(H.accepted.rows) + extra)
+        K = preimage(H.ctx, H.target, H.images, accepted)
+    return (K, H, radius) if draw(st.booleans()) else (H, K, radius)
+
+
+@given(lattice_preimage_pairs())
+@settings(max_examples=150, deadline=None)
+def test_residue_states_match_the_image_state_search(pair):
+    """Merging prefixes by residue modulo A keeps each level's first word per
+    state, so the distance and its canonically-least witness are those of
+    the search over unreduced images."""
+    H, K, radius = pair
+    assert distance_up_to(H, K, radius) == image_state_distance(H, K, radius)
+
+
+def test_commutator_subgroup_past_the_radius_cap():
+    """[F₂, F₂] = ker(F₂ → Z²), described with the images swapped: equal
+    subgroups, so the search runs to the radius. Its states are the images in
+    the L¹ ball with a last letter, about 8ℓ² by length ℓ: under the default
+    vertex_cap at radius 48, and over a cap of 1,000 by radius 20."""
+    H = preimage(F2, Target("lattice", 2), [(1, 0), (0, 1)], "zero")
+    K = preimage(F2, Target("lattice", 2), [(0, 1), (1, 0)], "zero")
+    assert distance_up_to(H, K, 48) == DistanceBound("at_most", 49)
+    with pytest.raises(BudgetExceededError):
+        distance_up_to(H, K, 20, Budget(vertex_cap=1000))
 
 
 # ── core-graph pairs past the radius cap ──────────────────────────────────────
@@ -326,9 +403,8 @@ def test_core_graph_pairs_past_the_radius_cap(pair):
 
 def test_coprime_cyclic_kernels_part_at_a60_under_the_vertex_cap():
     """ker(F₂ → Z/60) and ker(F₂ → Z/61), a ↦ 1, b ↦ 0, first differ at a⁶⁰.
-    Past the radius cap their search charges the fibre pairs it reaches, as
-    `intersect` charges the product's vertices: about 2ℓ + 1 of them by
-    length ℓ, so 100 of them run out near ℓ = 50."""
+    Their search charges the states it reaches to vertex_cap, about 8 more
+    per length, so 100 of them run out at length 14."""
     Z60 = preimage(F2, Target("cyclic", 60), [1, 0], [0])
     Z61 = preimage(F2, Target("cyclic", 61), [1, 0], [0])
     assert distance_up_to(Z60, Z61, 100) == DistanceBound("exact", 60, (1,) * 60)

@@ -65,6 +65,102 @@ def test_missing_file_is_two(capsys, tmp_path):
     assert code == 2
 
 
+_BIG_INT = b"1" * 5000  # past Python's 4,300-digit limit on int parsing
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("stallings", b"\xff\xfe"),  # not UTF-8
+        ("witness", b"\xff\xfe"),
+        ("stallings", b"[" * 100_000),  # deeper than the parser recurses
+        ("zd", b'{"context": {"kind": "lattice", "rank": 1}, "generators": [[' + _BIG_INT + b"]]}"),
+        ("witness", b'{"context": {"kind": "lattice", "rank": 1}, "generators": [[' + _BIG_INT + b"]]}"),
+    ],
+    ids=["utf16-bom-stallings", "utf16-bom-witness", "deep", "bigint-zd", "bigint-witness"],
+)
+def test_undecodable_spec_bytes_are_two(capsys, tmp_path, command, data):
+    spec = tmp_path / "raw.json"
+    spec.write_bytes(data)
+    code, out, err = run(capsys, command, str(spec))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "is not valid JSON" in err
+
+
+@pytest.mark.parametrize("value", ["[" * 50_000, '{"vertex_cap": ' + "9" * 5000 + "}"],
+                         ids=["deep", "bigint"])
+def test_undecodable_env_budget_is_two(capsys, tmp_path, monkeypatch, value):
+    spec = spec_file(tmp_path, "h.json", {"context": F2_CTX, "generators": ["a"]})
+    monkeypatch.setenv("CHABAUTY_LAB_BUDGET", value)
+    code, out, err = run(capsys, "stallings", spec)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "CHABAUTY_LAB_BUDGET is not valid JSON" in err
+
+
+def test_spec_text_is_read_with_universal_newlines(capsys, tmp_path):
+    """Spec bytes are decoded as a text-mode read decodes them, so a CRLF
+    file has the input digest of the same file with LF line ends."""
+    text = json.dumps({"context": F2_CTX, "generators": ["a"]}, indent=1)
+    digests = []
+    for name, newline in (("lf.json", "\n"), ("crlf.json", "\r\n")):
+        spec = tmp_path / name
+        spec.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        code, out, _ = run(capsys, "stallings", str(spec))
+        assert code == 0
+        digests.append(json.loads(out)["provenance"]["input_sha256"])
+    assert digests[0] == digests[1] == specio.sha256_of(text)
+
+
+@pytest.mark.parametrize(
+    "target, images, accepted, code, message",
+    [
+        # not a subgroup of Z/10¹²: refused without listing the 10¹² residues
+        ({"kind": "cyclic", "param": 10**12}, [1, 0], [0, 1], 2, "not a subgroup"),
+        # a subgroup of index 5·10¹¹: its coset space answers to vertex_cap
+        ({"kind": "cyclic", "param": 10**12}, [1, 0], [0, 5 * 10**11], 3, "graph vertices"),
+        # an image of length 1 in Sym(10¹²): refused without listing 0..10¹² − 1
+        ({"kind": "permutation", "param": 10**12}, [[0], [0]], [[0]], 2, "is not a permutation"),
+    ],
+    ids=["cyclic-not-a-subgroup", "cyclic-index", "permutation"],
+)
+def test_huge_finite_targets_are_checked_without_listing_them(
+    capsys, tmp_path, target, images, accepted, code, message
+):
+    hom = {"target": target, "images": images, "accepted": accepted}
+    spec = spec_file(tmp_path, "hom.json", {"context": F2_CTX, "hom": hom})
+    got, out, err = run(capsys, "schreier", spec)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
+def test_free_rank_answers_to_the_vertex_cap(capsys, tmp_path):
+    """A free context of rank 3,000,000 exits 3 naming vertex_cap before
+    anything is allocated per generator: run under a 1.5 GB address-space
+    limit, which the per-generator tables used to exceed (exit 1)."""
+    spec = spec_file(
+        tmp_path, "rank.json", {"context": {"kind": "free", "rank": 3_000_000}, "generators": ["a"]}
+    )
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
+        "from chabauty_lab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    for command in ("stallings", "witness", "schreier"):
+        done = subprocess.run([sys.executable, "-c", script, command, spec],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert "vertex_cap" in done.stderr and done.stdout == ""
+    # the cap is the run's vertex_cap
+    spec = spec_file(tmp_path, "rank3.json", {"context": {"kind": "free", "rank": 3}, "generators": ["a"]})
+    code, out, err = run(capsys, "stallings", spec, "--budget-vertices", "2")
+    assert (code, out) == (3, "")
+    assert "free rank (vertex_cap): limit 2, reached 3" in err
+
+
 def test_wrong_schema_is_two(capsys, tmp_path):
     spec = spec_file(tmp_path, "h.json", {"context": F2_CTX})
     code, _, err = run(capsys, "stallings", spec)
@@ -85,11 +181,16 @@ def test_budget_blowout_is_three(capsys, tmp_path):
     code, out, _ = run(capsys, "chabauty", spec, "--radius", "99")
     assert code == 0
     assert json.loads(out)["result"]["distance"]["witness"] == "a"
-    # a lattice preimage's states are unbounded: past the cap it exits 3
+    # so does a lattice preimage, and a pair whose states outgrow vertex_cap
+    # exits 3 at any radius
     spec = spec_file(
         tmp_path, "ker.json", {"pair": [_KER_Z, {"context": F2_CTX, "generators": ["a"]}]}
     )
-    code, out, err = run(capsys, "chabauty", spec, "--radius", "99")
+    code, out, _ = run(capsys, "chabauty", spec, "--radius", "99")
+    assert code == 0
+    assert json.loads(out)["result"]["distance"]["witness"] == "a"
+    spec = spec_file(tmp_path, "ff.json", {"pair": [_F2_COMMUTATOR, _F2_COMMUTATOR_SWAPPED]})
+    code, out, err = run(capsys, "chabauty", spec, "--radius", "99", "--budget-vertices", "1000")
     assert code == 3
     assert out == ""
     assert "budget" in err
@@ -358,13 +459,47 @@ def test_equal_pair_at_radius_12_and_13(capsys, tmp_path):
     assert code == 0
     distance = json.loads(out)["result"]["distance"]
     assert (distance["kind"], distance["exponent"]) == ("at_most", 14)
-    # a lattice preimage is refused there, and only there
+    # and so does a lattice preimage
     spec = spec_file(tmp_path, "ker.json", {"pair": [_KER_Z, _KER_Z]})
     code, _, _ = run(capsys, "chabauty", spec, "--radius", "12")
     assert code == 0
     code, out, _ = run(capsys, "chabauty", spec, "--radius", "13")
+    assert code == 0
+    distance = json.loads(out)["result"]["distance"]
+    assert (distance["kind"], distance["exponent"]) == ("at_most", 14)
+
+
+def _lattice_kernel(images):
+    """ker(F_r → Z^k) for the images of the r generators."""
+    hom = {"target": {"kind": "lattice", "param": len(images[0])}, "images": images,
+           "accepted": "zero"}
+    return {"context": {"kind": "free", "rank": len(images)}, "hom": hom}
+
+
+# [F₂, F₂] as the kernel of F₂ → Z², described twice with the images swapped
+_F2_COMMUTATOR = _lattice_kernel([[1, 0], [0, 1]])
+_F2_COMMUTATOR_SWAPPED = _lattice_kernel([[0, 1], [1, 0]])
+
+
+def test_lattice_pairs_answer_past_the_radius_cap(capsys, tmp_path):
+    spec = spec_file(tmp_path, "ff.json", {"pair": [_F2_COMMUTATOR, _F2_COMMUTATOR_SWAPPED]})
+    code, out, _ = run(capsys, "chabauty", spec, "--radius", "48")
+    assert code == 0
+    distance = json.loads(out)["result"]["distance"]
+    assert (distance["kind"], distance["exponent"]) == ("at_most", 49)
+
+
+def test_lattice_pair_holding_too_many_states_is_three(capsys, tmp_path):
+    """ker(F₆ → Z⁶) against itself with e₁ and e₂ swapped: equal, with
+    images in Z⁶ as states, so the search outgrows any vertex_cap well inside
+    the default radius cap (at the default cap, in a few seconds)."""
+    e = [[int(i == j) for j in range(6)] for i in range(6)]
+    pair = [_lattice_kernel(e), _lattice_kernel([e[1], e[0]] + e[2:])]
+    spec = spec_file(tmp_path, "f6.json", {"pair": pair})
+    code, out, err = run(capsys, "chabauty", spec, "--radius", "12", "--budget-vertices", "2000")
     assert code == 3
     assert out == ""
+    assert "graph vertices: limit 2000" in err
 
 
 def test_coprime_cyclic_kernels_answer_to_the_vertex_cap(capsys, tmp_path):
@@ -693,11 +828,12 @@ def test_env_budget_binds_the_cli(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "chabauty", spec, "--radius", "8")
     assert code == 0
     assert json.loads(out)["result"]["distance"]["witness"] == "a"
-    # ...but a lattice preimage is held to it, where the default cap of 12
-    # would let radius 8 run
-    spec = spec_file(
-        tmp_path, "ker.json", {"pair": [_KER_Z, {"context": F2_CTX, "generators": ["a"]}]}
-    )
+    # ...and so does a lattice pair, whose states answer to the vertex_cap
+    # that the variable sets, where the default would let radius 8 run
+    spec = spec_file(tmp_path, "ker.json", {"pair": [_KER_Z, _KER_Z]})
+    code, _, _ = run(capsys, "chabauty", spec, "--radius", "8")
+    assert code == 0
+    monkeypatch.setenv("CHABAUTY_LAB_BUDGET", '{"vertex_cap": 20}')
     code, _, err = run(capsys, "chabauty", spec, "--radius", "8")
     assert code == 3
     assert "budget" in err
