@@ -58,9 +58,6 @@ class SubgroupTrace:
     radius: int
     members: tuple
 
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
 
 def trace(H, radius: int, budget: Budget | None = None) -> SubgroupTrace:
     """The trace of a membership-capable subgroup on the ball of the given

@@ -176,7 +176,9 @@ class TransitivityTask:
     sources[i] and targets[i] are paired; source_witnesses[i] ∈ sources[i]
     and target_witnesses[i] ∈ targets[i] must be infinite-index subgroups
     (they seed the construction of the moved points). The budget is part of
-    the task: searches are only meaningful relative to it.
+    the task: searches are only meaningful relative to it. A task is
+    validated under its budget when it is made, `dataclasses.replace`
+    copies included.
     """
 
     ctx: GroupContext
@@ -185,6 +187,9 @@ class TransitivityTask:
     source_witnesses: tuple[StallingsGraph, ...]
     target_witnesses: tuple[StallingsGraph, ...]
     budget: Budget
+
+    def __post_init__(self):
+        validate_task(self)
 
     @property
     def r(self) -> int:
@@ -205,11 +210,9 @@ def make_task(
         targets.append(t)
         sws.append(sw)
         tws.append(tw)
-    task = TransitivityTask(
+    return TransitivityTask(
         ctx, tuple(sources), tuple(targets), tuple(sws), tuple(tws), budget
     )
-    validate_task(task)
-    return task
 
 
 def validate_task(task: TransitivityTask) -> None:
@@ -405,7 +408,6 @@ def multi_transitivity_move(task: TransitivityTask) -> MoveCertificate:
     are those of running every check in order.
     """
     budget = task.budget
-    validate_task(task)
     # per pair, what the pre-test in _try_candidate reads: the basis words
     # of the target witness with their inverses, and the source set's
     # out-words

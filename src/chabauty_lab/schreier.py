@@ -164,27 +164,11 @@ def ends_estimate(S: SchreierGraph, r: int) -> int:
     """
     if r < 0 or r >= S.radius:
         raise MalformedInputError("need 0 <= r < radius")
-    outside = [v for v in range(S.nverts) if S.dist[v] > r]
-    parent = {v: v for v in outside}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for table in S.succ:
-        for u, v in table.items():
-            if u in parent and v in parent:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-    roots = {find(v) for v in S.frontier if v in parent}
-    return len(roots)
+    return ends_profile(S)[r]
 
 
 def ends_profile(S: SchreierGraph) -> list[int]:
-    """[ends_estimate(S, r) for r in range(S.radius)] in one sweep.
+    """`ends_estimate(S, r)` for every r < S.radius, in one sweep.
 
     Edges join one union-find from the outside in: once the edges among
     vertices at distance > r are in, the components holding a frontier

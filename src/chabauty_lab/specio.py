@@ -157,8 +157,8 @@ def _require(obj: Any, key: str, where: str) -> Any:
 
 
 def context_from_json(obj: Any, budget: Budget | None = None) -> GroupContext:
-    """A group context; a free rank above `vertex_cap` raises before anything
-    allocates per generator."""
+    """A group context; a free rank or lattice dimension above `vertex_cap`
+    raises before anything allocates per generator or coordinate."""
     kind = _require(obj, "kind", "context")
     if isinstance(obj, dict) and "rank" not in obj and "dim" in obj:
         rank = obj["dim"]  # natural synonym for lattice contexts
@@ -166,14 +166,12 @@ def context_from_json(obj: Any, budget: Budget | None = None) -> GroupContext:
         rank = _require(obj, "rank", "context")
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise MalformedInputError("context rank must be a positive integer")
-    if kind == "free":
-        cap = (budget or current()).vertex_cap
-        if rank > cap:
-            raise BudgetExceededError("free rank (vertex_cap)", cap, rank)
-        return free_group(rank)
-    if kind == "lattice":
-        return lattice(rank)
-    raise MalformedInputError(f"unknown context kind {kind!r}")
+    if kind not in ("free", "lattice"):
+        raise MalformedInputError(f"unknown context kind {kind!r}")
+    cap = (budget or current()).vertex_cap
+    if rank > cap:
+        raise BudgetExceededError(f"{kind} rank (vertex_cap)", cap, rank)
+    return free_group(rank) if kind == "free" else lattice(rank)
 
 
 def word_from_json(obj: Any, ctx: GroupContext) -> Word:
@@ -216,6 +214,9 @@ def _hom_from_json(ctx: GroupContext, obj: Any, budget: Budget | None):
     images = _require(obj, "images", "hom")
     accepted = _require(obj, "accepted", "hom")
     if kind == "lattice":
+        cap = (budget or current()).vertex_cap
+        if param > cap:
+            raise BudgetExceededError("lattice target dimension (vertex_cap)", cap, param)
         if accepted != "zero":
             gens = _require(accepted, "generators", "hom accepted")
             accepted = hnf_from_generators(param, _int_tuples(gens, "accepted generators"))
@@ -365,8 +366,6 @@ def json_of_task(task: TransitivityTask) -> dict:
 
 
 def budget_from_json(obj: Any) -> Budget:
-    if obj is None:
-        return current()
     if not isinstance(obj, dict):
         raise MalformedInputError("budget must be a JSON object")
     return current(overrides=obj)

@@ -187,8 +187,9 @@ def _spelled_basis(G: StallingsGraph, H: StallingsGraph | None, text: bool) -> l
     """G's basis without the words that lie in H: as text sorted by
     `text_key` (rank ≤ 26), or as words sorted by `word_key`.
 
-    One BFS in canonical letter order stores, per vertex v, the tree word
-    path(v) and its inverse, so a non-tree edge u --x--> v spells
+    G is numbered by BFS in canonical letter order, so one pass in vertex
+    order is that BFS. It stores, per vertex v, the tree word path(v) and
+    its inverse, so a non-tree edge u --x--> v spells
     fwd[u] + x + inv[v]. No letter cancels there: x against the last letter
     of path(u) or path(v) would make the edge a tree edge (G is folded).
     With H it also stores hs[v], H's vertex at the end of path(v) (None if
@@ -203,20 +204,17 @@ def _spelled_basis(G: StallingsGraph, H: StallingsGraph | None, text: bool) -> l
     fwd[BASEPOINT] = inv[BASEPOINT] = "" if text else IDENTITY
     hs[BASEPOINT] = BASEPOINT
     tree: list[set[int]] = [set() for _ in range(r)]  # sources of tree edges
-    order = [BASEPOINT]
-    for u in order:
+    for u in range(G.nverts):
         fu, iu, hu = fwd[u], inv[u], hs[u]
         for g, (out_ch, in_ch) in enumerate(chars):
             v = succ[g].get(u)
             if v is not None and fwd[v] is None:
                 fwd[v], inv[v], hs[v] = fu + out_ch, in_ch + iu, h_succ[g].get(hu)
                 tree[g].add(u)
-                order.append(v)
             v = pred[g].get(u)
             if v is not None and fwd[v] is None:
                 fwd[v], inv[v], hs[v] = fu + in_ch, out_ch + iu, h_pred[g].get(hu)
                 tree[g].add(v)
-                order.append(v)
     out = []
     for g, (out_ch, _) in enumerate(chars):
         tree_g, h_g = tree[g], h_succ[g]
@@ -479,10 +477,6 @@ def trivial_subgroup(ctx: GroupContext) -> StallingsGraph:
     return StallingsGraph(ctx, 1, tuple({} for _ in range(ctx.rank)))
 
 
-def whole_group(ctx: GroupContext) -> StallingsGraph:
-    return StallingsGraph(ctx, 1, tuple({0: 0} for _ in range(ctx.rank)))
-
-
 def from_generators(
     ctx: GroupContext,
     generators: Iterable[Word],
@@ -548,51 +542,49 @@ def intersect(
     (basepoint, basepoint) along edges present in both graphs. The product of
     folded graphs is folded, so only trimming is needed afterwards."""
     require_same_context(H.ctx, K.ctx, "intersect")
-    n, succ, pred = _product(H, K, budget or current())
-    live = set(range(n))
-    if _trim(live, succ, pred, BASEPOINT):
-        return _canonical(H.ctx, live, succ, pred, BASEPOINT)
-    # untrimmed, the product's BFS numbering is already _canonical's
-    return StallingsGraph(H.ctx, n, tuple(succ))
-
-
-def _product(
-    H: StallingsGraph, K: StallingsGraph, budget: Budget
-) -> tuple[int, list[dict], list[dict]]:
-    """(n, succ, pred) of the fibre product's component of (basepoint,
-    basepoint), its vertices numbered by BFS in canonical letter order."""
     r = H.ctx.rank
-    start = (BASEPOINT, BASEPOINT)
+    tables = [t for g in range(r) for t in ((H.succ[g], K.succ[g]), (H.pred[g], K.pred[g]))]
+
+    def moves(state):
+        a, b = state
+        return [
+            (x, y) if (x := h.get(a)) is not None and (y := k.get(b)) is not None else None
+            for h, k in tables
+        ]
+
+    P = _bfs_graph(H.ctx, (BASEPOINT, BASEPOINT), moves, budget or current())
+    live = set(range(P.nverts))
+    # untrimmed, the product's BFS numbering is already _canonical's;
+    # trimmed, P is dropped, so its own tables are trimmed
+    if not _trim(live, P.succ, P.pred, BASEPOINT):
+        return P
+    return _canonical(H.ctx, live, P.succ, P.pred, BASEPOINT)
+
+
+def _bfs_graph(ctx: GroupContext, start, moves, budget: Budget) -> StallingsGraph:
+    """The graph on the states reachable from `start`, numbered by BFS in
+    canonical letter order, which is `_canonical`'s numbering. `moves(state)`
+    lists the states that gen 1 out, gen 1 in, gen 2 out, … lead to (None
+    where there is no edge); in-moves must invert out-moves, so recording
+    the out-edges records every edge. Raises before numbering state
+    `vertex_cap` + 1."""
     number = {start: 0}
     order = [start]
-    succ: list[dict] = [dict() for _ in range(r)]
-    pred: list[dict] = [dict() for _ in range(r)]
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for g in range(r):
-            for table_h, table_k, out in (
-                (H.succ[g], K.succ[g], True),
-                (H.pred[g], K.pred[g], False),
-            ):
-                a = table_h.get(u[0])
-                b = table_k.get(u[1])
-                if a is None or b is None:
-                    continue
-                v = (a, b)
-                if v not in number:
-                    if len(number) >= budget.vertex_cap:
-                        raise BudgetExceededError("graph vertices", budget.vertex_cap)
-                    number[v] = len(order)
-                    order.append(v)
-                if out:
-                    succ[g][number[u]] = number[v]
-                    pred[g][number[v]] = number[u]
-                else:
-                    succ[g][number[v]] = number[u]
-                    pred[g][number[u]] = number[v]
-    return len(order), succ, pred
+    succ = tuple({} for _ in range(ctx.rank))
+    out_tables = [t for s in succ for t in (s, None)]
+    for u, state in enumerate(order):
+        for table, v in zip(out_tables, moves(state)):
+            if v is None:
+                continue
+            n = number.get(v)
+            if n is None:
+                if len(order) >= budget.vertex_cap:
+                    raise BudgetExceededError("graph vertices", budget.vertex_cap)
+                n = number[v] = len(order)
+                order.append(v)
+            if table is not None:
+                table[u] = n
+    return StallingsGraph(ctx, len(order), succ)
 
 
 def conjugate_subgroup(
@@ -749,28 +741,13 @@ def preimage(
     if len(images) != ctx.rank:
         raise MalformedInputError(f"need {ctx.rank} generator images, got {len(images)}")
     cosets = _cyclic_cosets if target.kind == "cyclic" else _permutation_cosets
-    start, step = cosets(target.param, images, accepted)
-    budget = budget or current()
-    letters = [x for i in range(1, ctx.rank + 1) for x in (i, -i)]
-    number = {start: 0}
-    order = [start]
-    succ = tuple({} for _ in range(ctx.rank))
-    for u, coset in enumerate(order):
-        for x in letters:
-            label = step(coset, x)
-            if label not in number:
-                if len(order) >= budget.vertex_cap:
-                    raise BudgetExceededError("graph vertices", budget.vertex_cap)
-                number[label] = len(order)
-                order.append(label)
-            if x > 0:
-                succ[x - 1][u] = number[label]
-    return StallingsGraph(ctx, len(order), succ)
+    start, moves = cosets(target.param, images, accepted)
+    return _bfs_graph(ctx, start, moves, budget or current())
 
 
 def _cyclic_cosets(m: int, images, accepted):
-    """(label of A, letter action) on the cosets of A ≤ Z/m. A = dZ/m for
-    d = gcd(m, A), so the coset of x is labelled by x mod d."""
+    """(label of A, `_bfs_graph` moves) on the cosets of A ≤ Z/m. A = dZ/m
+    for d = gcd(m, A), so the coset of x is labelled by x mod d."""
     vals = frozenset(int(v) % m for v in accepted)
     if not vals:
         raise MalformedInputError("accepted subgroup cannot be empty")
@@ -778,13 +755,13 @@ def _cyclic_cosets(m: int, images, accepted):
     # vals ⊆ dZ/m, so it is dZ/m iff it has m // d elements (m may be huge)
     if len(vals) != m // d:
         raise MalformedInputError(f"accepted set {sorted(vals)} is not a subgroup of Z/{m}")
-    moves = {e * i: e * int(v) % d for i, v in enumerate(images, 1) for e in (1, -1)}
-    return 0, lambda x, letter: (x + moves[letter]) % d
+    shifts = [e * int(v) % d for v in images for e in (1, -1)]
+    return 0, lambda x: [(x + s) % d for s in shifts]
 
 
 def _permutation_cosets(n: int, images, accepted):
-    """(label of A, letter action) on the right cosets A·p of A ≤ Sym(n),
-    each labelled by its least element."""
+    """(label of A, `_bfs_graph` moves) on the right cosets A·p of A ≤
+    Sym(n), each labelled by its least element."""
     perms = [_permutation(p, n) for p in images]
     group = frozenset(_permutation(p, n) for p in accepted)
     if tuple(range(n)) not in group:
@@ -795,14 +772,16 @@ def _permutation_cosets(n: int, images, accepted):
         for q in group:
             if _perm_mul(p, q) not in group:
                 raise MalformedInputError("accepted permutations not closed")
-    moves = {i: p for i, p in enumerate(perms, 1)}
-    moves.update({-i: _perm_inv(p) for i, p in enumerate(perms, 1)})
+    letters = [q for p in perms for q in (p, _perm_inv(p))]
 
-    def step(label: tuple, letter: int) -> tuple:
-        p = _perm_mul(label, moves[letter])
-        return min(_perm_mul(a, p) for a in group)
+    def moves(label: tuple) -> list[tuple]:
+        out = []
+        for q in letters:
+            p = _perm_mul(label, q)
+            out.append(min(_perm_mul(a, p) for a in group))
+        return out
 
-    return min(group), step
+    return min(group), moves
 
 
 def _permutation(p, n: int) -> tuple:

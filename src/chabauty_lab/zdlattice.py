@@ -284,14 +284,6 @@ class WitnessNode:
     sequence: WitnessSequence | None
     expanded: tuple["WitnessNode", ...]
 
-    def leaves(self) -> list["WitnessNode"]:
-        if not self.expanded:
-            return [self]
-        out = []
-        for child in self.expanded:
-            out.extend(child.leaves())
-        return out
-
 
 def witness_chain(
     H: HnfSubgroup,

@@ -161,6 +161,47 @@ def test_free_rank_answers_to_the_vertex_cap(capsys, tmp_path):
     assert "free rank (vertex_cap): limit 2, reached 3" in err
 
 
+_HUGE = 10**9
+_HUGE_LATTICE = {"context": {"kind": "lattice", "rank": _HUGE}, "generators": []}
+
+
+def _huge_hom(accepted):
+    target = {"kind": "lattice", "param": _HUGE}
+    return {"context": F2_CTX, "hom": {"target": target, "images": [[1], [0]], "accepted": accepted}}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, what",
+    [
+        (["zd"], _HUGE_LATTICE, "lattice rank"),
+        (["witness"], _HUGE_LATTICE, "lattice rank"),
+        (["schreier", "--radius", "3"], _huge_hom({"generators": []}), "lattice target dimension"),
+        # exited 2 on the image dimension before the target's was checked
+        (["schreier", "--radius", "3"], _huge_hom("zero"), "lattice target dimension"),
+    ],
+    ids=["zd", "witness", "hom", "hom-zero"],
+)
+def test_huge_lattice_dimensions_answer_to_the_vertex_cap(tmp_path, argv, doc, what):
+    """A lattice of dimension 10⁹ exits 3 naming vertex_cap before anything
+    is allocated per coordinate; each of these ran until a timeout stopped
+    it, and the subprocess timeout catches a return to that."""
+    spec = spec_file(tmp_path, "dim.json", doc)
+    done = subprocess.run(
+        [sys.executable, "-m", "chabauty_lab.cli", argv[0], spec, *argv[1:]],
+        env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert f"{what} (vertex_cap)" in done.stderr and f"reached {_HUGE}" in done.stderr
+
+
+def test_lattice_rank_answers_to_the_runs_vertex_cap(capsys, tmp_path):
+    spec = spec_file(tmp_path, "z3.json", {"context": {"kind": "lattice", "rank": 3}, "generators": []})
+    code, out, err = run(capsys, "zd", spec, "--budget-vertices", "2")
+    assert (code, out) == (3, "")
+    assert "lattice rank (vertex_cap): limit 2, reached 3" in err
+    assert run(capsys, "zd", spec, "--budget-vertices", "3")[0] == 0
+
+
 def test_wrong_schema_is_two(capsys, tmp_path):
     spec = spec_file(tmp_path, "h.json", {"context": F2_CTX})
     code, _, err = run(capsys, "stallings", spec)

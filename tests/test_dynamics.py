@@ -52,7 +52,6 @@ from chabauty_lab.stallings import (
     join,
     kernel,
     preimage,
-    whole_group,
 )
 from chabauty_lab.words import (
     conjugate,
@@ -111,7 +110,7 @@ def test_nonisolation_rejects_finite_index():
     with pytest.raises(MalformedInputError):
         nonisolation_witness(gens("aa", "b", "abA"), 4)
     with pytest.raises(MalformedInputError):
-        nonisolation_witness(whole_group(F2), 4)
+        nonisolation_witness(gens("a", "b"), 4)
 
 
 def _oracle_witness_terms(H, length, budget):
@@ -283,7 +282,17 @@ def test_empty_clopen_set_invalidates_task():
 def test_finite_index_witness_invalidates_task():
     V = clopen([w("a")], [])
     with pytest.raises(TaskInvalidError, match="infinite index"):
-        make_task(F2, [(V, V, whole_group(F2), whole_group(F2))])
+        make_task(F2, [(V, V, gens("a", "b"), gens("a", "b"))])
+
+
+def test_a_task_is_validated_once_when_it_is_made(monkeypatch):
+    calls = _counting(monkeypatch, dynamics, "validate_task")
+    V = clopen([w("a")], [w("b")])
+    task = make_task(F2, [(V, V, gens("a"), gens("a"))])
+    multi_transitivity_move(task)
+    assert calls == [(task,)]
+    with pytest.raises(TaskInvalidError, match="does not lie in its set"):
+        dataclasses.replace(task, source_witnesses=(gens("a", "b"),))
 
 
 def test_obstruction_task_produces_verified_failure():
@@ -482,15 +491,28 @@ def _with_vertex_cap(task, cap):
     return dataclasses.replace(task, budget=task.budget.replace(vertex_cap=cap))
 
 
+def _assert_same_outcome_under_cap(task, cap):
+    """The search and the oracle on the task under another vertex_cap. The
+    copy is validated under that cap when it is made, so a cap too small to
+    validate the task raises before either search runs: the same budget
+    outcome for both."""
+    try:
+        capped = _with_vertex_cap(task, cap)
+    except BudgetExceededError as exc:
+        assert exc.what == "graph vertices" and exc.limit == cap
+        return
+    _assert_same_outcome(capped)
+
+
 @given(_move_tasks(), st.integers(4, 64))
 @settings(max_examples=100, deadline=None)
 def test_small_vertex_caps_raise_where_the_oracle_raises(task, cap):
-    _assert_same_outcome(_with_vertex_cap(task, cap))
+    _assert_same_outcome_under_cap(task, cap)
 
 
 @pytest.mark.parametrize("cap", range(4, 65))
 def test_obstruction_under_small_vertex_caps_matches_the_oracle(cap):
-    _assert_same_outcome(_with_vertex_cap(obstruction_task(), cap))
+    _assert_same_outcome_under_cap(obstruction_task(), cap)
 
 
 def test_one_check_above_the_floor_moves_the_transcript():

@@ -193,7 +193,29 @@ def test_intermediate_bound_counts_the_lattice_ball_by_its_closed_form(d):
         assert intermediate_bound(lattice(d), D) == 2 ** len(list(iter_lattice_ball(d, D)))
 
 
-# ── oracles: the coset-key BFS and the all-sources fiber BFS ─────────────────
+# ── oracles: the coset-key BFS, per-radius ends, all-sources fiber BFS ──────
+
+
+def _oracle_ends(S, r):
+    """The ends estimate at r by its own union-find: join the edges among
+    the vertices outside the closed r-ball, then count the components that
+    hold a frontier vertex."""
+    outside = [v for v in range(S.nverts) if S.dist[v] > r]
+    parent = {v: v for v in outside}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for table in S.succ:
+        for u, v in table.items():
+            if u in parent and v in parent:
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    parent[ru] = rv
+    return len({find(v) for v in S.frontier if v in parent})
 
 
 def _oracle_coset_key(H, w):
@@ -394,7 +416,9 @@ def test_ends_profile_matches_ends_estimate(case):
     H, K, radius = case
     for sub in (H, K):
         S = build(sub, radius)
-        assert ends_profile(S) == [ends_estimate(S, r) for r in range(S.radius)]
+        profile = ends_profile(S)
+        assert profile == [_oracle_ends(S, r) for r in range(S.radius)]
+        assert profile == [ends_estimate(S, r) for r in range(S.radius)]
 
 
 def test_ends_profile_of_the_line_and_the_tree():

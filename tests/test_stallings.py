@@ -44,7 +44,6 @@ from chabauty_lab.stallings import (
     preimage,
     trivial_subgroup,
     wedge_conjugate,
-    whole_group,
 )
 from chabauty_lab.words import (
     ball,
@@ -70,6 +69,11 @@ def w(text):
 
 def gens(*texts):
     return from_generators(F2, [w(t) for t in texts])
+
+
+def whole_group(ctx):
+    """The rose: one vertex and a loop per generator."""
+    return StallingsGraph(ctx, 1, tuple({0: 0} for _ in range(ctx.rank)))
 
 
 # ── folding and structure ────────────────────────────────────────────────────
@@ -742,7 +746,7 @@ def test_basis_text_beyond_26_generators_takes_the_word_route():
             spell()
 
 
-# ── joins are symmetric; untrimmed intersections skip the renumbering ───────
+# ── joins are symmetric; intersections against the old product loop ────────
 
 
 @given(word_lists(max_words=3), word_lists(max_words=3))
@@ -766,13 +770,183 @@ def test_untrimmed_intersection_is_canonical_as_numbered(drawn_h, drawn_k, cover
     # coverings have untrimmed products, so both cases are drawn often
     H = hall_completion(H, 1) if cover_h else H
     K = hall_completion(K, 1) if cover_k else K
-    n, succ, pred = stallings._product(H, K, Budget())
+    n, succ, pred = _product(H, K, Budget())
     tables = ([dict(t) for t in succ], [dict(t) for t in pred])
     untrimmed = not stallings._trim(set(range(n)), *tables, BASEPOINT)
     assume(untrimmed)
     canonical = stallings._canonical(ctx, range(n), succ, pred, BASEPOINT)
     assert canonical.succ == tuple(succ)
     assert intersect(H, K) == canonical
+
+
+@given(word_lists(max_words=3), word_lists(max_words=3), st.booleans(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_intersection_matches_the_product_loop(drawn_h, drawn_k, cover_h, cover_k):
+    """intersect's shared BFS against the product loop it replaced: the
+    product's own numbering when nothing is trimmed, the renumbered core
+    otherwise."""
+    (ctx, words_h), (_, words_k) = drawn_h, drawn_k
+    words_k = [x for x in words_k if all(abs(y) <= ctx.rank for y in x)]
+    H, K = from_generators(ctx, words_h), from_generators(ctx, words_k)
+    H = hall_completion(H, 1) if cover_h else H
+    K = hall_completion(K, 1) if cover_k else K
+    n, succ, pred = _product(H, K, Budget())
+    live = set(range(n))
+    if stallings._trim(live, succ, pred, BASEPOINT):
+        expected = stallings._canonical(ctx, live, succ, pred, BASEPOINT)
+    else:
+        expected = StallingsGraph(ctx, n, tuple(succ))
+    assert intersect(H, K) == expected
+
+
+@pytest.mark.parametrize(
+    "h, k, complete",
+    [
+        (("a", "bab"), ("aa", "b", "abA"), False),
+        (("ab", "ba"), ("aab", "bA"), False),
+        (("a", "bab"), ("aa", "b", "abA"), True),
+        (("abAB",), ("aab", "bbA"), True),
+        (("aaa", "b"), ("aa", "bb", "ab"), False),
+    ],
+)
+def test_intersection_cap_is_the_product_loops(h, k, complete):
+    """With N product states, intersect and the old product loop both
+    succeed at vertex_cap = N and both raise at N − 1."""
+    H, K = gens(*h), gens(*k)
+    if complete:
+        H, K = hall_completion(H, 2), hall_completion(K, 2)
+    n = _product(H, K, Budget())[0]
+    assert n > 1
+    for build in (intersect, _product):
+        build(H, K, _cap(n))
+        with pytest.raises(BudgetExceededError, match="graph vertices"):
+            build(H, K, _cap(n - 1))
+
+
+@pytest.mark.parametrize(
+    "target, images, accepted, cosets",
+    [
+        (Target("cyclic", 7), [3, 0], [0], 7),
+        (Target("cyclic", 6), [1, 2], [0, 3], 3),
+        (Target("permutation", 3), [(1, 2, 0), (1, 0, 2)], [(0, 1, 2)], 6),
+        (
+            Target("permutation", 4),
+            [(1, 2, 3, 0), (1, 0, 2, 3)],
+            [(0, 1, 2, 3), (1, 0, 2, 3)],
+            12,
+        ),
+    ],
+)
+def test_preimage_cap_is_its_coset_count(target, images, accepted, cosets):
+    assert preimage(F2, target, images, accepted, _cap(cosets)).nverts == cosets
+    with pytest.raises(BudgetExceededError, match="graph vertices"):
+        preimage(F2, target, images, accepted, _cap(cosets - 1))
+
+
+def _product(H, K, budget):
+    """(n, succ, pred) of the fibre product's component of (basepoint,
+    basepoint), its vertices numbered by BFS in canonical letter order: the
+    product loop `intersect` ran before the shared BFS, kept as its oracle."""
+    r = H.ctx.rank
+    start = (BASEPOINT, BASEPOINT)
+    number = {start: 0}
+    order = [start]
+    succ = [dict() for _ in range(r)]
+    pred = [dict() for _ in range(r)]
+    qi = 0
+    while qi < len(order):
+        u = order[qi]
+        qi += 1
+        for g in range(r):
+            for table_h, table_k, out in (
+                (H.succ[g], K.succ[g], True),
+                (H.pred[g], K.pred[g], False),
+            ):
+                a = table_h.get(u[0])
+                b = table_k.get(u[1])
+                if a is None or b is None:
+                    continue
+                v = (a, b)
+                if v not in number:
+                    if len(number) >= budget.vertex_cap:
+                        raise BudgetExceededError("graph vertices", budget.vertex_cap)
+                    number[v] = len(order)
+                    order.append(v)
+                if out:
+                    succ[g][number[u]] = number[v]
+                    pred[g][number[v]] = number[u]
+                else:
+                    succ[g][number[v]] = number[u]
+                    pred[g][number[u]] = number[v]
+    return len(order), succ, pred
+
+
+# ── every constructor returns its graph numbered as _canonical numbers it ───
+# The speller and _complete read the BFS tree off the vertex order.
+
+
+def _assert_canonically_numbered(G):
+    canonical = stallings._canonical(G.ctx, range(G.nverts), G.succ, G.pred, BASEPOINT)
+    assert canonical.succ == G.succ
+    assert canonical == G
+
+
+def _cover(H):
+    return hall_completion(H, 1)
+
+
+_CONSTRUCTIONS = {
+    "from_generators": lambda H, K, g: H,
+    "join": lambda H, K, g: join(H, K),
+    "intersect": lambda H, K, g: intersect(H, K),
+    # the product of two coverings is never trimmed
+    "intersect-coverings": lambda H, K, g: intersect(_cover(H), _cover(K)),
+    "conjugate-core": lambda H, K, g: conjugate_subgroup(H, g),
+    # a covering's conjugate only moves the basepoint
+    "conjugate-covering": lambda H, K, g: conjugate_subgroup(_cover(H), g),
+    "hall_completion": lambda H, K, g: hall_completion(H, 2),
+    "trivial_subgroup": lambda H, K, g: trivial_subgroup(H.ctx),
+}
+
+
+@pytest.mark.parametrize("construction", list(_CONSTRUCTIONS))
+@given(word_lists(max_words=3), word_lists(max_words=3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_constructors_number_canonically(construction, drawn_h, drawn_k, data):
+    (ctx, words_h), (_, words_k) = drawn_h, drawn_k
+    words_k = [x for x in words_k if all(abs(y) <= ctx.rank for y in x)]
+    H, K = from_generators(ctx, words_h), from_generators(ctx, words_k)
+    letter = st.integers(1, ctx.rank).flatmap(lambda i: st.sampled_from([i, -i]))
+    g = reduce_word(tuple(data.draw(st.lists(letter, max_size=5))))
+    _assert_canonically_numbered(_CONSTRUCTIONS[construction](H, K, g))
+
+
+@st.composite
+def _finite_preimages(draw):
+    """φ⁻¹(A) for φ from F₂ or F₃ to Z/m (m ≤ 8), A = dZ/m, or to Sym(n)
+    (n ≤ 4), A the cyclic group of a random permutation."""
+    ctx = free_group(draw(st.sampled_from([2, 3])))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 8))
+        d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+        images = draw(st.lists(st.integers(0, m - 1), min_size=ctx.rank, max_size=ctx.rank))
+        return preimage(ctx, Target("cyclic", m), images, list(range(0, m, d)))
+    n = draw(st.integers(1, 4))
+    perm = st.permutations(list(range(n))).map(tuple)
+    images = draw(st.lists(perm, min_size=ctx.rank, max_size=ctx.rank))
+    p = draw(perm)
+    identity = tuple(range(n))
+    accepted, q = [identity], p
+    while q != identity:
+        accepted.append(q)
+        q = tuple(p[i] for i in q)
+    return preimage(ctx, Target("permutation", n), images, accepted)
+
+
+@given(_finite_preimages())
+@settings(max_examples=80, deadline=None)
+def test_finite_preimages_number_canonically(G):
+    _assert_canonically_numbered(G)
 
 
 # ── the layered completion against the heap-ordered one it replaced ─────────

@@ -1,0 +1,39 @@
+"""The tools that claims about a change rest on: per-op report digests of a
+source tree (``tools/report_digests.py``) and alternating benchmark pairs of
+two checkouts (``tools/alternate_pairs.py``)."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tool(*argv):
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_report_digests_print_one_line_per_op_and_repeat(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    runs = [_tool("tools/report_digests.py", "src", "coset-lattice", "11") for _ in range(2)]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = [line.split(" ") for line in runs[0].stdout.splitlines()]
+    ops = workloads.make_ops("coset-lattice", 11)
+    assert [line[0] for line in lines] == [op["id"] for op in ops]
+    for _, code, digest in lines:
+        assert code in {"0", "2", "3", "4"}
+        assert re.fullmatch("[0-9a-f]{64}", digest)
+
+
+def test_alternate_pairs_refuses_zero_pairs_before_running():
+    done = _tool("tools/alternate_pairs.py", ".", ".", "coset-lattice", "11", "0")
+    assert done.returncode == 2
+    assert "N must be at least 1" in done.stderr
+    assert done.stdout == "" and "pair 1" not in done.stderr
