@@ -115,10 +115,9 @@ def cmd_stallings(args, budget: Budget):
     ]
     if "queries" in doc:
         words = specio.words_from_json(doc["queries"], ctx, "queries")
-        result["membership"] = {
-            specio.json_of_word(w, ctx): H.contains(w) for w in words
-        }
-        inside = sum(result["membership"].values())
+        keys = [specio.json_of_word(w, ctx) for w in words]
+        result["membership"] = {k: H.contains(w) for k, w in zip(keys, words)}
+        inside = sum(result["membership"][k] for k in keys)  # each query counts
         summary.append(f"membership: {inside}/{len(words)} queried words inside")
     if "intersect_with" in doc:
         K = specio.generated_subgroup_from_json(

@@ -55,7 +55,8 @@ def canonical_json(obj: Any) -> str:
     """Stable serialization: sorted keys, fixed separators, trailing newline.
 
     The text is byte-identical to ``json.dumps(obj, sort_keys=True,
-    indent=2) + "\\n"``. With ``indent`` set, ``json`` runs its pure-Python
+    indent=2) + "\\n"``, an :class:`EdgeTable` leaf rendering as its dict
+    form would. With ``indent`` set, ``json`` runs its pure-Python
     generator encoder; this direct recursion does the same work with one
     call per container instead of a generator per value.
     """
@@ -114,10 +115,40 @@ def _encode(o: Any, newline: str) -> str:
             for k, v in sorted(o.items(), key=_KEY)
         ]
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if type(o) is EdgeTable:
+        return o.render(newline)
     for base in (str, int, float):  # subclasses, as json.dumps writes them
         if isinstance(o, base):
             return _SCALAR_TEXT[base](o)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+class EdgeTable:
+    """One letter's edge table of a core graph, as a report leaf that
+    `canonical_json` writes directly.
+
+    Its JSON text is that of :meth:`as_dict`, the table keyed by decimal
+    vertex strings, written straight from the int-keyed table: each edge
+    gives one ``"u": v`` entry, and the entries are sorted as text. Keys
+    are distinct and ``"`` sorts below every digit, so this is the str-key
+    order ("10" < "2"), whichever vertices the table holds.
+    """
+
+    __slots__ = ("succ",)
+
+    def __init__(self, succ: dict[int, int]):
+        self.succ = succ
+
+    def as_dict(self) -> dict[str, int]:
+        return {str(u): v for u, v in sorted(self.succ.items())}
+
+    def render(self, newline: str) -> str:
+        """The text at the indent of `newline`, as `_encode` takes it."""
+        if not self.succ:
+            return "{}"
+        inner = newline + "  "
+        entries = sorted([f'"{u}": {v}' for u, v in self.succ.items()])
+        return "{" + inner + ("," + inner).join(entries) + newline + "}"
 
 
 def _key_text(k: Any) -> str:
@@ -347,13 +378,22 @@ def task_from_json(obj: Any, default_budget: Budget | None = None) -> Transitivi
 
 
 def json_of_task(task: TransitivityTask) -> dict:
+    """The task document; a clopen set that several pairs share (one object)
+    is rendered once and its dict appears in each place."""
     ctx = task.ctx
+    rendered: dict[int, dict] = {}
+
+    def clopen_json(V: ClopenSet) -> dict:
+        if id(V) not in rendered:
+            rendered[id(V)] = json_of_clopen(V, ctx)
+        return rendered[id(V)]
+
     return {
         "context": {"kind": "free", "rank": ctx.rank},
         "pairs": [
             {
-                "source": json_of_clopen(s, ctx),
-                "target": json_of_clopen(t, ctx),
+                "source": clopen_json(s),
+                "target": clopen_json(t),
                 "source_witness": sw.basis_text(),
                 "target_witness": tw.basis_text(),
             }
@@ -397,14 +437,14 @@ def _frac(q: Fraction) -> str:
 
 
 def json_of_graph(G: StallingsGraph) -> dict:
-    """Structural form: canonical vertex count plus one edge table per letter."""
+    """Structural form: canonical vertex count plus one edge table per letter
+    (an :class:`EdgeTable` leaf, which `canonical_json` writes directly)."""
     return {
         "vertices": G.nverts,
         "rank": G.rank(),
         "index": G.index(),
         "edges": [
-            {str(g + 1): {str(u): v for u, v in sorted(G.succ[g].items())}}
-            for g in range(G.ctx.rank)
+            {str(g + 1): EdgeTable(G.succ[g])} for g in range(G.ctx.rank)
         ],
         "basis": G.basis_text(),
     }

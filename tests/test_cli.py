@@ -829,6 +829,19 @@ def test_out_dir_always_gets_report_and_summary(capsys, tmp_path):
     assert (out_dir / "core.dot").read_text().startswith("digraph")
 
 
+def test_membership_summary_counts_each_query(capsys, tmp_path):
+    # "a" twice and "aA" (the empty word) are 3 of the 4 queries in ⟨a⟩,
+    # though the report's membership object has only 3 keys
+    doc = {"context": F2_CTX, "generators": ["a"], "queries": ["a", "a", "aA", "b"]}
+    spec = spec_file(tmp_path, "h.json", doc)
+    out_dir = tmp_path / "artifacts"
+    code, out, err = run(capsys, "stallings", spec, "--out", str(out_dir))
+    assert code == 0
+    assert json.loads(out)["result"]["membership"] == {"a": True, "": True, "b": False}
+    assert "membership: 3/4 queried words inside" in err
+    assert "- membership: 3/4 queried words inside\n" in (out_dir / "summary.md").read_text()
+
+
 # ── budget flags and environment ─────────────────────────────────────────────
 
 

@@ -4,13 +4,21 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chabauty_lab import specio
 from chabauty_lab.cli import main
 from chabauty_lab.errors import MalformedInputError
-from chabauty_lab.stallings import HomSubgroup, Target, from_generators, kernel, preimage
+from chabauty_lab.stallings import (
+    HomSubgroup,
+    Target,
+    from_generators,
+    hall_completion,
+    kernel,
+    preimage,
+    trivial_subgroup,
+)
 from chabauty_lab.words import GroupContext, format_word, free_group, parse_word, reduce_word
 from chabauty_lab.zdlattice import hnf_from_generators
 
@@ -144,13 +152,18 @@ _REPORT_RUNS = [
 ]
 
 
+def report_oracle(obj):
+    """json_dumps_oracle with each edge-table leaf written as its dict form."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=specio.EdgeTable.as_dict) + "\n"
+
+
 def test_canonical_json_matches_json_dumps_on_every_report_kind(tmp_path, monkeypatch, capsys):
     encode = specio.canonical_json
     reports = []
 
     def checked(obj):
         text = encode(obj)
-        assert text == json_dumps_oracle(obj)
+        assert text == report_oracle(obj)
         reports.append(obj)
         return text
 
@@ -160,7 +173,7 @@ def test_canonical_json_matches_json_dumps_on_every_report_kind(tmp_path, monkey
         (tmp_path / name).write_text(json.dumps(doc))
     for argv in _REPORT_RUNS:
         assert main(argv) in (0, 4), argv
-        assert capsys.readouterr().out == json_dumps_oracle(reports[-1])
+        assert capsys.readouterr().out == report_oracle(reports[-1])
     assert len(reports) == len(_REPORT_RUNS)
     kinds = {key for report in reports for key in report["result"]}
     for key in ("subgroup", "membership", "completion", "intersection", "conjugate",
@@ -168,6 +181,74 @@ def test_canonical_json_matches_json_dumps_on_every_report_kind(tmp_path, monkey
                 "line_probe", "fibers", "witness", "certificate", "failure", "folner",
                 "results", "rows"):
         assert key in kinds, key
+
+
+F3 = free_group(3)
+
+
+def _small_graphs(ctx):
+    """Core graphs of a few short words: partial tables, or the trivial graph."""
+    letters = st.sampled_from([x for g in range(1, ctx.rank + 1) for x in (g, -g)])
+    words = st.lists(letters, max_size=6).map(reduce_word)
+    return st.lists(words, max_size=3).map(lambda ws: from_generators(ctx, ws))
+
+
+def _cycles(ctx, min_size):
+    """⟨w⟩ for a positive word w with one b: w is no proper power, so its core
+    graph is a cycle of |w| ≥ min_size vertices, with partial tables."""
+    others = st.sampled_from([g for g in range(1, ctx.rank + 1) if g != 2])
+    return st.lists(others, min_size=min_size - 1, max_size=min_size + 30).map(
+        lambda xs: from_generators(ctx, [(*xs, 2)])
+    )
+
+
+def _cyclic_coverings(ctx, m):
+    """The covering of ker(F → Z/m, a ↦ 1, others anywhere): m vertices."""
+    others = st.lists(st.integers(0, m - 1), min_size=ctx.rank - 1, max_size=ctx.rank - 1)
+    return others.map(lambda imgs: preimage(ctx, Target("cyclic", m), [1, *imgs], [0]))
+
+
+def _permutation_coverings(ctx):
+    perms = st.lists(st.permutations(range(5)), min_size=ctx.rank, max_size=ctx.rank)
+    return perms.map(
+        lambda imgs: preimage(ctx, Target("permutation", 5), imgs, [tuple(range(5))])
+    )
+
+
+core_graphs = st.one_of(
+    [
+        strategy
+        for ctx in (F2, F3)
+        for strategy in (
+            _small_graphs(ctx),
+            st.tuples(_small_graphs(ctx), st.integers(1, 3)).map(
+                lambda hn: hall_completion(*hn)
+            ),
+            _cycles(ctx, 10),
+            _cycles(ctx, 100),
+            st.integers(1, 12).flatmap(lambda m, ctx=ctx: _cyclic_coverings(ctx, m)),
+            _cyclic_coverings(ctx, 100),
+            _permutation_coverings(ctx),
+        )
+    ]
+)
+
+
+@given(core_graphs)
+@example(trivial_subgroup(F3))
+@example(from_generators(F2, [(1,) * 11 + (2,)]))  # "10" < "2"
+@example(from_generators(F2, [(1,) * 111 + (2,)]))  # "100" < "11"
+@settings(max_examples=120, deadline=None)
+def test_edge_table_leaf_renders_as_its_dict_form(G):
+    edges = specio.json_of_graph(G)["edges"]
+    for g, table in enumerate(edges):
+        leaf = table[str(g + 1)]
+        assert leaf.succ is G.succ[g]
+        for indent in (0, 2, 6):
+            newline = "\n" + " " * indent
+            text = json.dumps(leaf.as_dict(), sort_keys=True, indent=2)
+            assert leaf.render(newline) == text.replace("\n", newline)
+    assert specio.canonical_json({"edges": edges}) == report_oracle({"edges": edges})
 
 
 def test_free_subgroup_round_trip():
