@@ -13,6 +13,7 @@ command prints the same matrix.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from typing import Callable, Iterable, Sequence
 
@@ -371,61 +372,26 @@ def criterion_5() -> CriterionResult:
 
 def _all_hnf_subgroups(d: int, bound: int = 3) -> list[HnfSubgroup]:
     """Every subgroup of Z^d whose canonical HNF rows have entries of
-    absolute value <= bound (pivots are positive, entries above a pivot are
-    reduced below it, entries in non-pivot columns range freely)."""
+    absolute value <= bound, by one recursion over the columns: a column
+    either has no pivot, and each pivot row gets an entry in [-bound, bound],
+    or holds the next pivot p in 1..bound, with the entries above it reduced
+    into [0, p)."""
     out = []
 
-    def extend(pivot_cols: tuple[int, ...], rows: list[list[int]], col: int):
+    def extend(rows: list[tuple[int, ...]], col: int):
         if col == d:
-            hnf = hnf_from_generators(d, [tuple(r) for r in rows])
-            assert hnf.rows == tuple(tuple(r) for r in rows), "enumeration not canonical"
+            hnf = hnf_from_generators(d, rows)
+            assert hnf.rows == tuple(rows), "enumeration not canonical"
             out.append(hnf)
             return
-        # either no pivot in this column…
-        for filled in _fill_free_column(rows, len(pivot_cols), bound):
-            extend(pivot_cols, filled, col + 1)
-        # …or the next pivot sits here.
+        for fill in itertools.product(range(-bound, bound + 1), repeat=len(rows)):
+            extend([r + (x,) for r, x in zip(rows, fill)], col + 1)
         for p in range(1, bound + 1):
-            for filled in _fill_pivot_column(rows, len(pivot_cols), p, bound, col):
-                extend(pivot_cols + (col,), filled, col + 1)
+            for fill in itertools.product(range(p), repeat=len(rows)):
+                extend([r + (x,) for r, x in zip(rows, fill)] + [(0,) * col + (p,)], col + 1)
 
-    extend((), [], 0)
+    extend([], 0)
     return out
-
-
-def _fill_free_column(rows: list[list[int]], npivots: int, bound: int):
-    """All ways to append a non-pivot column: existing pivot rows get a free
-    entry, there is no new row."""
-    def rec(i: int, acc: list[list[int]]):
-        if i == npivots:
-            yield [r[:] for r in acc]
-            return
-        for x in range(-bound, bound + 1):
-            acc[i].append(x)
-            yield from rec(i + 1, acc)
-            acc[i].pop()
-
-    yield from rec(0, [r[:] for r in rows])
-
-
-def _fill_pivot_column(
-    rows: list[list[int]], npivots: int, pivot: int, bound: int, col: int
-):
-    """All ways to append a pivot column with the given pivot value: entries
-    above the pivot are reduced into [0, pivot), the new row starts with
-    `col` zeros and the pivot."""
-
-    def rec(i: int, acc: list[list[int]]):
-        if i == npivots:
-            new_row = [0] * col + [pivot]
-            yield [r[:] for r in acc] + [new_row]
-            return
-        for x in range(0, pivot):
-            acc[i].append(x)
-            yield from rec(i + 1, acc)
-            acc[i].pop()
-
-    yield from rec(0, [r[:] for r in rows])
 
 
 def _hnf2_independent(v: tuple[int, int], w: tuple[int, int]):

@@ -23,15 +23,17 @@ human summary to stderr.  ``--out DIR`` additionally writes ``report.json``,
 ``summary.md``, and the command's tabular/graph artifacts into DIR; each
 command hands its artifacts over as renderers, called only then.
 
-Exit codes: 0 success; 2 malformed input, context mismatch, or invalid
-task; 3 budget exceeded; 4 verified negative outcome (a search that
-provably exhausted its budget, a Folner set failing its tolerance, a
-non-converging sequence, a failing acceptance criterion).
+Exit codes: 0 success; 2 malformed input, context mismatch, invalid task,
+or an --out path that cannot be written; 3 budget exceeded; 4 verified
+negative outcome (a search that provably exhausted its budget, a Folner set
+failing its tolerance, a non-converging sequence, a failing acceptance
+criterion).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -43,7 +45,6 @@ from .chabauty import certify_bounds, distance_up_to
 from .dynamics import (
     folner_transfer_check,
     interval_folner_demo,
-    make_task,
     multi_transitivity_move,
     obstruction_task,
 )
@@ -55,13 +56,8 @@ from .errors import (
 )
 from .schreier import build as schreier_build
 from .schreier import ends_profile, fiber_diameters, qi_to_line_probe
-from .stallings import (
-    conjugate_subgroup,
-    from_generators,
-    hall_completion,
-    intersect,
-)
-from .words import format_word, free_group, parse_word
+from .stallings import conjugate_subgroup, hall_completion, intersect
+from .words import format_word
 from .zdlattice import HnfSubgroup, cb_erasing_rank, count_by_index, witness_sequence
 from .dynamics import nonisolation_witness
 
@@ -86,6 +82,16 @@ def _budget_from_args(args: argparse.Namespace) -> Budget:
     if getattr(args, "budget_length", None) is not None:
         overrides["conjugator_len_cap"] = args.budget_length
     return current(overrides)
+
+
+def _check_out(out_dir: str) -> None:
+    """Refuse, creating nothing, an --out path whose nearest existing
+    ancestor (or itself) is not a writable directory."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise MalformedInputError(f"--out {out_dir}: {path} is not a writable directory")
 
 
 def _write_out(out_dir: str, report_text: str, summary: list[str], artifacts: dict):
@@ -139,7 +145,7 @@ def cmd_stallings(args, budget: Budget):
         result["completion"] = specio.json_of_graph(K)
         result["completion"]["agreement_radius"] = n
         summary.append(f"completion at radius {n}: index {K.index()}")
-    artifacts = {"core.dot": H.to_dot}
+    artifacts = {"core.dot": lambda: specio.dot_of_graph(H)}
     return result, summary, artifacts, False, raw
 
 
@@ -286,7 +292,7 @@ def cmd_schreier(args, budget: Budget):
     ]
     if radius >= 8:
         probe = qi_to_line_probe(S, profile)
-        result["line_probe"] = specio.json_of_probe(probe)
+        result["line_probe"] = dataclasses.asdict(probe)
         summary.append(f"line probe: {probe.verdict} ({probe.reason})")
     if isinstance(doc, dict) and "over" in doc:
         K = specio.subgroup_from_json(doc["over"], budget)
@@ -297,7 +303,7 @@ def cmd_schreier(args, budget: Budget):
             + ", ".join(str(r.diameter) + ("+" if r.lower_bound else "") for r in reports)
         )
     artifacts = {
-        "schreier.dot": S.to_dot,
+        "schreier.dot": lambda: specio.dot_of_schreier(S),
         "spheres.csv": lambda: specio.csv_text(
             ["r", "sphere_size"], list(enumerate(S.sphere_sizes()))
         ),
@@ -329,33 +335,23 @@ def cmd_witness(args, budget: Budget):
     return result, summary, _convergence_artifacts(rows), not cert.certified(), raw
 
 
-def _paired_demo_task(budget: Budget):
-    F2 = free_group(2)
-    w = lambda s: parse_word(s, F2)
-    from .chabauty import clopen
-
-    pairs = [
-        (
-            clopen([w("a")], [w("b")]),
-            clopen([w("ab")], [w("ba")]),
-            from_generators(F2, [w("a")]),
-            from_generators(F2, [w("ab")]),
-        ),
-        (
-            clopen([w("b")], [w("a")]),
-            clopen([w("ba")], [w("ab")]),
-            from_generators(F2, [w("b")]),
-            from_generators(F2, [w("ba")]),
-        ),
-    ]
-    return make_task(F2, pairs, budget)
+# Two pairs in F₂: move 𝒱({a}, {b}) into 𝒱({ab}, {ba}) and 𝒱({b}, {a}) into
+# 𝒱({ba}, {ab}) with one conjugator.
+_PAIRED_DEMO = {
+    "context": {"kind": "free", "rank": 2},
+    "pairs": [
+        {"source": {"ins": [x], "outs": [y]}, "target": {"ins": [x + y], "outs": [y + x]},
+         "source_witness": [x], "target_witness": [x + y]}
+        for x, y in (("a", "b"), ("b", "a"))
+    ],
+}
 
 
 def cmd_transit(args, budget: Budget):
     if args.demo:
         raw = None
         if args.demo == "paired":
-            task = _paired_demo_task(budget)
+            task = specio.task_from_json(_PAIRED_DEMO, budget)
         else:
             # The obstruction exhibit defeats its own embedded budget by
             # construction; outside budget flags must not enlarge the search.
@@ -441,15 +437,7 @@ def cmd_suite(args, budget: Budget):
             raise MalformedInputError(f"--only wants comma-separated integers: {exc}")
     results = acceptance.run_all(numbers)
     result = {
-        "results": [
-            {
-                "number": r.number,
-                "title": r.title,
-                "passed": r.passed,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "results": [dataclasses.asdict(r) for r in results],
         "passed": sum(r.passed for r in results),
         "failed": sum(not r.passed for r in results),
     }
@@ -535,6 +523,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command_line = ["chabauty-lab"] + (list(argv) if argv is not None else sys.argv[1:])
     try:
+        if args.out:
+            _check_out(args.out)
         budget = _budget_from_args(args)
         result, summary, artifacts, failed, raw = args.func(args, budget)
     except BudgetExceededError as exc:
@@ -557,7 +547,11 @@ def main(argv=None) -> int:
     for line in summary:
         print(line, file=sys.stderr)
     if args.out:
-        _write_out(args.out, text, summary, artifacts)
+        try:
+            _write_out(args.out, text, summary, artifacts)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+            return 2
     return 4 if failed else 0
 
 

@@ -27,6 +27,7 @@ from .stallings import (
     StallingsGraph,
     basis_outside,
     conjugate_subgroup,
+    coset_automaton,
     from_generators,
     hall_completion,
     intersect,
@@ -81,8 +82,9 @@ def nonisolation_witness(
 
     Then H ⊊ H_n ⊆ K_n squeezes the trace: H_n agrees with H up to n too,
     while k_n keeps H_n ≠ H, so the sequence witnesses that H is not isolated.
-    Only infinite-index H qualify (finite-index subgroups are isolated points
-    and admit no such sequence).
+    Only infinite-index H in free groups of rank ≥ 2 qualify (finite-index
+    subgroups are isolated points and admit no such sequence, and in F₁ = Z
+    no infinite-index term H_n ≠ H exists).
 
     Candidates for k_n are the basis elements of K_n outside H in canonical
     order (some exists: all of them inside H would force K_n = ⟨basis⟩ ⊆ H);
@@ -94,6 +96,11 @@ def nonisolation_witness(
     if H.index() is not None:
         raise MalformedInputError(
             "nonisolation witnesses exist only for infinite-index subgroups"
+        )
+    if H.ctx.rank == 1:
+        raise MalformedInputError(
+            "nonisolation witnesses need rank >= 2: in F_1 = Z every subgroup "
+            "other than {1} has finite index, so no infinite-index term H_n != H exists"
         )
     if length < 1:
         raise MalformedInputError("witness length must be >= 1")
@@ -311,12 +318,12 @@ def _try_candidate(
 
     A candidate refuted this way reports the 3i checks it passed before pair
     i, which cannot beat the floor; its freeness stays unsettled. This runs
-    only when n_s·(n_t + |w|) ≤ vertex_cap for n_s = |V(Λ_i)| and n_t =
-    |V(Λ'_i)|: that bounds the wedge (n_s + n_t + |w| − 1 vertices), the
-    conjugation, the join, the fibre product and `_freeness`'s one-fibre
-    distance search, so none of the skipped steps could have raised
-    BudgetExceededError and every raise comes at the same candidate as in
-    check order. Past the guard, the checks run in order.
+    only when 2r·n_s·(n_t + |w|) < vertex_cap, n_s = |V(Λ_i)|, n_t = |V(Λ'_i)|:
+    that bounds the wedge, the conjugation, the join, the fibre product
+    (n_s·(n_t + |w|) pairs) and `_freeness`'s distance search (one state per
+    edge end of the intersection, plus the start), so no skipped step could
+    raise BudgetExceededError and every raise comes at the same candidate
+    as in check order. Otherwise the checks run in order.
     """
     budget = task.budget
     certs = []
@@ -327,7 +334,7 @@ def _try_candidate(
         words_t, outs = screens[i]
         outside = f"pair {i + 1}: Δ outside the source set"
         source_first = floor > passed and (
-            lam_s.nverts * (lam_t.nverts + len(w)) <= budget.vertex_cap
+            2 * task.ctx.rank * lam_s.nverts * (lam_t.nverts + len(w)) < budget.vertex_cap
         )
         if source_first:
             if any(conjugate(b, w) in outs for b in words_t):
@@ -526,8 +533,9 @@ def folner_transfer_check(
 
     candidate_sets[i] lists coset representatives of the set B_{i+1}; the
     default tolerance for the i-th set is 1/(i+1). Each word is labelled by
-    the state of its coset H0·w in H0's coset automaton (`coset_start` /
-    `coset_step`, equal states ⟺ equal cosets), so γB and B are compared as
+    the state of its coset H0·w in H0's :func:`coset_automaton` (equal
+    states ⟺ equal cosets: a lattice preimage's residues, or core vertex +
+    hanging suffix), so γB and B are compared as
     coset sets by their states, and the ratio |γB △ B| / |B| is exact
     (Fractions). Representatives that collide (two words in one coset)
     invalidate their set: almost-invariance of a multiset is not evidence.
@@ -543,7 +551,7 @@ def folner_transfer_check(
         tolerances = [Fraction(1, i + 1) for i in range(len(sets))]
     if len(tolerances) != len(sets):
         raise MalformedInputError("one tolerance per candidate set")
-    step, start = H0.coset_step, H0.coset_start
+    start, step = coset_automaton(H0)
 
     def walk(state, w: Word):
         for x in w:

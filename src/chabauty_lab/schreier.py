@@ -4,12 +4,11 @@ checks.
 
 The Schreier graph of H ≤ F_r has the right cosets Hu as vertices and an edge
 Hu --g--> Hug per generator. We materialize the ball of radius R around the
-trivial coset by BFS; a subgroup only needs to be a coset automaton for this
-to work (`coset_start`, and `coset_step(state, letter)` returning the state of
-Hu·letter, where equal states mean equal cosets), which both Stallings graphs
-(core vertex + hanging suffix; finite-target preimages are coverings, so the
-suffix stays empty) and lattice preimages (image residue modulo the accepted
-sublattice) are. Each vertex keeps its state, so an edge costs one step.
+trivial coset by BFS over the states of H's coset automaton
+(:func:`~chabauty_lab.stallings.coset_automaton`: equal states mean equal
+cosets), which is H's membership automaton for a lattice preimage and core
+vertex + hanging suffix for a core graph.
+Each vertex keeps its state, so an edge costs one step.
 
 Truncation discipline: the graph stores its frontier (sphere-R vertices) and
 every quantity computed from the ball is reported as exact or as a lower
@@ -23,12 +22,13 @@ from math import comb
 
 from .budgets import Budget, current
 from .errors import BudgetExceededError, MalformedInputError
-from .stallings import HomSubgroup, StallingsGraph
+from .stallings import HomSubgroup, StallingsGraph, coset_automaton
 from .words import (
     GroupContext,
     IDENTITY,
     Word,
     ball_size,
+    format_word,
     require_same_context,
 )
 
@@ -81,22 +81,6 @@ class SchreierGraph:
                 adj[v].add(u)
         return adj
 
-    def to_dot(self) -> str:
-        from .words import _LOWER, format_word
-
-        lines = ["digraph schreier {", "  rankdir=LR;"]
-        for v in range(self.nverts):
-            shape = "doublecircle" if v == 0 else "circle"
-            mark = ", color=gray" if v in self.frontier else ""
-            label = format_word(self.reps[v]) or "1"
-            lines.append(f'  {v} [shape={shape}, label="{label}"{mark}];')
-        for g, table in enumerate(self.succ):
-            letter = _LOWER[g] if g < 26 else f"x{g + 1}"
-            for u, v in sorted(table.items()):
-                lines.append(f'  {u} -> {v} [label="{letter}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def build(H, radius: int, budget: Budget | None = None) -> SchreierGraph:
     """BFS the coset space of H out to the given radius.
@@ -112,8 +96,8 @@ def build(H, radius: int, budget: Budget | None = None) -> SchreierGraph:
     if ctx.kind != "free":
         raise MalformedInputError("Schreier graphs are built over free groups")
     letters = [x for i in range(1, ctx.rank + 1) for x in (i, -i)]
-    step = H.coset_step
-    states = [H.coset_start]
+    start, step = coset_automaton(H)
+    states = [start]
     keys = {states[0]: 0}
     reps: list[Word] = [IDENTITY]
     dist: list[int] = [0]
@@ -222,10 +206,11 @@ class FiberReport:
 
 def _verify_containment(H, K) -> None:
     if isinstance(H, StallingsGraph):
-        missing = [w for w in H.basis() if not K.contains(w)]
-        if missing:
+        w = next((w for w in H.basis() if not K.contains(w)), None)
+        if w is not None:
+            text = format_word(w) if H.ctx.rank <= 26 else list(w)
             raise MalformedInputError(
-                f"H is not contained in K (basis word {missing[0]} not accepted)"
+                f"H is not contained in K (basis word {text} not accepted)"
             )
         return
     if isinstance(H, HomSubgroup) and isinstance(K, HomSubgroup):
@@ -261,8 +246,8 @@ def fiber_diameters(S: SchreierGraph, K) -> list[FiberReport]:
     require_same_context(S.subgroup.ctx, K.ctx, "fibers")
     _verify_containment(S.subgroup, K)
     # K·reps[v] = K·reps[parent[v]]·letter, stepped in BFS order
-    step = K.coset_step
-    kstates = [K.coset_start]
+    start, step = coset_automaton(K)
+    kstates = [start]
     for v in range(1, S.nverts):
         kstates.append(step(kstates[S.parent[v]], S.reps[v][-1]))
     fibers: dict = {}

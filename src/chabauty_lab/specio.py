@@ -33,9 +33,10 @@ from .dynamics import (
     make_task,
 )
 from .errors import BudgetExceededError, MalformedInputError
-from .schreier import FiberReport, ProbeReport, SchreierGraph
+from .schreier import FiberReport, SchreierGraph
 from .stallings import StallingsGraph, Target, from_generators, preimage
 from .words import (
+    _LOWER,
     GroupContext,
     Word,
     format_word,
@@ -523,16 +524,6 @@ def json_of_fibers(reports: Sequence[FiberReport], ctx: GroupContext) -> list:
     ]
 
 
-def json_of_probe(p: ProbeReport) -> dict:
-    return {
-        "verdict": p.verdict,
-        "reason": p.reason,
-        "sphere_sizes": list(p.sphere_sizes),
-        "ends_window": [list(x) for x in p.ends_window],
-        "complete": p.complete,
-    }
-
-
 def json_of_schreier(S: SchreierGraph) -> dict:
     return {
         "vertices": S.nverts,
@@ -575,6 +566,31 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     for row in rows:
         writer.writerow(list(row))
     return buf.getvalue()
+
+
+def dot_of_graph(G: StallingsGraph) -> str:
+    return _dot("stallings", ["shape=doublecircle"] + ["shape=circle"] * (G.nverts - 1), G.succ)
+
+
+def dot_of_schreier(S: SchreierGraph) -> str:
+    """Each vertex is labelled by its representative (1 for the trivial
+    coset); the frontier is gray."""
+    return _dot("schreier", [
+        f'shape={"circle" if v else "doublecircle"}, label="{format_word(rep) or "1"}"'
+        + (", color=gray" if v in S.frontier else "")
+        for v, rep in enumerate(S.reps)
+    ], S.succ)
+
+
+def _dot(name: str, vertex_attrs: Sequence[str], succ: Sequence[dict]) -> str:
+    """Graphviz text: one line per vertex with its attributes, and one edge
+    per table entry labelled by its letter (x27, x28, … past z)."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines += [f"  {v} [{attrs}];" for v, attrs in enumerate(vertex_attrs)]
+    for g, table in enumerate(succ):
+        label = _LOWER[g] if g < len(_LOWER) else f"x{g + 1}"
+        lines += [f'  {u} -> {v} [label="{label}"];' for u, v in sorted(table.items())]
+    return "\n".join(lines) + "\n}\n"
 
 
 def summary_text(title: str, lines: Sequence[str]) -> str:

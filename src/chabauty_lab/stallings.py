@@ -93,20 +93,6 @@ class StallingsGraph:
     def accepting(self, state: int) -> bool:
         return state == BASEPOINT
 
-    # coset automaton ----------------------------------------------------
-    # The state of the right coset H·w is (v, s): v is where the longest
-    # prefix of w that stays in the core ends and s is the rest of w, hanging
-    # off the core. Equal states ⟺ equal cosets.
-
-    coset_start = (BASEPOINT, IDENTITY)
-
-    def coset_step(self, state: tuple[int, Word], letter: int) -> tuple[int, Word]:
-        v, s = state
-        if s:
-            return (v, s[:-1]) if s[-1] == -letter else (v, s + (letter,))
-        u = self.step(v, letter)
-        return (v, (letter,)) if u is None else (u, IDENTITY)
-
     # structure ----------------------------------------------------------
 
     @property
@@ -170,17 +156,25 @@ class StallingsGraph:
             f"{self.nedges} edges)"
         )
 
-    def to_dot(self) -> str:
-        """Graphviz form; generator i is labelled with its letter."""
-        lines = ["digraph stallings {", '  rankdir=LR;', "  0 [shape=doublecircle];"]
-        for v in range(1, self.nverts):
-            lines.append(f"  {v} [shape=circle];")
-        for g in range(self.ctx.rank):
-            label = _LOWER[g] if g < 26 else f"x{g + 1}"
-            for u, v in sorted(self.succ[g].items()):
-                lines.append(f'  {u} -> {v} [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+
+def coset_automaton(H: StallingsGraph | HomSubgroup):
+    """(start, step) of an automaton whose state after w labels the right
+    coset H·w (equal states ⟺ equal cosets): a HomSubgroup's own, whose
+    residues are its cosets. A core graph's Schreier graph is the core with
+    trees hanging off it (Stallings 1983), and the state is (v, s): v is where
+    the longest prefix of w that stays in the core ends, s the rest of w."""
+    if isinstance(H, HomSubgroup):
+        return H.start, H.step
+    core_step = H.step
+
+    def step(state: tuple[int, Word], letter: int) -> tuple[int, Word]:
+        v, s = state
+        if s:
+            return (v, s[:-1]) if s[-1] == -letter else (v, s + (letter,))
+        u = core_step(v, letter)
+        return (v, (letter,)) if u is None else (u, IDENTITY)
+
+    return (BASEPOINT, IDENTITY), step
 
 
 def _spelled_basis(G: StallingsGraph, H: StallingsGraph | None, text: bool) -> list:
@@ -818,9 +812,7 @@ class HomSubgroup:
     graph, and these subgroups generally have none.
     """
 
-    __slots__ = (
-        "ctx", "target", "images", "accepted", "start", "coset_start", "_action", "_hash"
-    )
+    __slots__ = ("ctx", "target", "images", "accepted", "start", "_action", "_hash")
 
     def __init__(self, ctx: GroupContext, target: Target, images, accepted):
         if ctx.kind != "free":
@@ -846,7 +838,7 @@ class HomSubgroup:
         self.ctx = ctx
         self.target = target
         self.accepted = accepted
-        self.start = self.coset_start = (0,) * k
+        self.start = (0,) * k
         # letter ±i adds ±φ(generator i) to the running image
         self._action = {
             e * i: tuple(e * c for c in v) for i, v in enumerate(self.images, 1) for e in (1, -1)
@@ -859,8 +851,6 @@ class HomSubgroup:
 
     def step(self, state, letter: int):
         return self.accepted.residue([x + y for x, y in zip(state, self._action[letter])])
-
-    coset_step = step
 
     def accepting(self, state) -> bool:
         return not any(state)

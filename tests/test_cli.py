@@ -19,7 +19,12 @@ from hypothesis import strategies as st
 
 import chabauty_lab
 from chabauty_lab import specio
-from chabauty_lab.cli import main
+from chabauty_lab.budgets import current
+from chabauty_lab.chabauty import clopen
+from chabauty_lab.cli import _PAIRED_DEMO, main
+from chabauty_lab.dynamics import make_task, multi_transitivity_move
+from chabauty_lab.stallings import from_generators
+from chabauty_lab.words import free_group, parse_word
 from chabauty_lab.zdlattice import enumerate_by_index
 
 F2_CTX = {"kind": "free", "rank": 2}
@@ -684,6 +689,25 @@ def test_witness_on_cyclic_subgroup_all_rows_nontrivial(capsys, tmp_path):
     assert len(csv_lines) == 9  # header + one row per radius step
 
 
+def test_witness_in_rank_one_is_two(capsys, tmp_path):
+    """In F₁ = Z every subgroup but {1} has finite index, so no budget could
+    find an infinite-index term: the document is refused, not the budget."""
+    spec = spec_file(tmp_path, "z.json", {"context": {"kind": "free", "rank": 1},
+                                          "generators": []})
+    code, out, err = run(capsys, "witness", spec, "--radius", "2")
+    assert (code, out) == (2, "")
+    assert "rank >= 2" in err and "budget" not in err
+
+
+def test_containment_failure_prints_the_word_as_text(capsys, tmp_path):
+    spec = spec_file(tmp_path, "fib.json", {
+        "subgroup": {"context": F2_CTX, "generators": ["a"]}, "over": _KER_Z,
+    })
+    code, out, err = run(capsys, "schreier", spec, "--radius", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: H is not contained in K (basis word a not accepted)\n"
+
+
 def test_witness_on_lattice_subgroup(capsys, tmp_path):
     spec = spec_file(
         tmp_path, "lat.json", {"context": {"kind": "lattice", "dim": 2}, "generators": [[1, 3]]}
@@ -748,6 +772,38 @@ def test_paired_transit_demo(capsys):
     assert cert["conjugator"] == "bA"
     assert cert["candidates_tried"] == 35
     assert cert["reverified"] is True
+
+
+def _hand_built_paired_task(budget):
+    """The paired demo as it was first built, set by set and fold by fold."""
+    F2 = free_group(2)
+    w = lambda s: parse_word(s, F2)
+    pairs = [
+        (clopen([w("a")], [w("b")]), clopen([w("ab")], [w("ba")]),
+         from_generators(F2, [w("a")]), from_generators(F2, [w("ab")])),
+        (clopen([w("b")], [w("a")]), clopen([w("ba")], [w("ab")]),
+         from_generators(F2, [w("b")]), from_generators(F2, [w("ba")])),
+    ]
+    return make_task(F2, pairs, budget)
+
+
+def test_paired_demo_document_is_the_hand_built_task(capsys, monkeypatch):
+    monkeypatch.delenv("CHABAUTY_LAB_BUDGET", raising=False)
+    budget = current()
+    task = specio.task_from_json(_PAIRED_DEMO, budget)
+    old = _hand_built_paired_task(budget)
+    assert task == old
+    assert specio.json_of_task(task) == specio.json_of_task(old)
+    assert specio.json_of_move(multi_transitivity_move(task), task.ctx) == specio.json_of_move(
+        multi_transitivity_move(old), old.ctx
+    )
+    # the demo's witnesses are folded under the run's budget, so the flag
+    # overrides the environment's vertex cap for them as for the search
+    code, expected, _ = run(capsys, "transit", "--demo", "paired", "--budget-vertices", "100")
+    assert code == 0
+    monkeypatch.setenv("CHABAUTY_LAB_BUDGET", '{"vertex_cap": 1}')
+    code, out, _ = run(capsys, "transit", "--demo", "paired", "--budget-vertices", "100")
+    assert (code, out) == (0, expected)
 
 
 def test_fibers_over_a_lattice_subgroup_are_two(capsys, tmp_path):
@@ -827,6 +883,35 @@ def test_out_dir_always_gets_report_and_summary(capsys, tmp_path):
     assert (out_dir / "report.json").read_text() == out
     assert (out_dir / "summary.md").read_text().startswith("# ")
     assert (out_dir / "core.dot").read_text().startswith("digraph")
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub"])
+def test_unusable_out_path_is_two_before_anything_runs(capsys, tmp_path, where):
+    """An --out path that is a file, or lies under one, is refused with one
+    error line before the command computes or prints anything."""
+    (tmp_path / "file").write_text("kept")
+    spec = spec_file(tmp_path, "h.json", {"context": F2_CTX, "generators": ["a"]})
+    code, out, err = run(capsys, "stallings", spec, "--out", str(tmp_path / where))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_failing_artifact_write_is_two(capsys, tmp_path):
+    """A write that fails once the report is out (here report.json is a
+    directory) exits 2 with one error line, not a traceback."""
+    spec = spec_file(tmp_path, "h.json", {"context": F2_CTX, "generators": ["a"]})
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    code, out, err = run(capsys, "stallings", spec, "--out", str(tmp_path / "out"))
+    assert code == 2 and json.loads(out)["command"] == "stallings"
+    assert err.splitlines()[-1].startswith("error: cannot write --out ")
+
+
+def test_missing_out_directories_are_created(capsys, tmp_path):
+    spec = spec_file(tmp_path, "h.json", {"context": F2_CTX, "generators": ["a"]})
+    out_dir = tmp_path / "new" / "deeper"
+    code, out, _ = run(capsys, "stallings", spec, "--out", str(out_dir))
+    assert code == 0 and (out_dir / "report.json").read_text() == out
 
 
 def test_membership_summary_counts_each_query(capsys, tmp_path):

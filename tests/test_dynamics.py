@@ -113,6 +113,16 @@ def test_nonisolation_rejects_finite_index():
         nonisolation_witness(gens("a", "b"), 4)
 
 
+def test_nonisolation_rejects_rank_one():
+    """F₁'s trivial subgroup has infinite index, but every other subgroup of
+    Z has finite index: no term exists, whatever the budget."""
+    F1 = free_group(1)
+    with pytest.raises(MalformedInputError, match="rank >= 2"):
+        nonisolation_witness(from_generators(F1, []), 2, Budget(witness_candidate_cap=10**6))
+    with pytest.raises(MalformedInputError, match="infinite-index"):
+        nonisolation_witness(from_generators(F1, [(1, 1)]), 2)
+
+
 def _oracle_witness_terms(H, length, budget):
     """(n, K_n, k_n) of nonisolation_witness by the word route: the whole
     basis of K_n, each word walked through H."""
@@ -508,6 +518,24 @@ def _assert_same_outcome_under_cap(task, cap):
 @settings(max_examples=100, deadline=None)
 def test_small_vertex_caps_raise_where_the_oracle_raises(task, cap):
     _assert_same_outcome_under_cap(task, cap)
+
+
+def test_the_early_source_checks_guard_bounds_the_freeness_distance():
+    """⟨c, a²⟩ into the set that excludes every grid conjugate of a. At
+    candidate c the in-order checks reach `_freeness`'s distance search over
+    ⟨c, a²⟩ ∩ ⟨cac⁻¹⟩ = ⟨ca²c⁻¹⟩, which holds 6 states after its third level
+    and raises under `vertex_cap` 4. A guard of n_s·(n_t + |w|) = 4 ≤ 4 let
+    the early source check refute c instead, and the search raised at c²."""
+    F3 = free_group(3)
+    outs = {conjugate((1,), w) for w in _candidate_conjugators(F3, _SMALL_GRID)}
+    task = make_task(
+        F3,
+        [(clopen([], sorted(outs)), clopen([], []),
+          from_generators(F3, [(3,), (1, 1)]), from_generators(F3, [(1,)]))],
+        _SMALL_GRID.replace(vertex_cap=4),
+    )
+    assert _outcome(multi_transitivity_move, task) == ("budget", "graph vertices", 4, 6)
+    _assert_same_outcome(task)
 
 
 @pytest.mark.parametrize("cap", range(4, 65))

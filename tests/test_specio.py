@@ -379,3 +379,65 @@ def test_a_repeated_malformed_clopen_document_keeps_its_error(bad, message):
     assert str(alone.value) == str(twice.value)
     if message is not None:
         assert message in str(alone.value)
+
+
+# ── DOT artifacts ─────────────────────────────────────────────────────────────
+
+# Texts written by the two graph classes' own DOT writers before the one
+# writer replaced them.
+_GOLDEN_CORE_A2_B_ABA = (
+    'digraph stallings {\n  rankdir=LR;\n  0 [shape=doublecircle];\n  1 [shape=circle];\n'
+    '  0 -> 1 [label="a"];\n  1 -> 0 [label="a"];\n  0 -> 0 [label="b"];\n'
+    '  1 -> 1 [label="b"];\n}\n'
+)
+_GOLDEN_SCHREIER_A2_B_ABA = (
+    'digraph schreier {\n  rankdir=LR;\n  0 [shape=doublecircle, label="1"];\n'
+    '  1 [shape=circle, label="a"];\n  0 -> 1 [label="a"];\n  1 -> 0 [label="a"];\n'
+    '  0 -> 0 [label="b"];\n  1 -> 1 [label="b"];\n}\n'
+)
+_GOLDEN_SCHREIER_KER_R3 = (
+    'digraph schreier {\n  rankdir=LR;\n  0 [shape=doublecircle, label="1"];\n'
+    '  1 [shape=circle, label="a"];\n  2 [shape=circle, label="A"];\n'
+    '  3 [shape=circle, label="aa"];\n  4 [shape=circle, label="AA"];\n'
+    '  5 [shape=circle, label="aaa", color=gray];\n'
+    '  6 [shape=circle, label="AAA", color=gray];\n'
+    '  0 -> 1 [label="a"];\n  1 -> 3 [label="a"];\n  2 -> 0 [label="a"];\n'
+    '  3 -> 5 [label="a"];\n  4 -> 2 [label="a"];\n  6 -> 4 [label="a"];\n'
+    '  0 -> 0 [label="b"];\n  1 -> 1 [label="b"];\n  2 -> 2 [label="b"];\n'
+    '  3 -> 3 [label="b"];\n  4 -> 4 [label="b"];\n  5 -> 5 [label="b"];\n'
+    '  6 -> 6 [label="b"];\n}\n'
+)
+_GOLDEN_CORE_RANK_27 = (
+    'digraph stallings {\n  rankdir=LR;\n  0 [shape=doublecircle];\n  1 [shape=circle];\n'
+    '  0 -> 0 [label="a"];\n  0 -> 1 [label="x27"];\n  1 -> 0 [label="x27"];\n}\n'
+)
+
+
+def test_dot_artifacts_match_their_golden_text():
+    from chabauty_lab.schreier import build
+
+    H = from_generators(F2, [parse_word(w, F2) for w in ("aa", "b", "abA")])
+    assert specio.dot_of_graph(H) == _GOLDEN_CORE_A2_B_ABA
+    assert specio.dot_of_schreier(build(H, 2)) == _GOLDEN_SCHREIER_A2_B_ABA
+    ker = kernel(F2, Target("lattice", 1), [(1,), (0,)])
+    assert specio.dot_of_schreier(build(ker, 3)) == _GOLDEN_SCHREIER_KER_R3
+    G = from_generators(free_group(27), [(27, 27), (1,)])
+    assert specio.dot_of_graph(G) == _GOLDEN_CORE_RANK_27
+
+
+def test_cli_writes_the_golden_dot_artifacts(capsys, tmp_path):
+    ker = {"context": {"kind": "free", "rank": 2},
+           "hom": {"target": {"kind": "lattice", "param": 1}, "images": [[1], [0]],
+                   "accepted": "zero"}}
+    H = {"context": {"kind": "free", "rank": 2}, "generators": ["aa", "b", "abA"]}
+    for name, doc, argv, artifact, golden in (
+        ("ker", ker, ["schreier", "--radius", "3"], "schreier.dot", _GOLDEN_SCHREIER_KER_R3),
+        ("h", H, ["schreier", "--radius", "2"], "schreier.dot", _GOLDEN_SCHREIER_A2_B_ABA),
+        ("h", H, ["stallings"], "core.dot", _GOLDEN_CORE_A2_B_ABA),
+    ):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / f"out-{argv[0]}-{name}"
+        assert main([*argv, str(spec), "--out", str(out)]) == 0
+        assert (out / artifact).read_text(encoding="utf-8") == golden
+    capsys.readouterr()

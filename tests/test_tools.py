@@ -2,6 +2,7 @@
 source tree (``tools/report_digests.py``) and alternating benchmark pairs of
 two checkouts (``tools/alternate_pairs.py``)."""
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -27,9 +28,13 @@ def test_report_digests_print_one_line_per_op_and_repeat(monkeypatch):
     lines = [line.split(" ") for line in runs[0].stdout.splitlines()]
     ops = workloads.make_ops("coset-lattice", 11)
     assert [line[0] for line in lines] == [op["id"] for op in ops]
-    for _, code, digest in lines:
+    no_files = hashlib.sha256().hexdigest()
+    for _, code, stdout_digest, files_digest in lines:
         assert code in {"0", "2", "3", "4"}
-        assert re.fullmatch("[0-9a-f]{64}", digest)
+        assert re.fullmatch("[0-9a-f]{64}", stdout_digest)
+        assert re.fullmatch("[0-9a-f]{64}", files_digest)
+        # a report on stdout is also written under --out, with its artifacts
+        assert (files_digest == no_files) == (code in {"2", "3"})
 
 
 def test_alternate_pairs_refuses_zero_pairs_before_running():

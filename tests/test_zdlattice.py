@@ -355,3 +355,61 @@ def test_certifications_from_one_radius_match_per_radius_calls(d, every):
             assert derived == [certify_convergence(seq, lim, r) for r in range(1, 9)]
             kinds.update(c.kind for c in derived)
     assert kinds == {"certified", "fails"}
+
+
+def _oracle_catalogue(d: int, bound: int) -> list:
+    """Criterion 6's catalogue as first written: a column recursion that
+    fills each column by an inner recursion appending and popping entries."""
+    out = []
+
+    def extend(pivot_cols, rows, col):
+        if col == d:
+            hnf = hnf_from_generators(d, [tuple(r) for r in rows])
+            assert hnf.rows == tuple(tuple(r) for r in rows), "enumeration not canonical"
+            out.append(hnf)
+            return
+        for filled in _fill_free_column(rows, len(pivot_cols), bound):
+            extend(pivot_cols, filled, col + 1)
+        for p in range(1, bound + 1):
+            for filled in _fill_pivot_column(rows, len(pivot_cols), p, col):
+                extend(pivot_cols + (col,), filled, col + 1)
+
+    extend((), [], 0)
+    return out
+
+
+def _fill_free_column(rows, npivots, bound):
+    def rec(i, acc):
+        if i == npivots:
+            yield [r[:] for r in acc]
+            return
+        for x in range(-bound, bound + 1):
+            acc[i].append(x)
+            yield from rec(i + 1, acc)
+            acc[i].pop()
+
+    yield from rec(0, [r[:] for r in rows])
+
+
+def _fill_pivot_column(rows, npivots, pivot, col):
+    def rec(i, acc):
+        if i == npivots:
+            yield [r[:] for r in acc] + [[0] * col + [pivot]]
+            return
+        for x in range(0, pivot):
+            acc[i].append(x)
+            yield from rec(i + 1, acc)
+            acc[i].pop()
+
+    yield from rec(0, [r[:] for r in rows])
+
+
+@pytest.mark.parametrize(
+    "d, bound", [(d, b) for d in (1, 2, 3) for b in (1, 2, 3)] + [(4, 1), (4, 2)]
+)
+def test_catalogue_is_the_oracles_list(d, bound):
+    """The one-recursion catalogue lists the same subgroups in the same
+    order, so every `[::every]` sample of it is unchanged."""
+    from chabauty_lab.acceptance import _all_hnf_subgroups
+
+    assert _all_hnf_subgroups(d, bound) == _oracle_catalogue(d, bound)

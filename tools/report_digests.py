@@ -8,10 +8,15 @@ is a workload name or ``all``; SEED is a seed or a comma-separated list of
 seeds. The ops come from ``perfbench/workloads.make_ops`` of this checkout,
 and their documents are written as the benchmark's set-up writes them, at
 the same relative paths, inside a temporary directory. Every op then runs
-through SRC's ``chabauty_lab.cli.main`` in one process, and one line per op
-is printed: ``op_id exit sha256``, the digest being that of the op's
-stdout. With more than one (workload, seed) block, each block opens with a
-``# workload seed`` line.
+through SRC's ``chabauty_lab.cli.main`` in one process, with ``--out
+out/OP_ID`` appended (a relative path, so the provenance in the report does
+not depend on the temporary directory), and one line per op is printed:
+``op_id exit stdout_sha256 files_sha256``. The first digest is that of the
+op's stdout; the second is that of the files the op wrote under its
+``--out`` directory (report, summary, DOT and CSV artifacts), taken over
+their (relative name, bytes) pairs in name order, and is the digest of no
+pairs when the op wrote none. With more than one (workload, seed) block,
+each block opens with a ``# workload seed`` line.
 
 Two source trees give the same reports and exit codes on a workload iff
 their outputs are equal::
@@ -26,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -56,9 +62,24 @@ def _digests(cli, workload: str, seed: int) -> None:
             if op["doc"] is not None:
                 Path(op["path"]).write_text(checks.doc_text(op["doc"]), encoding="utf-8")
         for op in ops:
-            code, text = _run(cli, op["argv"])
-            print(op["id"], code, hashlib.sha256(text.encode("utf-8")).hexdigest())
+            out_dir = Path("out", op["id"])
+            code, text = _run(cli, [*op["argv"], "--out", str(out_dir)])
+            print(op["id"], code, hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                  _files_digest(out_dir))
+            shutil.rmtree(out_dir, ignore_errors=True)
         os.chdir(ROOT)
+
+
+def _files_digest(directory: Path) -> str:
+    """sha256 over the (relative name, bytes) pairs of the files under
+    `directory`, in name order; each name and each content is preceded by
+    its length, so no two lists of pairs hash alike."""
+    digest = hashlib.sha256()
+    files = sorted(p for p in directory.rglob("*") if p.is_file()) if directory.is_dir() else []
+    for path in files:
+        for part in (path.relative_to(directory).as_posix().encode("utf-8"), path.read_bytes()):
+            digest.update(b"%d:" % len(part) + part)
+    return digest.hexdigest()
 
 
 def main(argv: list[str]) -> int:
