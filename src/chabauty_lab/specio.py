@@ -36,7 +36,7 @@ from .errors import BudgetExceededError, MalformedInputError
 from .schreier import FiberReport, SchreierGraph
 from .stallings import StallingsGraph, Target, from_generators, preimage
 from .words import (
-    _LOWER,
+    _CHAR_OF_LETTER,
     GroupContext,
     Word,
     format_word,
@@ -576,19 +576,26 @@ def dot_of_schreier(S: SchreierGraph) -> str:
     """Each vertex is labelled by its representative (1 for the trivial
     coset); the frontier is gray."""
     return _dot("schreier", [
-        f'shape={"circle" if v else "doublecircle"}, label="{format_word(rep) or "1"}"'
+        f'shape={"circle" if v else "doublecircle"}, '
+        f'label="{"".join(map(_dot_letter, rep)) or "1"}"'
         + (", color=gray" if v in S.frontier else "")
         for v, rep in enumerate(S.reps)
     ], S.succ)
 
 
+def _dot_letter(x: int) -> str:
+    """A letter in DOT labels: its character up to z, then x27 and its
+    inverse X27, x28 and X28, …"""
+    return _CHAR_OF_LETTER.get(x) or (f"x{x}" if x > 0 else f"X{-x}")
+
+
 def _dot(name: str, vertex_attrs: Sequence[str], succ: Sequence[dict]) -> str:
     """Graphviz text: one line per vertex with its attributes, and one edge
-    per table entry labelled by its letter (x27, x28, … past z)."""
+    per table entry labelled by its letter."""
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     lines += [f"  {v} [{attrs}];" for v, attrs in enumerate(vertex_attrs)]
     for g, table in enumerate(succ):
-        label = _LOWER[g] if g < len(_LOWER) else f"x{g + 1}"
+        label = _dot_letter(g + 1)
         lines += [f'  {u} -> {v} [label="{label}"];' for u, v in sorted(table.items())]
     return "\n".join(lines) + "\n}\n"
 

@@ -13,7 +13,8 @@ a single deterministic walk.
 Graphs are canonicalized at construction: vertices are renumbered by BFS from
 the basepoint, scanning letters in the canonical order (gen 1 out, gen 1 in,
 gen 2 out, ...). Equal subgroups therefore have identical representations, and
-equality/hashing are structural.
+equality/hashing are structural. The BFS tree of that numbering is recorded
+with the graph; free bases and Hall completions read it.
 
 Everything here is exact and deterministic; resource caps come from
 :mod:`chabauty_lab.budgets`.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import Counter
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 from . import zdlattice
@@ -56,13 +58,14 @@ class StallingsGraph:
     """Immutable, canonical folded core graph. Build via :func:`from_generators`
     and the other module functions, not directly."""
 
-    __slots__ = ("ctx", "nverts", "succ", "pred", "_hash")
+    __slots__ = ("ctx", "nverts", "succ", "pred", "_tree", "_hash")
 
-    def __init__(self, ctx: GroupContext, nverts: int, succ: tuple[dict, ...]):
+    def __init__(self, ctx: GroupContext, nverts: int, succ: tuple[dict, ...], tree=None):
         self.ctx = ctx
         self.nverts = nverts
         self.succ = succ
         self.pred = tuple({v: u for u, v in s.items()} for s in succ)
+        self._tree = tree  # derived by the first read of `tree` if not given
         self._hash: int | None = None  # computed by the first __hash__
 
     # membership ---------------------------------------------------------
@@ -118,6 +121,20 @@ class StallingsGraph:
 
     def is_trivial(self) -> bool:
         return self.nedges == 0
+
+    @property
+    def tree(self) -> tuple[list[int], list[int]]:
+        """(parent, via) of the canonical BFS spanning tree: vertex v > 0
+        was first reached from parent[v] through table via[v] (2g for gen
+        g + 1 out, 2g + 1 for gen g + 1 in); parent[0] = 0 and via[0] = −1.
+        The constructors record it while numbering; a graph built otherwise
+        is renumbered once here, and must come out unchanged."""
+        if self._tree is None:
+            G = _canonical(self.ctx, range(self.nverts), self.succ, self.pred, BASEPOINT)
+            if G.succ != self.succ:
+                raise AssertionError("graph must be numbered canonically")
+            self._tree = G._tree
+        return self._tree
 
     def basis(self) -> list[Word]:
         """Free basis of H from the canonical BFS spanning tree: one word
@@ -181,42 +198,38 @@ def _spelled_basis(G: StallingsGraph, H: StallingsGraph | None, text: bool) -> l
     """G's basis without the words that lie in H: as text sorted by
     `text_key` (rank ≤ 26), or as words sorted by `word_key`.
 
-    G is numbered by BFS in canonical letter order, so one pass in vertex
-    order is that BFS. It stores, per vertex v, the tree word path(v) and
-    its inverse, so a non-tree edge u --x--> v spells
-    fwd[u] + x + inv[v]. No letter cancels there: x against the last letter
-    of path(u) or path(v) would make the edge a tree edge (G is folded).
-    With H it also stores hs[v], H's vertex at the end of path(v) (None if
-    the walk leaves H). H is folded, so that word lies in H iff H's x-edge
-    takes hs[u] to hs[v]."""
+    It reads G's recorded BFS tree: the tree word of v is
+    fwd[v] = fwd[parent[v]] + its letter, one concatenation per vertex.
+    G is folded, so u --g--> v is a tree edge iff via[v] = 2g or
+    via[u] = 2g + 1, and every other edge spells fwd[u] + g + fwd[v]⁻¹,
+    the inverse built only there. No letter cancels: g against the last
+    letter of fwd[u] or fwd[v] would make the edge a tree edge. With H,
+    hs[v] is H's vertex at the end of fwd[v] (None if the walk leaves H),
+    carried along the same links; H is folded, so the word lies in H iff
+    H's g-edge takes hs[u] to hs[v]."""
     r = G.ctx.rank
     spell = _CHAR_OF_LETTER.__getitem__ if text else lambda x: (x,)
-    chars = [(spell(g + 1), spell(-g - 1)) for g in range(r)]
-    succ, pred = G.succ, G.pred
-    h_succ, h_pred = (H.succ, H.pred) if H is not None else ([{}] * r, [{}] * r)
-    fwd, inv, hs = [None] * G.nverts, [None] * G.nverts, [None] * G.nverts
-    fwd[BASEPOINT] = inv[BASEPOINT] = "" if text else IDENTITY
-    hs[BASEPOINT] = BASEPOINT
-    tree: list[set[int]] = [set() for _ in range(r)]  # sources of tree edges
-    for u in range(G.nverts):
-        fu, iu, hu = fwd[u], inv[u], hs[u]
-        for g, (out_ch, in_ch) in enumerate(chars):
-            v = succ[g].get(u)
-            if v is not None and fwd[v] is None:
-                fwd[v], inv[v], hs[v] = fu + out_ch, in_ch + iu, h_succ[g].get(hu)
-                tree[g].add(u)
-            v = pred[g].get(u)
-            if v is not None and fwd[v] is None:
-                fwd[v], inv[v], hs[v] = fu + in_ch, out_ch + iu, h_pred[g].get(hu)
-                tree[g].add(v)
+    chars = [spell(x) for g in range(r) for x in (g + 1, -g - 1)]  # by table index
+    parent, via = G.tree
+    fwd = ["" if text else IDENTITY]
+    for p, t in islice(zip(parent, via), 1, None):  # the basepoint has no link
+        fwd.append(fwd[p] + chars[t])
+    if H is None:
+        hs, h_succ = [None] * G.nverts, [{}] * r
+    else:
+        h_tables = list(chain.from_iterable(zip(H.succ, H.pred)))
+        hs, h_succ = [BASEPOINT], H.succ
+        for p, t in islice(zip(parent, via), 1, None):
+            hs.append(h_tables[t].get(hs[p]))
+    inverse = (lambda s: s[::-1].swapcase()) if text else invert
     out = []
-    for g, (out_ch, _) in enumerate(chars):
-        tree_g, h_g = tree[g], h_succ[g]
-        for u, v in succ[g].items():
-            if u not in tree_g:
+    for g in range(r):
+        out_ch, h_g = chars[2 * g], h_succ[g]
+        for u, v in G.succ[g].items():
+            if via[v] != 2 * g and via[u] != 2 * g + 1:
                 h = h_g.get(hs[u])
                 if h is None or h != hs[v]:
-                    out.append(fwd[u] + out_ch + inv[v])
+                    out.append(fwd[u] + out_ch + inverse(fwd[v]))
     out.sort(key=text_key if text else word_key)
     return out
 
@@ -443,25 +456,32 @@ def _trim(live: set[int], succ: Sequence[dict], pred: Sequence[dict], base: int)
 
 def _canonical(
     ctx: GroupContext,
-    live: Iterable[int],
+    live: set[int] | range,
     succ: Sequence[dict],
     pred: Sequence[dict],
     base: int,
 ) -> StallingsGraph:
-    """Renumber by BFS from the basepoint in canonical letter order."""
-    number = {base: 0}
+    """Renumber the vertices `live` by BFS from the basepoint in canonical
+    letter order, and record the BFS tree (`StallingsGraph.tree`) as the
+    vertices are numbered."""
+    number = [-1] * (max(live) + 1)  # by builder id
+    number[base] = 0
     order = [base]
-    tables = [t for pair in zip(succ, pred) for t in pair]  # gen 1 out, gen 1 in, …
+    parent, via = [0], [-1]
+    # gen 1 out, gen 1 in, gen 2 out, …
+    tables = list(enumerate(chain.from_iterable(zip(succ, pred))))
     for u in order:
-        for table in tables:
+        for t, table in tables:
             v = table.get(u)
-            if v is not None and v not in number:
+            if v is not None and number[v] < 0:
                 number[v] = len(order)
                 order.append(v)
-    if len(number) != len(set(live)):
+                parent.append(number[u])
+                via.append(t)
+    if len(order) != len(live):
         raise AssertionError("core graph must be connected")
     new_succ = tuple({number[u]: number[v] for u, v in s.items()} for s in succ)
-    return StallingsGraph(ctx, len(number), new_succ)
+    return StallingsGraph(ctx, len(order), new_succ, (parent, via))
 
 
 # ── public constructors and operations ───────────────────────────────────────
@@ -560,14 +580,15 @@ def _bfs_graph(ctx: GroupContext, start, moves, budget: Budget) -> StallingsGrap
     canonical letter order, which is `_canonical`'s numbering. `moves(state)`
     lists the states that gen 1 out, gen 1 in, gen 2 out, … lead to (None
     where there is no edge); in-moves must invert out-moves, so recording
-    the out-edges records every edge. Raises before numbering state
-    `vertex_cap` + 1."""
+    the out-edges records every edge. The BFS tree is recorded as
+    `_canonical` records it. Raises before numbering state `vertex_cap` + 1."""
     number = {start: 0}
     order = [start]
+    parent, via = [0], [-1]
     succ = tuple({} for _ in range(ctx.rank))
-    out_tables = [t for s in succ for t in (s, None)]
+    out_tables = list(enumerate(t for s in succ for t in (s, None)))
     for u, state in enumerate(order):
-        for table, v in zip(out_tables, moves(state)):
+        for (t, table), v in zip(out_tables, moves(state)):
             if v is None:
                 continue
             n = number.get(v)
@@ -576,9 +597,11 @@ def _bfs_graph(ctx: GroupContext, start, moves, budget: Budget) -> StallingsGrap
                     raise BudgetExceededError("graph vertices", budget.vertex_cap)
                 n = number[v] = len(order)
                 order.append(v)
+                parent.append(u)
+                via.append(t)
             if table is not None:
                 table[u] = n
-    return StallingsGraph(ctx, len(order), succ)
+    return StallingsGraph(ctx, len(order), succ, (parent, via))
 
 
 def conjugate_subgroup(
@@ -642,22 +665,20 @@ def hall_completion(
 
 
 def _complete(H: StallingsGraph, L: int, budget: Budget) -> StallingsGraph:
+    """The completion `hall_completion` describes, of a non-covering H. The
+    core's Schreier distances are dist[parent[v]] + 1 along H's recorded
+    BFS tree, with no table probed."""
     r = H.ctx.rank
     succ = [dict(s) for s in H.succ]
     pred = [dict(p) for p in H.pred]
     tables = [t for g in range(r) for t in ((succ[g], pred[g]), (pred[g], succ[g]))]
-    # Schreier distances of the core vertices: H is numbered by BFS in
-    # canonical letter order, so one pass in vertex order is that BFS.
-    dist = [0] + [-1] * (H.nverts - 1)
-    layers: list[list[int]] = [[]]
-    for u in range(H.nverts):
-        if dist[u] == len(layers):
-            layers.append([])
-        layers[dist[u]].append(u)
-        for out, _ in tables:
-            v = out.get(u)
-            if v is not None and dist[v] < 0:
-                dist[v] = dist[u] + 1
+    # H's numbering is BFS order, so each layer comes out in id order.
+    dist = [0]
+    for p in islice(H.tree[0], 1, None):
+        dist.append(dist[p] + 1)
+    layers: list[list[int]] = [[] for _ in range(dist[-1] + 1)]
+    for u, d in enumerate(dist):
+        layers[d].append(u)
     # Grow the Schreier ball layer by layer, hanging a new vertex on each
     # missing edge of a vertex closer than L. Hanging-tree vertices cannot
     # shorten core distances, and each layer stays in id order.

@@ -10,8 +10,9 @@ The hand-checked fixtures:
 * b·⟨a⟩·b⁻¹ = ⟨bab⁻¹⟩.
 
 The worklist fold is checked against the full-rebuild edge-set fold it
-replaced (`_oracle_core`), `basis` against the path-tuple construction, and
-the layered completion against the heap-ordered one it replaced.
+replaced (`_oracle_core`), `basis` against the path-tuple construction, the
+speller that reads the recorded BFS tree against the BFS speller it replaced,
+and the layered completion against the heap-ordered one it replaced.
 """
 
 import heapq
@@ -46,6 +47,8 @@ from chabauty_lab.stallings import (
     wedge_conjugate,
 )
 from chabauty_lab.words import (
+    _CHAR_OF_LETTER,
+    IDENTITY,
     ball,
     conjugate,
     format_word,
@@ -889,6 +892,22 @@ def _assert_canonically_numbered(G):
     canonical = stallings._canonical(G.ctx, range(G.nverts), G.succ, G.pred, BASEPOINT)
     assert canonical.succ == G.succ
     assert canonical == G
+    # the tree a constructor recorded is the one derived lazily
+    assert G.tree == StallingsGraph(G.ctx, G.nverts, G.succ).tree == _oracle_tree(G)
+
+
+def _oracle_tree(G):
+    """(parent, via) read off a canonically numbered graph: scanning the
+    vertices in order, an edge reaches a new vertex iff it reaches vertex
+    number len(parent)."""
+    parent, via = [0], [-1]
+    tables = [t for pair in zip(G.succ, G.pred) for t in pair]
+    for u in range(G.nverts):
+        for t, table in enumerate(tables):
+            if table.get(u) == len(parent):
+                parent.append(u)
+                via.append(t)
+    return parent, via
 
 
 def _cover(H):
@@ -1092,3 +1111,91 @@ def test_word_route_beyond_26_generators(words, extra, complete, cap):
         else:
             assert G.basis_text() == [format_word(x) for x in basis]
     assert basis_outside(K, H, cap) == [x for x in K.basis() if not H.contains(x)][:cap]
+
+
+# ── the speller reads the recorded tree; the BFS speller it replaced ────────
+
+
+def _oracle_spelled_basis(G, H, text):
+    """G's basis without the words in H, spelled along a BFS of G in vertex
+    order that stores each vertex's tree word and that word's inverse and
+    probes every table for unvisited vertices: the speller before the BFS
+    tree was recorded."""
+    r = G.ctx.rank
+    spell = _CHAR_OF_LETTER.__getitem__ if text else lambda x: (x,)
+    chars = [(spell(g + 1), spell(-g - 1)) for g in range(r)]
+    succ, pred = G.succ, G.pred
+    h_succ, h_pred = (H.succ, H.pred) if H is not None else ([{}] * r, [{}] * r)
+    fwd, inv, hs = [None] * G.nverts, [None] * G.nverts, [None] * G.nverts
+    fwd[BASEPOINT] = inv[BASEPOINT] = "" if text else IDENTITY
+    hs[BASEPOINT] = BASEPOINT
+    tree = [set() for _ in range(r)]  # sources of tree edges
+    for u in range(G.nverts):
+        fu, iu, hu = fwd[u], inv[u], hs[u]
+        for g, (out_ch, in_ch) in enumerate(chars):
+            v = succ[g].get(u)
+            if v is not None and fwd[v] is None:
+                fwd[v], inv[v], hs[v] = fu + out_ch, in_ch + iu, h_succ[g].get(hu)
+                tree[g].add(u)
+            v = pred[g].get(u)
+            if v is not None and fwd[v] is None:
+                fwd[v], inv[v], hs[v] = fu + in_ch, out_ch + iu, h_pred[g].get(hu)
+                tree[g].add(v)
+    out = []
+    for g, (out_ch, _) in enumerate(chars):
+        for u, v in succ[g].items():
+            if u not in tree[g]:
+                h = h_succ[g].get(hs[u])
+                if h is None or h != hs[v]:
+                    out.append(fwd[u] + out_ch + inv[v])
+    out.sort(key=text_key if text else word_key)
+    return out
+
+
+def _words_over(ctx, max_words=3, max_len=6):
+    letter = st.integers(1, ctx.rank).flatmap(lambda i: st.sampled_from([i, -i]))
+    word = st.lists(letter, max_size=max_len).map(lambda ls: reduce_word(tuple(ls)))
+    return st.lists(word, max_size=max_words)
+
+
+@st.composite
+def spelled_graphs(draw, kind):
+    """(G, H): G from the constructor `kind`, or built directly with no
+    recorded tree, and H a fold over G's context."""
+    if kind == "rank-27":
+        H = from_generators(F27, draw(_words27(4, 6)))
+        G = hall_completion(H, 1) if draw(st.booleans()) else join(H, draw(_words27(2, 5)))
+        return G, H
+    if kind == "preimage":
+        G = draw(_finite_preimages())
+        return G, from_generators(G.ctx, draw(_words_over(G.ctx)))
+    ctx, words_h = draw(word_lists(max_words=3))
+    H = from_generators(ctx, words_h)
+    K = from_generators(ctx, draw(_words_over(ctx)))
+    if kind == "direct":
+        G = join(H, K)
+        G = StallingsGraph(ctx, G.nverts, G.succ)
+    else:
+        letter = st.integers(1, ctx.rank).flatmap(lambda i: st.sampled_from([i, -i]))
+        G = _CONSTRUCTIONS[kind](H, K, reduce_word(tuple(draw(st.lists(letter, max_size=5)))))
+    return G, draw(st.sampled_from([H, K]))
+
+
+@pytest.mark.parametrize("kind", [*_CONSTRUCTIONS, "preimage", "direct", "rank-27"])
+@given(st.data(), st.sampled_from([0, 1, 3, 20]))
+@settings(max_examples=50, deadline=None)
+def test_speller_matches_the_bfs_oracle(kind, data, cap):
+    """`basis`, `basis_text` and `basis_outside` read the recorded tree (or
+    derive it once, for a graph built directly) and spell what the BFS
+    speller spelled, as text and as words."""
+    G, H = data.draw(spelled_graphs(kind))
+    assert (G._tree is None) == (kind in ("direct", "trivial_subgroup"))
+    words = _oracle_spelled_basis(G, None, text=False)
+    outside = _oracle_spelled_basis(G, H, text=False)
+    assert G.basis() == words
+    assert stallings._spelled_basis(G, H, text=False) == outside
+    assert basis_outside(G, H, cap) == outside[:cap]
+    if G.ctx.rank <= 26:
+        texts = _oracle_spelled_basis(G, None, text=True)
+        assert G.basis_text() == texts == [format_word(x) for x in words]
+        assert stallings._spelled_basis(G, H, text=True) == _oracle_spelled_basis(G, H, text=True)

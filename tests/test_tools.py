@@ -42,3 +42,16 @@ def test_alternate_pairs_refuses_zero_pairs_before_running():
     assert done.returncode == 2
     assert "N must be at least 1" in done.stderr
     assert done.stdout == "" and "pair 1" not in done.stderr
+
+
+def test_alternate_pairs_warns_about_unequal_checkout_paths(tmp_path):
+    """peak_rss_mb moves with the length of the checkout's path, so pairs
+    from paths of unequal length are flagged, before N is checked."""
+    longer = tmp_path / ("x" * len(str(ROOT)))
+    longer.mkdir()
+    done = _tool("tools/alternate_pairs.py", ".", str(longer), "coset-lattice", "11", "0")
+    assert done.returncode == 2
+    warnings = [line for line in done.stderr.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and "differ in length" in warnings[0]
+    same = _tool("tools/alternate_pairs.py", ".", ".", "coset-lattice", "11", "0")
+    assert "warning:" not in same.stderr

@@ -3,7 +3,9 @@
 
     python3 tools/alternate_pairs.py PARENT_ROOT CHANGE_ROOT WORKLOAD SEED N [--seconds S]
 
-PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts. Each of the N
+PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts, at paths of
+equal length: the path's length alone moves ``peak_rss_mb``, so a warning
+goes to stderr when the resolved paths differ in length. Each of the N
 pairs runs ``perfbench/run.py --workload WORKLOAD --seed SEED --trace 0`` in
 both, one after the other; odd pairs run the parent first and even pairs
 the change first, so a drift of the host's speed falls on both sides. The
@@ -63,6 +65,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("n", type=int)
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = parser.parse_args(argv)
+    parent, change = str(args.parent.resolve()), str(args.change.resolve())
+    if len(parent) != len(change):
+        # the checkout path's length alone moves peak_rss_mb by tenths of a MB
+        print(f"warning: checkout paths differ in length ({len(parent)} and {len(change)}"
+              " characters), which moves peak_rss_mb", file=sys.stderr)
     if args.n < 1:
         parser.error("N must be at least 1")
 
