@@ -34,7 +34,6 @@ from . import zdlattice
 from .budgets import Budget, current
 from .errors import BudgetExceededError, MalformedInputError
 from .words import (
-    IDENTITY,
     GroupContext,
     Word,
     iter_ball,
@@ -202,7 +201,9 @@ def _product_distance(H, K, radius: int, budget: Budget) -> DistanceBound:
     A state where both walks have left their automata (⊥, ⊥) can never
     separate H from K and is dropped. The search stops at the radius or once a
     level adds no new state, and it never visits more states than the ball
-    has words.
+    has words. The states are kept in one list in the order they are
+    reached, each with the index of the state it was reached from; the
+    witness is read back along those links once it is found.
 
     One budget rule holds for every pair at every radius: after each level,
     the states reached answer to `vertex_cap`. Two core graphs have at most
@@ -213,34 +214,42 @@ def _product_distance(H, K, radius: int, budget: Budget) -> DistanceBound:
     if radius < 0:
         raise MalformedInputError("radius must be >= 0")
     letters = [x for i in range(1, H.ctx.rank + 1) for x in (i, -i)]
-    start = (H.start, K.start, 0)
-    seen = {start}
-    frontier = [(start, IDENTITY)]
+    h_step, k_step = H.step, K.step
+    h_accepting, k_accepting = H.accepting, K.accepting
+    states = [(H.start, K.start, 0)]
+    back = [-1]  # back[i]: the index of the state states[i] was reached from
+    seen = set(states)
+    begin = 0  # the current level is states[begin:]
     for length in range(1, radius + 1):
-        nxt = []
-        for (u, v, last), w in frontier:
+        end = len(states)
+        for i in range(begin, end):
+            u, v, last = states[i]
             for x in letters:
                 if x == -last:
                     continue
-                a = None if u is None else H.step(u, x)
-                b = None if v is None else K.step(v, x)
+                a = None if u is None else h_step(u, x)
+                b = None if v is None else k_step(v, x)
                 if a is None and b is None:
                     continue
                 state = (a, b, x)
                 if state in seen:
                     continue
                 seen.add(state)
-                wx = w + (x,)
-                if (a is not None and H.accepting(a)) != (
-                    b is not None and K.accepting(b)
+                if (a is not None and h_accepting(a)) != (
+                    b is not None and k_accepting(b)
                 ):
-                    return DistanceBound("exact", length, wx)
-                nxt.append((state, wx))
-        if not nxt:
+                    witness = [x]
+                    while i:
+                        witness.append(states[i][2])
+                        i = back[i]
+                    return DistanceBound("exact", length, tuple(reversed(witness)))
+                states.append(state)
+                back.append(i)
+        if len(states) == end:
             break
         if len(seen) > budget.vertex_cap:
             raise BudgetExceededError("graph vertices", budget.vertex_cap, len(seen))
-        frontier = nxt
+        begin = end
     return DistanceBound("at_most", radius + 1)
 
 

@@ -158,6 +158,7 @@ def cmd_chabauty(args, budget: Budget):
         pair = doc["pair"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise MalformedInputError("pair must hold exactly two subgroup documents")
+        _check_printable_radius(radius)
         H = specio.subgroup_from_json(pair[0], budget)
         K = specio.subgroup_from_json(pair[1], budget)
         bound = distance_up_to(H, K, radius, budget)
@@ -194,6 +195,22 @@ def cmd_chabauty(args, budget: Budget):
         + (f" from n0 = {cert.n0}" if cert.n0 is not None else "")
     ]
     return result, summary, _convergence_artifacts(rows), not cert.certified(), raw
+
+
+def _check_printable_radius(radius: int) -> None:
+    """Refuse a radius whose distance could not be printed: the value
+    2^-(radius + 1) is written as a fraction, and its denominator may have
+    at most `sys.get_int_max_str_digits()` decimal digits (0: no limit).
+    10^D is no power of two, so 2^n has more than D digits iff n is at
+    least the bit length of 10^D. That power takes tens of µs, so it is
+    taken only past n = 3D: 2^(3D) = 8^D has at most D digits."""
+    digits = sys.get_int_max_str_digits()
+    n = radius + 1
+    if digits and n > 3 * digits and n >= (10**digits).bit_length():
+        raise MalformedInputError(
+            f"radius {radius} is too large: the distance 2^-{n} "
+            f"would print more than {digits} digits"
+        )
 
 
 def _convergence(terms, limit, radius: int, budget: Budget):

@@ -44,7 +44,6 @@ from .words import (
     Word,
     format_word,
     invert,
-    parse_word,
     reduce_word,
     require_same_context,
     text_key,
@@ -140,7 +139,7 @@ class StallingsGraph:
         """Free basis of H from the canonical BFS spanning tree: one word
         path(u)·g·path(v)⁻¹ per non-tree edge u --g--> v, where path(v) is
         the tree word from the basepoint to v, sorted by `word_key`."""
-        return _spelled_basis(self, None, text=False)
+        return _spelled_basis(self, text=False)
 
     def basis_text(self) -> list[str]:
         """``[format_word(w) for w in self.basis()]``, spelled as text along
@@ -148,7 +147,7 @@ class StallingsGraph:
         text form's 26 generators take the word route, and raise as it does."""
         if self.ctx.rank > len(_LOWER):
             return [format_word(w) for w in self.basis()]
-        return _spelled_basis(self, None, text=True)
+        return _spelled_basis(self, text=True)
 
     # comparison / export --------------------------------------------------
 
@@ -194,19 +193,16 @@ def coset_automaton(H: StallingsGraph | HomSubgroup):
     return (BASEPOINT, IDENTITY), step
 
 
-def _spelled_basis(G: StallingsGraph, H: StallingsGraph | None, text: bool) -> list:
-    """G's basis without the words that lie in H: as text sorted by
-    `text_key` (rank ≤ 26), or as words sorted by `word_key`.
+def _spelled_basis(G: StallingsGraph, text: bool) -> list:
+    """G's basis: as text sorted by `text_key` (rank ≤ 26), or as words
+    sorted by `word_key`.
 
     It reads G's recorded BFS tree: the tree word of v is
     fwd[v] = fwd[parent[v]] + its letter, one concatenation per vertex.
     G is folded, so u --g--> v is a tree edge iff via[v] = 2g or
     via[u] = 2g + 1, and every other edge spells fwd[u] + g + fwd[v]⁻¹,
     the inverse built only there. No letter cancels: g against the last
-    letter of fwd[u] or fwd[v] would make the edge a tree edge. With H,
-    hs[v] is H's vertex at the end of fwd[v] (None if the walk leaves H),
-    carried along the same links; H is folded, so the word lies in H iff
-    H's g-edge takes hs[u] to hs[v]."""
+    letter of fwd[u] or fwd[v] would make the edge a tree edge."""
     r = G.ctx.rank
     spell = _CHAR_OF_LETTER.__getitem__ if text else lambda x: (x,)
     chars = [spell(x) for g in range(r) for x in (g + 1, -g - 1)]  # by table index
@@ -214,33 +210,51 @@ def _spelled_basis(G: StallingsGraph, H: StallingsGraph | None, text: bool) -> l
     fwd = ["" if text else IDENTITY]
     for p, t in islice(zip(parent, via), 1, None):  # the basepoint has no link
         fwd.append(fwd[p] + chars[t])
-    if H is None:
-        hs, h_succ = [None] * G.nverts, [{}] * r
-    else:
-        h_tables = list(chain.from_iterable(zip(H.succ, H.pred)))
-        hs, h_succ = [BASEPOINT], H.succ
-        for p, t in islice(zip(parent, via), 1, None):
-            hs.append(h_tables[t].get(hs[p]))
     inverse = (lambda s: s[::-1].swapcase()) if text else invert
     out = []
     for g in range(r):
-        out_ch, h_g = chars[2 * g], h_succ[g]
+        out_ch = chars[2 * g]
         for u, v in G.succ[g].items():
             if via[v] != 2 * g and via[u] != 2 * g + 1:
-                h = h_g.get(hs[u])
-                if h is None or h != hs[v]:
-                    out.append(fwd[u] + out_ch + inverse(fwd[v]))
+                out.append(fwd[u] + out_ch + inverse(fwd[v]))
     out.sort(key=text_key if text else word_key)
     return out
 
 
 def basis_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
-    """``[w for w in K.basis() if not H.contains(w)][:cap]``: the basis words
-    are spelled and sorted as text, and only the first `cap` are parsed.
-    Contexts beyond the text form's 26 generators spell words."""
-    if K.ctx.rank > len(_LOWER):
-        return _spelled_basis(K, H, text=False)[:cap]
-    return [parse_word(s, K.ctx) for s in _spelled_basis(K, H, text=True)[:cap]]
+    """``[w for w in K.basis() if not H.contains(w)][:cap]``, in any rank,
+    without spelling the words it drops.
+
+    Along K's recorded BFS tree, each vertex v gets key strings of
+    `word_key` ranks (chr(1) for a, chr(2) for A, chr(3) for b, …): fk[v]
+    for its tree word and ik[v] for that word's inverse. The basis word of
+    a non-tree edge u --g--> v (see `_spelled_basis`) has the key
+    fk[u] + rank(g) + ik[v], as long as the word, so keys sorted by
+    (length, key) are the words sorted by `word_key`, and only the first
+    `cap` are read back into words. hs[v] is H's vertex at the end of v's
+    tree word (None once the walk leaves H); H is folded, so a word lies
+    in H iff H's g-edge takes hs[u] to hs[v]."""
+    r = K.ctx.rank
+    ranks = [chr(t + 1) for t in range(2 * r)]  # table t holds the letter of rank t + 1
+    letter_of_rank = [0] + [x for g in range(1, r + 1) for x in (g, -g)]
+    parent, via = K.tree
+    h_tables = list(chain.from_iterable(zip(H.succ, H.pred)))
+    fk, ik, hs = [""], [""], [BASEPOINT]
+    for p, t in islice(zip(parent, via), 1, None):  # the basepoint has no link
+        fk.append(fk[p] + ranks[t])
+        ik.append(ranks[t ^ 1] + ik[p])
+        hs.append(h_tables[t].get(hs[p]))
+    keys = []
+    for g in range(r):
+        out_rank, h_g = ranks[2 * g], H.succ[g]
+        for u, v in K.succ[g].items():
+            if via[v] != 2 * g and via[u] != 2 * g + 1:
+                h = h_g.get(hs[u])
+                if h is None or h != hs[v]:
+                    keys.append(fk[u] + out_rank + ik[v])
+    keys.sort()
+    keys.sort(key=len)  # stable: by length, then by key
+    return [tuple([letter_of_rank[ord(c)] for c in key]) for key in keys[:cap]]
 
 
 # ── construction pipeline ────────────────────────────────────────────────────
@@ -667,7 +681,9 @@ def hall_completion(
 def _complete(H: StallingsGraph, L: int, budget: Budget) -> StallingsGraph:
     """The completion `hall_completion` describes, of a non-covering H. The
     core's Schreier distances are dist[parent[v]] + 1 along H's recorded
-    BFS tree, with no table probed."""
+    BFS tree, with no table probed. Once the ball is grown, every vertex
+    closer than L has all 2r edges, so the matching scans only the layers
+    from L on, in id order: it pairs what a scan of every vertex pairs."""
     r = H.ctx.rank
     succ = [dict(s) for s in H.succ]
     pred = [dict(p) for p in H.pred]
@@ -696,9 +712,10 @@ def _complete(H: StallingsGraph, L: int, budget: Budget) -> StallingsGraph:
                     layers[d + 1].append(nverts)
                     nverts += 1
     # Complete each generator's partial injection into a permutation.
+    deficient = sorted(chain.from_iterable(layers[L:]))
     for g in range(r):
-        sources = [v for v in range(nverts) if v not in succ[g]]
-        targets = [v for v in range(nverts) if v not in pred[g]]
+        sources = [v for v in deficient if v not in succ[g]]
+        targets = [v for v in deficient if v not in pred[g]]
         for u, v in zip(sources, targets):
             succ[g][u] = v
             pred[g][v] = u

@@ -278,6 +278,11 @@ def free_pairs(draw):
 
 
 @given(free_pairs())
+# a disagreement at length 1, one at length exactly the radius (the witness
+# is read back along three links), and an equal pair written two ways
+@example((gens("a"), gens("b"), 5))
+@example((gens("abAb"), gens(), 4))
+@example((gens("a", "bab", "bAb"), gens("bAb", "a", "baaab", "bab"), 8))
 @settings(max_examples=200, deadline=None)
 def test_product_search_matches_ball_scan(pair):
     H, K, radius = pair

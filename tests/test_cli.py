@@ -515,6 +515,36 @@ def test_equal_pair_at_radius_12_and_13(capsys, tmp_path):
     assert (distance["kind"], distance["exponent"]) == ("at_most", 14)
 
 
+def test_radius_whose_distance_cannot_print_is_two(capsys, tmp_path):
+    """2^-(radius + 1) is printed as a fraction, whose denominator may have
+    at most `sys.get_int_max_str_digits()` digits: 4,300 by default, which
+    2^14284 has and 2^14285 passes. The larger radius used to end in a
+    traceback (exit 1) after the whole search."""
+    H = {"context": F2_CTX, "generators": ["a"]}
+    spec = spec_file(tmp_path, "pair.json", {"pair": [H, H]})
+    assert sys.get_int_max_str_digits() == 4300
+    done = [
+        subprocess.run(
+            [sys.executable, "-m", "chabauty_lab.cli", "chabauty", spec, "--radius", radius],
+            env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True, timeout=60,
+        )
+        for radius in ("14283", "14284")
+    ]
+    assert done[0].returncode == 0, done[0].stderr
+    assert json.loads(done[0].stdout)["result"]["distance"]["exponent"] == 14284
+    assert done[1].returncode == 2 and done[1].stdout == ""
+    assert done[1].stderr.startswith("error: radius 14284 is too large")
+    assert "Traceback" not in done[1].stderr
+    # the limit is read when the command runs, not fixed
+    sys.set_int_max_str_digits(640)  # 2^2126 has 641 digits
+    try:
+        assert run(capsys, "chabauty", spec, "--radius", "2125")[0] == 0
+        code, out, err = run(capsys, "chabauty", spec, "--radius", "2126")
+        assert (code, out) == (2, "") and "more than 640 digits" in err
+    finally:
+        sys.set_int_max_str_digits(4300)  # the default, checked above
+
+
 def _lattice_kernel(images):
     """ker(F_r → Z^k) for the images of the r generators."""
     hom = {"target": {"kind": "lattice", "param": len(images[0])}, "images": images,

@@ -1052,6 +1052,8 @@ def _completion_outcome(complete, H, L, cap):
 @given(completion_inputs(), st.floats(0, 1))
 @example((trivial_subgroup(F3), 6), 0.5)
 @example((from_generators(F2, [(1, 2, -1)]), 0), 0.0)
+# a core that reaches past L, so vertices of the core beyond L are matched
+@example((from_generators(F2, [(1, 1, 1, 1, 1, 2)]), 1), 0.5)
 @settings(max_examples=80, deadline=None)
 def test_layered_completion_matches_heap_oracle(drawn, cap_fraction):
     """Equal graphs, and under the same vertex_cap the same raise: the
@@ -1182,20 +1184,21 @@ def spelled_graphs(draw, kind):
 
 
 @pytest.mark.parametrize("kind", [*_CONSTRUCTIONS, "preimage", "direct", "rank-27"])
-@given(st.data(), st.sampled_from([0, 1, 3, 20]))
+@given(st.data())
 @settings(max_examples=50, deadline=None)
-def test_speller_matches_the_bfs_oracle(kind, data, cap):
-    """`basis`, `basis_text` and `basis_outside` read the recorded tree (or
-    derive it once, for a graph built directly) and spell what the BFS
-    speller spelled, as text and as words."""
+def test_speller_matches_the_bfs_oracle(kind, data):
+    """`basis` and `basis_text` spell, and `basis_outside` ranks, along the
+    recorded tree (or the tree derived once, for a graph built directly),
+    what the BFS speller spelled, as words and as text, under every cap."""
     G, H = data.draw(spelled_graphs(kind))
     assert (G._tree is None) == (kind in ("direct", "trivial_subgroup"))
     words = _oracle_spelled_basis(G, None, text=False)
     outside = _oracle_spelled_basis(G, H, text=False)
     assert G.basis() == words
-    assert stallings._spelled_basis(G, H, text=False) == outside
-    assert basis_outside(G, H, cap) == outside[:cap]
+    for cap in (0, 1, 3, 20, len(outside) + 1):
+        assert basis_outside(G, H, cap) == outside[:cap]
     if G.ctx.rank <= 26:
         texts = _oracle_spelled_basis(G, None, text=True)
         assert G.basis_text() == texts == [format_word(x) for x in words]
-        assert stallings._spelled_basis(G, H, text=True) == _oracle_spelled_basis(G, H, text=True)
+        outside_texts = [format_word(x) for x in basis_outside(G, H, len(outside) + 1)]
+        assert outside_texts == _oracle_spelled_basis(G, H, text=True)

@@ -3,6 +3,7 @@ source tree (``tools/report_digests.py``) and alternating benchmark pairs of
 two checkouts (``tools/alternate_pairs.py``)."""
 
 import hashlib
+import importlib.util
 import re
 import subprocess
 import sys
@@ -55,3 +56,31 @@ def test_alternate_pairs_warns_about_unequal_checkout_paths(tmp_path):
     assert len(warnings) == 1 and "differ in length" in warnings[0]
     same = _tool("tools/alternate_pairs.py", ".", ".", "coset-lattice", "11", "0")
     assert "warning:" not in same.stderr
+
+
+def _alternate_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "alternate_pairs", ROOT / "tools" / "alternate_pairs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_median_change_marks_only_regressions_past_the_bound():
+    """The percentage is signed by value, and `past bound` needs a change
+    worse in the metric's direction by more than bound × the parent's
+    median; exactly the bound is not past it."""
+    median_change = _alternate_pairs().median_change
+    assert median_change(400.0, 500.0, "higher", 0.25) == (25.0, False)
+    assert median_change(400.0, 300.0, "higher", 0.25) == (-25.0, False)
+    assert median_change(400.0, 299.0, "higher", 0.25) == (-25.25, True)
+    assert median_change(2.0, 2.5, "lower", 0.25) == (25.0, False)
+    assert median_change(2.0, 2.6, "lower", 0.25)[1]
+    assert median_change(2.0, 1.0, "lower", 0.25) == (-50.0, False)
+    assert median_change(30.0, 33.1, "lower", 0.1)[1]
+    assert not median_change(30.0, 32.9, "lower", 0.1)[1]
+    # a parent median of 0 has no percentage; any worsening is past the bound
+    assert median_change(0.0, 0.0, "lower", 0.25) == (None, False)
+    assert median_change(0.0, 0.5, "lower", 0.25) == (None, True)
+    assert median_change(0.0, 0.5, "higher", 0.25) == (None, False)

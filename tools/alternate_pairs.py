@@ -13,11 +13,15 @@ last stdout line of every run is its JSON summary. Each run's metrics go to
 stderr as it finishes; stdout gets, per end-to-end metric of this
 checkout's ``BENCHMARK.json``:
 
-    metric  parent median [parent q1–q3]  ->  change median  wins k/N
+    metric  parent median [parent q1–q3]  ->  change median  ±x.x%  wins k/N
 
-A pair is a win when the change's value is better in the metric's direction.
-A gain is shown when the change wins nearly every pair and its median beats
-the parent's by more than the parent's interquartile range.
+The percentage is the change's median against the parent's. A pair is a
+win when the change's value is better in the metric's direction. A gain is
+shown when the change wins nearly every pair and its median beats the
+parent's by more than the parent's interquartile range. A line ends in
+``past bound`` when the change's median is worse than the parent's by more
+than the metric's ``bound`` in ``BENCHMARK.json``, taken as a fraction of
+the parent's median: a regression the benchmark's own check would refuse.
 """
 
 from __future__ import annotations
@@ -55,6 +59,16 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def median_change(parent: float, change: float, better: str, bound: float
+                  ) -> tuple[float | None, bool]:
+    """(change's median against the parent's, in percent, or None for a
+    parent median of 0; whether it is worse, in the direction `better`,
+    by more than `bound` times the parent's median)."""
+    percent = None if parent == 0 else 100 * (change - parent) / abs(parent)
+    worse = parent - change if better == "higher" else change - parent
+    return percent, worse > bound * abs(parent)
+
+
 def main(argv: list[str] | None = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -90,8 +104,12 @@ def main(argv: list[str] | None = None) -> int:
         change = [m[name] for m in runs["change"]]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
         q1, q3 = _quartiles(parent)
-        print(f"  {name:18s} {statistics.median(parent):10.4g} [{q1:.4g}–{q3:.4g}]"
-              f"  ->  {statistics.median(change):10.4g}  wins {wins}/{args.n}")
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        percent, past = median_change(p_med, c_med, metric["better"], metric["bound"])
+        shown = "n/a" if percent is None else f"{percent:+.1f}%"
+        print(f"  {name:18s} {p_med:10.4g} [{q1:.4g}–{q3:.4g}]"
+              f"  ->  {c_med:10.4g}  {shown:>7s}  wins {wins}/{args.n}"
+              + ("  past bound" if past else ""))
     return 0
 
 
