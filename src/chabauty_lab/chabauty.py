@@ -248,7 +248,9 @@ def _product_distance(H, K, radius: int, budget: Budget) -> DistanceBound:
         if len(states) == end:
             break
         if len(seen) > budget.vertex_cap:
-            raise BudgetExceededError("graph vertices", budget.vertex_cap, len(seen))
+            raise BudgetExceededError(
+                "graph vertices", budget.vertex_cap, len(seen), field="vertex_cap"
+            )
         begin = end
     return DistanceBound("at_most", radius + 1)
 

@@ -112,7 +112,9 @@ def _write_out(out_dir: str, report_text: str, summary: list[str], artifacts: di
 
 def cmd_stallings(args, budget: Budget):
     doc, raw = _load_spec(args.spec)
-    H = specio.generated_subgroup_from_json(doc, "the stallings document", budget, free=True)
+    H = specio.generated_subgroup_from_json(
+        doc, "the stallings document", budget, free=True
+    ).finalize()
     ctx = H.ctx
     result: dict[str, Any] = {"subgroup": specio.json_of_graph(H)}
     summary = [
@@ -159,8 +161,8 @@ def cmd_chabauty(args, budget: Budget):
         if not isinstance(pair, list) or len(pair) != 2:
             raise MalformedInputError("pair must hold exactly two subgroup documents")
         _check_printable_radius(radius)
-        H = specio.subgroup_from_json(pair[0], budget)
-        K = specio.subgroup_from_json(pair[1], budget)
+        H = specio.folded_subgroup_from_json(pair[0], budget)
+        K = specio.folded_subgroup_from_json(pair[1], budget)
         bound = distance_up_to(H, K, radius, budget)
         ctx = H.ctx
         result = {
@@ -273,6 +275,7 @@ def cmd_zd(args, budget: Budget):
     H = specio.generated_subgroup_from_json(doc, "the zd document", budget)
     if not isinstance(H, HnfSubgroup):
         raise MalformedInputError("zd expects a lattice subgroup document")
+    _check_printable_lattice(H)
     result = {
         "rows": [list(r) for r in H.rows],
         "rank": H.rank,
@@ -288,6 +291,18 @@ def cmd_zd(args, budget: Budget):
         words = specio.words_from_json(doc["queries"], H.ctx, "queries")
         result["membership"] = {str(list(v)): H.contains(v) for v in words}
     return result, summary, {}, False, raw
+
+
+def _check_printable_lattice(H: HnfSubgroup) -> None:
+    """Refuse a lattice whose HNF rows or index could not be printed: each
+    may have at most `sys.get_int_max_str_digits()` digits (0: no limit)."""
+    digits = sys.get_int_max_str_digits()
+    numbers = [H.index() or 0, *(x for row in H.rows for x in row)]
+    if any(specio.exceeds_digits(x, digits) for x in numbers):
+        raise MalformedInputError(
+            f"the lattice is too large to print: its HNF rows or index "
+            f"hold an integer of more than {digits} digits"
+        )
 
 
 def cmd_schreier(args, budget: Budget):
@@ -333,6 +348,7 @@ def cmd_witness(args, budget: Budget):
     H = specio.generated_subgroup_from_json(doc, "the witness document", budget)
     radius = args.radius
     if H.ctx.kind == "free":
+        H = H.finalize()  # printed, and compared with every term
         witness = nonisolation_witness(H, radius, budget)
         terms = [t.term for t in witness.terms]
         result: dict[str, Any] = {"witness": specio.json_of_nonisolation(witness)}
@@ -424,7 +440,9 @@ def cmd_folner(args, budget: Budget):
         elements = specio.words_from_json(doc["elements"], ctx, "elements")
         tolerances = None
         if "tolerances" in doc:
-            tolerances = specio.fractions_from_json(doc["tolerances"], "tolerances")
+            tolerances = specio.fractions_from_json(
+                doc["tolerances"], "tolerances", sys.get_int_max_str_digits()
+            )
     report = folner_transfer_check(H0, sets, elements, tolerances)
     result = {"folner": specio.json_of_folner(report, ctx)}
     ok = report.ok()

@@ -28,6 +28,7 @@ from .stallings import (
     basis_outside,
     conjugate_subgroup,
     coset_automaton,
+    fold,
     from_generators,
     hall_completion,
     intersect,
@@ -118,7 +119,9 @@ def nonisolation_witness(
                 break
         if term is None:
             raise BudgetExceededError(
-                "nonisolation candidates", budget.witness_candidate_cap
+                "nonisolation candidates",
+                budget.witness_candidate_cap,
+                field="witness_candidate_cap",
             )
         terms.append(term)
     return NonisolationWitness(H, tuple(terms))
@@ -238,7 +241,8 @@ def validate_task(task: TransitivityTask) -> None:
             where = f"{side} pair {i + 1}"
             if V.trivially_empty:
                 raise TaskInvalidError(f"{where}: ins and outs overlap")
-            if _meets(from_generators(task.ctx, V.ins, task.budget), V):
+            ins = [reduce_word(w, task.ctx) for w in V.ins]  # `clopen` does not reduce
+            if _meets(fold(task.ctx, ins, task.budget), V):
                 raise TaskInvalidError(
                     f"{where}: clopen set is empty (⟨ins⟩ contains an out-word)"
                 )
@@ -369,32 +373,25 @@ def _try_candidate(
 def _reverify(task: TransitivityTask, w: Word, certs: list[PairCertificate]) -> None:
     """Re-check the certificate through an independent construction: rebuild
     each Δ from basis words (fresh fold, not the search-path join), re-run
-    membership checks, and re-settle freeness via the pullback."""
+    membership checks, and re-settle freeness via the pullback. Basis words
+    and their conjugates are reduced, so they are folded as they are; only
+    the rebuilt Δ, compared with the certificate's, is finalized."""
     g = invert(w)
+    ctx, budget = task.ctx, task.budget
     for i, cert in enumerate(certs):
         lam_s = task.source_witnesses[i]
         lam_t = task.target_witnesses[i]
-        rebuilt = from_generators(
-            task.ctx,
-            lam_s.basis() + [conjugate(b, w) for b in lam_t.basis()],
-            task.budget,
-        )
+        lam_t_conj = [conjugate(b, w) for b in lam_t.basis()]
+        rebuilt = fold(ctx, lam_s.basis() + lam_t_conj, budget).finalize()
         if rebuilt != cert.delta:
             raise AssertionError("certificate Δ failed independent rebuild")
         if not in_clopen(rebuilt, task.sources[i]):
             raise AssertionError("certificate failed source re-check")
-        moved = from_generators(
-            task.ctx,
-            [conjugate(b, g) for b in rebuilt.basis()],
-            task.budget,
-        )
+        moved = fold(ctx, [conjugate(b, g) for b in rebuilt.basis()], budget)
         if not in_clopen(moved, task.targets[i]):
             raise AssertionError("certificate failed target re-check")
         if cert.freeness == "certified":
-            lam_t_conj = from_generators(
-                task.ctx, [conjugate(b, w) for b in lam_t.basis()], task.budget
-            )
-            if not intersect(lam_s, lam_t_conj, task.budget).is_trivial():
+            if not intersect(lam_s, fold(ctx, lam_t_conj, budget), budget).is_trivial():
                 raise AssertionError("certificate failed freeness re-check")
 
 

@@ -26,14 +26,17 @@ class ContextMismatchError(ChabautyLabError):
 class BudgetExceededError(ChabautyLabError):
     """A vertex/length/enumeration cap was hit before the computation finished.
 
-    Carries the budget name and the offending size so reports can show how far
-    the computation got.
+    Carries what was counted, the limit, the offending size where known (so
+    reports can show how far the computation got) and `field`, the name of
+    the :class:`~chabauty_lab.budgets.Budget` field that bound the run: the
+    one to enlarge. The message names only `what`, `limit` and `reached`.
     """
 
-    def __init__(self, what: str, limit, reached=None):
+    def __init__(self, what: str, limit, reached=None, field: str | None = None):
         self.what = what
         self.limit = limit
         self.reached = reached
+        self.field = field
         detail = f"{what}: limit {limit}"
         if reached is not None:
             detail += f", reached {reached}"

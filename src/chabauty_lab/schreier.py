@@ -117,7 +117,9 @@ def build(H, radius: int, budget: Budget | None = None) -> SchreierGraph:
                     continue
                 if len(reps) >= budget.schreier_vertex_cap:
                     raise BudgetExceededError(
-                        "Schreier vertices", budget.schreier_vertex_cap
+                        "Schreier vertices",
+                        budget.schreier_vertex_cap,
+                        field="schreier_vertex_cap",
                     )
                 w = len(reps)
                 keys[key] = w

@@ -34,7 +34,7 @@ from .dynamics import (
 )
 from .errors import BudgetExceededError, MalformedInputError
 from .schreier import FiberReport, SchreierGraph
-from .stallings import StallingsGraph, Target, from_generators, preimage
+from .stallings import StallingsGraph, Target, _Builder, fold, preimage
 from .words import (
     _CHAR_OF_LETTER,
     GroupContext,
@@ -202,7 +202,7 @@ def context_from_json(obj: Any, budget: Budget | None = None) -> GroupContext:
         raise MalformedInputError(f"unknown context kind {kind!r}")
     cap = (budget or current()).vertex_cap
     if rank > cap:
-        raise BudgetExceededError(f"{kind} rank (vertex_cap)", cap, rank)
+        raise BudgetExceededError(f"{kind} rank (vertex_cap)", cap, rank, field="vertex_cap")
     return free_group(rank) if kind == "free" else lattice(rank)
 
 
@@ -248,7 +248,9 @@ def _hom_from_json(ctx: GroupContext, obj: Any, budget: Budget | None):
     if kind == "lattice":
         cap = (budget or current()).vertex_cap
         if param > cap:
-            raise BudgetExceededError("lattice target dimension (vertex_cap)", cap, param)
+            raise BudgetExceededError(
+                "lattice target dimension (vertex_cap)", cap, param, field="vertex_cap"
+            )
         if accepted != "zero":
             gens = _require(accepted, "generators", "hom accepted")
             accepted = hnf_from_generators(param, _int_tuples(gens, "accepted generators"))
@@ -262,15 +264,18 @@ def _hom_from_json(ctx: GroupContext, obj: Any, budget: Budget | None):
     return preimage(ctx, target, images, accepted, budget)
 
 
-def subgroup_from_json(obj: Any, budget: Budget | None = None):
-    """A subgroup document: generator-defined or homomorphism-defined.
+def folded_subgroup_from_json(obj: Any, budget: Budget | None = None):
+    """A subgroup document as a membership automaton, for a subgroup that is
+    walked and never printed: generator-defined or homomorphism-defined.
 
-    ``{"context": C, "generators": [...]}`` builds a folded core graph (free
-    contexts, within `budget`) or an HNF row span (lattice contexts).
-    ``{"context": C, "hom": {...}}`` builds the preimage φ⁻¹(A): the
-    covering of the rose for a cyclic or permutation target (within
-    `budget`), so it equals the core graph of any generator document of the
-    same subgroup, and a :class:`HomSubgroup` for a lattice target.
+    ``{"context": C, "generators": [...]}`` builds the folded builder of
+    the generators (free contexts, within `budget`; `stallings.fold`), whose
+    words `parse_word` has already reduced and checked, or an HNF row span
+    (lattice contexts). ``{"context": C, "hom": {...}}`` builds the
+    preimage φ⁻¹(A): the covering of the rose for a cyclic or permutation
+    target (within `budget`), so it equals the core graph of any generator
+    document of the same subgroup, and a :class:`HomSubgroup` for a lattice
+    target.
     """
     ctx = context_from_json(_require(obj, "context", "subgroup"), budget)
     if "hom" in obj:
@@ -280,20 +285,30 @@ def subgroup_from_json(obj: Any, budget: Budget | None = None):
         raise MalformedInputError("subgroup generators must be a list")
     gens = [word_from_json(g, ctx) for g in gens_json]
     if ctx.kind == "free":
-        return from_generators(ctx, gens, budget)
+        return fold(ctx, gens, budget or current())
     return hnf_from_generators(ctx.rank, gens)
+
+
+def subgroup_from_json(obj: Any, budget: Budget | None = None):
+    """A subgroup document in canonical form, for a subgroup that is printed
+    or compared: `folded_subgroup_from_json`, its builder finalized."""
+    H = folded_subgroup_from_json(obj, budget)
+    return H.finalize() if isinstance(H, _Builder) else H
 
 
 def generated_subgroup_from_json(
     obj: Any, where: str, budget: Budget | None = None, free: bool = False
-) -> StallingsGraph | HnfSubgroup:
+) -> _Builder | HnfSubgroup:
     """A generator-defined subgroup document (of a free group if `free`), for
-    the places that take no homomorphism documents. The "hom" key is refused
-    before parsing, so the refusal does not depend on what the homomorphism
-    describes: a finite target's preimage would parse to a Stallings graph."""
+    the places that take no homomorphism documents, as
+    `folded_subgroup_from_json` reads it: a free group's subgroup is a
+    folded builder, which a caller that prints it finalizes. The "hom" key
+    is refused before parsing, so the refusal does not depend on what the
+    homomorphism describes: a finite target's preimage would parse to a
+    Stallings graph."""
     if isinstance(obj, dict) and "hom" in obj:
         raise MalformedInputError(f"{where} must be generator-defined, not a homomorphism")
-    H = subgroup_from_json(obj, budget)
+    H = folded_subgroup_from_json(obj, budget)
     if free and H.ctx.kind != "free":
         raise MalformedInputError(f"{where} must be a free-group subgroup")
     return H
@@ -315,8 +330,10 @@ def json_of_clopen(V: ClopenSet, ctx: GroupContext) -> dict:
 def _witness_from_json(obj: Any, ctx: GroupContext, budget: Budget) -> StallingsGraph:
     """A witness subgroup: either a generator list or a subgroup document."""
     if isinstance(obj, list):
-        return from_generators(ctx, [word_from_json(w, ctx) for w in obj], budget)
-    return generated_subgroup_from_json(obj, "a task witness", budget, free=True)
+        H = fold(ctx, [word_from_json(w, ctx) for w in obj], budget)
+    else:
+        H = generated_subgroup_from_json(obj, "a task witness", budget, free=True)
+    return H.finalize()  # printed in the report
 
 
 def _clopen_key(obj: Any) -> tuple | None:
@@ -418,16 +435,46 @@ def words_from_json(objs: Any, ctx: GroupContext, where: str) -> list[Word]:
     return [word_from_json(w, ctx) for w in objs]
 
 
-def fractions_from_json(objs: Any, where: str) -> list[Fraction]:
-    """Exact fractions written as strings ("1/3") or integers."""
+def fractions_from_json(objs: Any, where: str, digits: int) -> list[Fraction]:
+    """Exact fractions written as strings ("1/3", "0.25", "1e-3") or
+    integers, whose numerators and denominators print with at most
+    `digits` digits (0: no limit).
+
+    `Fraction` builds 10^|e| for an exponent e, so e is read first, and
+    |e| > 3·digits is refused: a nonzero mantissa, whose two digit runs
+    `Fraction` reads as ints of at most `digits` digits each, would print
+    with more than `digits` digits (a zero written so is refused too)."""
     if not isinstance(objs, list) or not all(
         isinstance(q, (str, int)) and not isinstance(q, bool) for q in objs
     ):
         raise MalformedInputError(f"{where} must be a list of fraction strings")
-    try:
-        return [Fraction(q) for q in objs]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInputError(f"{where}: {exc}") from exc
+    out = []
+    for k, q in enumerate(objs, start=1):
+        if digits and isinstance(q, str):
+            _, marker, exponent = q.lower().rpartition("e")
+            try:
+                huge = bool(marker) and abs(int(exponent)) > 3 * digits
+            except ValueError:
+                huge = False  # not an exponent: Fraction refuses it below
+            if huge:
+                raise MalformedInputError(
+                    f"{where}: item {k} has an exponent larger than {3 * digits}"
+                )
+        try:
+            q = Fraction(q)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedInputError(f"{where}: {exc}") from exc
+        if exceeds_digits(q.numerator, digits) or exceeds_digits(q.denominator, digits):
+            raise MalformedInputError(f"{where}: item {k} would print more than {digits} digits")
+        out.append(q)
+    return out
+
+
+def exceeds_digits(x: int, digits: int) -> bool:
+    """Whether |x| has more than `digits` decimal digits (0: no limit), told
+    without writing x: 2^(3·digits) = 8^digits is below 10^digits, so only
+    an x of more than 3·digits bits is compared with 10^digits."""
+    return digits > 0 and x.bit_length() > 3 * digits and abs(x) >= 10**digits
 
 
 # ── certificate and report serialization ─────────────────────────────────────

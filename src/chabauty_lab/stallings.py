@@ -10,11 +10,20 @@ letter: forward, negative: backward); w ∈ H iff the walk exists and closes at
 the basepoint. Folded graphs admit no backtracking ambiguity, so membership is
 a single deterministic walk.
 
-Graphs are canonicalized at construction: vertices are renumbered by BFS from
-the basepoint, scanning letters in the canonical order (gen 1 out, gen 1 in,
-gen 2 out, ...). Equal subgroups therefore have identical representations, and
+Reported graphs are canonical: vertices are numbered by BFS from the
+basepoint, scanning letters in the canonical order (gen 1 out, gen 1 in, gen 2
+out, ...). Equal subgroups therefore have identical representations, and
 equality/hashing are structural. The BFS tree of that numbering is recorded
 with the graph; free bases and Hall completions read it.
+
+Queried subgroups stay folded: a subgroup that is only walked (intersected,
+measured against another, checked against a clopen set) is the folded builder
+of :func:`fold`, never trimmed or renumbered. This is exact. Folding maps a
+reduced closed path at the basepoint to a reduced closed path, so every vertex
+of a folded wedge of reduced loops lies on one, has degree at least 2, and is
+kept by the trim: the builder is the core graph up to the names of its
+vertices. Walks, product searches, witnesses and every `vertex_cap` count are
+therefore those of the canonical graph.
 
 Everything here is exact and deterministic; resource caps come from
 :mod:`chabauty_lab.budgets`.
@@ -37,7 +46,7 @@ from .errors import (
     MalformedInputError,
 )
 from .words import (
-    _CHAR_OF_LETTER,
+    _CHAR_OF_RANK,
     _LOWER,
     GroupContext,
     IDENTITY,
@@ -46,8 +55,6 @@ from .words import (
     invert,
     reduce_word,
     require_same_context,
-    text_key,
-    word_key,
 )
 
 BASEPOINT = 0
@@ -139,15 +146,15 @@ class StallingsGraph:
         """Free basis of H from the canonical BFS spanning tree: one word
         path(u)·g·path(v)⁻¹ per non-tree edge u --g--> v, where path(v) is
         the tree word from the basepoint to v, sorted by `word_key`."""
-        return _spelled_basis(self, text=False)
+        return _words_of_keys(self.ctx, _basis_keys(self))
 
     def basis_text(self) -> list[str]:
-        """``[format_word(w) for w in self.basis()]``, spelled as text along
-        the same spanning tree without building a word. Contexts beyond the
-        text form's 26 generators take the word route, and raise as it does."""
+        """``[format_word(w) for w in self.basis()]``, translated from the
+        same sorted keys without building a word. Contexts beyond the text
+        form's 26 generators take the word route, and raise as it does."""
         if self.ctx.rank > len(_LOWER):
             return [format_word(w) for w in self.basis()]
-        return _spelled_basis(self, text=True)
+        return [key.translate(_CHAR_OF_RANK) for key in _basis_keys(self)]
 
     # comparison / export --------------------------------------------------
 
@@ -193,68 +200,61 @@ def coset_automaton(H: StallingsGraph | HomSubgroup):
     return (BASEPOINT, IDENTITY), step
 
 
-def _spelled_basis(G: StallingsGraph, text: bool) -> list:
-    """G's basis: as text sorted by `text_key` (rank ≤ 26), or as words
-    sorted by `word_key`.
+def _basis_keys(K: StallingsGraph, H: StallingsGraph | None = None) -> list[str]:
+    """The rank keys of K's basis words, or of those outside H, sorted as
+    `word_key` sorts the words.
 
-    It reads G's recorded BFS tree: the tree word of v is
-    fwd[v] = fwd[parent[v]] + its letter, one concatenation per vertex.
-    G is folded, so u --g--> v is a tree edge iff via[v] = 2g or
-    via[u] = 2g + 1, and every other edge spells fwd[u] + g + fwd[v]⁻¹,
-    the inverse built only there. No letter cancels: g against the last
-    letter of fwd[u] or fwd[v] would make the edge a tree edge."""
-    r = G.ctx.rank
-    spell = _CHAR_OF_LETTER.__getitem__ if text else lambda x: (x,)
-    chars = [spell(x) for g in range(r) for x in (g + 1, -g - 1)]  # by table index
-    parent, via = G.tree
-    fwd = ["" if text else IDENTITY]
-    for p, t in islice(zip(parent, via), 1, None):  # the basepoint has no link
-        fwd.append(fwd[p] + chars[t])
-    inverse = (lambda s: s[::-1].swapcase()) if text else invert
-    out = []
-    for g in range(r):
-        out_ch = chars[2 * g]
-        for u, v in G.succ[g].items():
-            if via[v] != 2 * g and via[u] != 2 * g + 1:
-                out.append(fwd[u] + out_ch + inverse(fwd[v]))
-    out.sort(key=text_key if text else word_key)
-    return out
-
-
-def basis_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
-    """``[w for w in K.basis() if not H.contains(w)][:cap]``, in any rank,
-    without spelling the words it drops.
-
-    Along K's recorded BFS tree, each vertex v gets key strings of
-    `word_key` ranks (chr(1) for a, chr(2) for A, chr(3) for b, …): fk[v]
-    for its tree word and ik[v] for that word's inverse. The basis word of
-    a non-tree edge u --g--> v (see `_spelled_basis`) has the key
-    fk[u] + rank(g) + ik[v], as long as the word, so keys sorted by
-    (length, key) are the words sorted by `word_key`, and only the first
-    `cap` are read back into words. hs[v] is H's vertex at the end of v's
-    tree word (None once the walk leaves H); H is folded, so a word lies
-    in H iff H's g-edge takes hs[u] to hs[v]."""
-    r = K.ctx.rank
-    ranks = [chr(t + 1) for t in range(2 * r)]  # table t holds the letter of rank t + 1
-    letter_of_rank = [0] + [x for g in range(1, r + 1) for x in (g, -g)]
+    A word's rank key is the string of its letters' `word_key` ranks
+    (chr(1) for a, chr(2) for A, chr(3) for b, …), as long as the word, so
+    keys sorted as strings and then stably by length are the words sorted
+    by `word_key`. Along K's recorded BFS tree each vertex v gets fk[v],
+    the key of its tree word, and ik[v], the key of that word's inverse.
+    K is folded, so u --g--> v is a tree edge iff via[v] = 2g or
+    via[u] = 2g + 1, and every other edge gives the basis word with key
+    fk[u] + rank(g) + ik[v]. No letter cancels: g against the last letter
+    of either tree word would make the edge a tree edge. hs[v] is H's
+    vertex at the end of v's tree word (None once the walk leaves H); H is
+    folded, so a basis word lies in H iff H's g-edge takes hs[u] to hs[v]."""
+    tables = list(chain.from_iterable(zip(K.succ, K.pred)))
+    # table t holds the letter of rank t + 1; an empty table is never read
+    ranks = [chr(t + 1) if table else "" for t, table in enumerate(tables)]
     parent, via = K.tree
-    h_tables = list(chain.from_iterable(zip(H.succ, H.pred)))
-    fk, ik, hs = [""], [""], [BASEPOINT]
+    fk, ik = [""], [""]
     for p, t in islice(zip(parent, via), 1, None):  # the basepoint has no link
         fk.append(fk[p] + ranks[t])
         ik.append(ranks[t ^ 1] + ik[p])
-        hs.append(h_tables[t].get(hs[p]))
+    if H is not None:
+        h_tables = list(chain.from_iterable(zip(H.succ, H.pred)))
+        hs = [BASEPOINT]
+        for p, t in islice(zip(parent, via), 1, None):
+            hs.append(h_tables[t].get(hs[p]))
     keys = []
-    for g in range(r):
-        out_rank, h_g = ranks[2 * g], H.succ[g]
-        for u, v in K.succ[g].items():
-            if via[v] != 2 * g and via[u] != 2 * g + 1:
-                h = h_g.get(hs[u])
-                if h is None or h != hs[v]:
-                    keys.append(fk[u] + out_rank + ik[v])
+    for g, table in enumerate(K.succ):
+        t_out, t_in = 2 * g, 2 * g + 1
+        out_rank = ranks[t_out]
+        h_g = None if H is None else H.succ[g]
+        for u, v in table.items():
+            if via[v] == t_out or via[u] == t_in:
+                continue  # a tree edge
+            if h_g is not None and (h := h_g.get(hs[u])) is not None and h == hs[v]:
+                continue  # a basis word in H
+            keys.append(fk[u] + out_rank + ik[v])
     keys.sort()
     keys.sort(key=len)  # stable: by length, then by key
-    return [tuple([letter_of_rank[ord(c)] for c in key]) for key in keys[:cap]]
+    return keys
+
+
+def _words_of_keys(ctx: GroupContext, keys: list[str]) -> list[Word]:
+    """The words whose rank keys (see `_basis_keys`) these are."""
+    letter_of_rank = [0] + [x for g in range(1, ctx.rank + 1) for x in (g, -g)]
+    return [tuple([letter_of_rank[ord(c)] for c in key]) for key in keys]
+
+
+def basis_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
+    """``[w for w in K.basis() if not H.contains(w)][:cap]``, in any rank:
+    the keys of the words outside H are ranked, and only the first `cap`
+    are read back into words."""
+    return _words_of_keys(K.ctx, _basis_keys(K, H)[:cap])
 
 
 # ── construction pipeline ────────────────────────────────────────────────────
@@ -263,7 +263,8 @@ def basis_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
 class _Builder:
     """Union-find vertices with one succ/pred table per letter, keyed by
     roots and kept folded as edges arrive (a worklist fold: each merge moves
-    only the losing root's at most 2r entries); trim and canonicalize.
+    only the losing root's at most 2r entries); `finalize` trims and
+    canonicalizes.
 
     A word is read into the folded tables from both ends before it is
     attached (Touikan, IJAC 16, 2006), so only its unread middle gets new
@@ -299,7 +300,7 @@ class _Builder:
     def _charge(self, n: int) -> None:
         self.created += n
         if self.created > self.budget.vertex_cap:
-            raise BudgetExceededError("graph vertices", self.budget.vertex_cap)
+            raise BudgetExceededError("graph vertices", self.budget.vertex_cap, field="vertex_cap")
 
     def new_vertex(self) -> int:
         self._charge(1)
@@ -505,6 +506,17 @@ def trivial_subgroup(ctx: GroupContext) -> StallingsGraph:
     return StallingsGraph(ctx, 1, tuple({} for _ in range(ctx.rank)))
 
 
+def fold(ctx: GroupContext, words: Iterable[Word], budget: Budget) -> _Builder:
+    """The folded builder of the wedge of loops spelling `words`, which must
+    be reduced and checked against the free context `ctx`. It accepts
+    exactly ⟨words⟩, and it is that subgroup's core graph up to the names
+    of its vertices (see the module docstring); `finalize` numbers it."""
+    builder = _Builder(ctx, budget)
+    for w in words:
+        builder.add_path(w)
+    return builder
+
+
 def from_generators(
     ctx: GroupContext,
     generators: Iterable[Word],
@@ -514,11 +526,8 @@ def from_generators(
     ⟨generators⟩. Order and redundancy of the input do not affect the result."""
     if ctx.kind != "free":
         raise ContextMismatchError("Stallings graphs live over free groups")
-    budget = budget or current()
-    builder = _Builder(ctx, budget)
-    for w in generators:
-        builder.add_path(reduce_word(w, ctx))
-    return builder.finalize()
+    words = (reduce_word(w, ctx) for w in generators)
+    return fold(ctx, words, budget or current()).finalize()
 
 
 def join(
@@ -586,7 +595,25 @@ def intersect(
     # trimmed, P is dropped, so its own tables are trimmed
     if not _trim(live, P.succ, P.pred, BASEPOINT):
         return P
-    return _canonical(H.ctx, live, P.succ, P.pred, BASEPOINT)
+    return _compact(P, live)
+
+
+def _compact(P: StallingsGraph, live: set[int]) -> StallingsGraph:
+    """The canonical graph of a BFS-numbered P trimmed to the vertices
+    `live`: they keep their order, and the recorded tree maps through the
+    new numbers. A shortest path from the basepoint never enters a hanging
+    tree, as it would leave where it entered, so each core vertex is first
+    reached from the same core vertex through the same letter by the core's
+    own BFS, which therefore visits the core in P's order: `_canonical`'s
+    numbering and tree."""
+    keep = sorted(live)
+    number = [-1] * P.nverts
+    for i, v in enumerate(keep):
+        number[v] = i
+    parent, via = P.tree
+    tree = ([number[parent[v]] for v in keep], [via[v] for v in keep])
+    succ = tuple({number[u]: number[v] for u, v in s.items()} for s in P.succ)
+    return StallingsGraph(P.ctx, len(keep), succ, tree)
 
 
 def _bfs_graph(ctx: GroupContext, start, moves, budget: Budget) -> StallingsGraph:
@@ -608,7 +635,9 @@ def _bfs_graph(ctx: GroupContext, start, moves, budget: Budget) -> StallingsGrap
             n = number.get(v)
             if n is None:
                 if len(order) >= budget.vertex_cap:
-                    raise BudgetExceededError("graph vertices", budget.vertex_cap)
+                    raise BudgetExceededError(
+                        "graph vertices", budget.vertex_cap, field="vertex_cap"
+                    )
                 n = number[v] = len(order)
                 order.append(v)
                 parent.append(u)
@@ -706,7 +735,9 @@ def _complete(H: StallingsGraph, L: int, budget: Budget) -> StallingsGraph:
             for out, back in tables:
                 if u not in out:
                     if nverts >= budget.vertex_cap:
-                        raise BudgetExceededError("completion vertices", budget.vertex_cap)
+                        raise BudgetExceededError(
+                            "completion vertices", budget.vertex_cap, field="vertex_cap"
+                        )
                     out[u] = nverts
                     back[nverts] = u
                     layers[d + 1].append(nverts)

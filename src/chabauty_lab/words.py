@@ -169,6 +169,10 @@ _LETTER_OF_CHAR = {ch: x for x, ch in _CHAR_OF_LETTER.items()}
 _RANK_OF_CHAR = str.maketrans(
     {ch: chr(2 * x - 1 if x > 0 else -2 * x) for x, ch in _CHAR_OF_LETTER.items()}
 )
+# and back, a table for `str.translate`: chr(1) ↦ a, chr(2) ↦ A, …
+_CHAR_OF_RANK = str.maketrans(
+    {chr(2 * x - 1 if x > 0 else -2 * x): ch for x, ch in _CHAR_OF_LETTER.items()}
+)
 
 
 def text_key(text: str):
@@ -224,7 +228,9 @@ def iter_ball(rank: int, radius: int, budget: Budget | None = None) -> Iterator[
     if radius < 0:
         raise MalformedInputError("radius must be >= 0")
     if radius > budget.ball_radius_cap:
-        raise BudgetExceededError("ball radius", budget.ball_radius_cap, radius)
+        raise BudgetExceededError(
+            "ball radius", budget.ball_radius_cap, radius, field="ball_radius_cap"
+        )
     letters = [x for i in range(1, rank + 1) for x in (i, -i)]
     yield IDENTITY
     sphere: list[Word] = [IDENTITY]

@@ -2,8 +2,10 @@
 
 import pytest
 
+from chabauty_lab import chabauty, dynamics, schreier, specio, stallings, zdlattice
 from chabauty_lab.budgets import Budget, current
-from chabauty_lab.errors import MalformedInputError
+from chabauty_lab.errors import BudgetExceededError, MalformedInputError
+from chabauty_lab.words import free_group, iter_ball, parse_word
 
 
 def test_defaults_are_frozen_and_sane():
@@ -61,3 +63,95 @@ def test_env_var_rejects_bools(monkeypatch):
     monkeypatch.setenv("CHABAUTY_LAB_BUDGET", '{"vertex_cap": true}')
     with pytest.raises(MalformedInputError, match="positive integer"):
         current()
+
+
+
+# ── every budget error names the field that bound the run ───────────────────
+
+F2 = free_group(2)
+_LATTICE = zdlattice.hnf_from_generators(2, [(2, 0)])
+
+
+def _gens(*texts):
+    return stallings.from_generators(F2, [parse_word(t) for t in texts])
+
+
+_LATTICE_TARGET_DOC = {
+    "context": {"kind": "free", "rank": 1},
+    "hom": {"target": {"kind": "lattice", "param": 3}, "images": [[1, 0, 0]], "accepted": "zero"},
+}
+
+# site: (what it counts, the Budget field it answers to, a value small
+# enough to bind, a call that raises there under that budget)
+_RAISE_SITES = {
+    "stallings fold": (
+        "graph vertices", "vertex_cap", 2,
+        lambda b: stallings.from_generators(F2, [(1, 1, 1, 2)], b),
+    ),
+    "stallings BFS numbering": (
+        "graph vertices", "vertex_cap", 3,
+        lambda b: stallings.intersect(_gens("a", "bab"), _gens("aa", "b", "abA"), b),
+    ),
+    "stallings completion": (
+        "completion vertices", "vertex_cap", 3,
+        lambda b: stallings.hall_completion(_gens("ab"), 3, b),
+    ),
+    "chabauty product search": (
+        "graph vertices", "vertex_cap", 3,
+        lambda b: chabauty.distance_up_to(_gens("aab"), _gens("aaab"), 8, b),
+    ),
+    "schreier ball": (
+        "Schreier vertices", "schreier_vertex_cap", 3,
+        lambda b: schreier.build(_gens("ab"), 3, b),
+    ),
+    "words ball": (
+        "ball radius", "ball_radius_cap", 2,
+        lambda b: list(iter_ball(2, 3, b)),
+    ),
+    "zdlattice ball": (
+        "lattice ball points", "vertex_cap", 3,
+        lambda b: zdlattice.members_in_ball(_LATTICE, 6, b),
+    ),
+    "zdlattice witness sequence": (
+        "witness sequence length", "vertex_cap", 1,
+        lambda b: zdlattice.witness_sequence(_LATTICE, 0, b),
+    ),
+    "zdlattice catalogue dimension": (
+        "lattice dimension", "lattice_dim_cap", 2,
+        lambda b: zdlattice.enumerate_by_index(3, 4, b),
+    ),
+    "zdlattice catalogue index": (
+        "lattice index", "lattice_index_cap", 3,
+        lambda b: zdlattice.enumerate_by_index(2, 4, b),
+    ),
+    "specio free rank": (
+        "free rank (vertex_cap)", "vertex_cap", 2,
+        lambda b: specio.context_from_json({"kind": "free", "rank": 3}, b),
+    ),
+    "specio lattice target": (
+        "lattice target dimension (vertex_cap)", "vertex_cap", 2,
+        lambda b: specio.subgroup_from_json(_LATTICE_TARGET_DOC, b),
+    ),
+    "dynamics witness candidates": (
+        "nonisolation candidates", "witness_candidate_cap", 1,
+        lambda b: dynamics.nonisolation_witness(_gens("ab"), 1, b),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", list(_RAISE_SITES))
+def test_budget_errors_name_their_field(site, monkeypatch):
+    """Each of the 13 raise sites names the field to enlarge: a key of
+    Budget.as_dict(), and the one whose value is the error's limit. The
+    message is unchanged: what was counted, the limit, how far the run got."""
+    what, field, small, call = _RAISE_SITES[site]
+    if site == "dynamics witness candidates":
+        # every candidate refused: the search runs out of candidates
+        monkeypatch.setattr(dynamics, "basis_outside", lambda K, H, cap: [])
+    with pytest.raises(BudgetExceededError) as info:
+        call(Budget().replace(**{field: small}))
+    exc = info.value
+    assert exc.what == what
+    assert exc.field == field and field in Budget().as_dict()
+    assert exc.limit == small
+    assert str(exc).startswith(f"{exc.what}: limit {small}")

@@ -545,6 +545,84 @@ def test_radius_whose_distance_cannot_print_is_two(capsys, tmp_path):
         sys.set_int_max_str_digits(4300)  # the default, checked above
 
 
+def _diagonal_lattice(a, b):
+    return {"context": {"kind": "lattice", "rank": 2}, "generators": [[a, 0], [0, b]]}
+
+
+def test_lattice_whose_index_cannot_print_is_two(capsys, tmp_path):
+    """`zd` prints the HNF rows and the index, which may have at most
+    `sys.get_int_max_str_digits()` digits: 10^4299 has 4,300 and 10^4300
+    one more. Every input integer has 2,151 digits. The larger index used
+    to end in a traceback (exit 1) at the summary line."""
+    assert sys.get_int_max_str_digits() == 4300
+    at_limit = spec_file(tmp_path, "at.json", _diagonal_lattice(10**2150, 10**2149))
+    past = spec_file(tmp_path, "past.json", _diagonal_lattice(10**2150, 10**2150))
+    code, out, _ = run(capsys, "zd", at_limit)
+    assert code == 0 and json.loads(out)["result"]["index"] == 10**4299
+    code, out, err = run(capsys, "zd", past)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the lattice is too large to print")
+    # the limit is read when the command runs, not fixed
+    at_limit = spec_file(tmp_path, "at640.json", _diagonal_lattice(10**320, 10**319))
+    past = spec_file(tmp_path, "past640.json", _diagonal_lattice(10**320, 10**320))
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run(capsys, "zd", at_limit)[0] == 0
+        code, out, err = run(capsys, "zd", past)
+        assert (code, out) == (2, "") and "more than 640 digits" in err
+    finally:
+        sys.set_int_max_str_digits(4300)
+
+
+@pytest.mark.parametrize(
+    "tolerance, code",
+    [
+        ("1e4299", 0),  # 4,300 digits
+        ("1e-4299", 4),  # printed, and exceeded
+        ("1e4300", 2),  # 4,301 digits
+        ("1e-4300", 2),
+        ("1e5000", 2),
+        ("1e-5000", 2),
+        ("0." + "0" * 4299 + "1", 2),  # no exponent: the denominator is 10^4300
+        ("0e12900", 4),  # the exponent is read, and the power built, up to 3 × 4,300
+        ("0e12901", 2),  # past it, a zero is refused too
+        ("-1E+12_901", 2),
+    ],
+)
+def test_folner_tolerance_that_cannot_print_is_two(capsys, tmp_path, tolerance, code):
+    """A tolerance is printed as a fraction, whose numerator and denominator
+    may have at most `sys.get_int_max_str_digits()` digits. "1e5000" and
+    "1e-5000" used to end in a traceback (exit 1) when the report was
+    written."""
+    doc = {"subgroup": _KER_Z, "sets": [["", "a", "A"]], "elements": ["a"],
+           "tolerances": [tolerance]}
+    got, out, err = run(capsys, "folner", spec_file(tmp_path, "f.json", doc))
+    assert got == code
+    if code == 2:
+        assert out == "" and err.startswith("error: tolerances: item 1 ")
+
+
+def test_folner_tolerance_with_a_huge_exponent_is_refused_before_its_power():
+    """`Fraction("1e1000000000")` would build 10^(10^9); the exponent is
+    refused first. Run under a 1 GiB address-space limit and a timeout, so
+    that building the power fails fast instead of filling the machine."""
+    resource = pytest.importorskip("resource")
+    limit = 2**30
+    doc = {"subgroup": _KER_Z, "sets": [["", "a", "A"]], "elements": ["a"],
+           "tolerances": ["1e1000000000"]}
+    with tempfile.TemporaryDirectory() as work:
+        spec = os.path.join(work, "f.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        done = subprocess.run(
+            [sys.executable, "-m", "chabauty_lab.cli", "folner", spec],
+            env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True,
+            timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+    assert done.returncode == 2 and done.stdout == "", done.stderr
+    assert done.stderr == "error: tolerances: item 1 has an exponent larger than 12900\n"
+
+
 def _lattice_kernel(images):
     """ker(F_r → Z^k) for the images of the r generators."""
     hom = {"target": {"kind": "lattice", "param": len(images[0])}, "images": images,

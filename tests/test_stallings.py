@@ -37,6 +37,7 @@ from chabauty_lab.stallings import (
     Target,
     basis_outside,
     conjugate_subgroup,
+    fold,
     from_generators,
     hall_completion,
     intersect,
@@ -783,11 +784,14 @@ def test_untrimmed_intersection_is_canonical_as_numbered(drawn_h, drawn_k, cover
 
 
 @given(word_lists(max_words=3), word_lists(max_words=3), st.booleans(), st.booleans())
+# the product has 10 states, of which the trim keeps 8
+@example((F2, [(1, 2), (1, 2, -1, -2)]), (F2, [(2, 1, 2), (1, 1)]), False, False)
 @settings(max_examples=80, deadline=None)
 def test_intersection_matches_the_product_loop(drawn_h, drawn_k, cover_h, cover_k):
     """intersect's shared BFS against the product loop it replaced: the
-    product's own numbering when nothing is trimmed, the renumbered core
-    otherwise."""
+    product's own numbering when nothing is trimmed, and otherwise the
+    trimmed product renumbered by `_canonical`, which the compaction of the
+    product's own numbering must equal, recorded tree included."""
     (ctx, words_h), (_, words_k) = drawn_h, drawn_k
     words_k = [x for x in words_k if all(abs(y) <= ctx.rank for y in x)]
     H, K = from_generators(ctx, words_h), from_generators(ctx, words_k)
@@ -799,7 +803,8 @@ def test_intersection_matches_the_product_loop(drawn_h, drawn_k, cover_h, cover_
         expected = stallings._canonical(ctx, live, succ, pred, BASEPOINT)
     else:
         expected = StallingsGraph(ctx, n, tuple(succ))
-    assert intersect(H, K) == expected
+    got = intersect(H, K)
+    assert got == expected and got.tree == expected.tree
 
 
 @pytest.mark.parametrize(
@@ -1202,3 +1207,64 @@ def test_speller_matches_the_bfs_oracle(kind, data):
         assert G.basis_text() == texts == [format_word(x) for x in words]
         outside_texts = [format_word(x) for x in basis_outside(G, H, len(outside) + 1)]
         assert outside_texts == _oracle_spelled_basis(G, H, text=True)
+
+
+# ── queried subgroups stay folded ──────────────────────────────────────────
+
+
+def _folded(ctx, words):
+    """The builder of words that `word_lists` has reduced in ctx."""
+    return fold(ctx, words, Budget())
+
+
+@given(word_lists(max_words=5, max_len=9))
+@example((F2, [(1, 2, -1), (1, 1), (2, -1, -2, 1)]))
+@settings(max_examples=150, deadline=None)
+def test_fold_leaves_nothing_to_trim(drawn):
+    """A folded wedge of reduced loops is already its core: `_trim` removes
+    no vertex, and finalizing it gives `from_generators`'s graph."""
+    ctx, words = drawn
+    builder = _folded(ctx, words)
+    live = {v for v, root in enumerate(builder.parent) if v == root}
+    tables = ([dict(t) for t in builder.succ], [dict(t) for t in builder.pred])
+    assert not stallings._trim(live, *tables, BASEPOINT)
+    assert builder.finalize() == from_generators(ctx, words)
+
+
+@given(word_lists(max_words=3), word_lists(max_words=3), st.booleans())
+@example((F2, [(1, 2), (1, 2, -1, -2)]), (F2, [(2, 1, 2), (1, 1)]), False)  # trims
+@settings(max_examples=80, deadline=None)
+def test_intersect_with_a_folded_operand_equals_the_finalized_one(drawn_h, drawn_k, cover_h):
+    """The product walks K's builder as it walks K's core, so the numbered
+    result, recorded tree included, is the same."""
+    (ctx, words_h), (_, words_k) = drawn_h, drawn_k
+    words_k = [x for x in words_k if all(abs(y) <= ctx.rank for y in x)]
+    H = from_generators(ctx, words_h)
+    H = hall_completion(H, 1) if cover_h else H
+    folded = intersect(H, _folded(ctx, words_k))
+    finalized = intersect(H, from_generators(ctx, words_k))
+    assert folded == finalized and folded.tree == finalized.tree
+
+
+def _distance_outcome(H, K, radius, cap):
+    try:
+        b = distance_up_to(H, K, radius, _cap(cap))
+    except BudgetExceededError as exc:
+        return "exceeded", exc.reached
+    return b.kind, b.exponent, b.witness
+
+
+@given(word_lists(max_words=3), word_lists(max_words=3), st.integers(0, 7), st.data())
+@example((F2, [(1, 1, 2)]), (F2, [(1, 1, 1, 2)]), 7, None)
+@settings(max_examples=100, deadline=None)
+def test_distance_is_the_same_on_folded_and_finalized_operands(drawn_h, drawn_k, radius, data):
+    """Same kind, exponent and witness, and under a small vertex_cap the
+    same raise at the same level: the builders have the cores' states."""
+    (ctx, words_h), (_, words_k) = drawn_h, drawn_k
+    words_k = [x for x in words_k if all(abs(y) <= ctx.rank for y in x)]
+    folded = (_folded(ctx, words_h), _folded(ctx, words_k))
+    finalized = (from_generators(ctx, words_h), from_generators(ctx, words_k))
+    caps = [10**6, 2, 5] if data is None else [10**6, data.draw(st.integers(1, 40))]
+    for cap in caps:
+        assert (_distance_outcome(*folded, radius, cap)
+                == _distance_outcome(*finalized, radius, cap))

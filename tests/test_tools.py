@@ -4,6 +4,7 @@ two checkouts (``tools/alternate_pairs.py``)."""
 
 import hashlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -84,3 +85,18 @@ def test_median_change_marks_only_regressions_past_the_bound():
     assert median_change(0.0, 0.0, "lower", 0.25) == (None, False)
     assert median_change(0.0, 0.5, "lower", 0.25) == (None, True)
     assert median_change(0.0, 0.5, "higher", 0.25) == (None, False)
+
+
+def test_all_stands_for_every_benchmark_workload_in_order():
+    """``all`` expands to the workloads of BENCHMARK.json, in its order, one
+    block each; any other name is run alone (the benchmark refuses names
+    it does not know)."""
+    workloads_named = _alternate_pairs().workloads_named
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in bench["workloads"]]
+    assert workloads_named("all", bench) == names
+    assert len(names) == 4 and len(set(names)) == 4
+    assert workloads_named("fold-build", bench) == ["fold-build"]
+    toy = {"workloads": [{"name": "b"}, {"name": "a"}]}
+    assert workloads_named("all", toy) == ["b", "a"]
+    assert workloads_named("c", toy) == ["c"]

@@ -8,10 +8,12 @@ equal length: the path's length alone moves ``peak_rss_mb``, so a warning
 goes to stderr when the resolved paths differ in length. Each of the N
 pairs runs ``perfbench/run.py --workload WORKLOAD --seed SEED --trace 0`` in
 both, one after the other; odd pairs run the parent first and even pairs
-the change first, so a drift of the host's speed falls on both sides. The
-last stdout line of every run is its JSON summary. Each run's metrics go to
-stderr as it finishes; stdout gets, per end-to-end metric of this
-checkout's ``BENCHMARK.json``:
+the change first, so a drift of the host's speed falls on both sides.
+WORKLOAD ``all`` runs the N pairs of every workload of this checkout's
+``BENCHMARK.json`` in turn, and prints one block per workload. The last
+stdout line of every run is its JSON summary. Each run's metrics go to
+stderr as it finishes; stdout gets a block per workload with one line per
+end-to-end metric of ``BENCHMARK.json``:
 
     metric  parent median [parent q1–q3]  ->  change median  ±x.x%  wins k/N
 
@@ -69,6 +71,44 @@ def median_change(parent: float, change: float, better: str, bound: float
     return percent, worse > bound * abs(parent)
 
 
+def workloads_named(name: str, bench: dict) -> list[str]:
+    """The workloads WORKLOAD stands for: those of `bench` (the parsed
+    ``BENCHMARK.json``), in its order, for ``all``; else `name` alone."""
+    return [w["name"] for w in bench["workloads"]] if name == "all" else [name]
+
+
+def _pairs(args, workload: str) -> dict[str, list[dict[str, float]]]:
+    """The metrics of N alternating pairs of runs of one workload."""
+    runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+    for k in range(args.n):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            m = _metrics(getattr(args, side), workload, args.seed, args.seconds)
+            runs[side].append(m)
+            print(f"{workload} pair {k + 1} {side}: "
+                  + " ".join(f"{name}={value:.4g}" for name, value in m.items()),
+                  file=sys.stderr, flush=True)
+    return runs
+
+
+def _block(bench: dict, workload: str, seed: int, runs: dict) -> None:
+    """Print one workload's line per end-to-end metric."""
+    n = len(runs["parent"])
+    print(f"{workload} seed {seed}, {n} alternating pairs")
+    for metric in bench["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        parent = [m[name] for m in runs["parent"]]
+        change = [m[name] for m in runs["change"]]
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        q1, q3 = _quartiles(parent)
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        percent, past = median_change(p_med, c_med, metric["better"], metric["bound"])
+        shown = "n/a" if percent is None else f"{percent:+.1f}%"
+        print(f"  {name:18s} {p_med:10.4g} [{q1:.4g}–{q3:.4g}]"
+              f"  ->  {c_med:10.4g}  {shown:>7s}  wins {wins}/{n}"
+              + ("  past bound" if past else ""), flush=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -86,30 +126,8 @@ def main(argv: list[str] | None = None) -> int:
               " characters), which moves peak_rss_mb", file=sys.stderr)
     if args.n < 1:
         parser.error("N must be at least 1")
-
-    runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
-    for k in range(args.n):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            m = _metrics(getattr(args, side), args.workload, args.seed, args.seconds)
-            runs[side].append(m)
-            print(f"pair {k + 1} {side}: "
-                  + " ".join(f"{name}={value:.4g}" for name, value in m.items()),
-                  file=sys.stderr, flush=True)
-
-    print(f"{args.workload} seed {args.seed}, {args.n} alternating pairs")
-    for metric in bench["end_to_end"]:
-        name, higher = metric["name"], metric["better"] == "higher"
-        parent = [m[name] for m in runs["parent"]]
-        change = [m[name] for m in runs["change"]]
-        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-        q1, q3 = _quartiles(parent)
-        p_med, c_med = statistics.median(parent), statistics.median(change)
-        percent, past = median_change(p_med, c_med, metric["better"], metric["bound"])
-        shown = "n/a" if percent is None else f"{percent:+.1f}%"
-        print(f"  {name:18s} {p_med:10.4g} [{q1:.4g}–{q3:.4g}]"
-              f"  ->  {c_med:10.4g}  {shown:>7s}  wins {wins}/{args.n}"
-              + ("  past bound" if past else ""))
+    for workload in workloads_named(args.workload, bench):
+        _block(bench, workload, args.seed, _pairs(args, workload))
     return 0
 
 
