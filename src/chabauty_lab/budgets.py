@@ -19,7 +19,7 @@ import io
 import json
 import os
 
-from .errors import MalformedInputError
+from .errors import BudgetExceededError, MalformedInputError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,6 +45,11 @@ class Budget:
     # Z^d enumeration guards.
     lattice_dim_cap: int = 4
     lattice_index_cap: int = 200
+
+    def exceeded(self, field: str, what: str, reached=None) -> BudgetExceededError:
+        """The error for a run that `field` bound, its limit read from the
+        field: `what` was counted, up to `reached` where that is known."""
+        return BudgetExceededError(what, getattr(self, field), reached, field=field)
 
     def replace(self, **kw) -> "Budget":
         return dataclasses.replace(self, **kw)

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from . import zdlattice
 from .budgets import Budget, current
-from .errors import BudgetExceededError, MalformedInputError
+from .errors import MalformedInputError
 from .words import (
     GroupContext,
     Word,
@@ -248,9 +248,7 @@ def _product_distance(H, K, radius: int, budget: Budget) -> DistanceBound:
         if len(states) == end:
             break
         if len(seen) > budget.vertex_cap:
-            raise BudgetExceededError(
-                "graph vertices", budget.vertex_cap, len(seen), field="vertex_cap"
-            )
+            raise budget.exceeded("vertex_cap", "graph vertices", len(seen))
         begin = end
     return DistanceBound("at_most", radius + 1)
 

@@ -17,12 +17,7 @@ from typing import Iterable, Sequence
 
 from .budgets import Budget, current
 from .chabauty import ClopenSet, _meets, clopen, distance_up_to, in_clopen
-from .errors import (
-    BudgetExceededError,
-    MalformedInputError,
-    SearchFailure,
-    TaskInvalidError,
-)
+from .errors import MalformedInputError, SearchFailure, TaskInvalidError
 from .stallings import (
     StallingsGraph,
     basis_outside,
@@ -91,7 +86,9 @@ def nonisolation_witness(
     order (some exists: all of them inside H would force K_n = ⟨basis⟩ ⊆ H);
     a candidate is rejected if ⟨H, k_n⟩ has finite index, and when all
     candidates within the cap fail the completion radius is enlarged, which
-    refreshes the candidate pool.
+    refreshes the candidate pool. When every radius fails the error bears no
+    `reached`: `basis_outside` stops at the cap, so no count of the
+    candidates past it is ever taken.
     """
     budget = budget or current()
     if H.index() is not None:
@@ -118,11 +115,7 @@ def nonisolation_witness(
             if term is not None:
                 break
         if term is None:
-            raise BudgetExceededError(
-                "nonisolation candidates",
-                budget.witness_candidate_cap,
-                field="witness_candidate_cap",
-            )
+            raise budget.exceeded("witness_candidate_cap", "nonisolation candidates")
         terms.append(term)
     return NonisolationWitness(H, tuple(terms))
 
@@ -531,9 +524,9 @@ def folner_transfer_check(
     candidate_sets[i] lists coset representatives of the set B_{i+1}; the
     default tolerance for the i-th set is 1/(i+1). Each word is labelled by
     the state of its coset H0·w in H0's :func:`coset_automaton` (equal
-    states ⟺ equal cosets: a lattice preimage's residues, or core vertex +
-    hanging suffix), so γB and B are compared as
-    coset sets by their states, and the ratio |γB △ B| / |B| is exact
+    states ⟺ equal cosets: a lattice preimage's residues, or a core or hung
+    vertex), so each letter of a word costs one step, γB and B are compared
+    as coset sets by their states, and the ratio |γB △ B| / |B| is exact
     (Fractions). Representatives that collide (two words in one coset)
     invalidate their set: almost-invariance of a multiset is not evidence.
     The collision reported is (B[j], B[k]) for the least j with a later word

@@ -6,9 +6,11 @@ The Schreier graph of H ≤ F_r has the right cosets Hu as vertices and an edge
 Hu --g--> Hug per generator. We materialize the ball of radius R around the
 trivial coset by BFS over the states of H's coset automaton
 (:func:`~chabauty_lab.stallings.coset_automaton`: equal states mean equal
-cosets), which is H's membership automaton for a lattice preimage and core
-vertex + hanging suffix for a core graph.
-Each vertex keeps its state, so an edge costs one step.
+cosets), which is H's membership automaton for a lattice preimage and a core
+or hung vertex for a core graph.
+Each vertex keeps its state, so an edge costs one step. The ball keeps one
+BFS tree, a parent and a letter per vertex, and spells a vertex's word from
+it only where a report prints one.
 
 Truncation discipline: the graph stores its frontier (sphere-R vertices) and
 every quantity computed from the ball is reported as exact or as a lower
@@ -21,11 +23,10 @@ import dataclasses
 from math import comb
 
 from .budgets import Budget, current
-from .errors import BudgetExceededError, MalformedInputError
+from .errors import MalformedInputError
 from .stallings import HomSubgroup, StallingsGraph, coset_automaton
 from .words import (
     GroupContext,
-    IDENTITY,
     Word,
     ball_size,
     format_word,
@@ -35,16 +36,15 @@ from .words import (
 
 class SchreierGraph:
     """Ball of radius R in the Schreier graph of the subgroup H. Vertex 0 is
-    the trivial coset; `reps[v]` is the canonically-least word reaching vertex
-    v (its length equals the BFS distance), and for v > 0 it is
-    reps[parent[v]] followed by one letter."""
+    the trivial coset; vertex v > 0 was first reached from parent[v] by
+    letter[v] (letter[0] = 0), and this BFS tree spells `rep(v)`."""
 
-    __slots__ = ("subgroup", "radius", "reps", "dist", "parent", "succ", "frontier")
+    __slots__ = ("subgroup", "radius", "letter", "dist", "parent", "succ", "frontier")
 
-    def __init__(self, subgroup, radius, reps, dist, parent, succ, frontier):
+    def __init__(self, subgroup, radius, letter, dist, parent, succ, frontier):
         self.subgroup = subgroup
         self.radius = radius
-        self.reps = reps
+        self.letter = letter
         self.dist = dist
         self.parent = parent
         self.succ = succ  # per generator: {vertex: vertex·g}
@@ -56,7 +56,16 @@ class SchreierGraph:
 
     @property
     def nverts(self) -> int:
-        return len(self.reps)
+        return len(self.letter)
+
+    def rep(self, v: int) -> Word:
+        """The canonically-least word reaching v, read up the parent links;
+        its length is v's BFS distance."""
+        out = []
+        while v:
+            out.append(self.letter[v])
+            v = self.parent[v]
+        return tuple(reversed(out))
 
     @property
     def nedges(self) -> int:
@@ -99,32 +108,30 @@ def build(H, radius: int, budget: Budget | None = None) -> SchreierGraph:
     start, step = coset_automaton(H)
     states = [start]
     keys = {states[0]: 0}
-    reps: list[Word] = [IDENTITY]
+    letter: list[int] = [0]
     dist: list[int] = [0]
     parent: list[int] = [-1]
     succ: list[dict[int, int]] = [dict() for _ in range(ctx.rank)]
     v = 0
     # vertices are numbered in BFS order, so the queue is 0, 1, 2, ...
-    while v < len(reps):
-        state, rep, d = states[v], reps[v], dist[v]
+    while v < len(states):
+        state, d = states[v], dist[v]
         for x in letters:
             key = step(state, x)
             w = keys.get(key)
             if w is None:
-                # a letter cancelling the end of rep lands on the known
-                # parent, so a new vertex's rep is reduced as written
+                # a letter cancelling the end of rep(v) lands on the known
+                # parent, so a new vertex's word is reduced as written
                 if d >= radius:
                     continue
-                if len(reps) >= budget.schreier_vertex_cap:
-                    raise BudgetExceededError(
-                        "Schreier vertices",
-                        budget.schreier_vertex_cap,
-                        field="schreier_vertex_cap",
+                if len(states) >= budget.schreier_vertex_cap:
+                    raise budget.exceeded(
+                        "schreier_vertex_cap", "Schreier vertices", len(states) + 1
                     )
-                w = len(reps)
+                w = len(states)
                 keys[key] = w
                 states.append(key)
-                reps.append(rep + (x,))
+                letter.append(x)
                 dist.append(d + 1)
                 parent.append(v)
             if x > 0:
@@ -134,7 +141,7 @@ def build(H, radius: int, budget: Budget | None = None) -> SchreierGraph:
         v += 1
     frontier = frozenset(v for v, d in enumerate(dist) if d == radius)
     return SchreierGraph(
-        H, radius, tuple(reps), tuple(dist), tuple(parent), tuple(succ), frontier
+        H, radius, tuple(letter), tuple(dist), tuple(parent), tuple(succ), frontier
     )
 
 
@@ -247,11 +254,11 @@ def fiber_diameters(S: SchreierGraph, K) -> list[FiberReport]:
         raise MalformedInputError("fibers are taken over a free-group subgroup")
     require_same_context(S.subgroup.ctx, K.ctx, "fibers")
     _verify_containment(S.subgroup, K)
-    # K·reps[v] = K·reps[parent[v]]·letter, stepped in BFS order
+    # K·rep(v) = K·rep(parent[v])·letter[v], stepped in BFS order
     start, step = coset_automaton(K)
     kstates = [start]
     for v in range(1, S.nverts):
-        kstates.append(step(kstates[S.parent[v]], S.reps[v][-1]))
+        kstates.append(step(kstates[S.parent[v]], S.letter[v]))
     fibers: dict = {}
     for v, key in enumerate(kstates):
         fibers.setdefault(key, []).append(v)
@@ -274,7 +281,7 @@ def fiber_diameters(S: SchreierGraph, K) -> list[FiberReport]:
                 diameter = max(diameter, _piece_diameter(sweeps, piece))
         reports.append(
             FiberReport(
-                representative=S.reps[vs[0]],
+                representative=S.rep(vs[0]),
                 size=len(vs),
                 diameter=diameter,
                 lower_bound=disconnected or any(v in S.frontier for v in vs),

@@ -32,7 +32,7 @@ from .dynamics import (
     TransitivityTask,
     make_task,
 )
-from .errors import BudgetExceededError, MalformedInputError
+from .errors import MalformedInputError
 from .schreier import FiberReport, SchreierGraph
 from .stallings import StallingsGraph, Target, _Builder, fold, preimage
 from .words import (
@@ -200,9 +200,9 @@ def context_from_json(obj: Any, budget: Budget | None = None) -> GroupContext:
         raise MalformedInputError("context rank must be a positive integer")
     if kind not in ("free", "lattice"):
         raise MalformedInputError(f"unknown context kind {kind!r}")
-    cap = (budget or current()).vertex_cap
-    if rank > cap:
-        raise BudgetExceededError(f"{kind} rank (vertex_cap)", cap, rank, field="vertex_cap")
+    budget = budget or current()
+    if rank > budget.vertex_cap:
+        raise budget.exceeded("vertex_cap", f"{kind} rank (vertex_cap)", rank)
     return free_group(rank) if kind == "free" else lattice(rank)
 
 
@@ -246,11 +246,9 @@ def _hom_from_json(ctx: GroupContext, obj: Any, budget: Budget | None):
     images = _require(obj, "images", "hom")
     accepted = _require(obj, "accepted", "hom")
     if kind == "lattice":
-        cap = (budget or current()).vertex_cap
-        if param > cap:
-            raise BudgetExceededError(
-                "lattice target dimension (vertex_cap)", cap, param, field="vertex_cap"
-            )
+        budget = budget or current()
+        if param > budget.vertex_cap:
+            raise budget.exceeded("vertex_cap", "lattice target dimension (vertex_cap)", param)
         if accepted != "zero":
             gens = _require(accepted, "generators", "hom accepted")
             accepted = hnf_from_generators(param, _int_tuples(gens, "accepted generators"))
@@ -624,9 +622,9 @@ def dot_of_schreier(S: SchreierGraph) -> str:
     coset); the frontier is gray."""
     return _dot("schreier", [
         f'shape={"circle" if v else "doublecircle"}, '
-        f'label="{"".join(map(_dot_letter, rep)) or "1"}"'
+        f'label="{"".join(map(_dot_letter, S.rep(v))) or "1"}"'
         + (", color=gray" if v in S.frontier else "")
-        for v, rep in enumerate(S.reps)
+        for v in range(S.nverts)
     ], S.succ)
 
 

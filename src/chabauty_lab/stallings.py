@@ -40,16 +40,11 @@ from typing import Iterable, Sequence
 from . import zdlattice
 from .budgets import Budget, current
 from .chabauty import distance_up_to
-from .errors import (
-    BudgetExceededError,
-    ContextMismatchError,
-    MalformedInputError,
-)
+from .errors import ContextMismatchError, MalformedInputError
 from .words import (
     _CHAR_OF_RANK,
     _LOWER,
     GroupContext,
-    IDENTITY,
     Word,
     format_word,
     invert,
@@ -184,20 +179,34 @@ def coset_automaton(H: StallingsGraph | HomSubgroup):
     """(start, step) of an automaton whose state after w labels the right
     coset H·w (equal states ⟺ equal cosets): a HomSubgroup's own, whose
     residues are its cosets. A core graph's Schreier graph is the core with
-    trees hanging off it (Stallings 1983), and the state is (v, s): v is where
-    the longest prefix of w that stays in the core ends, s the rest of w."""
+    free trees hung off it (Stallings 1983). A core vertex is its own state,
+    as in the membership automaton. A hung vertex is (i, t): it hangs
+    through table t (numbered as `tree`'s via) below the vertex numbered i,
+    and a free tree gives it no other parent or table. Core vertices number
+    themselves; a hung vertex is numbered the first time a step leaves it
+    away from the core. Each step is one lookup, and only the hung vertices
+    stepped from are stored."""
     if isinstance(H, HomSubgroup):
         return H.start, H.step
-    core_step = H.step
+    core_step, n = H.step, H.nverts
+    number: dict[tuple[int, int], int] = {}
+    hung: list[tuple[int, int]] = []  # the hung vertex numbered n + j is hung[j]
 
-    def step(state: tuple[int, Word], letter: int) -> tuple[int, Word]:
-        v, s = state
-        if s:
-            return (v, s[:-1]) if s[-1] == -letter else (v, s + (letter,))
-        u = core_step(v, letter)
-        return (v, (letter,)) if u is None else (u, IDENTITY)
+    def step(state, letter: int):
+        t = 2 * abs(letter) - 2 + (letter < 0)
+        if type(state) is int:
+            u = core_step(state, letter)
+            return (state, t) if u is None else u
+        i, s = state
+        if t == s ^ 1:  # back up the tree
+            return i if i < n else hung[i - n]
+        j = number.get(state)
+        if j is None:
+            j = number[state] = n + len(hung)
+            hung.append(state)
+        return (j, t)
 
-    return (BASEPOINT, IDENTITY), step
+    return BASEPOINT, step
 
 
 def _basis_keys(K: StallingsGraph, H: StallingsGraph | None = None) -> list[str]:
@@ -300,7 +309,7 @@ class _Builder:
     def _charge(self, n: int) -> None:
         self.created += n
         if self.created > self.budget.vertex_cap:
-            raise BudgetExceededError("graph vertices", self.budget.vertex_cap, field="vertex_cap")
+            raise self.budget.exceeded("vertex_cap", "graph vertices", self.created)
 
     def new_vertex(self) -> int:
         self._charge(1)
@@ -635,9 +644,7 @@ def _bfs_graph(ctx: GroupContext, start, moves, budget: Budget) -> StallingsGrap
             n = number.get(v)
             if n is None:
                 if len(order) >= budget.vertex_cap:
-                    raise BudgetExceededError(
-                        "graph vertices", budget.vertex_cap, field="vertex_cap"
-                    )
+                    raise budget.exceeded("vertex_cap", "graph vertices", len(order) + 1)
                 n = number[v] = len(order)
                 order.append(v)
                 parent.append(u)
@@ -735,9 +742,7 @@ def _complete(H: StallingsGraph, L: int, budget: Budget) -> StallingsGraph:
             for out, back in tables:
                 if u not in out:
                     if nverts >= budget.vertex_cap:
-                        raise BudgetExceededError(
-                            "completion vertices", budget.vertex_cap, field="vertex_cap"
-                        )
+                        raise budget.exceeded("vertex_cap", "completion vertices", nverts + 1)
                     out[u] = nverts
                     back[nverts] = u
                     layers[d + 1].append(nverts)

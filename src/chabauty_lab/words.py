@@ -24,7 +24,7 @@ import string
 from typing import Iterable, Iterator
 
 from .budgets import Budget, current
-from .errors import BudgetExceededError, ContextMismatchError, MalformedInputError
+from .errors import ContextMismatchError, MalformedInputError
 
 Word = tuple[int, ...]
 Vector = tuple[int, ...]
@@ -228,9 +228,7 @@ def iter_ball(rank: int, radius: int, budget: Budget | None = None) -> Iterator[
     if radius < 0:
         raise MalformedInputError("radius must be >= 0")
     if radius > budget.ball_radius_cap:
-        raise BudgetExceededError(
-            "ball radius", budget.ball_radius_cap, radius, field="ball_radius_cap"
-        )
+        raise budget.exceeded("ball_radius_cap", "ball radius", radius)
     letters = [x for i in range(1, rank + 1) for x in (i, -i)]
     yield IDENTITY
     sphere: list[Word] = [IDENTITY]

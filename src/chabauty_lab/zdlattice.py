@@ -27,7 +27,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .budgets import Budget, current
-from .errors import BudgetExceededError, MalformedInputError
+from .errors import MalformedInputError
 from .words import GroupContext, Vector, lattice
 
 
@@ -185,9 +185,7 @@ def _members(H: HnfSubgroup, radius: int, budget: Budget) -> list[tuple[int, Vec
                     grown.append((m, w))
                 w = tuple(map(add, w, row))
             if len(grown) > budget.vertex_cap:
-                raise BudgetExceededError(
-                    "lattice ball points", budget.vertex_cap, len(grown), field="vertex_cap"
-                )
+                raise budget.exceeded("vertex_cap", "lattice ball points", len(grown))
         level = grown
     return level
 
@@ -266,9 +264,7 @@ def witness_sequence(
     while True:
         m += 1
         if m > budget.vertex_cap:
-            raise BudgetExceededError(
-                "witness sequence length", budget.vertex_cap, field="vertex_cap"
-            )
+            raise budget.exceeded("vertex_cap", "witness sequence length", m)
         H_m = hnf_from_generators(H.dim, list(H.rows) + [tuple(m * x for x in v)])
         terms.append(H_m)
         if first_difference_in_ball(H_m, H, radius_max, budget) is None:
@@ -376,13 +372,9 @@ def _check_catalogue(dim: int, max_index: int, budget: Budget | None) -> None:
         raise MalformedInputError("dimension and index bound must be >= 1")
     budget = budget or current()
     if dim > budget.lattice_dim_cap:
-        raise BudgetExceededError(
-            "lattice dimension", budget.lattice_dim_cap, dim, field="lattice_dim_cap"
-        )
+        raise budget.exceeded("lattice_dim_cap", "lattice dimension", dim)
     if max_index > budget.lattice_index_cap:
-        raise BudgetExceededError(
-            "lattice index", budget.lattice_index_cap, max_index, field="lattice_index_cap"
-        )
+        raise budget.exceeded("lattice_index_cap", "lattice index", max_index)
 
 
 def _diagonals(dim: int, max_index: int) -> Iterable[tuple[int, ...]]:

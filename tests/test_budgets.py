@@ -142,16 +142,23 @@ _RAISE_SITES = {
 @pytest.mark.parametrize("site", list(_RAISE_SITES))
 def test_budget_errors_name_their_field(site, monkeypatch):
     """Each of the 13 raise sites names the field to enlarge: a key of
-    Budget.as_dict(), and the one whose value is the error's limit. The
-    message is unchanged: what was counted, the limit, how far the run got."""
+    Budget.as_dict(), and the one whose value is the error's limit. Every
+    site but the candidate search, which counts nothing past its cap, says
+    how far the run got, past the limit. The message starts with what was
+    counted and the limit."""
     what, field, small, call = _RAISE_SITES[site]
     if site == "dynamics witness candidates":
         # every candidate refused: the search runs out of candidates
         monkeypatch.setattr(dynamics, "basis_outside", lambda K, H, cap: [])
+    budget = Budget().replace(**{field: small})
     with pytest.raises(BudgetExceededError) as info:
-        call(Budget().replace(**{field: small}))
+        call(budget)
     exc = info.value
     assert exc.what == what
     assert exc.field == field and field in Budget().as_dict()
-    assert exc.limit == small
+    assert exc.limit == small == getattr(budget, exc.field)
     assert str(exc).startswith(f"{exc.what}: limit {small}")
+    assert (exc.reached is None) == (site == "dynamics witness candidates")
+    if exc.reached is not None:
+        assert exc.reached > exc.limit
+        assert str(exc) == f"{exc.what}: limit {small}, reached {exc.reached}"

@@ -610,17 +610,51 @@ def test_folner_tolerance_with_a_huge_exponent_is_refused_before_its_power():
     limit = 2**30
     doc = {"subgroup": _KER_Z, "sets": [["", "a", "A"]], "elements": ["a"],
            "tolerances": ["1e1000000000"]}
-    with tempfile.TemporaryDirectory() as work:
-        spec = os.path.join(work, "f.json")
-        with open(spec, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        done = subprocess.run(
-            [sys.executable, "-m", "chabauty_lab.cli", "folner", spec],
-            env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True,
-            timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+    done = _cli_in_subprocess(
+        ["folner"], doc, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
     assert done.returncode == 2 and done.stdout == "", done.stderr
     assert done.stderr == "error: tolerances: item 1 has an exponent larger than 12900\n"
+
+
+def _cli_in_subprocess(argv, doc, timeout, preexec_fn=None):
+    """Run the CLI on `doc` in a fresh interpreter; the finished process."""
+    with tempfile.TemporaryDirectory() as work:
+        spec = os.path.join(work, "doc.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return subprocess.run(
+            [sys.executable, "-m", "chabauty_lab.cli", argv[0], spec, *argv[1:]],
+            env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True,
+            timeout=timeout, preexec_fn=preexec_fn,
+        )
+
+
+def test_schreier_ball_memory_follows_its_vertex_count():
+    """The ball of ⟨⟩ ≤ F₁ at radius 50,000 is a path of 100,001 vertices.
+    Kept as one word per vertex, its 2.5·10⁹ letters need tens of GB; kept
+    as a tree, it fits well inside a 1 GiB address-space limit."""
+    resource = pytest.importorskip("resource")
+    limit = 2**30
+    done = _cli_in_subprocess(
+        ["schreier", "--radius", "50000"], {"context": {"kind": "free", "rank": 1}, "generators": []},
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 0, done.stderr
+    graph = json.loads(done.stdout)["result"]["graph"]
+    assert (graph["vertices"], graph["frontier"]) == (100_001, 2)
+
+
+def test_folner_walks_a_long_word_in_linear_time():
+    """b²⁰⁰⁰⁰⁰ leaves the core of ⟨a⟩ at once; a state that copied the word's
+    hanging suffix at each letter took time quadratic in its length."""
+    doc = {"subgroup": {"context": F2_CTX, "generators": ["a"]},
+           "sets": [["b" * 200_000]], "elements": ["a"]}
+    done = _cli_in_subprocess(["folner"], doc, timeout=30)
+    assert done.returncode == 0, done.stderr
+    folner = json.loads(done.stdout)["result"]["folner"]
+    assert folner["ok"] and folner["sets"][0]["ratios"] == [{"element": "a", "ratio": "0"}]
 
 
 def _lattice_kernel(images):

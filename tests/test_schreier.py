@@ -86,7 +86,9 @@ def test_generator_sets_match_between_hom_and_graph_subgroups():
     graph_even = gens("aa", "b", "abA")
     hom_even = kernel(F2, Target("cyclic", 2), [1, 0])
     S1, S2 = build(graph_even, 6), build(hom_even, 6)
-    assert (S1.reps, S1.dist, S1.succ, S1.frontier) == (S2.reps, S2.dist, S2.succ, S2.frontier)
+    assert (S1.letter, S1.parent, S1.dist, S1.succ, S1.frontier) == (
+        S2.letter, S2.parent, S2.dist, S2.succ, S2.frontier
+    )
     assert S1.sphere_sizes() == S2.sphere_sizes()
 
 
@@ -271,7 +273,7 @@ def _oracle_fibers(S, K):
     every fiber vertex until it has reached all the others."""
     fibers = {}
     for v in range(S.nverts):
-        fibers.setdefault(_oracle_coset_key(K, S.reps[v]), []).append(v)
+        fibers.setdefault(_oracle_coset_key(K, S.rep(v)), []).append(v)
     adj = S.undirected_adjacency()
     out = []
     for verts in sorted(fibers.values(), key=min):
@@ -294,8 +296,14 @@ def _oracle_fibers(S, K):
                 else:
                     disconnected = True
         touched = any(v in S.frontier for v in vs)
-        out.append((S.reps[vs[0]], len(vs), diameter, touched or disconnected))
+        out.append((S.rep(vs[0]), len(vs), diameter, touched or disconnected))
     return out
+
+
+def _ball_words(S):
+    """(rep(v) for each v, dist, succ, frontier): the ball as `_oracle_build`
+    gives it, each word spelled off the tree."""
+    return tuple(map(S.rep, range(S.nverts))), S.dist, S.succ, S.frontier
 
 
 def _fiber_tuples(reports):
@@ -404,10 +412,10 @@ def test_build_matches_the_coset_key_bfs(case):
     H, K, radius = case
     for sub in (H, K):
         S = build(sub, radius)
-        assert (S.reps, S.dist, S.succ, S.frontier) == _oracle_build(sub, radius)
-        assert S.parent[0] == -1
+        assert _ball_words(S) == _oracle_build(sub, radius)
+        assert S.parent[0] == -1 and S.letter[0] == 0
         for v in range(1, S.nverts):
-            assert S.reps[v][:-1] == S.reps[S.parent[v]]
+            assert S.rep(S.parent[v]) + (S.letter[v],) == S.rep(v)
 
 
 @given(subgroup_pairs())
@@ -539,7 +547,7 @@ def test_fiber_oracle_on_frontier_and_disconnected_fibers():
     # and each fiber is disconnected within what is left.
     a = S.succ[0]
     cut = SchreierGraph(
-        S.subgroup, S.radius, S.reps, S.dist, S.parent,
+        S.subgroup, S.radius, S.letter, S.dist, S.parent,
         ({u: v for u, v in a.items() if u != 0},) + S.succ[1:], S.frontier,
     )
     expected = _oracle_fibers(cut, even)
@@ -602,5 +610,5 @@ def test_finite_preimage_is_the_covering_of_its_cosets(hom, data):
     radius = data.draw(st.integers(0, 8))
     S = build(H, radius)
     key = lambda u: _coset_of_image(target, accepted, _phi(target, images, u))
-    assert (S.reps, S.dist, S.succ, S.frontier) == _oracle_build(H, radius, key)
+    assert _ball_words(S) == _oracle_build(H, radius, key)
 

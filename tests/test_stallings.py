@@ -37,6 +37,7 @@ from chabauty_lab.stallings import (
     Target,
     basis_outside,
     conjugate_subgroup,
+    coset_automaton,
     fold,
     from_generators,
     hall_completion,
@@ -466,6 +467,48 @@ def word_lists(draw, max_words=4, max_len=7):
     letter = st.integers(1, rank).flatmap(lambda i: st.sampled_from([i, -i]))
     word = st.lists(letter, max_size=max_len).map(lambda ls: reduce_word(tuple(ls)))
     return free_group(rank), draw(st.lists(word, max_size=max_words))
+
+
+def _suffix_automaton(H):
+    """The coset automaton that numbered hung vertices replaced: the state is
+    (v, s), v where the longest prefix that stays in the core ends and s the
+    rest of the word, which each step copies."""
+
+    def step(state, letter):
+        v, s = state
+        if s:
+            return (v, s[:-1]) if s[-1] == -letter else (v, s + (letter,))
+        u = H.step(v, letter)
+        return (v, (letter,)) if u is None else (u, IDENTITY)
+
+    return (BASEPOINT, IDENTITY), step
+
+
+@given(word_lists(max_words=3), st.sampled_from([None, 1, 2]),
+       st.lists(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12), max_size=6))
+@example((F2, []), None, [[1, 2, -2, 2, 2, -1, -2], [-1, -2, 1, 1]])  # the trivial subgroup
+@example((F2, [(1, 1), (2,)]), 1, [[1, 2, -1, 1, 1]])  # a covering: no hung vertex
+@settings(max_examples=150, deadline=None)
+def test_coset_states_match_the_suffix_oracle(drawn, completion_radius, sequences):
+    """Two prefixes of letter sequences, reduced or not, reach equal coset
+    states iff they reach equal (core vertex, suffix) states; every state is
+    a vertex or an (int, table) pair, never a word."""
+    ctx, words = drawn
+    H = from_generators(ctx, words)
+    if completion_radius is not None:
+        H = hall_completion(H, completion_radius)
+    sequences = [s for s in sequences if all(abs(x) <= ctx.rank for x in s)]
+    sequences += [reduce_word(tuple(s)) for s in sequences]
+    (start, step), (oracle_start, oracle_step) = coset_automaton(H), _suffix_automaton(H)
+    pairs = {(start, oracle_start)}
+    for s in sequences:
+        state, oracle = start, oracle_start
+        for x in s:
+            state, oracle = step(state, x), oracle_step(oracle, x)
+            pairs.add((state, oracle))
+    assert len({q for q, _ in pairs}) == len(pairs) == len({o for _, o in pairs})
+    for q, _ in pairs:
+        assert type(q) is int or (len(q) == 2 and 0 <= q[1] < 2 * ctx.rank)
 
 
 def _oracle_from_generators(ctx, words):

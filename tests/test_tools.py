@@ -1,6 +1,7 @@
 """The tools that claims about a change rest on: per-op report digests of a
-source tree (``tools/report_digests.py``) and alternating benchmark pairs of
-two checkouts (``tools/alternate_pairs.py``)."""
+source tree (``tools/report_digests.py``), alternating benchmark pairs of
+two checkouts (``tools/alternate_pairs.py``) and per-kind CPU times
+(``tools/op_times.py``)."""
 
 import hashlib
 import importlib.util
@@ -59,13 +60,15 @@ def test_alternate_pairs_warns_about_unequal_checkout_paths(tmp_path):
     assert "warning:" not in same.stderr
 
 
-def _alternate_pairs():
-    spec = importlib.util.spec_from_file_location(
-        "alternate_pairs", ROOT / "tools" / "alternate_pairs.py"
-    )
+def _tool_module(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _alternate_pairs():
+    return _tool_module("alternate_pairs")
 
 
 def test_median_change_marks_only_regressions_past_the_bound():
@@ -100,3 +103,13 @@ def test_all_stands_for_every_benchmark_workload_in_order():
     toy = {"workloads": [{"name": "b"}, {"name": "a"}]}
     assert workloads_named("all", toy) == ["b", "a"]
     assert workloads_named("c", toy) == ["c"]
+
+
+def test_least_total_sums_each_ops_least_time(monkeypatch):
+    """Each op counts with its least time over the passes, whichever pass
+    that was, and the count is the number of ops, not of passes."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tools extend it
+    least_total = _tool_module("op_times").least_total
+    assert least_total([[3.0, 1.0, 2.0], [1.0, 5.0, 4.0]]) == (3, 1.0 + 1.0 + 2.0)
+    assert least_total([[2.5, 7.0]]) == (2, 9.5)
+    assert least_total([[4.0], [2.0], [3.0]]) == (1, 2.0)

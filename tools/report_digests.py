@@ -43,7 +43,8 @@ import checks  # noqa: E402
 import workloads  # noqa: E402
 
 
-def _run(cli, argv: list[str]) -> tuple[object, str]:
+def run_quietly(cli, argv: list[str]) -> tuple[object, str]:
+    """(exit code, stdout) of `cli.main(argv)`, its stderr discarded."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -53,21 +54,32 @@ def _run(cli, argv: list[str]) -> tuple[object, str]:
     return code, out.getvalue()
 
 
-def _digests(cli, workload: str, seed: int) -> None:
-    ops = workloads.make_ops(workload, seed)
+@contextlib.contextmanager
+def op_documents(workload: str, seed: int, ops: list[dict]):
+    """Work in a temporary directory that holds the documents of `ops`,
+    written as the benchmark's set-up writes them, at the same relative
+    paths."""
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        Path(workloads.op_dir(workload, seed)).mkdir(parents=True)
-        for op in ops:
-            if op["doc"] is not None:
-                Path(op["path"]).write_text(checks.doc_text(op["doc"]), encoding="utf-8")
+        try:
+            Path(workloads.op_dir(workload, seed)).mkdir(parents=True)
+            for op in ops:
+                if op["doc"] is not None:
+                    Path(op["path"]).write_text(checks.doc_text(op["doc"]), encoding="utf-8")
+            yield
+        finally:
+            os.chdir(ROOT)
+
+
+def _digests(cli, workload: str, seed: int) -> None:
+    ops = workloads.make_ops(workload, seed)
+    with op_documents(workload, seed, ops):
         for op in ops:
             out_dir = Path("out", op["id"])
-            code, text = _run(cli, [*op["argv"], "--out", str(out_dir)])
+            code, text = run_quietly(cli, [*op["argv"], "--out", str(out_dir)])
             print(op["id"], code, hashlib.sha256(text.encode("utf-8")).hexdigest(),
                   _files_digest(out_dir))
             shutil.rmtree(out_dir, ignore_errors=True)
-        os.chdir(ROOT)
 
 
 def _files_digest(directory: Path) -> str:
