@@ -39,7 +39,7 @@ import os
 import sys
 from typing import Any
 
-from . import __version__, acceptance, specio
+from . import __version__, specio
 from .budgets import Budget, current, decode_json
 from .chabauty import certify_bounds, distance_up_to
 from .dynamics import (
@@ -464,6 +464,8 @@ def cmd_folner(args, budget: Budget):
 
 
 def cmd_suite(args, budget: Budget):
+    from . import acceptance  # the battery is read by this command alone
+
     numbers = None
     if args.only:
         try:

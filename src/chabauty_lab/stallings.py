@@ -39,7 +39,6 @@ from typing import Iterable, Sequence
 
 from . import zdlattice
 from .budgets import Budget, current
-from .chabauty import distance_up_to
 from .errors import ContextMismatchError, MalformedInputError
 from .words import (
     _CHAR_OF_RANK,
@@ -207,6 +206,63 @@ def coset_automaton(H: StallingsGraph | HomSubgroup):
         return (j, t)
 
     return BASEPOINT, step
+
+
+def _traces_agree(
+    H: StallingsGraph | HomSubgroup,
+    K: StallingsGraph | HomSubgroup,
+    radius: int,
+    budget: Budget,
+) -> bool:
+    """Whether H and K have equal traces on B(radius), read off their coset
+    automata to depth ⌈radius/2⌉ (see `hall_completion`).
+
+    A BFS over coset pairs (Hu, Ku) steps all 2r letters: coset automata
+    are total and inverse, so a word reaches the pair its reduction
+    reaches, and the pairs first reached by level d are those of the
+    reduced words of length ≤ d. Each inner pair, reached by level
+    ⌊radius/2⌋, is recorded as h → k and k → h, so the two maps hold
+    every inner pair, and a second value for a key is a Hu = Hv that
+    Ku = Kv does not match, or the other way round. For odd radii the
+    outer ring, at level ⌈radius/2⌉, is checked against the inner maps
+    only: two outer words make a word of length radius + 1. The pairs
+    reached answer to `vertex_cap` after each level, as in the product
+    search."""
+    h_start, h_step = coset_automaton(H)
+    k_start, k_step = coset_automaton(K)
+    letters = [x for g in range(1, H.ctx.rank + 1) for x in (g, -g)]
+    h_to_k, k_to_h = {h_start: k_start}, {k_start: h_start}
+    level = [(h_start, k_start)]
+    for _ in range(radius // 2):
+        new = []
+        for h, k in level:
+            for x in letters:
+                a, b = h_step(h, x), k_step(k, x)
+                seen = h_to_k.get(a)
+                if seen is None:
+                    if b in k_to_h:
+                        return False
+                    h_to_k[a], k_to_h[b] = b, a
+                    new.append((a, b))
+                elif seen != b:
+                    return False
+        if len(h_to_k) > budget.vertex_cap:
+            raise budget.exceeded("vertex_cap", "graph vertices", len(h_to_k))
+        if not new:
+            return True
+        level = new
+    if radius % 2:
+        ring = set()
+        for h, k in level:
+            for x in letters:
+                a, b = h_step(h, x), k_step(k, x)
+                if h_to_k.get(a, b) != b or k_to_h.get(b, a) != a:
+                    return False
+                if a not in h_to_k:
+                    ring.add((a, b))
+        if len(h_to_k) + len(ring) > budget.vertex_cap:
+            raise budget.exceeded("vertex_cap", "graph vertices", len(h_to_k) + len(ring))
+    return True
 
 
 def _basis_keys(K: StallingsGraph, H: StallingsGraph | None = None) -> list[str]:
@@ -700,6 +756,14 @@ def hall_completion(
     of length ≤ L uses a completion edge: the ball of K equals the ball of H,
     so the check of K against H below cannot fail.
 
+    The check is exact and reads only the Schreier balls of radius ⌈L/2⌉
+    (`_traces_agree`). A reduced w with |w| ≤ L is u·v⁻¹ with
+    |u| = ⌈|w|/2⌉ and |v| = ⌊|w|/2⌋, and w ∈ H ⟺ Hu = Hv. Conversely,
+    for any words with |u| ≤ ⌈L/2⌉ and |v| ≤ ⌊L/2⌋, u·v⁻¹ reduces to a
+    word of length ≤ L, which lies in H iff Hu = Hv. So H and K agree on
+    B(L) iff Hu = Hv ⟺ Ku = Kv for all such u and v: about (2r−1)^(L/2)
+    coset pairs, where a search of B(L) meets (2r−1)^L words.
+
     For finite-index H the graph is already a covering and is returned as-is.
     """
     budget = budget or current()
@@ -709,7 +773,7 @@ def hall_completion(
     if H.is_covering():
         return H
     K = _complete(H, L, budget)
-    if distance_up_to(H, K, L, budget).kind != "at_most":
+    if not _traces_agree(H, K, L, budget):
         raise AssertionError("completion failed to preserve the trace")  # unreachable
     return K
 

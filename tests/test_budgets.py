@@ -96,6 +96,10 @@ _RAISE_SITES = {
         "completion vertices", "vertex_cap", 3,
         lambda b: stallings.hall_completion(_gens("ab"), 3, b),
     ),
+    "stallings completion check": (
+        "graph vertices", "vertex_cap", 3,
+        lambda b: stallings._traces_agree(_gens("aab"), _gens("aaab"), 8, b),
+    ),
     "chabauty product search": (
         "graph vertices", "vertex_cap", 3,
         lambda b: chabauty.distance_up_to(_gens("aab"), _gens("aaab"), 8, b),
@@ -141,7 +145,7 @@ _RAISE_SITES = {
 
 @pytest.mark.parametrize("site", list(_RAISE_SITES))
 def test_budget_errors_name_their_field(site, monkeypatch):
-    """Each of the 13 raise sites names the field to enlarge: a key of
+    """Each of the 14 raise sites names the field to enlarge: a key of
     Budget.as_dict(), and the one whose value is the error's limit. Every
     site but the candidate search, which counts nothing past its cap, says
     how far the run got, past the limit. The message starts with what was

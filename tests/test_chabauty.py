@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import add
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chabauty_lab.budgets import Budget
@@ -37,6 +37,7 @@ from chabauty_lab.specio import json_of_clopen
 from chabauty_lab.stallings import (
     StallingsGraph,
     Target,
+    _traces_agree,
     from_generators,
     hall_completion,
     preimage,
@@ -287,6 +288,56 @@ def free_pairs(draw):
 def test_product_search_matches_ball_scan(pair):
     H, K, radius = pair
     assert distance_up_to(H, K, radius) == ball_scan_distance(H, K, radius)
+
+
+# ── the completion check: coset pairs to half the radius ─────────────────────
+
+
+@st.composite
+def half_radius_operands(draw, rank):
+    """A core graph, a Hall completion of one, or a lattice preimage."""
+    kind = draw(st.sampled_from(["graph", "completion", "lattice"]))
+    if kind == "lattice":
+        return draw(hom_subgroups(rank, kinds=("lattice",)))
+    H = draw(free_subgroups(rank))
+    if kind == "completion":
+        H = hall_completion(H, draw(st.integers(0, 4 if rank == 2 else 2)))
+    return H
+
+
+@st.composite
+def half_radius_pairs(draw):
+    """(H, K, radius) over F₂ or F₃ with radius 0..9: two operands drawn
+    apart, or a core graph and one of its completions, which agree up to
+    the completion's radius."""
+    rank = draw(st.sampled_from([2, 3]))
+    H = draw(half_radius_operands(rank))
+    if isinstance(H, StallingsGraph) and draw(st.booleans()):
+        K = hall_completion(H, draw(st.integers(0, 5 if rank == 2 else 3)))
+    else:
+        K = draw(half_radius_operands(rank))
+    return H, K, draw(st.integers(0, 9))
+
+
+@given(half_radius_pairs())
+# the trivial subgroup against ⟨aba⟩ and ⟨abAB⟩, told apart at lengths 3 and
+# 4: at radius 3 aba needs the outer ring, and abAB must not pair the ring
+# with itself; a word in one side only is seen by one of the two maps
+@example((gens(), gens("aba"), 2))
+@example((gens(), gens("aba"), 3))
+@example((gens(), gens("abAB"), 3))
+@example((gens(), gens("abAB"), 4))
+@settings(max_examples=200, deadline=None)
+def test_half_radius_check_matches_product_search(pair):
+    """The completion check agrees with the product search over B(radius),
+    in both argument orders."""
+    H, K, radius = pair
+    try:
+        expected = distance_up_to(H, K, radius).kind == "at_most"
+    except BudgetExceededError:
+        assume(False)
+    assert _traces_agree(H, K, radius, Budget()) == expected
+    assert _traces_agree(K, H, radius, Budget()) == expected
 
 
 def image_state_distance(H, K, radius):

@@ -1131,6 +1131,33 @@ def test_hall_completion_completes_once(monkeypatch):
         assert K.is_covering() and all(K.contains(x) for x in H.basis())
 
 
+@given(completion_inputs())
+@settings(max_examples=80, deadline=None)
+def test_completion_check_fits_every_completion_that_fits(drawn):
+    """The check meets one coset pair per vertex of H's Schreier ball of
+    radius ⌈L/2⌉ (K ≥ H, so Hu = Hv forces Ku = Kv), and K holds the ball
+    of radius L: a vertex_cap that K fits, the check fits too."""
+    H, L = drawn
+    K = hall_completion(H, L)
+    assert hall_completion(H, L, _cap(K.nverts)) == K
+
+
+@pytest.mark.parametrize("texts, radius, nverts", [(("a",), 1, 3), (("AA", "AbaBA"), 4, 100)])
+def test_completion_under_its_own_vertex_count(texts, radius, nverts):
+    """Under vertex_cap = |K|, the product search over B(radius) that checked
+    completions raises, as these completions once did (exit 3 in the CLI);
+    the half-radius check returns K. One vertex fewer stops the completion
+    itself."""
+    H = gens(*texts)
+    K = hall_completion(H, radius)
+    assert K.nverts == nverts
+    with pytest.raises(BudgetExceededError, match="graph vertices"):
+        distance_up_to(H, K, radius, _cap(nverts))
+    assert hall_completion(H, radius, _cap(nverts)) == K
+    with pytest.raises(BudgetExceededError, match="completion vertices"):
+        hall_completion(H, radius, _cap(nverts - 1))
+
+
 # ── the word route past 26 generators ───────────────────────────────────────
 
 F27 = free_group(27)

@@ -1,7 +1,8 @@
 """The tools that claims about a change rest on: per-op report digests of a
 source tree (``tools/report_digests.py``), alternating benchmark pairs of
-two checkouts (``tools/alternate_pairs.py``) and per-kind CPU times
-(``tools/op_times.py``)."""
+two checkouts (``tools/alternate_pairs.py``), per-kind CPU times
+(``tools/op_times.py``) and the timings of the README examples and the
+acceptance criteria (``tools/bench_examples.py``)."""
 
 import hashlib
 import importlib.util
@@ -113,3 +114,37 @@ def test_least_total_sums_each_ops_least_time(monkeypatch):
     assert least_total([[3.0, 1.0, 2.0], [1.0, 5.0, 4.0]]) == (3, 1.0 + 1.0 + 2.0)
     assert least_total([[2.5, 7.0]]) == (2, 9.5)
     assert least_total([[4.0], [2.0], [3.0]]) == (1, 2.0)
+
+
+def test_bench_examples_writes_one_row_per_example_and_criterion(tmp_path):
+    """One README example at N = 1 and one criterion, into a JSON document
+    of the documented shape."""
+    out = tmp_path / "BENCH_examples.json"
+    done = _tool("tools/bench_examples.py", "--runs", "1", "--criteria", "2",
+                 "--example", "chabauty pair.json --radius 8", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert set(report) == {"commit", "src_modified", "python", "pythondontwritebytecode",
+                           "runs", "examples", "criteria"}
+    assert report["runs"] == 1 and isinstance(report["pythondontwritebytecode"], bool)
+    (example,) = report["examples"]
+    assert example["command"] == "chabauty-lab chabauty pair.json --radius 8"
+    assert example["exit"] == [0]
+    for key in ("wall_s", "child_cpu_s"):
+        assert set(example[key]) == {"median", "p90"}
+        assert 0 < example[key]["median"] <= example[key]["p90"]
+    (criterion,) = report["criteria"]
+    assert criterion["criterion"] == 2 and criterion["passed"] is True
+    assert criterion["wall_s"] > 0 and criterion["cpu_s"] > 0
+
+
+def test_bench_examples_reads_the_readme_and_times_the_battery_by_criterion():
+    tool = _tool_module("bench_examples")
+    documents, commands = tool.readme_examples((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert {"even.json", "pair.json", "ker.json", "a.json"} <= set(documents)
+    assert json.loads(documents["a.json"])["generators"] == ["a"]
+    assert "witness a.json --radius 8 --out results/" in commands
+    assert [c for c in commands if tool.is_full_suite(c)] == ["suite --out results/"]
+    assert tool.nearest_rank([3.0, 1.0, 2.0], 0.9) == 3.0
+    assert tool.nearest_rank([float(i) for i in range(1, 11)], 0.9) == 9.0
+    assert tool.nearest_rank([5.0], 0.9) == 5.0
