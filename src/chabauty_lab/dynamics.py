@@ -12,6 +12,7 @@ and the deepest partial progress — never as a mathematical impossibility.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -542,18 +543,12 @@ def folner_transfer_check(
     if len(tolerances) != len(sets):
         raise MalformedInputError("one tolerance per candidate set")
     start, step = coset_automaton(H0)
-
-    def walk(state, w: Word):
-        for x in w:
-            state = step(state, x)
-        return state
-
     reports = []
     for B, tol in zip(sets, tolerances):
         B = [reduce_word(w) for w in B]
         if not B:
             raise MalformedInputError("candidate sets must be nonempty")
-        states = [walk(start, w) for w in B]
+        states = [functools.reduce(step, w, start) for w in B]
         first: dict = {}
         collision = None
         for k, state in enumerate(states):
@@ -571,8 +566,8 @@ def folner_transfer_check(
         for g in test_elements:
             g = reduce_word(g)
             # H0·gw is H0·g stepped by w
-            moved = walk(start, g)
-            matched = sum(1 for w in B if walk(moved, w) in first)
+            moved = functools.reduce(step, g, start)
+            matched = sum(1 for w in B if functools.reduce(step, w, moved) in first)
             ratio = Fraction(2 * (len(B) - matched), len(B))
             ratios.append((g, ratio))
             ok = ok and ratio <= tol

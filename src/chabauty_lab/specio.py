@@ -618,12 +618,10 @@ def dot_of_graph(G: StallingsGraph) -> str:
 
 
 def dot_of_schreier(S: SchreierGraph) -> str:
-    """Each vertex is labelled by its representative (1 for the trivial
-    coset); the frontier is gray."""
+    """Each vertex goes by its number, the trivial coset doublecircled and
+    the frontier gray; the BFS tree's edges spell the representatives."""
     return _dot("schreier", [
-        f'shape={"circle" if v else "doublecircle"}, '
-        f'label="{"".join(map(_dot_letter, S.rep(v))) or "1"}"'
-        + (", color=gray" if v in S.frontier else "")
+        ("shape=circle" if v else "shape=doublecircle") + (", color=gray" if v in S.frontier else "")
         for v in range(S.nverts)
     ], S.succ)
 

@@ -165,21 +165,11 @@ _CHAR_OF_LETTER = {
     for i, ch in enumerate(chars)
 }
 _LETTER_OF_CHAR = {ch: x for x, ch in _CHAR_OF_LETTER.items()}
-# Character ↦ its letter's word_key rank as a character: a ↦ chr(1), A ↦ chr(2), …
-_RANK_OF_CHAR = str.maketrans(
-    {ch: chr(2 * x - 1 if x > 0 else -2 * x) for x, ch in _CHAR_OF_LETTER.items()}
-)
-# and back, a table for `str.translate`: chr(1) ↦ a, chr(2) ↦ A, …
+# A letter's word_key rank as a character, back to its character, a table
+# for `str.translate`: chr(1) ↦ a, chr(2) ↦ A, …
 _CHAR_OF_RANK = str.maketrans(
     {chr(2 * x - 1 if x > 0 else -2 * x): ch for x, ch in _CHAR_OF_LETTER.items()}
 )
-
-
-def text_key(text: str):
-    """word_key of the word a text spells, read off the text: its length,
-    then its characters ranked a < A < b < B < …, so sorting texts by it
-    sorts their words canonically."""
-    return (len(text), text.translate(_RANK_OF_CHAR))
 
 
 def parse_word(text: str, ctx: GroupContext | None = None) -> Word:

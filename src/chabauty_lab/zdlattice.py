@@ -97,56 +97,53 @@ class HnfSubgroup:
 def hnf_from_generators(dim: int, generators: Iterable[Sequence[int]]) -> HnfSubgroup:
     """Canonical HNF of the sublattice spanned by the generators.
 
-    Exact integer elimination: for each column in order, combine all rows with
-    a nonzero entry there by the Euclidean algorithm until one carries the
-    gcd; rows left with a zero entry move on to later columns. A final pass
-    reduces above-pivot entries into [0, pivot).
+    The generators are inserted one at a time, and the rows are an HNF again
+    after each (Kannan–Bachem; Cohen, GTM 138, §2.4), so no entry outgrows
+    the HNF's own. At each pivot column where v is nonzero, the Euclidean
+    algorithm leaves the gcd in the pivot row and a zero in v; at v's first
+    nonzero column without a pivot, v (made positive there) becomes that
+    column's pivot row. Then the entries above the pivots are reduced into
+    [0, pivot), bottom row first, in the rows this insertion touched and in
+    the rows above a touched pivot whose entry there fell out of range, each
+    from that pivot on. Every other entry was in range and stays so.
     """
     if not isinstance(dim, int) or dim < 1:
         raise MalformedInputError("dimension must be a positive integer")
-    rows: list[list[int]] = []
+    rows: dict[int, list[int]] = {}  # pivot column -> row
+    cols: list[int] = []  # pivot columns, ascending
     for g in generators:
-        g = [int(x) for x in g]
-        if len(g) != dim:
-            raise MalformedInputError(
-                f"generator {g} has length {len(g)}, expected {dim}"
-            )
-        if any(x != 0 for x in g):
-            rows.append(g)
-    hnf_rows: list[list[int]] = []
-    for col in range(dim):
-        carrier: list[int] | None = None
-        rest: list[list[int]] = []
-        for r in rows:
-            if r[col] == 0:
-                rest.append(r)
+        v = [int(x) for x in g]
+        if len(v) != dim:
+            raise MalformedInputError(f"generator {v} has length {len(v)}, expected {dim}")
+        touched = []
+        for c in range(dim):
+            if v[c] == 0:
                 continue
-            if carrier is None:
-                carrier = r
-                continue
-            a, b = carrier, r
-            while b[col] != 0:
-                q = a[col] // b[col]
-                a = [x - q * y for x, y in zip(a, b)]
-                a, b = b, a
-            carrier = a
-            if any(b):
-                rest.append(b)
-        rows = rest
-        if carrier is not None:
-            if carrier[col] < 0:
-                carrier = [-x for x in carrier]
-            hnf_rows.append(carrier)
-    # reduce above-pivot entries; pivot rows below have zeros at earlier
-    # pivot columns, so top-to-bottom passes never undo earlier reductions
-    for i in range(len(hnf_rows)):
-        c = next(j for j, x in enumerate(hnf_rows[i]) if x != 0)
-        p = hnf_rows[i][c]
-        for k in range(i):
-            q = hnf_rows[k][c] // p
-            if q:
-                hnf_rows[k] = [x - q * y for x, y in zip(hnf_rows[k], hnf_rows[i])]
-    return HnfSubgroup(dim, tuple(tuple(r) for r in hnf_rows))
+            touched.append(c)
+            if c not in rows:
+                rows[c] = v if v[c] > 0 else [-x for x in v]
+                cols.insert(bisect_left(cols, c), c)
+                break
+            a = rows[c]
+            while v[c]:
+                q = a[c] // v[c]
+                a, v = v, [x - q * y for x, y in zip(a, v)]
+            rows[c] = a if a[c] > 0 else [-x for x in a]
+        # row -> index of the first pivot it is reduced at
+        dirty = {c: bisect_left(cols, c) + 1 for c in touched}
+        for c in touched:
+            i = bisect_left(cols, c)
+            for r in cols[:i]:
+                if r not in dirty and not 0 <= rows[r][c] < rows[c][c]:
+                    dirty[r] = i
+        for r in sorted(dirty, reverse=True):
+            row = rows[r]
+            for c in cols[dirty[r]:]:
+                q = row[c] // rows[c][c]
+                if q:
+                    row = [x - q * y for x, y in zip(row, rows[c])]
+            rows[r] = row
+    return HnfSubgroup(dim, tuple(tuple(rows[c]) for c in cols))
 
 
 def cb_erasing_rank(H: HnfSubgroup) -> int:

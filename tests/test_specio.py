@@ -384,23 +384,21 @@ def test_a_repeated_malformed_clopen_document_keeps_its_error(bad, message):
 # ── DOT artifacts ─────────────────────────────────────────────────────────────
 
 # Texts written by the two graph classes' own DOT writers before the one
-# writer replaced them.
+# writer replaced them; the Schreier vertices go by their numbers.
 _GOLDEN_CORE_A2_B_ABA = (
     'digraph stallings {\n  rankdir=LR;\n  0 [shape=doublecircle];\n  1 [shape=circle];\n'
     '  0 -> 1 [label="a"];\n  1 -> 0 [label="a"];\n  0 -> 0 [label="b"];\n'
     '  1 -> 1 [label="b"];\n}\n'
 )
 _GOLDEN_SCHREIER_A2_B_ABA = (
-    'digraph schreier {\n  rankdir=LR;\n  0 [shape=doublecircle, label="1"];\n'
-    '  1 [shape=circle, label="a"];\n  0 -> 1 [label="a"];\n  1 -> 0 [label="a"];\n'
-    '  0 -> 0 [label="b"];\n  1 -> 1 [label="b"];\n}\n'
+    'digraph schreier {\n  rankdir=LR;\n  0 [shape=doublecircle];\n  1 [shape=circle];\n'
+    '  0 -> 1 [label="a"];\n  1 -> 0 [label="a"];\n  0 -> 0 [label="b"];\n'
+    '  1 -> 1 [label="b"];\n}\n'
 )
 _GOLDEN_SCHREIER_KER_R3 = (
-    'digraph schreier {\n  rankdir=LR;\n  0 [shape=doublecircle, label="1"];\n'
-    '  1 [shape=circle, label="a"];\n  2 [shape=circle, label="A"];\n'
-    '  3 [shape=circle, label="aa"];\n  4 [shape=circle, label="AA"];\n'
-    '  5 [shape=circle, label="aaa", color=gray];\n'
-    '  6 [shape=circle, label="AAA", color=gray];\n'
+    'digraph schreier {\n  rankdir=LR;\n  0 [shape=doublecircle];\n'
+    '  1 [shape=circle];\n  2 [shape=circle];\n  3 [shape=circle];\n  4 [shape=circle];\n'
+    '  5 [shape=circle, color=gray];\n  6 [shape=circle, color=gray];\n'
     '  0 -> 1 [label="a"];\n  1 -> 3 [label="a"];\n  2 -> 0 [label="a"];\n'
     '  3 -> 5 [label="a"];\n  4 -> 2 [label="a"];\n  6 -> 4 [label="a"];\n'
     '  0 -> 0 [label="b"];\n  1 -> 1 [label="b"];\n  2 -> 2 [label="b"];\n'
@@ -423,6 +421,35 @@ def test_dot_artifacts_match_their_golden_text():
     assert specio.dot_of_schreier(build(ker, 3)) == _GOLDEN_SCHREIER_KER_R3
     G = from_generators(free_group(27), [(27, 27), (1,)])
     assert specio.dot_of_graph(G) == _GOLDEN_CORE_RANK_27
+
+
+def test_schreier_dot_spells_every_representative():
+    """rep(v) reads off schreier.dot: v's BFS parent p is its least-numbered
+    neighbour, and rep(v) is rep(p) and the first letter, in the order a, A,
+    b, B, …, that takes p to v (x for an edge p -> v labelled x, x⁻¹ for an
+    edge v -> p labelled x)."""
+    import re
+
+    from chabauty_lab.schreier import build
+
+    F27 = free_group(27)
+    for H, radius in (
+        (from_generators(F2, [parse_word(w, F2) for w in ("aa", "b", "abA")]), 2),
+        (from_generators(F2, [parse_word("abA", F2)]), 3),
+        (kernel(F2, Target("lattice", 1), [(1,), (0,)]), 3),
+        (from_generators(F27, [(27, 1)]), 1),
+    ):
+        S = build(H, radius)
+        letter_of = {specio._dot_letter(g): g for g in range(1, S.ctx.rank + 1)}
+        edges = re.findall(r'(\d+) -> (\d+) \[label="(\w+)"\]', specio.dot_of_schreier(S))
+        reps = {0: ()}
+        for v in range(1, S.nverts):
+            steps = [(int(u), letter_of[x]) for u, w, x in edges if int(w) == v]
+            steps += [(int(w), -letter_of[x]) for u, w, x in edges if int(u) == v]
+            p = min(u for u, _ in steps)
+            x = min((x for u, x in steps if u == p), key=lambda x: (abs(x), x < 0))
+            reps[v] = reps[p] + (x,)
+        assert reps == {v: S.rep(v) for v in range(S.nverts)}
 
 
 def test_cli_writes_the_golden_dot_artifacts(capsys, tmp_path):

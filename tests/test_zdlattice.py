@@ -118,6 +118,123 @@ def test_generators_are_members(vs):
         assert H.contains(v)
 
 
+def _oracle_hnf(dim, generators):
+    """The elimination that insertion replaced: for each column in order,
+    combine all rows with a nonzero entry there by the Euclidean algorithm
+    until one carries the gcd; rows left with a zero entry move on to later
+    columns. A final pass reduces above-pivot entries into [0, pivot). The
+    entries of the waiting rows grow with the dimension."""
+    rows = [list(g) for g in generators if any(g)]
+    hnf_rows = []
+    for col in range(dim):
+        carrier = None
+        rest = []
+        for r in rows:
+            if r[col] == 0:
+                rest.append(r)
+                continue
+            if carrier is None:
+                carrier = r
+                continue
+            a, b = carrier, r
+            while b[col] != 0:
+                q = a[col] // b[col]
+                a = [x - q * y for x, y in zip(a, b)]
+                a, b = b, a
+            carrier = a
+            if any(b):
+                rest.append(b)
+        rows = rest
+        if carrier is not None:
+            if carrier[col] < 0:
+                carrier = [-x for x in carrier]
+            hnf_rows.append(carrier)
+    for i in range(len(hnf_rows)):
+        c = next(j for j, x in enumerate(hnf_rows[i]) if x != 0)
+        p = hnf_rows[i][c]
+        for k in range(i):
+            q = hnf_rows[k][c] // p
+            if q:
+                hnf_rows[k] = [x - q * y for x, y in zip(hnf_rows[k], hnf_rows[i])]
+    return tuple(tuple(r) for r in hnf_rows)
+
+
+@st.composite
+def generator_sets(draw):
+    """(dim, generators) with dims 1–6 and up to 8 generators: random rows,
+    zero rows, multiples of unit vectors and integer combinations of earlier
+    rows (so rank-deficient sets), with entries up to 10³⁰."""
+    dim = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+    gens = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "zero", "axis", "combination"]))
+        if kind == "zero":
+            g = [0] * dim
+        elif kind == "axis":
+            g = [0] * dim
+            g[draw(st.integers(0, dim - 1))] = draw(entry)
+        elif kind == "combination" and gens:
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            x, y = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+            g = [x * s + y * t for s, t in zip(a, b)]
+        else:
+            g = draw(st.lists(entry, min_size=dim, max_size=dim))
+        gens.append(tuple(g))
+    return dim, gens
+
+
+@given(generator_sets())
+@example((3, [(0, 0, 0)]))
+@example((2, [(1, 3), (0, 5)]))
+@example((3, [(0, 0, 0), (2, 0, 1), (0, 0, 0)]))  # zero rows
+@example((3, [(1, 2, 3), (2, 4, 6), (3, 5, 7), (4, 7, 10)]))  # rank 2
+@example((2, [(6, 4), (10, 15), (4, -6), (3, 3)]))  # more generators than dims
+@example((3, [(0, 0, -6), (0, 4, 0), (9, 0, 0), (0, 0, 10)]))  # unit-vector multiples
+@example((3, [(10**30, 3, -1), (7, -(10**30), 2), (1, 1, 10**30 - 1)]))
+@settings(max_examples=300, deadline=None)
+def test_insertion_hnf_matches_the_elimination_oracle(case):
+    dim, gens = case
+    assert hnf_from_generators(dim, gens).rows == _oracle_hnf(dim, gens)
+
+
+def _bareiss_det(matrix):
+    """Determinant by Bareiss's fraction-free elimination: every division
+    is exact, so the entries stay minors of the matrix."""
+    m = [list(r) for r in matrix]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+@pytest.mark.parametrize("d", [36, 42])
+def test_insertion_hnf_of_d_random_generators_in_z_d(d):
+    """d generators with entries in [−9, 9]: the elimination oracle's
+    entries grow past millions of bits here and it does not finish. The rows
+    are an HNF, each generator is a member, and the index is |det| of the
+    generators, so the HNF spans exactly their lattice."""
+    import random
+
+    rng = random.Random(d)
+    gens = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+    H = hnf_from_generators(d, gens)
+    assert [c for _, c in H.pivots] == list(range(d))
+    for i, c in H.pivots:
+        assert H.rows[i][c] > 0
+        assert all(0 <= H.rows[k][c] < H.rows[i][c] for k in range(i))
+    assert all(H.contains(g) for g in gens)
+    assert H.index() == abs(_bareiss_det(gens)) > 0
+
+
 # ── invariants ───────────────────────────────────────────────────────────────
 
 
