@@ -21,12 +21,12 @@ from .chabauty import ClopenSet, _meets, clopen, distance_up_to, in_clopen
 from .errors import MalformedInputError, SearchFailure, TaskInvalidError
 from .stallings import (
     StallingsGraph,
+    _completion,
     basis_outside,
     conjugate_subgroup,
     coset_automaton,
     fold,
     from_generators,
-    hall_completion,
     intersect,
     join,
     trivial_subgroup,
@@ -53,7 +53,9 @@ from .words import (
 class WitnessTerm:
     """One term of a nonisolation witness: the finite-index completion K_n
     that agrees with H up to n, the adjoined element k_n ∈ K_n ∖ H, and the
-    strictly-larger infinite-index term H_n = ⟨H, k_n⟩ ⊆ K_n."""
+    strictly-larger infinite-index term H_n = ⟨H, k_n⟩ ⊆ K_n. K_n is numbered
+    as built (`stallings._completion`), not canonically: reports read only
+    its index."""
 
     n: int
     completion: StallingsGraph
@@ -107,7 +109,7 @@ def nonisolation_witness(
     for n in range(1, length + 1):
         term = None
         for extra in range(budget.witness_radius_slack + 1):
-            K = hall_completion(H, n + extra, budget)
+            K, _ = _completion(H, n + extra, budget)
             for k in basis_outside(K, H, budget.witness_candidate_cap):
                 H_n = join(H, [k], budget)
                 if H_n.index() is None:

@@ -14,7 +14,9 @@ Reported graphs are canonical: vertices are numbered by BFS from the
 basepoint, scanning letters in the canonical order (gen 1 out, gen 1 in, gen 2
 out, ...). Equal subgroups therefore have identical representations, and
 equality/hashing are structural. The BFS tree of that numbering is recorded
-with the graph; free bases and Hall completions read it.
+with the graph; free bases and Hall completions read it. A nonisolation
+witness's completions, whose index alone is printed, keep their build
+numbering when H's core lies within the completion radius (see `_complete`).
 
 Queried subgroups stay folded: a subgroup that is only walked (intersected,
 measured against another, checked against a clopen set) is the folded builder
@@ -750,7 +752,7 @@ def hall_completion(
     Construction: take the core of H together with its Schreier ball of radius
     L (grown by BFS, creating hanging-tree vertices for missing edges), then
     complete each generator's partial permutation by matching deficient
-    sources to deficient targets in canonical vertex order. Every deficient
+    sources to deficient targets in id order. Every deficient
     vertex lies at Schreier distance ≥ L from the basepoint, and a reduced
     basepoint loop of length ℓ ≤ L stays within distance ⌊ℓ/2⌋ < L, so no loop
     of length ≤ L uses a completion edge: the ball of K equals the ball of H,
@@ -765,32 +767,45 @@ def hall_completion(
     coset pairs, where a search of B(L) meets (2r−1)^L words.
 
     For finite-index H the graph is already a covering and is returned as-is.
+    K is numbered canonically: renumbered here if `_complete` left it as built.
     """
+    K, as_built = _completion(H, agreement_radius, budget)
+    return _canonical(K.ctx, range(K.nverts), K.succ, K.pred, BASEPOINT) if as_built else K
+
+
+def _completion(H: StallingsGraph, L: int, budget: Budget | None) -> tuple[StallingsGraph, bool]:
+    """`hall_completion`'s checked K as `_complete` numbers it, and whether
+    `_complete` left it in build numbering."""
     budget = budget or current()
-    L = agreement_radius
     if L < 0:
         raise MalformedInputError("agreement radius must be >= 0")
     if H.is_covering():
-        return H
-    K = _complete(H, L, budget)
+        return H, False
+    K, as_built = _complete(H, L, budget)
     if not _traces_agree(H, K, L, budget):
         raise AssertionError("completion failed to preserve the trace")  # unreachable
-    return K
+    return K, as_built
 
 
-def _complete(H: StallingsGraph, L: int, budget: Budget) -> StallingsGraph:
+def _complete(H: StallingsGraph, L: int, budget: Budget) -> tuple[StallingsGraph, bool]:
     """The completion `hall_completion` describes, of a non-covering H. The
     core's Schreier distances are dist[parent[v]] + 1 along H's recorded
     BFS tree, with no table probed. Once the ball is grown, every vertex
     closer than L has all 2r edges, so the matching scans only the layers
-    from L on, in id order: it pairs what a scan of every vertex pairs."""
+    from L on, in id order: it pairs what a scan of every vertex pairs.
+    If H's core lies within L, K keeps its build numbering (core ids, then
+    hung vertices as created) with its canonical BFS tree: H's on the core,
+    the hanging edge on a hung vertex (a matching edge joins vertices at
+    distance ≥ L, so it is on no shortest path to a vertex within L).
+    Otherwise `_canonical` numbers K. Returns K and whether it is as built."""
     r = H.ctx.rank
     succ = [dict(s) for s in H.succ]
     pred = [dict(p) for p in H.pred]
     tables = [t for g in range(r) for t in ((succ[g], pred[g]), (pred[g], succ[g]))]
+    parent, via = map(list, H.tree)
     # H's numbering is BFS order, so each layer comes out in id order.
     dist = [0]
-    for p in islice(H.tree[0], 1, None):
+    for p in islice(parent, 1, None):
         dist.append(dist[p] + 1)
     layers: list[list[int]] = [[] for _ in range(dist[-1] + 1)]
     for u, d in enumerate(dist):
@@ -803,13 +818,15 @@ def _complete(H: StallingsGraph, L: int, budget: Budget) -> StallingsGraph:
         if d + 1 == len(layers):
             layers.append([])
         for u in layers[d]:
-            for out, back in tables:
+            for t, (out, back) in enumerate(tables):
                 if u not in out:
                     if nverts >= budget.vertex_cap:
                         raise budget.exceeded("vertex_cap", "completion vertices", nverts + 1)
                     out[u] = nverts
                     back[nverts] = u
                     layers[d + 1].append(nverts)
+                    parent.append(u)
+                    via.append(t)
                     nverts += 1
     # Complete each generator's partial injection into a permutation.
     deficient = sorted(chain.from_iterable(layers[L:]))
@@ -819,7 +836,9 @@ def _complete(H: StallingsGraph, L: int, budget: Budget) -> StallingsGraph:
         for u, v in zip(sources, targets):
             succ[g][u] = v
             pred[g][v] = u
-    return _canonical(H.ctx, range(nverts), succ, pred, BASEPOINT)
+    if dist[-1] <= L:
+        return StallingsGraph(H.ctx, nverts, tuple(succ), (parent, via)), True
+    return _canonical(H.ctx, range(nverts), succ, pred, BASEPOINT), False
 
 
 # ── homomorphism-defined subgroups ───────────────────────────────────────────

@@ -18,12 +18,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import chabauty_lab
-from chabauty_lab import specio
+from chabauty_lab import specio, stallings
 from chabauty_lab.budgets import current
 from chabauty_lab.chabauty import clopen
 from chabauty_lab.cli import _PAIRED_DEMO, main
 from chabauty_lab.dynamics import make_task, multi_transitivity_move
-from chabauty_lab.stallings import from_generators
+from chabauty_lab.stallings import from_generators, hall_completion
 from chabauty_lab.words import free_group, parse_word
 from chabauty_lab.zdlattice import enumerate_by_index
 
@@ -492,6 +492,22 @@ def test_stallings_vertex_blowout_is_three(capsys, tmp_path):
     code, out, _ = run(capsys, "stallings", spec, "--budget-vertices", "5")
     assert code == 0
     assert json.loads(out)["result"]["subgroup"]["vertices"] == 2
+
+
+def test_stallings_prints_the_canonical_completion(capsys, tmp_path):
+    """⟨ba⟩'s completion at radius 2 is built in another numbering than the
+    canonical one; the report prints the canonical graph."""
+    H = from_generators(free_group(2), [parse_word("ba", free_group(2))])
+    built, as_built = stallings._completion(H, 2, current())
+    canonical = hall_completion(H, 2)
+    assert as_built and built.succ != canonical.succ
+    spec = spec_file(tmp_path, "h.json", {"context": F2_CTX, "generators": ["ba"],
+                                          "completion_radius": 2})
+    code, out, _ = run(capsys, "stallings", spec)
+    assert code == 0
+    completion = json.loads(out)["result"]["completion"]
+    assert completion.pop("agreement_radius") == 2
+    assert completion == json.loads(specio.canonical_json(specio.json_of_graph(canonical)))
 
 
 def test_equal_pair_at_radius_12_and_13(capsys, tmp_path):

@@ -15,7 +15,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chabauty_lab import dynamics, specio, stallings
@@ -124,8 +124,8 @@ def test_nonisolation_rejects_rank_one():
 
 
 def _oracle_witness_terms(H, length, budget):
-    """(n, K_n, k_n) of nonisolation_witness by the word route: the whole
-    basis of K_n, each word walked through H."""
+    """(n, K_n, basis of K_n, k_n) of nonisolation_witness by the word
+    route: the whole basis of K_n, each word walked through H."""
     terms = []
     for n in range(1, length + 1):
         for extra in range(budget.witness_radius_slack + 1):
@@ -134,15 +134,24 @@ def _oracle_witness_terms(H, length, budget):
             good = [k for k in candidates[: budget.witness_candidate_cap]
                     if join(H, [k], budget).index() is None]
             if good:
-                terms.append((n, K, good[0]))
+                terms.append((n, K, K.basis(), good[0]))
                 break
         else:
             raise BudgetExceededError("nonisolation candidates", budget.witness_candidate_cap)
     return terms
 
 
+def _canonical_of(K):
+    return stallings._canonical(K.ctx, range(K.nverts), K.succ, K.pred, 0)
+
+
 def _terms(witness):
-    return [(t.n, t.completion, t.adjoined) for t in witness.terms]
+    """(n, K_n, basis of K_n, k_n), each K_n renumbered canonically: a
+    witness keeps its completions as built, and reads their bases so."""
+    return [
+        (t.n, _canonical_of(t.completion), t.completion.basis(), t.adjoined)
+        for t in witness.terms
+    ]
 
 
 @st.composite
@@ -169,6 +178,7 @@ def test_candidates_match_the_membership_walk(pair, cap):
 @given(st.sampled_from([2, 3]).flatmap(
     lambda r: st.lists(_raw_words(r), min_size=1, max_size=3).map(lambda ws: (r, ws))
 ), st.integers(1, 2))
+@example((2, [(1, 1, 1, 1, 1, 2)]), 2)  # the core of ⟨a⁵b⟩ reaches past L = 1, 2
 @settings(max_examples=30, deadline=None)
 def test_nonisolation_matches_the_word_route(drawn, length):
     rank, words = drawn

@@ -1081,9 +1081,13 @@ def completion_inputs(draw):
     return H, draw(st.integers(0, 6))
 
 
+def _renumbered(K):
+    return stallings._canonical(K.ctx, range(K.nverts), K.succ, K.pred, BASEPOINT)
+
+
 def _completion_outcome(complete, H, L, cap):
     try:
-        return complete(H, L, _cap(cap))
+        return _renumbered(complete(H, L, _cap(cap)))
     except BudgetExceededError:
         return "exceeded"
 
@@ -1098,13 +1102,49 @@ def test_layered_completion_matches_heap_oracle(drawn, cap_fraction):
     """Equal graphs, and under the same vertex_cap the same raise: the
     cap-th created vertex is the first refused by both."""
     H, L = drawn
-    K = stallings._complete(H, L, Budget())
-    assert K == _oracle_complete(H, L, Budget())
+    K, _ = stallings._complete(H, L, Budget())
+    assert _renumbered(K) == _oracle_complete(H, L, Budget())
     n = K.nverts  # the completion keeps every vertex it creates
     for cap in {n, n - 1, max(1, round(n * cap_fraction))}:
-        layered = _completion_outcome(stallings._complete, H, L, cap)
+        layered = _completion_outcome(lambda *a: stallings._complete(*a)[0], H, L, cap)
         assert layered == _completion_outcome(_oracle_complete, H, L, cap)
         assert (layered == "exceeded") == (cap < n and n > H.nverts)
+
+
+def _tree_words(G):
+    """The tree word of each vertex, read down G's recorded tree, which
+    must list every parent before its child."""
+    parent, via = G.tree
+    words = [()]
+    for v in range(1, G.nverts):
+        assert parent[v] < v
+        g = via[v] // 2 + 1
+        words.append(words[parent[v]] + (-g if via[v] % 2 else g,))
+    return words
+
+
+@given(completion_inputs())
+@example((from_generators(F2, [(1, 1, 1, 1, 1, 2)]), 1))  # a core past L
+@example((from_generators(F2, [(1, 2, -1)]), 0))
+@example((trivial_subgroup(F3), 0))
+@settings(max_examples=80, deadline=None)
+def test_completion_as_built_reads_as_the_canonical_one(drawn):
+    """K as `_complete` numbers it is the canonical completion renumbered:
+    its recorded tree is the canonical tree, vertex for vertex through the
+    tree words, and its basis and the candidates outside H are the
+    canonical completion's."""
+    H, L = drawn
+    K, as_built = stallings._complete(H, L, Budget())
+    C = _oracle_complete(H, L, Budget())
+    assert _renumbered(K) == C
+    if not as_built:
+        assert K.succ == C.succ
+    canonical_words = _tree_words(C)
+    for word in _tree_words(K):
+        assert canonical_words[C.walk(BASEPOINT, word)] == word
+    assert (K.basis(), K.basis_text()) == (C.basis(), C.basis_text())
+    for cap in (1, 2, 20, 10**6):
+        assert basis_outside(K, H, cap) == basis_outside(C, H, cap)
 
 
 def test_hall_completion_completes_once(monkeypatch):
