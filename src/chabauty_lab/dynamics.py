@@ -22,6 +22,7 @@ from .errors import MalformedInputError, SearchFailure, TaskInvalidError
 from .stallings import (
     StallingsGraph,
     _completion,
+    _walk_outside,
     basis_outside,
     conjugate_subgroup,
     coset_automaton,
@@ -89,9 +90,12 @@ def nonisolation_witness(
     order (some exists: all of them inside H would force K_n = ⟨basis⟩ ⊆ H);
     a candidate is rejected if ⟨H, k_n⟩ has finite index, and when all
     candidates within the cap fail the completion radius is enlarged, which
-    refreshes the candidate pool. When every radius fails the error bears no
-    `reached`: `basis_outside` stops at the cap, so no count of the
-    candidates past it is ever taken.
+    refreshes the candidate pool. A K_n left as built (H's core lies within
+    the radius) yields its candidates by an ordered walk of its tree
+    (`stallings._walk_outside`), and any other K_n by `basis_outside`; both
+    give the same words. When every radius fails the error bears no
+    `reached`: both routes stop at the cap, so no count of the candidates
+    past it is ever taken.
     """
     budget = budget or current()
     if H.index() is not None:
@@ -109,8 +113,9 @@ def nonisolation_witness(
     for n in range(1, length + 1):
         term = None
         for extra in range(budget.witness_radius_slack + 1):
-            K, _ = _completion(H, n + extra, budget)
-            for k in basis_outside(K, H, budget.witness_candidate_cap):
+            K, as_built = _completion(H, n + extra, budget)
+            outside = _walk_outside if as_built else basis_outside
+            for k in outside(K, H, budget.witness_candidate_cap):
                 H_n = join(H, [k], budget)
                 if H_n.index() is None:
                     term = WitnessTerm(n, K, k, H_n)

@@ -16,7 +16,10 @@ out, ...). Equal subgroups therefore have identical representations, and
 equality/hashing are structural. The BFS tree of that numbering is recorded
 with the graph; free bases and Hall completions read it. A nonisolation
 witness's completions, whose index alone is printed, keep their build
-numbering when H's core lies within the completion radius (see `_complete`).
+numbering when H's core lies within the completion radius (see `_complete`),
+and the witness reads their candidates by a walk of that tree in letter
+order which stops at the cap (`_walk_outside`); the candidates of the other
+completions are ranked by `basis_outside`, which sorts every basis key.
 
 Queried subgroups stay folded: a subgroup that is only walked (intersected,
 measured against another, checked against a clopen set) is the folded builder
@@ -62,11 +65,16 @@ class StallingsGraph:
 
     __slots__ = ("ctx", "nverts", "succ", "pred", "_tree", "_hash")
 
-    def __init__(self, ctx: GroupContext, nverts: int, succ: tuple[dict, ...], tree=None):
+    def __init__(
+        self, ctx: GroupContext, nverts: int, succ: tuple[dict, ...], tree=None, pred=None
+    ):
         self.ctx = ctx
         self.nverts = nverts
         self.succ = succ
-        self.pred = tuple({v: u for u, v in s.items()} for s in succ)
+        # the inverse tables, derived unless the builder hands over its own
+        if pred is None:
+            pred = tuple({v: u for u, v in s.items()} for s in succ)
+        self.pred = pred
         self._tree = tree  # derived by the first read of `tree` if not given
         self._hash: int | None = None  # computed by the first __hash__
 
@@ -322,6 +330,55 @@ def basis_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
     the keys of the words outside H are ranked, and only the first `cap`
     are read back into words."""
     return _words_of_keys(K.ctx, _basis_keys(K, H)[:cap])
+
+
+def _walk_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
+    """`basis_outside(K, H, cap)` of a completion that `_complete` left as
+    built, read by a walk of K's recorded tree that stops after `cap` words.
+
+    K keeps H's core ids and tree, and the core lies within L, so every
+    vertex closer than L has all 2r edges and layer L is the deficient
+    one, made of leaves. A non-tree edge of K is an edge of H, whose basis
+    word lies in H, or a matching edge u --g--> v between two leaves of
+    layer L, whose word leaves H: its walk leaves the core at a hung end,
+    and H lacks the g-edge at a core end. So the words outside H are those
+    of the matching edges, all of length 2L + 1, and `word_key` orders
+    them by (tree word of u, g). A depth-first walk down the tree in table
+    order meets the leaves in the order of their tree words, and each
+    leaf's out-tables in the order of g. Only the words read are spelled,
+    up the parent links. The walk keeps its own stack: the tree may be
+    deeper than Python's recursion limit."""
+    tables = list(chain.from_iterable(zip(K.succ, K.pred)))
+    letters = [x for g in range(1, K.ctx.rank + 1) for x in (g, -g)]  # by table
+    parent, via = K.tree
+    h_succ, core = H.succ, H.nverts
+    edges: list[tuple[int, int, int]] = []
+    stack = [BASEPOINT]
+    while stack and len(edges) < cap:
+        u = stack.pop()
+        up = via[u] ^ 1  # the table back to u's parent
+        children = []
+        for t, table in enumerate(tables):
+            v = table[u]  # K is a covering
+            if via[v] == t:
+                children.append(v)
+            elif not t & 1 and t != up and (u >= core or u not in h_succ[t >> 1]):
+                edges.append((u, t >> 1, v))
+                if len(edges) == cap:
+                    break
+        stack.extend(reversed(children))
+
+    def up_word(v: int) -> list[int]:
+        """v's tree word, reversed."""
+        word = []
+        while v != BASEPOINT:
+            word.append(letters[via[v]])
+            v = parent[v]
+        return word
+
+    return [
+        (*reversed(up_word(u)), g + 1, *[-x for x in up_word(v)]) for u, g, v in edges
+    ]
 
 
 # ── construction pipeline ────────────────────────────────────────────────────
@@ -837,7 +894,7 @@ def _complete(H: StallingsGraph, L: int, budget: Budget) -> tuple[StallingsGraph
             succ[g][u] = v
             pred[g][v] = u
     if dist[-1] <= L:
-        return StallingsGraph(H.ctx, nverts, tuple(succ), (parent, via)), True
+        return StallingsGraph(H.ctx, nverts, tuple(succ), (parent, via), tuple(pred)), True
     return _canonical(H.ctx, range(nverts), succ, pred, BASEPOINT), False
 
 

@@ -152,8 +152,10 @@ def test_budget_errors_name_their_field(site, monkeypatch):
     counted and the limit."""
     what, field, small, call = _RAISE_SITES[site]
     if site == "dynamics witness candidates":
-        # every candidate refused: the search runs out of candidates
-        monkeypatch.setattr(dynamics, "basis_outside", lambda K, H, cap: [])
+        # every candidate refused, whichever route ranked it (the ordered
+        # walk for the completions left as built, `basis_outside` for the
+        # rest): each ⟨H, k⟩ has finite index, and the search runs out
+        monkeypatch.setattr(dynamics, "join", lambda H, extra, budget: _gens("a", "b"))
     budget = Budget().replace(**{field: small})
     with pytest.raises(BudgetExceededError) as info:
         call(budget)

@@ -12,7 +12,9 @@ The hand-checked fixtures:
 The worklist fold is checked against the full-rebuild edge-set fold it
 replaced (`_oracle_core`), `basis` against the path-tuple construction, the
 speller that reads the recorded BFS tree against the BFS speller it replaced,
-and the layered completion against the heap-ordered one it replaced.
+the layered completion against the heap-ordered one it replaced, and the
+ordered walk that reads the witness candidates of a completion left as built
+against `basis_outside`, which ranks every basis key.
 """
 
 import heapq
@@ -1145,6 +1147,38 @@ def test_completion_as_built_reads_as_the_canonical_one(drawn):
     assert (K.basis(), K.basis_text()) == (C.basis(), C.basis_text())
     for cap in (1, 2, 20, 10**6):
         assert basis_outside(K, H, cap) == basis_outside(C, H, cap)
+
+
+@given(completion_inputs(), st.sampled_from([1, 2, 20, 10**6]))
+@example((trivial_subgroup(F3), 6), 20)
+@example((gens("a"), 0), 10**6)  # words of length 1, all loops at the basepoint
+# the core vertex 2 at depth 1 has all its edges, so no matching edge leaves it
+@example((gens("aaa", "b", "Aba"), 1), 10**6)
+@example((from_generators(free_group(27), [(1,), (2, 27, -2)]), 1), 2)
+@settings(max_examples=150, deadline=None)
+def test_walk_outside_matches_basis_outside(drawn, cap):
+    """On every completion `_complete` leaves as built, the ordered walk
+    that stops at the cap reads the first `cap` candidates that ranking
+    every basis key outside H reads."""
+    H, L = drawn
+    K, as_built = stallings._complete(H, L, Budget())
+    assume(as_built)
+    assert stallings._walk_outside(K, H, cap) == basis_outside(K, H, cap)
+
+
+def test_walk_outside_of_a_tree_deeper_than_the_recursion_limit():
+    """The a-cycle of length 2,100 with a b-loop at every vertex but the one
+    opposite the basepoint: a core of depth 1,050, left as built by its
+    completion at L = 1,052, whose tree is deeper than Python recurses."""
+    n = 2100
+    succ = [{i: (i + 1) % n for i in range(n)}, {i: i for i in range(n) if i != n // 2}]
+    pred = [{v: u for u, v in s.items()} for s in succ]
+    H = stallings._canonical(F2, range(n), succ, pred, BASEPOINT)
+    K, as_built = stallings._complete(H, 1052, Budget())
+    assert as_built and K.nverts == n + 8
+    words = stallings._walk_outside(K, H, 3)
+    assert [len(x) for x in words] == [2 * 1052 + 1] * 3
+    assert words == basis_outside(K, H, 3)
 
 
 def test_hall_completion_completes_once(monkeypatch):

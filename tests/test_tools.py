@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -39,6 +41,19 @@ def test_report_digests_print_one_line_per_op_and_repeat(monkeypatch):
         assert re.fullmatch("[0-9a-f]{64}", files_digest)
         # a report on stdout is also written under --out, with its artifacts
         assert (files_digest == no_files) == (code in {"2", "3"})
+
+
+@pytest.mark.parametrize("tool, passes", [("report_digests.py", ()), ("op_times.py", ("1",))])
+def test_tools_exit_quietly_when_stdout_closes_early(tool, passes):
+    """A reader that stops early, as ``| head -1`` does, ends the tool with
+    exit 1 and nothing on stderr, not a BrokenPipeError traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, f"tools/{tool}", "src", "coset-lattice", "11", *passes],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=300), err) == (1, "")
 
 
 def test_alternate_pairs_refuses_zero_pairs_before_running():

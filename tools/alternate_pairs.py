@@ -132,4 +132,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from report_digests import exit_with  # beside this script, so on sys.path
+
+    exit_with(main, sys.argv[1:])

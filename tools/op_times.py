@@ -36,7 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from report_digests import op_documents, run_quietly, workloads  # noqa: E402
+from report_digests import exit_with, op_documents, run_quietly, workloads  # noqa: E402
 
 
 def least_total(passes: list[list[float]]) -> tuple[int, float]:
@@ -87,4 +87,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    exit_with(main, sys.argv[1:])

@@ -54,6 +54,20 @@ def run_quietly(cli, argv: list[str]) -> tuple[object, str]:
     return code, out.getvalue()
 
 
+def exit_with(main, argv: list[str]) -> None:
+    """``sys.exit(main(argv))``, but a stdout closed early (as by ``| head
+    -1``) ends the run quietly with exit 1 instead of a BrokenPipeError
+    traceback."""
+    try:
+        code = main(argv)
+        sys.stdout.flush()  # a close after the last print shows here
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more on exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
 @contextlib.contextmanager
 def op_documents(workload: str, seed: int, ops: list[dict]):
     """Work in a temporary directory that holds the documents of `ops`,
@@ -113,4 +127,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    exit_with(main, sys.argv[1:])
