@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import zdlattice
 from .budgets import Budget, current
@@ -77,7 +77,8 @@ def trace(H, radius: int, budget: Budget | None = None) -> SubgroupTrace:
 @dataclasses.dataclass(frozen=True)
 class ClopenSet:
     """𝒱(ins, outs) = {H : ins ⊆ H, H ∩ outs = ∅} — the basic clopen sets of
-    the Chabauty topology.
+    the Chabauty topology. Its words are canonicalized at construction:
+    `ins` and `outs` are sorted by `word_key` and deduplicated.
 
     `trivially_empty` flags ins ∩ outs ≠ ∅ at construction (no subgroup can
     both contain and avoid an element). The set can be empty for deeper
@@ -95,11 +96,10 @@ class ClopenSet:
     outs_lcp: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ins", tuple(self.ins))
-        object.__setattr__(self, "outs", tuple(self.outs))
-        object.__setattr__(
-            self, "trivially_empty", bool(set(self.ins) & set(self.outs))
-        )
+        ins, outs = set(self.ins), set(self.outs)
+        object.__setattr__(self, "ins", tuple(sorted_words(ins)))
+        object.__setattr__(self, "outs", tuple(sorted_words(outs)))
+        object.__setattr__(self, "trivially_empty", bool(ins & outs))
         lex = sorted(self.outs)
         object.__setattr__(self, "outs_lex", tuple(lex))
         object.__setattr__(
@@ -116,11 +116,7 @@ def _common_prefix(u: Word, v: Word) -> int:
     return n
 
 
-def clopen(ins: Iterable[Word], outs: Iterable[Word]) -> ClopenSet:
-    """Canonicalized clopen set over words (sorted, deduplicated)."""
-    return ClopenSet(
-        tuple(sorted_words(set(ins))), tuple(sorted_words(set(outs)))
-    )
+clopen = ClopenSet
 
 
 def in_clopen(H, V: ClopenSet) -> bool:

@@ -69,9 +69,6 @@ class NonisolationWitness:
     subgroup: StallingsGraph
     terms: tuple[WitnessTerm, ...]
 
-    def sequence(self) -> list[StallingsGraph]:
-        return [t.term for t in self.terms]
-
 
 def nonisolation_witness(
     H: StallingsGraph, length: int, budget: Budget | None = None
@@ -214,16 +211,9 @@ def make_task(
 ) -> TransitivityTask:
     """Assemble and validate a task from (source, target, source_witness,
     target_witness) tuples."""
-    budget = budget or current()
-    sources, targets, sws, tws = [], [], [], []
-    for s, t, sw, tw in pairs:
-        sources.append(s)
-        targets.append(t)
-        sws.append(sw)
-        tws.append(tw)
-    return TransitivityTask(
-        ctx, tuple(sources), tuple(targets), tuple(sws), tuple(tws), budget
-    )
+    # no pairs give four empty columns, which validation refuses
+    columns = tuple(zip(*pairs)) or ((),) * 4
+    return TransitivityTask(ctx, *columns, budget or current())
 
 
 def validate_task(task: TransitivityTask) -> None:

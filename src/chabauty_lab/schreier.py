@@ -94,9 +94,11 @@ class SchreierGraph:
 def build(H, radius: int, budget: Budget | None = None) -> SchreierGraph:
     """BFS the coset space of H out to the given radius.
 
-    Vertices at distance < R are fully expanded; edges between two ball
-    vertices are always recorded (the graph is the induced subgraph on the
-    ball), and sphere-R vertices form the frontier.
+    Every ball vertex is expanded, but only those at distance < R make new
+    vertices; sphere-R vertices form the frontier. In BFS order every ball
+    vertex exists before a sphere-R vertex is expanded, so each edge between
+    two ball vertices is recorded from its source (the graph is the induced
+    subgraph on the ball).
     """
     budget = budget or current()
     if radius < 0:
@@ -134,10 +136,8 @@ def build(H, radius: int, budget: Budget | None = None) -> SchreierGraph:
                 letter.append(x)
                 dist.append(d + 1)
                 parent.append(v)
-            if x > 0:
+            if x > 0:  # an in-letter's edge is recorded from its source
                 succ[x - 1][v] = w
-            else:
-                succ[-x - 1][w] = v
         v += 1
     frontier = frozenset(v for v, d in enumerate(dist) if d == radius)
     return SchreierGraph(
@@ -379,7 +379,7 @@ def _piece_diameter(sweeps: _Sweeps, piece: list[int]) -> int:
 # ── quasi-isometry bookkeeping ───────────────────────────────────────────────
 
 
-def intermediate_bound(ctx: GroupContext, D: int, budget: Budget | None = None) -> int:
+def intermediate_bound(ctx: GroupContext, D: int) -> int:
     """2^|B(id, D)|: how many subgroups can sit between H and K when they
     D-approximate each other — any intermediate subgroup is determined by
     which ball elements it meets. The L¹ ball of Z^d holds
@@ -420,9 +420,10 @@ class ProbeReport:
 
 def qi_to_line_probe(S: SchreierGraph, ends: list[int] | None = None) -> ProbeReport:
     """Test whether the Schreier graph, seen in the ball S, looks
-    quasi-isometric to the line Z (two stable ends, near-linear growth) or the
-    ray N (one stable end). `ends` is ``ends_profile(S)`` when the caller
-    already has it.
+    quasi-isometric to the line Z (two stable ends) or the ray N (one stable
+    end), both of whose spheres stay bounded: no sphere past R/2 may be
+    larger than the largest in [R/4, R/2]. `ends` is ``ends_profile(S)``
+    when the caller already has it.
 
     The verdict is a screen, not a proof: it reports the finite evidence
     (sphere sizes and an ends-stability window) and errs on "neither".
@@ -441,10 +442,8 @@ def qi_to_line_probe(S: SchreierGraph, ends: list[int] | None = None) -> ProbeRe
     window = tuple((r, ends[r]) for r in range(lo, hi + 1))
     values = {e for _, e in window}
     stable = len(values) == 1
-    # growth screen: sphere sizes must not blow up between R/2 and R
-    mid = spheres[hi] if hi < len(spheres) else 0
-    tail_max = max(spheres[hi:]) if hi < len(spheres) else 0
-    near_linear = tail_max <= 2 * max(1, mid) + 2
+    # growth screen: the spheres of a graph quasi-isometric to Z or N stay bounded
+    near_linear = max(spheres[hi:]) <= max(spheres[lo : hi + 1])
     if stable and near_linear:
         e = values.pop()
         if e == 2:

@@ -40,8 +40,6 @@ from .words import (
     GroupContext,
     Word,
     format_word,
-    free_group,
-    lattice,
     parse_word,
 )
 from .zdlattice import HnfSubgroup, WitnessSequence, hnf_from_generators
@@ -55,26 +53,17 @@ TOOL_NAME = "chabauty-lab"
 def canonical_json(obj: Any) -> str:
     """Stable serialization: sorted keys, fixed separators, trailing newline.
 
-    The text is byte-identical to ``json.dumps(obj, sort_keys=True,
-    indent=2) + "\\n"``, an :class:`EdgeTable` leaf rendering as its dict
-    form would. With ``indent`` set, ``json`` runs its pure-Python
-    generator encoder; this direct recursion does the same work with one
-    call per container instead of a generator per value.
+    Reports are exact, so the encoder takes only what they hold: dicts
+    with str keys, lists, tuples, `str`, `int`, `bool`, `None` and
+    :class:`EdgeTable` leaves; anything else (a float, a key that is not
+    a str, a value of a scalar's subclass) raises `TypeError`. The text is
+    byte-identical to ``json.dumps(obj, sort_keys=True, indent=2) +
+    "\\n"``, an :class:`EdgeTable` leaf rendering as its dict form would.
+    With ``indent`` set, ``json`` runs its pure-Python generator encoder;
+    this direct recursion does the same work with one call per container
+    instead of a generator per value.
     """
     return _encode(obj, "\n") + "\n"
-
-
-_INF = float("inf")
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
@@ -82,7 +71,6 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 _SCALAR_TEXT = {
     str: _ESCAPE,
     int: int.__repr__,
-    float: _float_text,
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): lambda _: "null",
 }
@@ -110,7 +98,7 @@ def _encode(o: Any, newline: str) -> str:
         inner = newline + "  "
         get = _SCALAR_TEXT.get
         parts = [
-            (_ESCAPE(k) if type(k) is str else _key_text(k))
+            _ESCAPE(k)  # a key that is not a str raises TypeError here
             + ": "
             + (text_of(v) if (text_of := get(type(v))) is not None else _encode(v, inner))
             for k, v in sorted(o.items(), key=_KEY)
@@ -118,9 +106,6 @@ def _encode(o: Any, newline: str) -> str:
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
     if type(o) is EdgeTable:
         return o.render(newline)
-    for base in (str, int, float):  # subclasses, as json.dumps writes them
-        if isinstance(o, base):
-            return _SCALAR_TEXT[base](o)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
@@ -150,16 +135,6 @@ class EdgeTable:
         inner = newline + "  "
         entries = sorted([f'"{u}": {v}' for u, v in self.succ.items()])
         return "{" + inner + ("," + inner).join(entries) + newline + "}"
-
-
-def _key_text(k: Any) -> str:
-    """A dict key other than a str, converted and quoted as json.dumps does."""
-    if isinstance(k, str):
-        return _ESCAPE(k)
-    for base in (float, bool, type(None), int):
-        if isinstance(k, base):
-            return _ESCAPE(_SCALAR_TEXT[base](k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def sha256_of(text: str) -> str:
@@ -196,14 +171,11 @@ def context_from_json(obj: Any, budget: Budget | None = None) -> GroupContext:
         rank = obj["dim"]  # natural synonym for lattice contexts
     else:
         rank = _require(obj, "rank", "context")
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise MalformedInputError("context rank must be a positive integer")
-    if kind not in ("free", "lattice"):
-        raise MalformedInputError(f"unknown context kind {kind!r}")
+    ctx = GroupContext(kind, rank)
     budget = budget or current()
     if rank > budget.vertex_cap:
         raise budget.exceeded("vertex_cap", f"{kind} rank (vertex_cap)", rank)
-    return free_group(rank) if kind == "free" else lattice(rank)
+    return ctx
 
 
 def word_from_json(obj: Any, ctx: GroupContext) -> Word:

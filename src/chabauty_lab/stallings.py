@@ -63,10 +63,10 @@ class StallingsGraph:
     """Immutable, canonical folded core graph. Build via :func:`from_generators`
     and the other module functions, not directly."""
 
-    __slots__ = ("ctx", "nverts", "succ", "pred", "_tree", "_hash")
+    __slots__ = ("ctx", "nverts", "succ", "pred", "tree", "_hash")
 
     def __init__(
-        self, ctx: GroupContext, nverts: int, succ: tuple[dict, ...], tree=None, pred=None
+        self, ctx: GroupContext, nverts: int, succ: tuple[dict, ...], tree, pred=None
     ):
         self.ctx = ctx
         self.nverts = nverts
@@ -75,7 +75,11 @@ class StallingsGraph:
         if pred is None:
             pred = tuple({v: u for u, v in s.items()} for s in succ)
         self.pred = pred
-        self._tree = tree  # derived by the first read of `tree` if not given
+        # (parent, via) of the canonical BFS spanning tree, recorded by the
+        # constructor as it numbers: vertex v > 0 was first reached from
+        # parent[v] through table via[v] (2g for gen g + 1 out, 2g + 1 for
+        # gen g + 1 in); parent[0] = 0 and via[0] = −1
+        self.tree: tuple[list[int], list[int]] = tree
         self._hash: int | None = None  # computed by the first __hash__
 
     # membership ---------------------------------------------------------
@@ -131,20 +135,6 @@ class StallingsGraph:
 
     def is_trivial(self) -> bool:
         return self.nedges == 0
-
-    @property
-    def tree(self) -> tuple[list[int], list[int]]:
-        """(parent, via) of the canonical BFS spanning tree: vertex v > 0
-        was first reached from parent[v] through table via[v] (2g for gen
-        g + 1 out, 2g + 1 for gen g + 1 in); parent[0] = 0 and via[0] = −1.
-        The constructors record it while numbering; a graph built otherwise
-        is renumbered once here, and must come out unchanged."""
-        if self._tree is None:
-            G = _canonical(self.ctx, range(self.nverts), self.succ, self.pred, BASEPOINT)
-            if G.succ != self.succ:
-                raise AssertionError("graph must be numbered canonically")
-            self._tree = G._tree
-        return self._tree
 
     def basis(self) -> list[Word]:
         """Free basis of H from the canonical BFS spanning tree: one word
@@ -627,7 +617,7 @@ def _canonical(
 
 
 def trivial_subgroup(ctx: GroupContext) -> StallingsGraph:
-    return StallingsGraph(ctx, 1, tuple({} for _ in range(ctx.rank)))
+    return StallingsGraph(ctx, 1, tuple({} for _ in range(ctx.rank)), ([0], [-1]))
 
 
 def fold(ctx: GroupContext, words: Iterable[Word], budget: Budget) -> _Builder:

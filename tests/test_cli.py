@@ -214,6 +214,35 @@ def test_wrong_schema_is_two(capsys, tmp_path):
     assert "generators" in err
 
 
+_A = {"context": F2_CTX, "generators": ["a"]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["chabauty"], {"pair": [_A]}, "pair must hold exactly two subgroup documents"),
+        (["chabauty"], {"sequence": [_A]}, "chabauty expects either 'pair' or 'sequence'+'limit'"),
+        (["zd"], None, "zd needs a spec file or --enumerate DIM MAXINDEX"),
+        (["transit"], None, "transit needs a spec file or --demo"),
+        (["folner"], None, "folner needs a spec file or --demo"),
+        (["folner"], {"subgroup": _A, "sets": [["a"]]}, "folner spec needs 'sets' and 'elements'"),
+        (["suite", "--only", "2,x"], None, "--only wants comma-separated integers"),
+        (["stallings"], {"context": {"kind": "free", "rank": 0}, "generators": []},
+         "rank/dim must be a positive integer"),
+        (["stallings"], {"context": {"kind": "torus", "rank": 0}, "generators": []},
+         "unknown context kind 'torus'"),
+    ],
+    ids=["pair", "sequence", "zd", "transit", "folner", "folner-elements", "only",
+         "context-rank", "context-kind"],
+)
+def test_refusals_exit_two_and_say_why(capsys, tmp_path, argv, doc, message):
+    if doc is not None:
+        argv = [argv[0], spec_file(tmp_path, "doc.json", doc), *argv[1:]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: {message}" in err
+
+
 def test_budget_blowout_is_three(capsys, tmp_path):
     # two core graphs saturate, so radius 99 runs past the ball radius cap
     spec = spec_file(

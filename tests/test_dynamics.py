@@ -305,6 +305,27 @@ def test_finite_index_witness_invalidates_task():
         make_task(F2, [(V, V, gens("a", "b"), gens("a", "b"))])
 
 
+def test_a_task_needs_a_nonempty_clopen_pair():
+    V = clopen([w("a")], [w("b")])
+    with pytest.raises(TaskInvalidError, match="ins and outs overlap"):
+        make_task(F2, [(V, clopen([w("ab")], [w("ab")]), gens("a"), gens("ab"))])
+
+
+def test_a_task_refuses_a_witness_from_another_context():
+    V = clopen([w("a")], [w("b")])
+    other = from_generators(free_group(3), [w("a")])
+    with pytest.raises(TaskInvalidError, match="target pair 1: witness has wrong context"):
+        make_task(F2, [(V, V, gens("a"), other)])
+
+
+def test_a_task_needs_one_pair_or_more_in_lists_of_one_length():
+    with pytest.raises(TaskInvalidError, match="a task needs at least one pair"):
+        make_task(F2, [])
+    V = clopen([w("a")], [w("b")])
+    with pytest.raises(TaskInvalidError, match="pair lists have mismatched lengths"):
+        dynamics.TransitivityTask(F2, (V, V), (V,), (gens("a"),) * 2, (gens("a"),), Budget())
+
+
 def test_a_task_is_validated_once_when_it_is_made(monkeypatch):
     calls = _counting(monkeypatch, dynamics, "validate_task")
     V = clopen([w("a")], [w("b")])

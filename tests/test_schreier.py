@@ -139,6 +139,44 @@ def test_probe_rejects_finite_and_branching():
     assert qi_to_line_probe(build(trivial_subgroup(F2), 8)).verdict == "neither"
 
 
+_LINES = {
+    **{
+        f"ker(F2 -> Z), images {images}": kernel(F2, Target("lattice", 1), images)
+        for images in ([(1,), (0,)], [(-1,), (0,)], [(0,), (1,)], [(0,), (-1,)], [(2,), (3,)])
+    },
+    **{
+        f"ladder Z x Z/{m}": HomSubgroup(
+            F2, Target("lattice", 2), [(1, 0), (0, 1)], hnf_from_generators(2, [(0, m)])
+        )
+        for m in (2, 3)
+    },
+    "trivial subgroup of F1": trivial_subgroup(free_group(1)),
+}
+_PLANES = {
+    "ker(F2 -> Z^2)": kernel(F2, Target("lattice", 2), [(1, 0), (0, 1)]),
+    "ker(F2 -> Z^2), swapped and negated": kernel(F2, Target("lattice", 2), [(0, -1), (1, 0)]),
+    "ker(F3 -> Z^3)": kernel(
+        free_group(3), Target("lattice", 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("radius", [8, 9, 16, 30])
+@pytest.mark.parametrize("name", list(_LINES))
+def test_probe_reads_bounded_spheres_with_two_ends_as_the_line(name, radius):
+    p = qi_to_line_probe(build(_LINES[name], radius))
+    assert (p.verdict, p.reason) == ("Z", "two stable ends, near-linear growth")
+
+
+@pytest.mark.parametrize("radius", [8, 9, 16, 30])
+@pytest.mark.parametrize("name", list(_PLANES))
+def test_probe_reads_growing_spheres_as_neither(name, radius):
+    """The grid Z² has one stable end but spheres of size 4r, so it is
+    neither the line nor the ray; nor is Z³."""
+    p = qi_to_line_probe(build(_PLANES[name], radius))
+    assert (p.verdict, p.reason) == ("neither", "growth not near-linear")
+
+
 def test_probe_reads_a_given_ends_profile_as_its_own():
     for H in (KER, gens("aa", "b", "abA"), trivial_subgroup(F2), gens("a", "bab")):
         S = build(H, 9)
@@ -174,6 +212,24 @@ def test_fibers_of_kernel_over_index_two_preimage():
 def test_fiber_containment_enforced():
     with pytest.raises(MalformedInputError):
         fiber_diameters(build(gens("a"), 6), gens("b"))  # a ∉ ⟨b⟩: not intermediate
+
+
+def _lattice_preimage(images, accepted_rows):
+    return HomSubgroup(F2, Target("lattice", 1), images, hnf_from_generators(1, accepted_rows))
+
+
+def test_containment_of_lattice_preimages_needs_a_common_homomorphism():
+    """Nested accepted lattices under one φ pass; another φ, lattices that
+    do not nest, or a core graph over a lattice preimage are refused."""
+    S = build(_lattice_preimage([(1,), (0,)], [(4,)]), 8)
+    fiber_diameters(S, _lattice_preimage([(1,), (0,)], [(2,)]))
+    for K in (_lattice_preimage([(0,), (1,)], [(2,)]), _lattice_preimage([(1,), (0,)], [(3,)])):
+        with pytest.raises(MalformedInputError, match="only decidable for a common homomorphism"):
+            fiber_diameters(S, K)
+    with pytest.raises(
+        MalformedInputError, match="cannot verify containment for HomSubgroup ≤ StallingsGraph"
+    ):
+        fiber_diameters(S, gens("a", "b"))
 
 
 # ── quasi-isometry arithmetic ────────────────────────────────────────────────

@@ -79,7 +79,7 @@ def gens(*texts):
 
 def whole_group(ctx):
     """The rose: one vertex and a loop per generator."""
-    return StallingsGraph(ctx, 1, tuple({0: 0} for _ in range(ctx.rank)))
+    return StallingsGraph(ctx, 1, tuple({0: 0} for _ in range(ctx.rank)), ([0], [-1]))
 
 
 # ── folding and structure ────────────────────────────────────────────────────
@@ -116,6 +116,14 @@ def test_trivial_and_whole():
     W = whole_group(F2)
     assert W.nverts == 1 and W.rank() == 2 and W.index() == 1
     assert W.contains(w("abAB"))
+
+
+def test_a_graph_is_built_with_its_tree():
+    """No graph exists without the BFS tree its basis and witness code read:
+    the constructor requires it, and `trivial_subgroup` records the root's."""
+    with pytest.raises(TypeError):
+        StallingsGraph(F2, 1, tuple({0: 0} for _ in range(2)))
+    assert trivial_subgroup(F2).tree == ([0], [-1])
 
 
 def test_generators_always_contained():
@@ -316,6 +324,25 @@ def test_permutation_accepted_must_be_subgroup():
             [(1, 0), (0, 1)],
             [(1, 0)],  # not closed: misses the identity
         )
+
+
+def test_target_kind_is_one_of_three():
+    with pytest.raises(MalformedInputError, match="unknown target kind 'free'"):
+        Target("free", 2)
+
+
+@pytest.mark.parametrize(
+    "accepted, message",
+    [
+        # a 3-cycle without its inverse
+        ([(0, 1, 2), (1, 2, 0)], "accepted permutations not inverse-closed"),
+        # two transpositions, each its own inverse, whose product is a 3-cycle
+        ([(0, 1, 2), (1, 0, 2), (0, 2, 1)], "accepted permutations not closed"),
+    ],
+)
+def test_permutation_accepted_must_be_closed(accepted, message):
+    with pytest.raises(MalformedInputError, match=message):
+        preimage(F2, Target("permutation", 3), [(1, 2, 0), (1, 0, 2)], accepted)
 
 
 def test_finite_targets_give_the_canonical_covering():
@@ -835,10 +862,10 @@ def test_intersection_matches_the_product_loop(drawn_h, drawn_k, cover_h, cover_
     K = hall_completion(K, 1) if cover_k else K
     n, succ, pred = _product(H, K, Budget())
     live = set(range(n))
-    if stallings._trim(live, succ, pred, BASEPOINT):
-        expected = stallings._canonical(ctx, live, succ, pred, BASEPOINT)
-    else:
-        expected = StallingsGraph(ctx, n, tuple(succ))
+    trimmed = stallings._trim(live, succ, pred, BASEPOINT)
+    expected = stallings._canonical(ctx, live, succ, pred, BASEPOINT)
+    if not trimmed:  # the product's own numbering is canonical
+        assert expected.succ == tuple(succ)
     got = intersect(H, K)
     assert got == expected and got.tree == expected.tree
 
@@ -933,8 +960,8 @@ def _assert_canonically_numbered(G):
     canonical = stallings._canonical(G.ctx, range(G.nverts), G.succ, G.pred, BASEPOINT)
     assert canonical.succ == G.succ
     assert canonical == G
-    # the tree a constructor recorded is the one derived lazily
-    assert G.tree == StallingsGraph(G.ctx, G.nverts, G.succ).tree == _oracle_tree(G)
+    # the tree a constructor recorded is the one `_canonical` records
+    assert G.tree == canonical.tree == _oracle_tree(G)
 
 
 def _oracle_tree(G):
@@ -1302,8 +1329,8 @@ def _words_over(ctx, max_words=3, max_len=6):
 
 @st.composite
 def spelled_graphs(draw, kind):
-    """(G, H): G from the constructor `kind`, or built directly with no
-    recorded tree, and H a fold over G's context."""
+    """(G, H): G from the constructor `kind`, or built directly with the
+    tree `_canonical` records, and H a fold over G's context."""
     if kind == "rank-27":
         H = from_generators(F27, draw(_words27(4, 6)))
         G = hall_completion(H, 1) if draw(st.booleans()) else join(H, draw(_words27(2, 5)))
@@ -1316,7 +1343,8 @@ def spelled_graphs(draw, kind):
     K = from_generators(ctx, draw(_words_over(ctx)))
     if kind == "direct":
         G = join(H, K)
-        G = StallingsGraph(ctx, G.nverts, G.succ)
+        tree = stallings._canonical(ctx, range(G.nverts), G.succ, G.pred, BASEPOINT).tree
+        G = StallingsGraph(ctx, G.nverts, G.succ, tree)
     else:
         letter = st.integers(1, ctx.rank).flatmap(lambda i: st.sampled_from([i, -i]))
         G = _CONSTRUCTIONS[kind](H, K, reduce_word(tuple(draw(st.lists(letter, max_size=5)))))
@@ -1328,10 +1356,9 @@ def spelled_graphs(draw, kind):
 @settings(max_examples=50, deadline=None)
 def test_speller_matches_the_bfs_oracle(kind, data):
     """`basis` and `basis_text` spell, and `basis_outside` ranks, along the
-    recorded tree (or the tree derived once, for a graph built directly),
-    what the BFS speller spelled, as words and as text, under every cap."""
+    recorded tree what the BFS speller spelled, as words and as text, under
+    every cap."""
     G, H = data.draw(spelled_graphs(kind))
-    assert (G._tree is None) == (kind in ("direct", "trivial_subgroup"))
     words = _oracle_spelled_basis(G, None, text=False)
     outside = _oracle_spelled_basis(G, H, text=False)
     assert G.basis() == words

@@ -35,7 +35,8 @@ def test_report_digests_print_one_line_per_op_and_repeat(monkeypatch):
     ops = workloads.make_ops("coset-lattice", 11)
     assert [line[0] for line in lines] == [op["id"] for op in ops]
     no_files = hashlib.sha256().hexdigest()
-    for _, code, stdout_digest, files_digest in lines:
+    assert [line[1] for line in lines] == [op["kind"] for op in ops]
+    for _, _, code, stdout_digest, files_digest in lines:
         assert code in {"0", "2", "3", "4"}
         assert re.fullmatch("[0-9a-f]{64}", stdout_digest)
         assert re.fullmatch("[0-9a-f]{64}", files_digest)

@@ -11,9 +11,11 @@ the same relative paths, inside a temporary directory. Every op then runs
 through SRC's ``chabauty_lab.cli.main`` in one process, with ``--out
 out/OP_ID`` appended (a relative path, so the provenance in the report does
 not depend on the temporary directory), and one line per op is printed:
-``op_id exit stdout_sha256 files_sha256``. The first digest is that of the
-op's stdout; the second is that of the files the op wrote under its
-``--out`` directory (report, summary, DOT and CSV artifacts), taken over
+``op_id kind exit stdout_sha256 files_sha256``, where ``kind`` is the op's
+kind in the workload (``schreier-z2``, ``fold-random``, ...), so that a
+named report change can be read off a diff by kind. The first digest is
+that of the op's stdout; the second is that of the files the op wrote
+under its ``--out`` directory (report, summary, DOT and CSV artifacts), taken over
 their (relative name, bytes) pairs in name order, and is the digest of no
 pairs when the op wrote none. With more than one (workload, seed) block,
 each block opens with a ``# workload seed`` line.
@@ -91,7 +93,7 @@ def _digests(cli, workload: str, seed: int) -> None:
         for op in ops:
             out_dir = Path("out", op["id"])
             code, text = run_quietly(cli, [*op["argv"], "--out", str(out_dir)])
-            print(op["id"], code, hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            print(op["id"], op["kind"], code, hashlib.sha256(text.encode("utf-8")).hexdigest(),
                   _files_digest(out_dir))
             shutil.rmtree(out_dir, ignore_errors=True)
 
