@@ -145,15 +145,6 @@ def _fold_oracle_members(gens: Sequence[tuple], words: Sequence[tuple]) -> set:
     return members
 
 
-def _seam_product(u: str, v: str) -> str:
-    """u·v for reduced words as text: a letter cancels its swapped case."""
-    i, j = len(u), 0
-    while i and j < len(v) and u[i - 1] == v[j].swapcase():
-        i -= 1
-        j += 1
-    return u[:i] + v[j:]
-
-
 def _closure_members(
     gens: Sequence[tuple], radius: int, cap: int, size_guard: int = 1_500_000
 ) -> set | None:
@@ -161,30 +152,50 @@ def _closure_members(
     without any intermediate exceeding `cap` letters, filtered to the ball
     of the given radius.  Returns None when the closure would exceed the
     size guard (the caller then reports the draw instead of guessing).
-    Words are held as text while the closure grows."""
+    Words are held as text while the closure grows.
+
+    The closure is closed under inversion: inverting every intermediate of
+    a derivation turns a right multiplication by v into a left one by v⁻¹,
+    at the same lengths. So each pair {w, w⁻¹} is grown once, as its
+    lesser word with that word's inverse beside it, and both words are
+    multiplied on the right; the inverse of w·v is v⁻¹·w⁻¹. The empty word
+    is the only one equal to its inverse, so the closure has 2·|pairs| − 1
+    words."""
     seeds = [format_word(w) for w in (reduce_word(g) for g in gens) if w]
-    mults = list(dict.fromkeys(v for g in seeds for v in (g, g[::-1].swapcase())))
-    # each multiplier with the inverses of its end letters: unless one of
-    # them meets the other factor at the seam, a product only concatenates
-    ends = [(v, v[0].swapcase(), v[-1].swapcase()) for v in mults]
-    seen = {""}
-    frontier = [""]
+    # each multiplier with its inverse, its length and the inverse of its
+    # first letter, which a word must end in to cancel against it
+    factors = []
+    for v in dict.fromkeys(v for g in seeds for v in (g, g[::-1].swapcase())):
+        v_inv = v[::-1].swapcase()
+        factors.append((v, v_inv, len(v), v_inv[-1]))
+    pairs = {""}
+    frontier = [("", "")]
     while frontier:
-        out: list[str] = []
-        for s in frontier:
-            first, last = s[:1], s[-1:]
-            for v, v_first_inv, v_last_inv in ends:
-                for p in (
-                    _seam_product(s, v) if last == v_first_inv else s + v,
-                    _seam_product(v, s) if first == v_last_inv else v + s,
-                ):
-                    if len(p) <= cap and p not in seen:
-                        seen.add(p)
-                        if len(seen) > size_guard:
+        out: list[tuple[str, str]] = []
+        for w, w_inv in frontier:
+            for s, s_inv in ((w, w_inv), (w_inv, w)):
+                last, room = s[-1:], cap - len(s)
+                for v, v_inv, n, v_first_inv in factors:
+                    if v_first_inv != last:  # no cancellation
+                        if n > room:
+                            continue
+                        p, p_inv = s + v, v_inv + s_inv
+                    else:  # s·v cancels k letters: s ends as v⁻¹ does
+                        k = 1
+                        while k < len(s) and k < n and s[-1 - k] == v_inv[-1 - k]:
+                            k += 1
+                        if n - 2 * k > room:
+                            continue
+                        p, p_inv = s[: len(s) - k] + v[k:], v_inv[: n - k] + s_inv[k:]
+                    if p_inv < p:
+                        p, p_inv = p_inv, p
+                    if p not in pairs:
+                        pairs.add(p)
+                        if 2 * len(pairs) - 1 > size_guard:
                             return None
-                        out.append(p)
+                        out.append((p, p_inv))
         frontier = out
-    return {parse_word(w) for w in seen if len(w) <= radius}
+    return {parse_word(x) for w in pairs if len(w) <= radius for x in (w, w[::-1].swapcase())}
 
 
 def criterion_1() -> CriterionResult:
@@ -505,9 +516,7 @@ def criterion_7() -> CriterionResult:
     ends = [ends_estimate(S, r) for r in (2, 3, 4)]
     if ends != [2, 2, 2]:
         problems.append(f"kernel ends {ends}")
-    even = HomSubgroup(
-        _F2, Target("lattice", 1), [(1,), (0,)], hnf_from_generators(1, [(2,)])
-    )
+    even = HomSubgroup(_F2, [(1,), (0,)], hnf_from_generators(1, [(2,)]))
     per_radius = []
     for radius in (6, 8, 10):
         reports = fiber_diameters(schreier_build(ker, radius), even)

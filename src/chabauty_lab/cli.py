@@ -37,7 +37,7 @@ import dataclasses
 import functools
 import os
 import sys
-from typing import Any
+from typing import Any, Iterable
 
 from . import __version__, specio
 from .budgets import Budget, current, decode_json
@@ -275,7 +275,7 @@ def cmd_zd(args, budget: Budget):
     H = specio.generated_subgroup_from_json(doc, "the zd document", budget)
     if not isinstance(H, HnfSubgroup):
         raise MalformedInputError("zd expects a lattice subgroup document")
-    _check_printable_lattice(H)
+    _check_printable_lattice([H.index() or 0, *(x for row in H.rows for x in row)])
     result = {
         "rows": [list(r) for r in H.rows],
         "rank": H.rank,
@@ -293,11 +293,11 @@ def cmd_zd(args, budget: Budget):
     return result, summary, {}, False, raw
 
 
-def _check_printable_lattice(H: HnfSubgroup) -> None:
-    """Refuse a lattice whose HNF rows or index could not be printed: each
-    may have at most `sys.get_int_max_str_digits()` digits (0: no limit)."""
+def _check_printable_lattice(numbers: Iterable[int]) -> None:
+    """Refuse a lattice report whose HNF rows or index, given as `numbers`,
+    could not be printed: each may have at most
+    `sys.get_int_max_str_digits()` digits (0: no limit)."""
     digits = sys.get_int_max_str_digits()
-    numbers = [H.index() or 0, *(x for row in H.rows for x in row)]
     if any(specio.exceeds_digits(x, digits) for x in numbers):
         raise MalformedInputError(
             f"the lattice is too large to print: its HNF rows or index "
@@ -355,6 +355,8 @@ def cmd_witness(args, budget: Budget):
     else:
         seq = witness_sequence(H, radius, budget)
         terms = list(seq.terms)
+        # the report prints the rows of H and of every term, not their index
+        _check_printable_lattice(x for L in (H, *terms) for row in L.rows for x in row)
         result = {"witness": specio.json_of_witness_sequence(seq)}
     cert, rows = _convergence(terms, H, radius, budget)
     result["radius"] = radius
@@ -570,10 +572,6 @@ def main(argv=None) -> int:
     except (MalformedInputError, ContextMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SearchFailure as exc:
-        # Searches outside `transit` (which reports its own failures).
-        print(f"verified failure: {exc}", file=sys.stderr)
-        return 4
     report = {
         "provenance": specio.provenance(command_line, raw, budget),
         "command": args.command,

@@ -21,9 +21,7 @@ from .chabauty import ClopenSet, _meets, clopen, distance_up_to, in_clopen
 from .errors import MalformedInputError, SearchFailure, TaskInvalidError
 from .stallings import (
     StallingsGraph,
-    _completion,
-    _walk_outside,
-    basis_outside,
+    _witness_candidates,
     conjugate_subgroup,
     coset_automaton,
     fold,
@@ -55,8 +53,8 @@ class WitnessTerm:
     """One term of a nonisolation witness: the finite-index completion K_n
     that agrees with H up to n, the adjoined element k_n ∈ K_n ∖ H, and the
     strictly-larger infinite-index term H_n = ⟨H, k_n⟩ ⊆ K_n. K_n is numbered
-    as built (`stallings._completion`), not canonically: reports read only
-    its index."""
+    as `stallings._witness_candidates` returns it, not always canonically:
+    reports read only its index."""
 
     n: int
     completion: StallingsGraph
@@ -87,12 +85,11 @@ def nonisolation_witness(
     order (some exists: all of them inside H would force K_n = ⟨basis⟩ ⊆ H);
     a candidate is rejected if ⟨H, k_n⟩ has finite index, and when all
     candidates within the cap fail the completion radius is enlarged, which
-    refreshes the candidate pool. A K_n left as built (H's core lies within
-    the radius) yields its candidates by an ordered walk of its tree
-    (`stallings._walk_outside`), and any other K_n by `basis_outside`; both
-    give the same words. When every radius fails the error bears no
-    `reached`: both routes stop at the cap, so no count of the candidates
-    past it is ever taken.
+    refreshes the candidate pool. `stallings._witness_candidates` reads
+    them off K_n, by an ordered walk of its tree when H's core lies within
+    the radius and by ranking every basis key otherwise. When every radius
+    fails the error bears no `reached`: both routes stop at the cap, so no
+    count of the candidates past it is ever taken.
     """
     budget = budget or current()
     if H.index() is not None:
@@ -110,9 +107,8 @@ def nonisolation_witness(
     for n in range(1, length + 1):
         term = None
         for extra in range(budget.witness_radius_slack + 1):
-            K, as_built = _completion(H, n + extra, budget)
-            outside = _walk_outside if as_built else basis_outside
-            for k in outside(K, H, budget.witness_candidate_cap):
+            K, candidates = _witness_candidates(H, n + extra, budget.witness_candidate_cap, budget)
+            for k in candidates:
                 H_n = join(H, [k], budget)
                 if H_n.index() is None:
                     term = WitnessTerm(n, K, k, H_n)

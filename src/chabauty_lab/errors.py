@@ -6,8 +6,9 @@ command line tool) can translate outcomes into exit codes uniformly:
 * malformed input / context mismatch  -> exit 2
 * resource budget exhausted           -> exit 3
 * verified negative result            -> exit 4 (not an exception per se; the
-  solvers return structured failure objects, but `SearchFailure` is raised when
-  an operation can *only* report by raising)
+  solvers return structured failure objects, and the one search that can
+  only report by raising, the transitivity move, raises `SearchFailure`,
+  which its callers turn into a report)
 """
 
 

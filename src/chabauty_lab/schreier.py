@@ -225,7 +225,6 @@ def _verify_containment(H, K) -> None:
     if isinstance(H, HomSubgroup) and isinstance(K, HomSubgroup):
         if (
             H.ctx == K.ctx
-            and H.target == K.target
             and H.images == K.images
             and all(K.accepted.contains(r) for r in H.accepted.rows)
         ):

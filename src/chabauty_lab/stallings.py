@@ -17,9 +17,9 @@ equality/hashing are structural. The BFS tree of that numbering is recorded
 with the graph; free bases and Hall completions read it. A nonisolation
 witness's completions, whose index alone is printed, keep their build
 numbering when H's core lies within the completion radius (see `_complete`),
-and the witness reads their candidates by a walk of that tree in letter
-order which stops at the cap (`_walk_outside`); the candidates of the other
-completions are ranked by `basis_outside`, which sorts every basis key.
+and `_witness_candidates` reads their candidates by a walk of that tree in
+letter order which stops at the cap (`_walk_outside`); the candidates of the
+other completions are ranked by `basis_outside`, which sorts every basis key.
 
 Queried subgroups stay folded: a subgroup that is only walked (intersected,
 measured against another, checked against a clopen set) is the folded builder
@@ -706,28 +706,10 @@ def intersect(
     P = _bfs_graph(H.ctx, (BASEPOINT, BASEPOINT), moves, budget or current())
     live = set(range(P.nverts))
     # untrimmed, the product's BFS numbering is already _canonical's;
-    # trimmed, P is dropped, so its own tables are trimmed
+    # trimmed, P is dropped, so its own tables are trimmed and renumbered
     if not _trim(live, P.succ, P.pred, BASEPOINT):
         return P
-    return _compact(P, live)
-
-
-def _compact(P: StallingsGraph, live: set[int]) -> StallingsGraph:
-    """The canonical graph of a BFS-numbered P trimmed to the vertices
-    `live`: they keep their order, and the recorded tree maps through the
-    new numbers. A shortest path from the basepoint never enters a hanging
-    tree, as it would leave where it entered, so each core vertex is first
-    reached from the same core vertex through the same letter by the core's
-    own BFS, which therefore visits the core in P's order: `_canonical`'s
-    numbering and tree."""
-    keep = sorted(live)
-    number = [-1] * P.nverts
-    for i, v in enumerate(keep):
-        number[v] = i
-    parent, via = P.tree
-    tree = ([number[parent[v]] for v in keep], [via[v] for v in keep])
-    succ = tuple({number[u]: number[v] for u, v in s.items()} for s in P.succ)
-    return StallingsGraph(P.ctx, len(keep), succ, tree)
+    return _canonical(H.ctx, live, P.succ, P.pred, BASEPOINT)
 
 
 def _bfs_graph(ctx: GroupContext, start, moves, budget: Budget) -> StallingsGraph:
@@ -820,6 +802,16 @@ def hall_completion(
     return _canonical(K.ctx, range(K.nverts), K.succ, K.pred, BASEPOINT) if as_built else K
 
 
+def _witness_candidates(
+    H: StallingsGraph, L: int, cap: int, budget: Budget
+) -> tuple[StallingsGraph, list[Word]]:
+    """`hall_completion(H, L)`'s K as `_complete` numbers it, and
+    `basis_outside(K, H, cap)`: walked (`_walk_outside`) in a K left as
+    built, ranked in any other."""
+    K, as_built = _completion(H, L, budget)
+    return K, (_walk_outside if as_built else basis_outside)(K, H, cap)
+
+
 def _completion(H: StallingsGraph, L: int, budget: Budget | None) -> tuple[StallingsGraph, bool]:
     """`hall_completion`'s checked K as `_complete` numbers it, and whether
     `_complete` left it in build numbering."""
@@ -906,13 +898,6 @@ class Target:
         if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise MalformedInputError("target parameter must be a positive integer")
 
-    def __repr__(self):
-        return {
-            "lattice": f"Z^{self.param}",
-            "cyclic": f"Z/{self.param}",
-            "permutation": f"Sym({self.param})",
-        }[self.kind]
-
 
 def preimage(
     ctx: GroupContext,
@@ -932,12 +917,18 @@ def preimage(
     description of the same subgroup. A coset space larger than
     `budget.vertex_cap` raises. Lattice targets give a :class:`HomSubgroup`.
     """
-    if target.kind == "lattice":
-        return HomSubgroup(ctx, target, images, accepted)
     if ctx.kind != "free":
         raise ContextMismatchError("homomorphism sources are free groups")
     if len(images) != ctx.rank:
         raise MalformedInputError(f"need {ctx.rank} generator images, got {len(images)}")
+    if target.kind == "lattice":
+        if accepted == "zero":
+            accepted = zdlattice.hnf_from_generators(target.param, [])
+        if not isinstance(accepted, zdlattice.HnfSubgroup):
+            raise MalformedInputError("lattice targets accept an HnfSubgroup or 'zero'")
+        if accepted.dim != target.param:
+            raise MalformedInputError("accepted sublattice has wrong dimension")
+        return HomSubgroup(ctx, images, accepted)
     cosets = _cyclic_cosets if target.kind == "cyclic" else _permutation_cosets
     start, moves = cosets(target.param, images, accepted)
     return _bfs_graph(ctx, start, moves, budget or current())
@@ -1009,45 +1000,28 @@ class HomSubgroup:
     (kernels of F_r → Z^k are the main use). One automaton, over residues of
     φ(prefix) modulo A, serves membership (a member's residue is 0) and the
     right cosets H·w (equal residues ⟺ equal cosets), which is what Schreier
-    constructions consume. Finite targets do not reach this class:
-    :func:`preimage` builds their preimages as coverings.
+    constructions consume. :func:`preimage` checks the context, the image
+    count and A; it builds the preimages of finite targets as coverings.
 
     No rank is defined here: rank = edges − vertices + 1 needs a finite core
     graph, and these subgroups generally have none.
     """
 
-    __slots__ = ("ctx", "target", "images", "accepted", "start", "_action", "_hash")
+    __slots__ = ("ctx", "images", "accepted", "start", "_action", "_hash")
 
-    def __init__(self, ctx: GroupContext, target: Target, images, accepted):
-        if ctx.kind != "free":
-            raise ContextMismatchError("homomorphism sources are free groups")
-        if target.kind != "lattice":
-            raise MalformedInputError(
-                f"HomSubgroup takes lattice targets, not {target!r}: use preimage()"
-            )
-        if len(images) != ctx.rank:
-            raise MalformedInputError(
-                f"need {ctx.rank} generator images, got {len(images)}"
-            )
-        k = target.param
+    def __init__(self, ctx: GroupContext, images, accepted: zdlattice.HnfSubgroup):
+        k = accepted.dim
         self.images = tuple(tuple(int(x) for x in v) for v in images)
         if any(len(v) != k for v in self.images):
             raise MalformedInputError("image vector has wrong dimension")
-        if accepted == "zero":
-            accepted = zdlattice.hnf_from_generators(k, [])
-        if not isinstance(accepted, zdlattice.HnfSubgroup):
-            raise MalformedInputError("lattice targets accept an HnfSubgroup or 'zero'")
-        if accepted.dim != k:
-            raise MalformedInputError("accepted sublattice has wrong dimension")
         self.ctx = ctx
-        self.target = target
         self.accepted = accepted
         self.start = (0,) * k
         # letter ±i adds ±φ(generator i) to the running image
         self._action = {
             e * i: tuple(e * c for c in v) for i, v in enumerate(self.images, 1) for e in (1, -1)
         }
-        self._hash = hash((ctx, target, self.images, accepted))
+        self._hash = hash((ctx, self.images, accepted))
 
     # membership and coset automaton ---------------------------------------
     # The state is the residue of φ(prefix) modulo A. Acceptance depends only
@@ -1075,7 +1049,6 @@ class HomSubgroup:
             return NotImplemented
         return (
             self.ctx == other.ctx
-            and self.target == other.target
             and self.images == other.images
             and self.accepted == other.accepted
         )
@@ -1084,7 +1057,7 @@ class HomSubgroup:
         return self._hash
 
     def __repr__(self):
-        return f"HomSubgroup(F_{self.ctx.rank} → {self.target!r})"
+        return f"HomSubgroup(F_{self.ctx.rank} → Z^{self.accepted.dim})"
 
 
 def kernel(

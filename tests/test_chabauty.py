@@ -380,11 +380,11 @@ def lattice_preimage_pairs(draw):
     if shape == "unrelated":
         K = draw(hom_subgroups(rank, kinds=("lattice",)))
     else:
-        k = H.target.param
+        k = H.accepted.dim
         vec = st.lists(st.integers(-6, 6), min_size=k, max_size=k).map(tuple)
         extra = draw(st.lists(vec, max_size=1)) if shape == "coarser" else []
         accepted = hnf_from_generators(k, list(H.accepted.rows) + extra)
-        K = preimage(H.ctx, H.target, H.images, accepted)
+        K = preimage(H.ctx, Target("lattice", k), H.images, accepted)
     return (K, H, radius) if draw(st.booleans()) else (H, K, radius)
 
 

@@ -619,6 +619,29 @@ def test_lattice_whose_index_cannot_print_is_two(capsys, tmp_path):
         sys.set_int_max_str_digits(4300)
 
 
+def test_lattice_witness_whose_rows_cannot_print_is_two(capsys, tmp_path):
+    """`witness` on a lattice prints the HNF rows of H and of every term,
+    which may have at most `sys.get_int_max_str_digits()` digits. Two
+    generators in Z³ with 3,000-digit entries have an HNF entry of 5,999
+    digits; this used to end in a traceback (exit 1) in the report's
+    encoder, where `zd` refused it. The index is not printed, so terms of
+    index 10^4400 whose rows fit are printed."""
+    assert sys.get_int_max_str_digits() == 4300
+    a, big = 10**2999 + 7, 10**2999
+    doc = {"context": {"kind": "lattice", "rank": 3},
+           "generators": [[a, big, 1], [a + 2, 3 * big, 1]]}
+    past = spec_file(tmp_path, "past.json", doc)
+    assert run(capsys, "zd", past)[0] == 2
+    code, out, err = run(capsys, "witness", past, "--radius", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the lattice is too large to print")
+    wide = {"context": {"kind": "lattice", "rank": 3},
+            "generators": [[10**2200, 0, 0], [0, 10**2200, 0]]}
+    code, out, _ = run(capsys, "witness", spec_file(tmp_path, "wide.json", wide),
+                       "--radius", "2")
+    assert code == 0 and json.loads(out)["result"]["witness"]["subgroup"][0][0] == 10**2200
+
+
 @pytest.mark.parametrize(
     "tolerance, code",
     [

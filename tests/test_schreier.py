@@ -145,9 +145,7 @@ _LINES = {
         for images in ([(1,), (0,)], [(-1,), (0,)], [(0,), (1,)], [(0,), (-1,)], [(2,), (3,)])
     },
     **{
-        f"ladder Z x Z/{m}": HomSubgroup(
-            F2, Target("lattice", 2), [(1, 0), (0, 1)], hnf_from_generators(2, [(0, m)])
-        )
+        f"ladder Z x Z/{m}": HomSubgroup(F2, [(1, 0), (0, 1)], hnf_from_generators(2, [(0, m)]))
         for m in (2, 3)
     },
     "trivial subgroup of F1": trivial_subgroup(free_group(1)),
@@ -198,12 +196,7 @@ def test_fibers_of_even_subgroup_in_whole_group():
 
 
 def test_fibers_of_kernel_over_index_two_preimage():
-    even_preimage = HomSubgroup(
-        F2,
-        Target("lattice", 1),
-        [(1,), (0,)],
-        hnf_from_generators(1, [(2,)]),
-    )
+    even_preimage = HomSubgroup(F2, [(1,), (0,)], hnf_from_generators(1, [(2,)]))
     reports = fiber_diameters(build(KER, 10), even_preimage)
     stats = [(r.size, r.diameter, r.lower_bound) for r in reports]
     assert stats == [(11, 20, True), (10, 18, False)]
@@ -215,7 +208,7 @@ def test_fiber_containment_enforced():
 
 
 def _lattice_preimage(images, accepted_rows):
-    return HomSubgroup(F2, Target("lattice", 1), images, hnf_from_generators(1, accepted_rows))
+    return HomSubgroup(F2, images, hnf_from_generators(1, accepted_rows))
 
 
 def test_containment_of_lattice_preimages_needs_a_common_homomorphism():
@@ -417,10 +410,9 @@ def _hom_pairs(draw, rank, kinds=("cyclic", "permutation", "lattice"), max_m=8, 
     images = draw(st.lists(vec, min_size=rank, max_size=rank))
     gh = draw(st.lists(vec, max_size=2))
     gk = gh + draw(st.lists(vec, max_size=1))
-    target = Target("lattice", k)
     return (
-        HomSubgroup(ctx, target, images, hnf_from_generators(k, gh)),
-        HomSubgroup(ctx, target, images, hnf_from_generators(k, gk)),
+        HomSubgroup(ctx, images, hnf_from_generators(k, gh)),
+        HomSubgroup(ctx, images, hnf_from_generators(k, gk)),
     )
 
 
@@ -533,7 +525,7 @@ def test_fiber_diameters_where_the_double_sweep_falls_short(
     layered eccentricities find it (for the Sym(5) and lattice pieces, only
     if they run until the triangle bound is met)."""
     if target.kind == "lattice":
-        H, K = (HomSubgroup(F2, target, images, hnf_from_generators(2, g))
+        H, K = (HomSubgroup(F2, images, hnf_from_generators(2, g))
                 for g in (h_gens, k_gens))
     elif target.kind == "permutation":
         H, K = (preimage(F2, target, images, _perm_closure(target.param, g))
@@ -551,7 +543,7 @@ def _plane_pair(images, line):
     target = Target("lattice", 2)
     return (
         kernel(F2, target, images),
-        HomSubgroup(F2, target, images, hnf_from_generators(2, [line])),
+        HomSubgroup(F2, images, hnf_from_generators(2, [line])),
     )
 
 
@@ -594,7 +586,7 @@ def test_grid_columns_are_as_long_as_they_are_wide(radius, images):
 
 
 def test_fiber_oracle_on_frontier_and_disconnected_fibers():
-    even = HomSubgroup(F2, Target("lattice", 1), [(1,), (0,)], hnf_from_generators(1, [(2,)]))
+    even = HomSubgroup(F2, [(1,), (0,)], hnf_from_generators(1, [(2,)]))
     S = build(KER, 6)
     expected = _oracle_fibers(S, even)
     assert expected[0][3]  # the even fiber holds the frontier cosets ±6

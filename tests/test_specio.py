@@ -290,12 +290,7 @@ def test_hom_subgroup_round_trip():
                 "images": [[1, 0], [0, 1]], "accepted": "zero"},
     }
     assert specio.subgroup_from_json(doc) == ker
-    even = HomSubgroup(
-        F2,
-        Target("lattice", 1),
-        [(1,), (0,)],
-        hnf_from_generators(1, [(2,)]),
-    )
+    even = HomSubgroup(F2, [(1,), (0,)], hnf_from_generators(1, [(2,)]))
     doc = {
         "context": {"kind": "free", "rank": 2},
         "hom": {"target": {"kind": "lattice", "param": 1},

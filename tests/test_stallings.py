@@ -287,12 +287,7 @@ def test_kernel_to_z_membership_is_zero_exponent_sum():
 def test_preimage_of_even_lattice():
     from chabauty_lab.zdlattice import hnf_from_generators
 
-    even = HomSubgroup(
-        F2,
-        Target("lattice", 1),
-        [(1,), (0,)],
-        hnf_from_generators(1, [(2,)]),
-    )
+    even = HomSubgroup(F2, [(1,), (0,)], hnf_from_generators(1, [(2,)]))
     assert even.contains(w("aa")) and even.contains(w("b"))
     assert not even.contains(w("a"))
     assert len({even.coset_key(v) for v in ball(F2, 3)}) == 2
@@ -358,13 +353,30 @@ def test_finite_targets_give_the_canonical_covering():
     assert preimage(F2, Target("cyclic", 4), [1, 0], [0, 2]) == even
 
 
-def test_hom_subgroup_takes_only_lattice_targets():
+def test_preimage_checks_source_images_and_accepted_lattice_for_every_target():
+    """One check of the source context and of the image count serves every
+    target kind, with the same messages; a lattice target's A must be an
+    HnfSubgroup of the target's dimension (or "zero")."""
+    from chabauty_lab.words import lattice
+    from chabauty_lab.zdlattice import hnf_from_generators
+
     for target, images, accepted in (
         (Target("cyclic", 2), [1, 0], [0]),
         (Target("permutation", 2), [(1, 0), (0, 1)], [(0, 1)]),
+        (Target("lattice", 1), [(1,), (0,)], "zero"),
     ):
-        with pytest.raises(MalformedInputError):
-            HomSubgroup(F2, target, images, accepted)
+        with pytest.raises(ContextMismatchError, match="^homomorphism sources are free groups$"):
+            preimage(lattice(2), target, images, accepted)
+        with pytest.raises(MalformedInputError, match="^need 2 generator images, got 1$"):
+            preimage(F2, target, images[:1], accepted)
+        with pytest.raises(MalformedInputError, match="^need 3 generator images, got 2$"):
+            preimage(F3, target, images, accepted)
+        assert not preimage(F2, target, images, accepted).contains(w("a"))
+    even_plane = hnf_from_generators(2, [(2, 0)])
+    with pytest.raises(MalformedInputError, match="^accepted sublattice has wrong dimension$"):
+        preimage(F2, Target("lattice", 1), [(1,), (0,)], even_plane)
+    with pytest.raises(MalformedInputError, match="^lattice targets accept an HnfSubgroup"):
+        preimage(F2, Target("lattice", 1), [(1,), (0,)], [(2,)])
     assert isinstance(kernel(F2, Target("lattice", 1), [(1,), (0,)]), HomSubgroup)
 
 

@@ -1,8 +1,9 @@
 """The tools that claims about a change rest on: per-op report digests of a
 source tree (``tools/report_digests.py``), alternating benchmark pairs of
 two checkouts (``tools/alternate_pairs.py``), per-kind CPU times
-(``tools/op_times.py``) and the timings of the README examples and the
-acceptance criteria (``tools/bench_examples.py``)."""
+(``tools/op_times.py``), the timings of the README examples and the
+acceptance criteria (``tools/bench_examples.py``) and the import CPU of two
+source trees (``tools/import_cpu.py``)."""
 
 import hashlib
 import importlib.util
@@ -62,6 +63,21 @@ def test_alternate_pairs_refuses_zero_pairs_before_running():
     assert done.returncode == 2
     assert "N must be at least 1" in done.stderr
     assert done.stdout == "" and "pair 1" not in done.stderr
+
+
+def test_import_cpu_times_one_process_per_tree_and_refuses_zero():
+    """N = 1 prints the bytecode setting and one line per tree; N = 0 is
+    refused before any process runs."""
+    done = _tool("tools/import_cpu.py", "src", "src", "1")
+    assert done.returncode == 0, done.stderr
+    setting, parent, change = done.stdout.splitlines()
+    assert setting.startswith("PYTHONDONTWRITEBYTECODE=")
+    for side, line in (("parent", parent), ("change", change)):
+        m = re.fullmatch(side + r"  median (\S+) ms  IQR (\S+)–(\S+) ms  \(n = 1\)", line)
+        assert m and 0 < float(m[1]) == float(m[2]) == float(m[3])
+    done = _tool("tools/import_cpu.py", "src", "src", "0")
+    assert done.returncode == 2 and "N must be at least 1" in done.stderr
+    assert done.stdout == ""
 
 
 def test_alternate_pairs_warns_about_unequal_checkout_paths(tmp_path):
