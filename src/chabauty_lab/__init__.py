@@ -7,10 +7,10 @@ The package works with three concrete families of ambient groups:
 * the lattices ``Z^d``, where subgroups are integer row spans in Hermite
   normal form (:mod:`chabauty_lab.zdlattice`),
 * subgroups defined as preimages under homomorphisms out of a free group
-  (:func:`chabauty_lab.stallings.preimage`): for a finite target, the
-  covering of the rose, a core graph like any other (so equal subgroups
-  compare equal whatever described them); for Z^k, a membership-complete
-  :class:`chabauty_lab.stallings.HomSubgroup`.
+  (:func:`chabauty_lab.stallings.preimage`), in one form whatever
+  described them: at finite index the covering of the rose, a core graph
+  like any other; a lattice preimage of infinite index is ab⁻¹(L) for its
+  sublattice L of Z^r (:class:`chabauty_lab.stallings.HomSubgroup`).
 
 On top of those representations sit the Chabauty-topology primitives
 (finite traces, clopen sets, distance bounds, convergence certificates in

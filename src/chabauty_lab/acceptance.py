@@ -30,13 +30,13 @@ from .errors import MalformedInputError, SearchFailure, TaskInvalidError
 from .schreier import build as schreier_build
 from .schreier import ends_estimate, fiber_diameters, intermediate_bound, qi_constants
 from .stallings import (
-    HomSubgroup,
     StallingsGraph,
     Target,
     conjugate_subgroup,
     from_generators,
     hall_completion,
     kernel,
+    preimage,
 )
 from .words import ball, format_word, free_group, parse_word, reduce_word
 from .zdlattice import (
@@ -516,7 +516,7 @@ def criterion_7() -> CriterionResult:
     ends = [ends_estimate(S, r) for r in (2, 3, 4)]
     if ends != [2, 2, 2]:
         problems.append(f"kernel ends {ends}")
-    even = HomSubgroup(_F2, [(1,), (0,)], hnf_from_generators(1, [(2,)]))
+    even = preimage(_F2, Target("lattice", 1), [(1,), (0,)], hnf_from_generators(1, [(2,)]))
     per_radius = []
     for radius in (6, 8, 10):
         reports = fiber_diameters(schreier_build(ker, radius), even)

@@ -203,9 +203,9 @@ def _product_distance(H, K, radius: int, budget: Budget) -> DistanceBound:
 
     One budget rule holds for every pair at every radius: after each level,
     the states reached answer to `vertex_cap`. Two core graphs have at most
-    (|V_H|+1)(|V_K|+1)·2r states, and a lattice preimage's states are the
-    residues of φ(w) modulo its accepted lattice, finitely many when that
-    has finite index and polynomially many in the radius otherwise.
+    (|V_H|+1)(|V_K|+1)·2r states, and a HomSubgroup ab⁻¹(L)'s states are
+    the residues of ab(w) modulo L, polynomially many in the radius (a
+    lattice preimage of finite index is a covering).
     """
     if radius < 0:
         raise MalformedInputError("radius must be >= 0")

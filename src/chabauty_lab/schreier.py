@@ -6,11 +6,10 @@ The Schreier graph of H ≤ F_r has the right cosets Hu as vertices and an edge
 Hu --g--> Hug per generator. We materialize the ball of radius R around the
 trivial coset by BFS over the states of H's coset automaton
 (:func:`~chabauty_lab.stallings.coset_automaton`: equal states mean equal
-cosets), which is H's membership automaton for a lattice preimage and a core
-or hung vertex for a core graph.
-Each vertex keeps its state, so an edge costs one step. The ball keeps one
-BFS tree, a parent and a letter per vertex, and spells a vertex's word from
-it only where a report prints one.
+cosets): a residue of ab(prefix) mod L for a `HomSubgroup`, a core or hung
+vertex for a core graph. Each vertex keeps its state, so an edge costs one
+step. The ball keeps one BFS tree, a parent and a letter per vertex, and
+spells a vertex's word from it only where a report prints one.
 
 Truncation discipline: the graph stores its frontier (sphere-R vertices) and
 every quantity computed from the ball is reported as exact or as a lower
@@ -24,12 +23,11 @@ from math import comb
 
 from .budgets import Budget, current
 from .errors import MalformedInputError
-from .stallings import HomSubgroup, StallingsGraph, coset_automaton
+from .stallings import coset_automaton, why_not_contained
 from .words import (
     GroupContext,
     Word,
     ball_size,
-    format_word,
     require_same_context,
 )
 
@@ -213,46 +211,24 @@ class FiberReport:
     lower_bound: bool
 
 
-def _verify_containment(H, K) -> None:
-    if isinstance(H, StallingsGraph):
-        w = next((w for w in H.basis() if not K.contains(w)), None)
-        if w is not None:
-            text = format_word(w) if H.ctx.rank <= 26 else list(w)
-            raise MalformedInputError(
-                f"H is not contained in K (basis word {text} not accepted)"
-            )
-        return
-    if isinstance(H, HomSubgroup) and isinstance(K, HomSubgroup):
-        if (
-            H.ctx == K.ctx
-            and H.images == K.images
-            and all(K.accepted.contains(r) for r in H.accepted.rows)
-        ):
-            return
-        raise MalformedInputError(
-            "containment of lattice preimages is only decidable for a common "
-            "homomorphism with nested accepted sublattices"
-        )
-    raise MalformedInputError(
-        f"cannot verify containment for {type(H).__name__} ≤ {type(K).__name__}"
-    )
-
-
 def fiber_diameters(S: SchreierGraph, K) -> list[FiberReport]:
     """Diameters of the fibers of Schreier(H) → Schreier(K) over the ball S
     of H.
 
-    Requires H ≤ K (verified). Fibers are listed by the canonically-least
-    H-coset representative they contain. A BFS from a fiber's least vertex
-    finds the piece of the fiber in its component of the ball; the vertices
-    it misses form the later pieces, and a fiber of more than one piece is
-    disconnected within the ball. The diameter is the largest distance
-    within a piece, each measured by :func:`_piece_diameter`.
+    Requires H ≤ K (`stallings.why_not_contained`). Fibers are listed by the
+    canonically-least H-coset representative they contain. A BFS from a
+    fiber's least vertex finds the piece of the fiber in its component of
+    the ball; the vertices it misses form the later pieces, and a fiber of
+    more than one piece is disconnected within the ball. The diameter is the
+    largest distance within a piece, each measured by
+    :func:`_piece_diameter`.
     """
     if K.ctx.kind != "free":
         raise MalformedInputError("fibers are taken over a free-group subgroup")
     require_same_context(S.subgroup.ctx, K.ctx, "fibers")
-    _verify_containment(S.subgroup, K)
+    reason = why_not_contained(S.subgroup, K)
+    if reason is not None:
+        raise MalformedInputError(f"H is not contained in K ({reason})")
     # K·rep(v) = K·rep(parent[v])·letter[v], stepped in BFS order
     start, step = coset_automaton(K)
     kstates = [start]
@@ -442,19 +418,19 @@ def qi_to_line_probe(S: SchreierGraph, ends: list[int] | None = None) -> ProbeRe
     values = {e for _, e in window}
     stable = len(values) == 1
     # growth screen: the spheres of a graph quasi-isometric to Z or N stay bounded
-    near_linear = max(spheres[hi:]) <= max(spheres[lo : hi + 1])
-    if stable and near_linear:
+    bounded = max(spheres[hi:]) <= max(spheres[lo : hi + 1])
+    if stable and bounded:
         e = values.pop()
         if e == 2:
             return ProbeReport(
-                "Z", "two stable ends, near-linear growth", spheres, window, False
+                "Z", "two stable ends, bounded spheres", spheres, window, False
             )
         if e == 1:
             return ProbeReport(
-                "N", "one stable end, near-linear growth", spheres, window, False
+                "N", "one stable end, bounded spheres", spheres, window, False
             )
         return ProbeReport(
             "neither", f"{e} stable ends", spheres, window, False
         )
-    reason = "ends estimate not stable" if not stable else "growth not near-linear"
+    reason = "ends estimate not stable" if not stable else "spheres grow past R/2"
     return ProbeReport("neither", reason, spheres, window, False)

@@ -242,10 +242,10 @@ def folded_subgroup_from_json(obj: Any, budget: Budget | None = None):
     the generators (free contexts, within `budget`; `stallings.fold`), whose
     words `parse_word` has already reduced and checked, or an HNF row span
     (lattice contexts). ``{"context": C, "hom": {...}}`` builds the
-    preimage φ⁻¹(A): the covering of the rose for a cyclic or permutation
-    target (within `budget`), so it equals the core graph of any generator
-    document of the same subgroup, and a :class:`HomSubgroup` for a lattice
-    target.
+    preimage φ⁻¹(A) in `stallings.preimage`'s one form (within `budget`):
+    the covering of the rose at finite index, so it equals the core graph
+    of any generator document of the same subgroup, and otherwise the
+    trivial subgroup of F₁ or a :class:`HomSubgroup` ab⁻¹(L).
     """
     ctx = context_from_json(_require(obj, "context", "subgroup"), budget)
     if "hom" in obj:

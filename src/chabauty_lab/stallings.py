@@ -1,6 +1,6 @@
 """Stallings folded automata for finitely generated subgroups of free groups,
-plus homomorphism-defined subgroups (kernels and preimages): coverings of the
-rose for finite targets, :class:`HomSubgroup` for lattice targets.
+plus homomorphism-defined subgroups in the one form each subgroup fixes: the
+covering of the rose at finite index, else ab⁻¹(L) (:class:`HomSubgroup`).
 
 A subgroup H ≤ F_r is stored as its core graph: a finite connected digraph
 with edges labelled by generators 1..r, a basepoint, no two equally-labelled
@@ -906,37 +906,47 @@ def preimage(
     accepted,
     budget: Budget | None = None,
 ) -> StallingsGraph | HomSubgroup:
-    """φ⁻¹(A) for the homomorphism φ: F_r → target sending generator i to
-    images[i − 1], and an accepted subgroup A of the target.
-
-    Z/m and Sym(n) are finite, so φ⁻¹(A) has finite index and is returned as
-    its covering of the rose (Stallings 1983): the vertices are the right
-    cosets A·φ(w), and the g-edges multiply them by φ(g) on the right. The
-    cosets are numbered by BFS from A in canonical letter order, which is
-    `_canonical`'s numbering, so the graph equals that of every other
-    description of the same subgroup. A coset space larger than
-    `budget.vertex_cap` raises. Lattice targets give a :class:`HomSubgroup`.
-    """
+    """φ⁻¹(A) for φ: F_r → target sending generator i to images[i − 1], and
+    A ≤ target, in the one form its subgroup fixes. For Z^k, φ = M ∘ ab, so
+    φ⁻¹(A) = ab⁻¹(L) for L = {x ∈ Z^r : Mx ∈ A} = ab(φ⁻¹(A)), which costs
+    r·(k + r) of `vertex_cap`; Z/m with A = dZ/m, d = gcd(m, A), is Z with
+    dZ. At rank L = r, and for Sym(n), it is the covering of the rose
+    (Stallings 1983) by BFS over the cosets (residues mod L, or A·φ(w)) in
+    canonical letter order: `_canonical`'s numbering, so equal to every
+    other description's graph; past `vertex_cap` cosets it raises. Else it
+    is trivial (r = 1) or a :class:`HomSubgroup`."""
     if ctx.kind != "free":
         raise ContextMismatchError("homomorphism sources are free groups")
     if len(images) != ctx.rank:
         raise MalformedInputError(f"need {ctx.rank} generator images, got {len(images)}")
-    if target.kind == "lattice":
+    budget = budget or current()
+    if target.kind == "permutation":
+        return _bfs_graph(ctx, *_permutation_cosets(target.param, images, accepted), budget)
+    if target.kind == "cyclic":
+        images, accepted = [(int(v),) for v in images], _cyclic_lattice(target.param, accepted)
+    else:
         if accepted == "zero":
             accepted = zdlattice.hnf_from_generators(target.param, [])
         if not isinstance(accepted, zdlattice.HnfSubgroup):
             raise MalformedInputError("lattice targets accept an HnfSubgroup or 'zero'")
         if accepted.dim != target.param:
             raise MalformedInputError("accepted sublattice has wrong dimension")
-        return HomSubgroup(ctx, images, accepted)
-    cosets = _cyclic_cosets if target.kind == "cyclic" else _permutation_cosets
-    start, moves = cosets(target.param, images, accepted)
-    return _bfs_graph(ctx, start, moves, budget or current())
+        if any(len(v) != accepted.dim for v in images):
+            raise MalformedInputError("image vector has wrong dimension")
+    r = ctx.rank
+    if (entries := r * (accepted.dim + r)) > budget.vertex_cap:
+        raise budget.exceeded("vertex_cap", "preimage lattice entries", entries)
+    L = zdlattice.lattice_preimage(images, accepted)
+    if L.rank == r:
+        def moves(x):  # x ± eᵢ, reduced mod L
+            return [L.residue(x[:i] + (x[i] + e,) + x[i + 1 :]) for i in range(r) for e in (1, -1)]
+
+        return _bfs_graph(ctx, (0,) * r, moves, budget)
+    return trivial_subgroup(ctx) if r == 1 else HomSubgroup(ctx, L)
 
 
-def _cyclic_cosets(m: int, images, accepted):
-    """(label of A, `_bfs_graph` moves) on the cosets of A ≤ Z/m. A = dZ/m
-    for d = gcd(m, A), so the coset of x is labelled by x mod d."""
+def _cyclic_lattice(m: int, accepted) -> zdlattice.HnfSubgroup:
+    """The lattice dZ ≤ Z whose image in Z/m is A: A = dZ/m for d = gcd(m, A)."""
     vals = frozenset(int(v) % m for v in accepted)
     if not vals:
         raise MalformedInputError("accepted subgroup cannot be empty")
@@ -944,8 +954,7 @@ def _cyclic_cosets(m: int, images, accepted):
     # vals ⊆ dZ/m, so it is dZ/m iff it has m // d elements (m may be huge)
     if len(vals) != m // d:
         raise MalformedInputError(f"accepted set {sorted(vals)} is not a subgroup of Z/{m}")
-    shifts = [e * int(v) % d for v in images for e in (1, -1)]
-    return 0, lambda x: [(x + s) % d for s in shifts]
+    return zdlattice.hnf_from_generators(1, [(d,)])
 
 
 def _permutation_cosets(n: int, images, accepted):
@@ -994,75 +1003,79 @@ def _perm_inv(p: tuple) -> tuple:
 
 
 class HomSubgroup:
-    """φ⁻¹(A) for a homomorphism φ: F_r → Z^k and a sublattice A ≤ Z^k.
+    """ab⁻¹(L) for L ≤ Z^r of rank below r, r ≥ 2: the lattice preimages
+    that are not finitely generated (each contains [F, F]), as `preimage`
+    builds them. L = ab(H) is fixed by the subgroup, so equality and hashing
+    are structural on it. One automaton over the residues of ab(prefix) mod
+    L serves membership (residue 0) and the right cosets H·w (equal residues
+    ⟺ equal cosets). There is no rank: E − V + 1 needs a finite core graph."""
 
-    Membership-complete even when the subgroup is not finitely generated
-    (kernels of F_r → Z^k are the main use). One automaton, over residues of
-    φ(prefix) modulo A, serves membership (a member's residue is 0) and the
-    right cosets H·w (equal residues ⟺ equal cosets), which is what Schreier
-    constructions consume. :func:`preimage` checks the context, the image
-    count and A; it builds the preimages of finite targets as coverings.
+    __slots__ = ("ctx", "lattice", "start")
 
-    No rank is defined here: rank = edges − vertices + 1 needs a finite core
-    graph, and these subgroups generally have none.
-    """
-
-    __slots__ = ("ctx", "images", "accepted", "start", "_action", "_hash")
-
-    def __init__(self, ctx: GroupContext, images, accepted: zdlattice.HnfSubgroup):
-        k = accepted.dim
-        self.images = tuple(tuple(int(x) for x in v) for v in images)
-        if any(len(v) != k for v in self.images):
-            raise MalformedInputError("image vector has wrong dimension")
+    def __init__(self, ctx: GroupContext, lattice: zdlattice.HnfSubgroup):
         self.ctx = ctx
-        self.accepted = accepted
-        self.start = (0,) * k
-        # letter ±i adds ±φ(generator i) to the running image
-        self._action = {
-            e * i: tuple(e * c for c in v) for i, v in enumerate(self.images, 1) for e in (1, -1)
-        }
-        self._hash = hash((ctx, self.images, accepted))
-
-    # membership and coset automaton ---------------------------------------
-    # The state is the residue of φ(prefix) modulo A. Acceptance depends only
-    # on it, so merging prefixes by residue is exact (Myhill–Nerode).
+        self.lattice = lattice
+        self.start = (0,) * ctx.rank
 
     def step(self, state, letter: int):
-        return self.accepted.residue([x + y for x, y in zip(state, self._action[letter])])
+        v = list(state)
+        v[abs(letter) - 1] += 1 if letter > 0 else -1
+        return self.lattice.residue(v)
 
     def accepting(self, state) -> bool:
         return not any(state)
 
-    def image(self, w: Word):
-        """φ(w), in one pass."""
-        return tuple(map(sum, zip(self.start, *map(self._action.__getitem__, w))))
-
     def contains(self, w: Word) -> bool:
-        return self.accepted.contains(self.image(w))
+        return self.lattice.contains(_abelianized(w, self.ctx.rank))
 
     def coset_key(self, w: Word):
         """Canonical label of the right coset H·w: the state reached on w."""
-        return self.accepted.residue(self.image(w))
+        return self.lattice.residue(_abelianized(w, self.ctx.rank))
 
     def __eq__(self, other):
         if not isinstance(other, HomSubgroup):
             return NotImplemented
-        return (
-            self.ctx == other.ctx
-            and self.images == other.images
-            and self.accepted == other.accepted
-        )
+        return self.ctx == other.ctx and self.lattice == other.lattice
 
     def __hash__(self):
-        return self._hash
+        return hash((self.ctx, self.lattice))
 
     def __repr__(self):
-        return f"HomSubgroup(F_{self.ctx.rank} → Z^{self.accepted.dim})"
+        return f"HomSubgroup(F_{self.ctx.rank}, L = {self.lattice.rows})"
+
+
+def _abelianized(w: Word, r: int) -> list[int]:
+    """ab(w) ∈ Z^r: the exponent sum of each generator."""
+    counts = Counter(w)
+    return [counts[g] - counts[-g] for g in range(1, r + 1)]
+
+
+def why_not_contained(H: StallingsGraph | HomSubgroup, K) -> str | None:
+    """None if H ≤ K, else why not. A core graph H: its basis walk.
+    ab⁻¹(L) ≤ ab⁻¹(L′) iff L ⊆ L′. ab⁻¹(L) ⊇ [F, F], and a finitely generated
+    K containing a nontrivial normal subgroup has finite index (Karrass–
+    Solitar 1957; Greenberg 1960); so a core graph K contains ab⁻¹(L) iff it
+    contains [F, F], i.e. [F_r : K] = [Z^r : ab(K)] (as K ≤ ab⁻¹(ab(K))),
+    and L ⊆ ab(K)."""
+    if isinstance(H, StallingsGraph):
+        w = next((w for w in H.basis() if not K.contains(w)), None)
+        return w and f"basis word {format_word(w) if H.ctx.rank <= 26 else list(w)} not accepted"
+    r = K.ctx.rank
+    if isinstance(K, HomSubgroup):
+        abK = K.lattice
+    elif K.index() is None:
+        return "K has infinite index, and H contains [F, F]"
+    else:
+        abK = zdlattice.hnf_from_generators(r, (_abelianized(w, r) for w in K.basis()))
+        if abK.index() != K.index():
+            return "K does not contain [F, F], and H does"
+    row = next((row for row in H.lattice.rows if not abK.contains(row)), None)
+    return None if row is None else f"ab(H) holds {list(row)}, which ab(K) does not"
 
 
 def kernel(
     ctx: GroupContext, target: Target, images, budget: Budget | None = None
 ) -> StallingsGraph | HomSubgroup:
-    """ker φ: a covering for finite targets, a HomSubgroup for lattices."""
+    """ker φ, in `preimage`'s form."""
     trivial = {"lattice": "zero", "cyclic": [0], "permutation": [tuple(range(target.param))]}
     return preimage(ctx, target, images, trivial[target.kind], budget)

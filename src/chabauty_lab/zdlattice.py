@@ -146,6 +146,16 @@ def hnf_from_generators(dim: int, generators: Iterable[Sequence[int]]) -> HnfSub
     return HnfSubgroup(dim, tuple(tuple(rows[c]) for c in cols))
 
 
+def lattice_preimage(images: Sequence[Sequence[int]], A: HnfSubgroup) -> HnfSubgroup:
+    """L = {x ∈ Z^r : Mx ∈ A}, M's columns the r images in A's Z^k: the HNF
+    of ⟨(Meᵢ, eᵢ), (a, 0) : a ∈ A⟩ ≤ Z^(k+r) has its rows that are zero on
+    Z^k span {0} × L, so their last r entries are L's HNF (Cohen, §2.4.3)."""
+    k, r = A.dim, len(images)
+    rows = [tuple(v) + (0,) * i + (1,) + (0,) * (r - i - 1) for i, v in enumerate(images)]
+    full = hnf_from_generators(k + r, rows + [a + (0,) * r for a in A.rows])
+    return HnfSubgroup(r, tuple(row[k:] for row in full.rows if not any(row[:k])))
+
+
 def cb_erasing_rank(H: HnfSubgroup) -> int:
     """d − rk(H) + 1: how many erasing steps the subgroup survives in the
     Chabauty space of Z^d (trivial subgroup: d + 1; finite index: 1)."""

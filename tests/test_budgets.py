@@ -132,6 +132,10 @@ _RAISE_SITES = {
         "free rank (vertex_cap)", "vertex_cap", 2,
         lambda b: specio.context_from_json({"kind": "free", "rank": 3}, b),
     ),
+    "stallings preimage lattice": (
+        "preimage lattice entries", "vertex_cap", 5,
+        lambda b: stallings.kernel(F2, stallings.Target("lattice", 1), [(1,), (0,)], b),
+    ),
     "specio lattice target": (
         "lattice target dimension (vertex_cap)", "vertex_cap", 2,
         lambda b: specio.subgroup_from_json(_LATTICE_TARGET_DOC, b),
@@ -145,7 +149,7 @@ _RAISE_SITES = {
 
 @pytest.mark.parametrize("site", list(_RAISE_SITES))
 def test_budget_errors_name_their_field(site, monkeypatch):
-    """Each of the 14 raise sites names the field to enlarge: a key of
+    """Each of the 15 raise sites names the field to enlarge: a key of
     Budget.as_dict(), and the one whose value is the error's limit. Every
     site but the candidate search, which counts nothing past its cap, says
     how far the run got, past the limit. The message starts with what was

@@ -35,6 +35,7 @@ from chabauty_lab.errors import (
 )
 from chabauty_lab.specio import json_of_clopen
 from chabauty_lab.stallings import (
+    HomSubgroup,
     StallingsGraph,
     Target,
     _traces_agree,
@@ -51,6 +52,7 @@ from chabauty_lab.words import (
     reduce_word,
 )
 from chabauty_lab.zdlattice import hnf_from_generators
+from hom_oracle import lattice_documents, lattice_forms
 
 F2 = free_group(2)
 
@@ -211,8 +213,9 @@ def _closure(n, gens):
 
 @st.composite
 def hom_subgroups(draw, rank, kinds=("cyclic", "permutation", "lattice")):
-    """φ⁻¹(A) for a random φ into Z/m, Sym(n) or Z^k: a covering for the
-    finite targets, a HomSubgroup for the lattice ones."""
+    """φ⁻¹(A) for a random φ into Z/m, Sym(n) or Z^k, in `preimage`'s form:
+    a covering at finite index, else the trivial subgroup of F₁ or a
+    HomSubgroup."""
     ctx = free_group(rank)
     kind = draw(st.sampled_from(kinds))
     if kind == "cyclic":
@@ -226,37 +229,37 @@ def hom_subgroups(draw, rank, kinds=("cyclic", "permutation", "lattice")):
         images = draw(st.lists(_permutations(n), min_size=rank, max_size=rank))
         sub_gens = draw(st.lists(_permutations(n), max_size=1))
         return preimage(ctx, Target("permutation", n), images, _closure(n, sub_gens))
-    k = draw(st.integers(1, 2))
-    vec = st.lists(st.integers(-2, 2), min_size=k, max_size=k).map(tuple)
-    images = draw(st.lists(vec, min_size=rank, max_size=rank))
-    accepted = hnf_from_generators(k, draw(st.lists(vec, max_size=2)))
-    return preimage(ctx, Target("lattice", k), images, accepted)
+    return lattice_forms(draw(lattice_documents(rank, bound=2)))[0]
 
 
 @given(
     st.sampled_from([2, 3]).flatmap(
         lambda r: st.tuples(
-            hom_subgroups(r, kinds=("lattice",)),
+            lattice_documents(r, bound=2),
             st.lists(st.sampled_from(letters(r)), max_size=8),
         )
     )
 )
 @settings(max_examples=80, deadline=None)
 def test_hom_automaton_follows_the_homomorphism(case):
-    """Stepping a lattice preimage through a word reaches the residue of its
-    image, which is its coset key and decides its membership, and x·x⁻¹ acts
-    trivially: the ball-scan oracle cannot see a wrong inverse table, since
-    it reads membership off the same table. (Finite targets build coverings,
-    checked against the homomorphism in test_schreier.)"""
-    H, word = case
+    """Stepping a lattice preimage of infinite index through a word reaches
+    the residue of its abelianization modulo L, which is its coset key and
+    decides its membership as the homomorphism does, and x·x⁻¹ acts
+    trivially: the ball-scan oracle cannot see a wrong inverse step, since
+    it reads membership off the same step. (Finite-index preimages are
+    coverings, checked against the homomorphism in test_schreier.)"""
+    doc, word = case
+    H, oracle = lattice_forms(doc)
+    assume(isinstance(H, HomSubgroup))
+    word = tuple(word)
     state = H.start
     for x in word:
         state = H.step(state, x)
-    assert state == H.coset_key(tuple(word)) == H.accepted.residue(H.image(tuple(word)))
-    assert H.accepting(state) == H.contains(tuple(word))
+    ab = [sum((x == g) - (x == -g) for x in word) for g in range(1, H.ctx.rank + 1)]
+    assert state == H.coset_key(word) == H.lattice.residue(ab)
+    assert H.accepting(state) == H.contains(word) == oracle.contains(word)
     for x in range(1, H.ctx.rank + 1):
-        assert H.image((x, -x)) == H.image((-x, x)) == H.start
-        assert H.step(H.step(H.start, x), -x) == H.start
+        assert H.step(H.step(H.start, x), -x) == H.step(H.step(H.start, -x), x) == H.start
     assert H.accepting(H.start)
 
 
@@ -342,8 +345,9 @@ def test_half_radius_check_matches_product_search(pair):
 
 def image_state_distance(H, K, radius):
     """The product search as it ran on two lattice preimages when their
-    states were running images: each side steps φ(prefix) in Z^k unreduced
-    and accepts it iff it lies in A, with no budget."""
+    states were running images: each side (an `ImageHomSubgroup`) steps
+    φ(prefix) in Z^k unreduced and accepts it iff it lies in A, with no
+    budget."""
     moves = [{x: S.image((x,)) for x in letters(S.ctx.rank)} for S in (H, K)]
     start = (H.start, K.start, 0)
     seen = {start}
@@ -370,32 +374,34 @@ def image_state_distance(H, K, radius):
 
 @st.composite
 def lattice_preimage_pairs(draw):
-    """(H, K, radius): two lattice preimages over F₂ or F₃, unrelated, or
+    """(H, K, radius): two lattice documents over F₂ or F₃, unrelated, or
     with the same φ and accepted lattices A ≤ A' (so they may agree far out),
     or equal, with radius ≤ 12."""
     rank = draw(st.sampled_from([2, 3]))
     radius = draw(st.integers(0, 12))
-    H = draw(hom_subgroups(rank, kinds=("lattice",)))
+    H = draw(lattice_documents(rank, bound=2))
     shape = draw(st.sampled_from(["unrelated", "coarser", "equal"]))
     if shape == "unrelated":
-        K = draw(hom_subgroups(rank, kinds=("lattice",)))
+        K = draw(lattice_documents(rank, bound=2))
     else:
-        k = H.accepted.dim
+        ctx, images, gens = H
+        k = len(images[0])
         vec = st.lists(st.integers(-6, 6), min_size=k, max_size=k).map(tuple)
         extra = draw(st.lists(vec, max_size=1)) if shape == "coarser" else []
-        accepted = hnf_from_generators(k, list(H.accepted.rows) + extra)
-        K = preimage(H.ctx, Target("lattice", k), H.images, accepted)
+        K = (ctx, images, gens + extra)
     return (K, H, radius) if draw(st.booleans()) else (H, K, radius)
 
 
 @given(lattice_preimage_pairs())
 @settings(max_examples=150, deadline=None)
 def test_residue_states_match_the_image_state_search(pair):
-    """Merging prefixes by residue modulo A keeps each level's first word per
-    state, so the distance and its canonically-least witness are those of
-    the search over unreduced images."""
+    """Merging prefixes by their class, a residue of ab(prefix) mod L or a
+    covering's vertex, keeps each level's first word per state, so the
+    distance and its canonically-least witness are those of the search over
+    unreduced images of the documents."""
     H, K, radius = pair
-    assert distance_up_to(H, K, radius) == image_state_distance(H, K, radius)
+    (H, H_images), (K, K_images) = lattice_forms(H), lattice_forms(K)
+    assert distance_up_to(H, K, radius) == image_state_distance(H_images, K_images, radius)
 
 
 def test_commutator_subgroup_past_the_radius_cap():

@@ -774,6 +774,70 @@ def test_coprime_cyclic_kernels_answer_to_the_vertex_cap(capsys, tmp_path):
     assert "graph vertices" in err
 
 
+def test_schreier_of_a_kernel_over_the_whole_group_is_zero(capsys, tmp_path):
+    """ker(F₂ → Z) over ⟨a, b⟩ is decided, [F₂ : K] = [Z² : ab(K)] = 1 (it
+    exited 2 while containment needed a shared φ): one fiber, the ball."""
+    doc = {"subgroup": _lattice_kernel([[1], [0]]),
+           "over": {"context": F2_CTX, "generators": ["a", "b"]}}
+    code, out, _ = run(capsys, "schreier", spec_file(tmp_path, "k.json", doc), "--radius", "4")
+    assert code == 0
+    fibers = json.loads(out)["result"]["fibers"]
+    assert [(f["representative"], f["size"]) for f in fibers] == [("", 9)]
+
+
+@pytest.mark.parametrize(
+    "over, why",
+    [
+        (_lattice_kernel([[0], [1]]), "ab(H) holds [0, 1], which ab(K) does not"),
+        ({"context": F2_CTX, "generators": ["a", "bab"]}, "K has infinite index, and H contains [F, F]"),
+        ({"context": F2_CTX, "hom": {"target": {"kind": "permutation", "param": 3},
+                                     "images": [[1, 0, 2], [0, 2, 1]], "accepted": [[0, 1, 2]]}},
+         "K does not contain [F, F], and H does"),
+    ],
+    ids=["lattice", "infinite-index", "sym3"],
+)
+def test_schreier_over_a_subgroup_not_containing_the_kernel_names_why(capsys, tmp_path, over, why):
+    doc = {"subgroup": _lattice_kernel([[1], [0]]), "over": over}
+    code, out, err = run(capsys, "schreier", spec_file(tmp_path, "k.json", doc), "--radius", "4")
+    assert (code, out) == (2, "")
+    assert err == f"error: H is not contained in K ({why})\n"
+
+
+def test_kernels_of_phi_and_minus_phi_are_one_subgroup(capsys, tmp_path):
+    """ker φ and ker(−φ) are one subgroup, so neither term differs from the
+    limit ker φ: `nontrivial` is false for both."""
+    doc = {"sequence": [_lattice_kernel([[2, 1], [3, 0]]), _lattice_kernel([[-2, -1], [-3, 0]])],
+           "limit": _lattice_kernel([[2, 1], [3, 0]])}
+    code, out, _ = run(capsys, "chabauty", spec_file(tmp_path, "s.json", doc), "--radius", "6")
+    assert code == 0
+    assert [t["nontrivial"] for t in json.loads(out)["result"]["terms"]] == [False, False]
+
+
+def test_lattice_preimages_answer_to_the_vertex_cap(capsys, tmp_path):
+    """The HNF of L charges r·(k + r) entries of vertex_cap first: F₄₀₀ → Z
+    (160,400 > 100,000) exits 3, where it answered, and F₃₀₀ → Z answers. A
+    finite-index preimage with more cosets than vertex_cap exits 3, as a
+    cyclic one does."""
+    def free_to_z(r):
+        hom = {"target": {"kind": "lattice", "param": 1}, "images": [[1]] * r, "accepted": "zero"}
+        return spec_file(tmp_path, f"f{r}.json", {"context": {"kind": "free", "rank": r}, "hom": hom})
+
+    code, out, err = run(capsys, "schreier", free_to_z(400), "--radius", "1")
+    assert (code, out) == (3, "")
+    assert "preimage lattice entries: limit 100000, reached 160400" in err
+    assert run(capsys, "schreier", free_to_z(300), "--radius", "1")[0] == 0
+
+    def mod(n):
+        hom = {"target": {"kind": "lattice", "param": 1}, "images": [[1], [0]],
+               "accepted": {"generators": [[n]]}}
+        return spec_file(tmp_path, f"m{n}.json", {"context": F2_CTX, "hom": hom})
+
+    assert run(capsys, "schreier", mod(64), "--radius", "2", "--budget-vertices", "64")[0] == 0
+    code, out, err = run(capsys, "schreier", mod(65), "--radius", "2", "--budget-vertices", "64")
+    assert (code, out) == (3, "")
+    assert "graph vertices: limit 64" in err
+
+
 def test_lattice_witness_sequence_answers_to_the_vertex_cap(capsys, tmp_path):
     # the trivial subgroup of Z at radius 8: terms mZ for m = 1..2·8 + 2 = 18;
     # the largest ball listed, Z's, holds 17 points, so a vertex cap of 17
@@ -1366,10 +1430,16 @@ _FUZZ_KEYS = [
     "sequence", "limit", "subgroup", "over", "sets", "elements", "tolerances", "pairs",
     "source", "source_witness", "target_witness", "ins", "outs", "budget",
 ]
+# integers of sys.get_int_max_str_digits() = 4,300 digits, and of one more,
+# which the decoder refuses: a document holds _FUZZ_PAST_LIMIT as a string,
+# and the test writes it bare
+_FUZZ_PAST_LIMIT = "<integer past the digit limit>"
+_fuzz_big = st.sampled_from([2**64 + 1, -(10**40), 10**4299, -(10**4299), _FUZZ_PAST_LIMIT])
 _fuzz_atoms = (
     st.none()
     | st.booleans()
     | st.integers(min_value=-2, max_value=4)
+    | _fuzz_big
     | st.sampled_from(["free", "lattice", "cyclic", "permutation", "zero", "", "a", "abA",
                        "bB", "c", "1/2", "x"])
 )
@@ -1398,16 +1468,36 @@ def _fuzz_generated(**optional):
     return free | z2 | anything
 
 
+# a vector entry is huge one time in ten
+_fuzz_entries = st.integers(0, 9).flatmap(lambda i: _fuzz_big if i == 0 else st.integers(-3, 3))
+
+
+def _fuzz_lattice_hom(k):
+    """A hom document from F₂ or F₃ to Z^k, with small or huge entries, A
+    given as "zero" or by generators."""
+    vector = st.lists(_fuzz_entries, min_size=k, max_size=k)
+    return st.integers(min_value=2, max_value=3).flatmap(lambda r: st.fixed_dictionaries({
+        "context": st.just({"kind": "free", "rank": r}),
+        "hom": st.fixed_dictionaries({
+            "target": st.just({"kind": "lattice", "param": k}),
+            "images": st.lists(vector, min_size=r, max_size=r),
+            "accepted": st.just("zero")
+            | st.fixed_dictionaries({"generators": st.lists(vector, max_size=3)}),
+        }),
+    }))
+
+
 _fuzz_subgroups = _fuzz_generated() | st.fixed_dictionaries({
     "context": st.just(F2_CTX),
     "hom": st.fixed_dictionaries({
         "target": st.fixed_dictionaries({
-            "kind": st.just("cyclic"), "param": st.integers(min_value=1, max_value=4),
+            "kind": st.just("cyclic"),
+            "param": st.integers(1, 9).flatmap(lambda m: _fuzz_big if m > 4 else st.just(m)),
         }),
-        "images": st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=2),
-        "accepted": st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+        "images": st.lists(_fuzz_entries, min_size=2, max_size=2),
+        "accepted": st.lists(_fuzz_entries, max_size=2),
     }),
-})
+}) | st.integers(min_value=1, max_value=3).flatmap(_fuzz_lattice_hom)
 _fuzz_clopens = st.fixed_dictionaries({"ins": _fuzz_word_lists, "outs": _fuzz_word_lists})
 # per subcommand, documents of the shape it reads with small random contents
 _FUZZ_SHAPED = {
@@ -1455,7 +1545,7 @@ def test_every_document_exits_with_a_contract_code(command_and_doc, radius):
     with tempfile.TemporaryDirectory() as directory:
         spec = os.path.join(directory, "doc.json")
         with open(spec, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc).replace(json.dumps(_FUZZ_PAST_LIMIT), "7" * 4301))
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main([command, spec, "--radius", radius,

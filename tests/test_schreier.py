@@ -6,6 +6,8 @@ every vertex: ball of radius 10 = 21 vertices (cosets −10..10), 41 edges
 (20 a-edges + 21 b-loops), 2 frontier vertices, 2 ends, probe verdict "Z".
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,6 @@ from chabauty_lab.schreier import (
 )
 from chabauty_lab.stallings import (
     BASEPOINT,
-    HomSubgroup,
     StallingsGraph,
     Target,
     from_generators,
@@ -51,6 +52,12 @@ KER = kernel(F2, Target("lattice", 1), [(1,), (0,)])
 
 def w(t):
     return parse_word(t, F2)
+
+
+def _lattice_preimage(images, accepted_rows):
+    """φ⁻¹(A) ≤ F₂ for φ sending a, b to `images` in Z^k, A spanned by the rows."""
+    k = len(images[0])
+    return preimage(F2, Target("lattice", k), images, hnf_from_generators(k, accepted_rows))
 
 
 def gens(*texts):
@@ -145,7 +152,7 @@ _LINES = {
         for images in ([(1,), (0,)], [(-1,), (0,)], [(0,), (1,)], [(0,), (-1,)], [(2,), (3,)])
     },
     **{
-        f"ladder Z x Z/{m}": HomSubgroup(F2, [(1, 0), (0, 1)], hnf_from_generators(2, [(0, m)]))
+        f"ladder Z x Z/{m}": _lattice_preimage([(1, 0), (0, 1)], [(0, m)])
         for m in (2, 3)
     },
     "trivial subgroup of F1": trivial_subgroup(free_group(1)),
@@ -163,7 +170,7 @@ _PLANES = {
 @pytest.mark.parametrize("name", list(_LINES))
 def test_probe_reads_bounded_spheres_with_two_ends_as_the_line(name, radius):
     p = qi_to_line_probe(build(_LINES[name], radius))
-    assert (p.verdict, p.reason) == ("Z", "two stable ends, near-linear growth")
+    assert (p.verdict, p.reason) == ("Z", "two stable ends, bounded spheres")
 
 
 @pytest.mark.parametrize("radius", [8, 9, 16, 30])
@@ -172,7 +179,7 @@ def test_probe_reads_growing_spheres_as_neither(name, radius):
     """The grid Z² has one stable end but spheres of size 4r, so it is
     neither the line nor the ray; nor is Z³."""
     p = qi_to_line_probe(build(_PLANES[name], radius))
-    assert (p.verdict, p.reason) == ("neither", "growth not near-linear")
+    assert (p.verdict, p.reason) == ("neither", "spheres grow past R/2")
 
 
 def test_probe_reads_a_given_ends_profile_as_its_own():
@@ -196,7 +203,7 @@ def test_fibers_of_even_subgroup_in_whole_group():
 
 
 def test_fibers_of_kernel_over_index_two_preimage():
-    even_preimage = HomSubgroup(F2, [(1,), (0,)], hnf_from_generators(1, [(2,)]))
+    even_preimage = _lattice_preimage([(1,), (0,)], [(2,)])
     reports = fiber_diameters(build(KER, 10), even_preimage)
     stats = [(r.size, r.diameter, r.lower_bound) for r in reports]
     assert stats == [(11, 20, True), (10, 18, False)]
@@ -207,22 +214,50 @@ def test_fiber_containment_enforced():
         fiber_diameters(build(gens("a"), 6), gens("b"))  # a ∉ ⟨b⟩: not intermediate
 
 
-def _lattice_preimage(images, accepted_rows):
-    return HomSubgroup(F2, images, hnf_from_generators(1, accepted_rows))
+def test_containment_of_lattice_preimages_is_decided():
+    """Every pair of subgroup kinds is decided: a covering by its basis walk,
+    ab⁻¹(L) ≤ ab⁻¹(L′) by L ⊆ L′ whatever φ gave each, and ab⁻¹(L) over a
+    core graph K by [F_r : K] = [Z^r : ab(K)] and L ⊆ ab(K); a K of infinite
+    index never contains it. A refusal names why."""
+    four = build(_lattice_preimage([(1,), (0,)], [(4,)]), 8)
+    fiber_diameters(four, _lattice_preimage([(1,), (0,)], [(2,)]))
+    fiber_diameters(four, _lattice_preimage([(3,), (0,)], [(6,)]))  # another φ, same K
+    for K, word in ((_lattice_preimage([(0,), (1,)], [(2,)]), "b"),
+                    (_lattice_preimage([(1,), (0,)], [(3,)]), "aaaa")):
+        with pytest.raises(MalformedInputError, match=rf"^H is not contained in K \(basis word {word} not"):
+            fiber_diameters(four, K)
+    ker = build(KER, 8)
+    for K in (gens("a", "b"), gens("aa", "b", "abA"), kernel(F2, Target("lattice", 1), [(2,), (0,)]),
+              kernel(F2, Target("lattice", 2), [(1, 1), (0, 0)]), KER):
+        fiber_diameters(ker, K)
+    fiber_diameters(build(kernel(F2, Target("lattice", 2), [(1, 0), (0, 1)]), 6), KER)
+    refusals = [
+        (kernel(F2, Target("lattice", 1), [(0,), (1,)]), "ab(H) holds [0, 1], which ab(K) does not"),
+        (gens("aa", "bb", "ab"), "ab(H) holds [0, 1], which ab(K) does not"),
+        (gens("a", "bab"), "K has infinite index, and H contains [F, F]"),
+        (kernel(F2, Target("permutation", 3), [(1, 0, 2), (0, 2, 1)]),
+         "K does not contain [F, F], and H does"),
+    ]
+    for K, why in refusals:
+        with pytest.raises(MalformedInputError, match=rf"^H is not contained in K \({re.escape(why)}\)$"):
+            fiber_diameters(ker, K)
 
 
-def test_containment_of_lattice_preimages_needs_a_common_homomorphism():
-    """Nested accepted lattices under one φ pass; another φ, lattices that
-    do not nest, or a core graph over a lattice preimage are refused."""
-    S = build(_lattice_preimage([(1,), (0,)], [(4,)]), 8)
-    fiber_diameters(S, _lattice_preimage([(1,), (0,)], [(2,)]))
-    for K in (_lattice_preimage([(0,), (1,)], [(2,)]), _lattice_preimage([(1,), (0,)], [(3,)])):
-        with pytest.raises(MalformedInputError, match="only decidable for a common homomorphism"):
-            fiber_diameters(S, K)
-    with pytest.raises(
-        MalformedInputError, match="cannot verify containment for HomSubgroup ≤ StallingsGraph"
-    ):
-        fiber_diameters(S, gens("a", "b"))
+def test_schreier_reads_no_field_of_a_lattice_preimage():
+    """Containment is decided beside the representation, in `stallings`:
+    `schreier` names no HomSubgroup and reads no lattice, images or
+    accepted subgroup."""
+    import ast
+    import inspect
+
+    from chabauty_lab import schreier
+
+    tree = ast.parse(inspect.getsource(schreier))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    fields = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "HomSubgroup" not in names
+    assert not fields & {"lattice", "images", "accepted"}
 
 
 # ── quasi-isometry arithmetic ────────────────────────────────────────────────
@@ -410,9 +445,10 @@ def _hom_pairs(draw, rank, kinds=("cyclic", "permutation", "lattice"), max_m=8, 
     images = draw(st.lists(vec, min_size=rank, max_size=rank))
     gh = draw(st.lists(vec, max_size=2))
     gk = gh + draw(st.lists(vec, max_size=1))
+    target = Target("lattice", k)
     return (
-        HomSubgroup(ctx, images, hnf_from_generators(k, gh)),
-        HomSubgroup(ctx, images, hnf_from_generators(k, gk)),
+        preimage(ctx, target, images, hnf_from_generators(k, gh)),
+        preimage(ctx, target, images, hnf_from_generators(k, gk)),
     )
 
 
@@ -525,8 +561,7 @@ def test_fiber_diameters_where_the_double_sweep_falls_short(
     layered eccentricities find it (for the Sym(5) and lattice pieces, only
     if they run until the triangle bound is met)."""
     if target.kind == "lattice":
-        H, K = (HomSubgroup(F2, images, hnf_from_generators(2, g))
-                for g in (h_gens, k_gens))
+        H, K = (_lattice_preimage(images, g) for g in (h_gens, k_gens))
     elif target.kind == "permutation":
         H, K = (preimage(F2, target, images, _perm_closure(target.param, g))
                 for g in (h_gens, k_gens))
@@ -543,7 +578,7 @@ def _plane_pair(images, line):
     target = Target("lattice", 2)
     return (
         kernel(F2, target, images),
-        HomSubgroup(F2, images, hnf_from_generators(2, [line])),
+        _lattice_preimage(images, [line]),
     )
 
 
@@ -586,7 +621,7 @@ def test_grid_columns_are_as_long_as_they_are_wide(radius, images):
 
 
 def test_fiber_oracle_on_frontier_and_disconnected_fibers():
-    even = HomSubgroup(F2, [(1,), (0,)], hnf_from_generators(1, [(2,)]))
+    even = _lattice_preimage([(1,), (0,)], [(2,)])
     S = build(KER, 6)
     expected = _oracle_fibers(S, even)
     assert expected[0][3]  # the even fiber holds the frontier cosets ±6

@@ -11,7 +11,6 @@ from chabauty_lab import specio
 from chabauty_lab.cli import main
 from chabauty_lab.errors import MalformedInputError
 from chabauty_lab.stallings import (
-    HomSubgroup,
     Target,
     from_generators,
     hall_completion,
@@ -290,13 +289,30 @@ def test_hom_subgroup_round_trip():
                 "images": [[1, 0], [0, 1]], "accepted": "zero"},
     }
     assert specio.subgroup_from_json(doc) == ker
-    even = HomSubgroup(F2, [(1,), (0,)], hnf_from_generators(1, [(2,)]))
-    doc = {
-        "context": {"kind": "free", "rank": 2},
-        "hom": {"target": {"kind": "lattice", "param": 1},
-                "images": [[1], [0]], "accepted": {"generators": [[2]]}},
-    }
-    assert specio.subgroup_from_json(doc) == even
+    # the images swapped and negated: the same subgroup, ab⁻¹(0)
+    doc["hom"]["images"] = [[0, -1], [-1, 0]]
+    assert specio.subgroup_from_json(doc) == ker
+
+
+def test_one_finite_index_subgroup_from_every_kind_of_document():
+    """⟨aa, b, abA⟩ compares equal, with equal hashes, whether a generator,
+    a cyclic or a lattice document describes it."""
+    free2 = {"kind": "free", "rank": 2}
+    docs = [
+        {"context": free2, "generators": ["aa", "b", "abA"]},
+        {"context": free2, "hom": {"target": {"kind": "cyclic", "param": 2},
+                                   "images": [1, 0], "accepted": [0]}},
+        {"context": free2, "hom": {"target": {"kind": "lattice", "param": 1},
+                                   "images": [[1], [0]], "accepted": {"generators": [[2]]}}},
+        {"context": free2, "hom": {"target": {"kind": "lattice", "param": 2},
+                                   "images": [[1, 3], [0, 2]],
+                                   "accepted": {"generators": [[2, 0], [0, 1]]}}},
+    ]
+    even = from_generators(F2, [parse_word(t, F2) for t in ("aa", "b", "abA")])
+    for doc in docs:
+        H = specio.subgroup_from_json(doc)
+        assert H == even and hash(H) == hash(even)
+    assert preimage(F2, Target("lattice", 1), [(1,), (0,)], hnf_from_generators(1, [(2,)])) == even
 
 
 def test_permutation_hom_round_trip():

@@ -17,7 +17,9 @@ ordered walk that reads the witness candidates of a completion left as built
 against `basis_outside`, which ranks every basis key.
 """
 
+import functools
 import heapq
+import itertools
 import random
 
 import pytest
@@ -64,6 +66,7 @@ from chabauty_lab.words import (
     reduce_word,
     word_key,
 )
+from hom_oracle import ImageHomSubgroup, cyclic_covering, lattice_documents, lattice_forms
 
 F2 = free_group(2)
 F3 = free_group(3)
@@ -284,13 +287,14 @@ def test_kernel_to_z_membership_is_zero_exponent_sum():
     assert len(keys) == 10
 
 
-def test_preimage_of_even_lattice():
+def test_preimage_of_even_lattice_is_its_covering():
     from chabauty_lab.zdlattice import hnf_from_generators
 
-    even = HomSubgroup(F2, [(1,), (0,)], hnf_from_generators(1, [(2,)]))
+    even = preimage(F2, Target("lattice", 1), [(1,), (0,)], hnf_from_generators(1, [(2,)]))
     assert even.contains(w("aa")) and even.contains(w("b"))
     assert not even.contains(w("a"))
-    assert len({even.coset_key(v) for v in ball(F2, 3)}) == 2
+    assert even.is_covering() and even.index() == 2
+    assert len({even.walk(BASEPOINT, v) for v in ball(F2, 3)}) == 2
 
 
 def test_cyclic_target_kernel():
@@ -300,6 +304,43 @@ def test_cyclic_target_kernel():
     assert not ker.contains(w("ab"))
     assert ker.index() == 3
     assert len({ker.walk(BASEPOINT, v) for v in ball(F2, 3)}) == 3
+
+
+def _outcome(build, *args):
+    """What build(*args) returns, or the class and message of what it raised."""
+    try:
+        return build(*args)
+    except (MalformedInputError, BudgetExceededError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _cyclic_documents(draw):
+    """(ctx, m, images, accepted): accepted is dZ/m for a divisor d of m, or
+    any set of residues, which the two refusals read."""
+    r = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 12) | st.sampled_from([2**64, 3 * 10**30]))
+    images = draw(st.lists(st.integers(-30, 30) | st.just(5**40), min_size=r, max_size=r))
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([d for d in range(1, 13) if m % d == 0]))
+        accepted = list(range(0, m, d)) if m // d <= 12 else []
+    else:
+        accepted = draw(st.lists(st.integers(-12, 12), max_size=4))
+    return free_group(r), m, images, accepted
+
+
+@given(_cyclic_documents())
+@example((F2, 60, [1, 0], [0]))
+@example((F2, 6, [1, 2], [0, 2]))
+@settings(max_examples=120, deadline=None)
+def test_cyclic_targets_take_the_lattice_route_to_the_old_covering(doc):
+    """Z/m with A = dZ/m goes through the lattice Z with dZ, yet builds the
+    graph of the old coset BFS over residues mod d (`cyclic_covering`), and
+    refuses, with its messages, an empty or non-subgroup accepted set."""
+    ctx, m, images, accepted = doc
+    new = _outcome(preimage, ctx, Target("cyclic", m), images, accepted, Budget())
+    old = _outcome(cyclic_covering, ctx, m, images, accepted)
+    assert new == old
 
 
 def test_permutation_target_kernel():
@@ -341,12 +382,18 @@ def test_permutation_accepted_must_be_closed(accepted, message):
 
 
 def test_finite_targets_give_the_canonical_covering():
-    """ker(F₂ → Z/2, a ↦ 1) and its Sym(2) twin are the folded graph of
-    ⟨aa, b, abA⟩: equal, with equal hashes."""
+    """ker(F₂ → Z/2, a ↦ 1), its Sym(2) twin, and the preimage of 2Z under
+    F₂ → Z, a ↦ 1 (or a ↦ −3) are the folded graph of ⟨aa, b, abA⟩: equal,
+    with equal hashes."""
+    from chabauty_lab.zdlattice import hnf_from_generators
+
     even = gens("aa", "b", "abA")
     cyclic = kernel(F2, Target("cyclic", 2), [1, 0])
     swap = preimage(F2, Target("permutation", 2), [(1, 0), (0, 1)], [(0, 1)])
-    for H in (cyclic, swap):
+    two_z = hnf_from_generators(1, [(2,)])
+    lattice = preimage(F2, Target("lattice", 1), [(1,), (0,)], two_z)
+    odd = preimage(F2, Target("lattice", 1), [(-3,), (4,)], two_z)
+    for H in (cyclic, swap, lattice, odd):
         assert isinstance(H, StallingsGraph) and H.is_covering()
         assert H == even and hash(H) == hash(even)
     # accepting a larger subgroup merges cosets: Z/4 with A = {0, 2} is Z/2
@@ -910,7 +957,7 @@ def test_intersection_cap_is_the_product_loops(h, k, complete):
     "target, images, accepted, cosets",
     [
         (Target("cyclic", 7), [3, 0], [0], 7),
-        (Target("cyclic", 6), [1, 2], [0, 3], 3),
+        (Target("cyclic", 18), [1, 2], [0, 9], 9),
         (Target("permutation", 3), [(1, 2, 0), (1, 0, 2)], [(0, 1, 2)], 6),
         (
             Target("permutation", 4),
@@ -924,6 +971,21 @@ def test_preimage_cap_is_its_coset_count(target, images, accepted, cosets):
     assert preimage(F2, target, images, accepted, _cap(cosets)).nverts == cosets
     with pytest.raises(BudgetExceededError, match="graph vertices"):
         preimage(F2, target, images, accepted, _cap(cosets - 1))
+
+
+def test_lattice_route_charges_its_image_rows_first():
+    """Lattice and cyclic targets charge r·(k + r) entries of `vertex_cap`
+    before the coset count: Z/6 with A = {0, 3} has 3 cosets, yet needs a
+    cap of 2·(1 + 2) = 6. Permutation targets charge only their cosets."""
+    Z6 = (F2, Target("cyclic", 6), [1, 2], [0, 3])
+    assert preimage(*Z6, _cap(6)).nverts == 3
+    with pytest.raises(BudgetExceededError, match="^preimage lattice entries") as info:
+        preimage(*Z6, _cap(5))
+    assert (info.value.field, info.value.reached) == ("vertex_cap", 6)
+    F3_to_Z2 = (F3, Target("lattice", 2), [(1, 0), (0, 1), (1, 1)], "zero")
+    assert isinstance(preimage(*F3_to_Z2, _cap(15)), HomSubgroup)
+    with pytest.raises(BudgetExceededError, match="^preimage lattice entries"):
+        preimage(*F3_to_Z2, _cap(14))
 
 
 def _product(H, K, budget):
@@ -1442,3 +1504,160 @@ def test_distance_is_the_same_on_folded_and_finalized_operands(drawn_h, drawn_k,
     for cap in caps:
         assert (_distance_outcome(*folded, radius, cap)
                 == _distance_outcome(*finalized, radius, cap))
+
+
+# ── lattice preimages against the document-form oracle ───────────────────────
+
+
+def _words_of(ctx, max_size=10):
+    letter = st.integers(1, ctx.rank).flatmap(lambda i: st.sampled_from([i, -i]))
+    word = st.lists(letter, max_size=8).map(lambda ls: reduce_word(tuple(ls)))
+    return st.lists(word, min_size=1, max_size=max_size)
+
+
+def _commutators(r):
+    """[x, y] for letters x, y of distinct generators, reduced."""
+    letters = [x for g in range(1, r + 1) for x in (g, -g)]
+    return [(x, y, -x, -y) for x in letters for y in letters if abs(x) != abs(y)]
+
+
+@given(lattice_documents(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_lattice_preimages_agree_with_their_document_form(doc, data):
+    """Membership, and equality of coset labels, agree with the oracle on
+    random words and on each word times a commutator (the same coset); every
+    HomSubgroup has r ≥ 2 and rank L < r, and holds no images."""
+    H, oracle = lattice_forms(doc)
+    words = data.draw(_words_of(H.ctx))
+    words += [reduce_word(c + u) for u in words[:3] for c in _commutators(H.ctx.rank)[:4]]
+    start, step = coset_automaton(H)
+    keys = [functools.reduce(step, u, start) for u in words]
+    for u in words:
+        assert H.contains(u) == oracle.contains(u)
+    for (u, ku), (v, kv) in itertools.combinations(zip(words, keys), 2):
+        assert (ku == kv) == (oracle.coset_key(u) == oracle.coset_key(v))
+    if isinstance(H, HomSubgroup):
+        assert H.ctx.rank >= 2 and H.lattice.rank < H.ctx.rank
+        assert not hasattr(H, "images")
+        assert keys == [H.coset_key(u) for u in words]
+    else:
+        assert H.is_covering() or (H.ctx.rank == 1 and H.is_trivial())
+
+
+@given(lattice_documents(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_subgroup_one_form_whatever_the_presentation(doc, data):
+    """φ and −φ, a permutation or shear of Z^k's coordinates applied to the
+    images and to A, and A's generators reordered with a redundant one, all
+    describe one subgroup: equal, with equal hashes."""
+    ctx, images, gens = doc
+    k = len(images[0])
+    H = lattice_forms(doc)[0]
+    perm = data.draw(st.permutations(range(k)))
+    s = data.draw(st.integers(-2, 2))
+
+    def shear(v):  # x₀ += s·x_{k−1}, unimodular
+        return (v[0] + s * v[-1],) + tuple(v[1:]) if k > 1 else v
+
+    moves = [
+        lambda v: tuple(-x for x in v),
+        lambda v: tuple(v[i] for i in perm),
+        shear,
+    ]
+    for move in moves:
+        G = lattice_forms((ctx, [move(v) for v in images], [move(v) for v in gens]))[0]
+        assert G == H and hash(G) == hash(H)
+    extra = [tuple(map(sum, zip(*gens[:2])))] if gens else []
+    G = lattice_forms((ctx, images, gens[::-1] + extra))[0]
+    assert G == H and hash(G) == hash(H)
+    if isinstance(H, StallingsGraph):
+        assert from_generators(ctx, H.basis()) == H
+
+
+@st.composite
+def _containment_pairs(draw):
+    """(H, its oracle, K, K's oracle): H a lattice preimage over F_r, K a
+    lattice preimage (often of the same φ with a coarser A), a cyclic or
+    symmetric kernel, a core graph or one of its Hall completions."""
+    from chabauty_lab.zdlattice import hnf_from_generators
+
+    doc = draw(lattice_documents())
+    ctx, images, gens = doc
+    H, H_oracle = lattice_forms(doc)
+    kind = draw(st.sampled_from(["coarser", "lattice", "cyclic", "sym3", "graph", "completion"]))
+    if kind == "coarser":
+        vec = st.lists(st.integers(-3, 3), min_size=len(images[0]), max_size=len(images[0]))
+        K, K_oracle = lattice_forms((ctx, images, gens + draw(st.lists(vec.map(tuple), max_size=2))))
+    elif kind == "lattice":
+        K, K_oracle = lattice_forms(draw(lattice_documents(rank=ctx.rank)))
+    elif kind == "cyclic":
+        m = draw(st.integers(1, 6))
+        cyclic = draw(st.lists(st.integers(0, m - 1), min_size=ctx.rank, max_size=ctx.rank))
+        K = kernel(ctx, Target("cyclic", m), cyclic)
+        K_oracle = ImageHomSubgroup(ctx, [(v,) for v in cyclic], hnf_from_generators(1, [(m,)]))
+    elif kind == "sym3":
+        perm = st.permutations(range(3)).map(tuple)
+        K = K_oracle = kernel(ctx, Target("permutation", 3), draw(st.lists(perm, min_size=ctx.rank, max_size=ctx.rank)))
+    else:
+        K = from_generators(ctx, draw(_words_of(ctx, max_size=3)))
+        if kind == "completion":
+            K = hall_completion(K, draw(st.integers(0, 2)))
+        K_oracle = K
+    return H, H_oracle, K, K_oracle
+
+
+@given(_containment_pairs())
+@settings(max_examples=200, deadline=None)
+def test_containment_decision_against_members(pair):
+    """Where H has finite index, the decision is its basis walk in K's
+    oracle. Where it has not, H = ab⁻¹(L): the decision holds iff K's oracle
+    accepts every member sampled here, the oracle-checked words
+    p·[x, y]·p⁻¹ for each tree word p of K's core and the lifts of L's rows.
+    Those suffice: an infinite-index core misses an edge at some vertex, at
+    which a conjugated commutator leaves it; a finite-index K omitting
+    [F, F] omits a conjugate by a coset rep of a basic commutator; and a K
+    containing [F, F] is ab⁻¹(ab(K)), which holds a lift iff ab(K) holds
+    its row."""
+    H, H_oracle, K, K_oracle = pair
+    decided = stallings.why_not_contained(H, K) is None
+    if isinstance(H, StallingsGraph):
+        assert decided == all(K_oracle.contains(u) for u in H.basis())
+        return
+    r = H.ctx.rank
+    tree = _tree_words(K) if isinstance(K, StallingsGraph) else [()]
+    members = [reduce_word(p + c + invert(p)) for p in tree for c in _commutators(r)]
+    members += [
+        reduce_word(tuple(x for g, e in enumerate(row, 1) for x in [g if e > 0 else -g] * abs(e)))
+        for row in H.lattice.rows
+    ]
+    assert all(H_oracle.contains(u) for u in members)
+    assert decided == all(K_oracle.contains(u) for u in members)
+
+
+@pytest.mark.parametrize(
+    "images, gens, index",
+    [
+        ([(1, 0)], [], None),
+        ([(1, 0)], [(2, 0)], 2),
+        ([(0, 0)], [], 1),
+        ([(2, 3)], [(4, 6)], 2),
+        ([(2, 3)], [(1, 0)], None),
+        ([(6,)], [(4,)], 2),
+        ([(0, 5, 0)], [(0, 15, 1)], None),
+        ([(0, 5, 0)], [(0, 15, 1), (0, 0, 1)], 3),
+    ],
+)
+def test_rank_one_preimages_are_coverings_or_trivial(images, gens, index):
+    """F₁ is abelian and ab is an isomorphism, so φ⁻¹(A) = ab⁻¹(L) is the
+    covering of index [Z : L], or the trivial subgroup when L = 0; no
+    HomSubgroup, and containment is the basis walk."""
+    F1 = free_group(1)
+    H, oracle = lattice_forms((F1, images, gens))
+    assert isinstance(H, StallingsGraph) and H.index() == index
+    assert H.is_trivial() == (index is None)
+    for n in range(-12, 13):
+        an = (1,) * n if n >= 0 else (-1,) * -n
+        assert H.contains(an) == oracle.contains(an)
+    whole = from_generators(F1, [(1,)])
+    assert stallings.why_not_contained(H, whole) is None
+    assert (stallings.why_not_contained(whole, H) is None) == (index == 1)
