@@ -48,7 +48,6 @@ from .zdlattice import (
 )
 
 _F2 = free_group(2)
-_LETTERS = (1, -1, 2, -2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,7 +69,7 @@ def _random_reduced_word(rng: random.Random, max_len: int, min_len: int = 1) -> 
     n = rng.randint(min_len, max_len)
     out: list[int] = []
     while len(out) < n:
-        c = rng.choice(_LETTERS)
+        c = rng.choice(_F2.letters)
         if out and c == -out[-1]:
             continue
         out.append(c)

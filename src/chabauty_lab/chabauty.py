@@ -209,7 +209,7 @@ def _product_distance(H, K, radius: int, budget: Budget) -> DistanceBound:
     """
     if radius < 0:
         raise MalformedInputError("radius must be >= 0")
-    letters = [x for i in range(1, H.ctx.rank + 1) for x in (i, -i)]
+    letters = H.ctx.letters
     h_step, k_step = H.step, K.step
     h_accepting, k_accepting = H.accepting, K.accepting
     states = [(H.start, K.start, 0)]

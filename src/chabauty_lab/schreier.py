@@ -23,7 +23,7 @@ from math import comb
 
 from .budgets import Budget, current
 from .errors import MalformedInputError
-from .stallings import coset_automaton, why_not_contained
+from .stallings import coset_automaton, tree_word, why_not_contained
 from .words import (
     GroupContext,
     Word,
@@ -59,11 +59,7 @@ class SchreierGraph:
     def rep(self, v: int) -> Word:
         """The canonically-least word reaching v, read up the parent links;
         its length is v's BFS distance."""
-        out = []
-        while v:
-            out.append(self.letter[v])
-            v = self.parent[v]
-        return tuple(reversed(out))
+        return tree_word((self.parent, self.letter), v)
 
     @property
     def nedges(self) -> int:
@@ -104,7 +100,7 @@ def build(H, radius: int, budget: Budget | None = None) -> SchreierGraph:
     ctx = H.ctx
     if ctx.kind != "free":
         raise MalformedInputError("Schreier graphs are built over free groups")
-    letters = [x for i in range(1, ctx.rank + 1) for x in (i, -i)]
+    letters = ctx.letters
     start, step = coset_automaton(H)
     states = [start]
     keys = {states[0]: 0}

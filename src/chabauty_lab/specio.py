@@ -461,9 +461,7 @@ def json_of_graph(G: StallingsGraph) -> dict:
         "vertices": G.nverts,
         "rank": G.rank(),
         "index": G.index(),
-        "edges": [
-            {str(g + 1): EdgeTable(G.succ[g])} for g in range(G.ctx.rank)
-        ],
+        "edges": [{str(g): EdgeTable(G.edges[g])} for g in range(1, G.ctx.rank + 1)],
         "basis": G.basis_text(),
     }
 
@@ -586,7 +584,8 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 
 
 def dot_of_graph(G: StallingsGraph) -> str:
-    return _dot("stallings", ["shape=doublecircle"] + ["shape=circle"] * (G.nverts - 1), G.succ)
+    vertex_attrs = ["shape=doublecircle"] + ["shape=circle"] * (G.nverts - 1)
+    return _dot("stallings", vertex_attrs, G.edges[1 : G.ctx.rank + 1])
 
 
 def dot_of_schreier(S: SchreierGraph) -> str:

@@ -5,21 +5,25 @@ covering of the rose at finite index, else ab⁻¹(L) (:class:`HomSubgroup`).
 A subgroup H ≤ F_r is stored as its core graph: a finite connected digraph
 with edges labelled by generators 1..r, a basepoint, no two equally-labelled
 edges sharing a source or a target (folded), and no degree-1 vertex other than
-possibly the basepoint (core). Reduced words act by walking edges (positive
-letter: forward, negative: backward); w ∈ H iff the walk exists and closes at
-the basepoint. Folded graphs admit no backtracking ambiguity, so membership is
-a single deterministic walk.
+possibly the basepoint (core). An edge u --x--> v is also the edge
+v --x⁻¹--> u, and the graph keeps one table per signed letter: `edges[x]`
+maps u to v and `edges[-x]` maps v to u. Reduced words act by walking those
+tables; w ∈ H iff the walk exists and closes at the basepoint. Folded graphs
+admit no backtracking ambiguity, so membership is a single deterministic
+walk.
 
 Reported graphs are canonical: vertices are numbered by BFS from the
-basepoint, scanning letters in the canonical order (gen 1 out, gen 1 in, gen 2
-out, ...). Equal subgroups therefore have identical representations, and
-equality/hashing are structural. The BFS tree of that numbering is recorded
-with the graph; free bases and Hall completions read it. A nonisolation
-witness's completions, whose index alone is printed, keep their build
-numbering when H's core lies within the completion radius (see `_complete`),
-and `_witness_candidates` reads their candidates by a walk of that tree in
-letter order which stops at the cap (`_walk_outside`); the candidates of the
-other completions are ranked by `basis_outside`, which sorts every basis key.
+basepoint, scanning the letters in the canonical order a, A, b, B, …
+(`GroupContext.letters`). Equal subgroups therefore have identical
+representations, and equality/hashing are structural. The BFS tree of that
+numbering, each vertex's parent and the letter that first reached it, is
+recorded with the graph; free bases and Hall completions read it. A
+nonisolation witness's completions, whose index alone is printed, keep their
+build numbering when H's core lies within the completion radius (see
+`_complete`), and `_witness_candidates` reads their candidates by a walk of
+that tree in letter order which stops at the cap (`_walk_outside`); the
+candidates of the other completions are ranked by `basis_outside`, which
+sorts every basis key.
 
 Queried subgroups stay folded: a subgroup that is only walked (intersected,
 measured against another, checked against a clopen set) is the folded builder
@@ -61,24 +65,23 @@ BASEPOINT = 0
 
 class StallingsGraph:
     """Immutable, canonical folded core graph. Build via :func:`from_generators`
-    and the other module functions, not directly."""
+    and the other module functions, not directly.
 
-    __slots__ = ("ctx", "nverts", "succ", "pred", "tree", "_hash")
+    `edges` holds 2r + 1 tables, ({}, gen 1, …, gen r, gen r⁻¹, …, gen 1⁻¹),
+    so that `edges[x]` is the table of the letter x for either sign. Given
+    only the r + 1 tables up to gen r, the constructor derives the others."""
 
-    def __init__(
-        self, ctx: GroupContext, nverts: int, succ: tuple[dict, ...], tree, pred=None
-    ):
+    __slots__ = ("ctx", "nverts", "edges", "tree", "_hash")
+
+    def __init__(self, ctx: GroupContext, nverts: int, edges: Sequence[dict], tree):
         self.ctx = ctx
         self.nverts = nverts
-        self.succ = succ
-        # the inverse tables, derived unless the builder hands over its own
-        if pred is None:
-            pred = tuple({v: u for u, v in s.items()} for s in succ)
-        self.pred = pred
-        # (parent, via) of the canonical BFS spanning tree, recorded by the
+        if len(edges) == ctx.rank + 1:
+            edges = (*edges, *({v: u for u, v in s.items()} for s in reversed(edges[1:])))
+        self.edges: tuple[dict[int, int], ...] = tuple(edges)
+        # (parent, letter) of the canonical BFS spanning tree, recorded by the
         # constructor as it numbers: vertex v > 0 was first reached from
-        # parent[v] through table via[v] (2g for gen g + 1 out, 2g + 1 for
-        # gen g + 1 in); parent[0] = 0 and via[0] = −1
+        # parent[v] by letter[v]; parent[0] = 0 and letter[0] = 0
         self.tree: tuple[list[int], list[int]] = tree
         self._hash: int | None = None  # computed by the first __hash__
 
@@ -87,10 +90,9 @@ class StallingsGraph:
     def walk(self, start: int, w: Word) -> int | None:
         """Endpoint of the path spelling w from `start`, or None if it leaves
         the graph."""
-        v = start
+        v, edges = start, self.edges
         for x in w:
-            table = self.succ[x - 1] if x > 0 else self.pred[-x - 1]
-            v = table.get(v)
+            v = edges[x].get(v)
             if v is None:
                 return None
         return v
@@ -104,8 +106,7 @@ class StallingsGraph:
     start = BASEPOINT
 
     def step(self, state: int, letter: int) -> int | None:
-        table = self.succ[letter - 1] if letter > 0 else self.pred[-letter - 1]
-        return table.get(state)
+        return self.edges[letter].get(state)
 
     def accepting(self, state: int) -> bool:
         return state == BASEPOINT
@@ -114,15 +115,12 @@ class StallingsGraph:
 
     @property
     def nedges(self) -> int:
-        return sum(len(s) for s in self.succ)
+        return sum(map(len, self.edges)) // 2
 
     def is_covering(self) -> bool:
-        """True iff every vertex has an in- and out-edge for every generator,
-        i.e. the graph is a finite covering of the rose."""
-        return all(
-            len(s) == self.nverts and len(p) == self.nverts
-            for s, p in zip(self.succ, self.pred)
-        )
+        """True iff every vertex has an edge for every letter, i.e. the
+        graph is a finite covering of the rose."""
+        return all(len(t) == self.nverts for t in self.edges[1:])
 
     def index(self) -> int | None:
         """[F_r : H] — the vertex count when the graph is a covering, else
@@ -155,15 +153,17 @@ class StallingsGraph:
     def __eq__(self, other):
         if not isinstance(other, StallingsGraph):
             return NotImplemented
+        r = self.ctx.rank
         return (
             self.ctx == other.ctx
             and self.nverts == other.nverts
-            and self.succ == other.succ
+            and self.edges[: r + 1] == other.edges[: r + 1]
         )
 
     def __hash__(self):
         if self._hash is None:
-            tables = tuple(tuple(sorted(s.items())) for s in self.succ)
+            forward = self.edges[1 : self.ctx.rank + 1]
+            tables = tuple(tuple(sorted(s.items())) for s in forward)
             self._hash = hash((self.ctx, self.nverts, tables))
         return self._hash
 
@@ -179,9 +179,9 @@ def coset_automaton(H: StallingsGraph | HomSubgroup):
     coset H·w (equal states ⟺ equal cosets): a HomSubgroup's own, whose
     residues are its cosets. A core graph's Schreier graph is the core with
     free trees hung off it (Stallings 1983). A core vertex is its own state,
-    as in the membership automaton. A hung vertex is (i, t): it hangs
-    through table t (numbered as `tree`'s via) below the vertex numbered i,
-    and a free tree gives it no other parent or table. Core vertices number
+    as in the membership automaton. A hung vertex is (i, x): it hangs by
+    the letter x below the vertex numbered i, and a free tree gives it no
+    other parent, so the letter −x leads back up. Core vertices number
     themselves; a hung vertex is numbered the first time a step leaves it
     away from the core. Each step is one lookup, and only the hung vertices
     stepped from are stored."""
@@ -192,18 +192,17 @@ def coset_automaton(H: StallingsGraph | HomSubgroup):
     hung: list[tuple[int, int]] = []  # the hung vertex numbered n + j is hung[j]
 
     def step(state, letter: int):
-        t = 2 * abs(letter) - 2 + (letter < 0)
         if type(state) is int:
             u = core_step(state, letter)
-            return (state, t) if u is None else u
-        i, s = state
-        if t == s ^ 1:  # back up the tree
+            return (state, letter) if u is None else u
+        i, x = state
+        if letter == -x:  # back up the tree
             return i if i < n else hung[i - n]
         j = number.get(state)
         if j is None:
             j = number[state] = n + len(hung)
             hung.append(state)
-        return (j, t)
+        return (j, letter)
 
     return BASEPOINT, step
 
@@ -230,7 +229,7 @@ def _traces_agree(
     search."""
     h_start, h_step = coset_automaton(H)
     k_start, k_step = coset_automaton(K)
-    letters = [x for g in range(1, H.ctx.rank + 1) for x in (g, -g)]
+    letters = H.ctx.letters
     h_to_k, k_to_h = {h_start: k_start}, {k_start: h_start}
     level = [(h_start, k_start)]
     for _ in range(radius // 2):
@@ -274,32 +273,32 @@ def _basis_keys(K: StallingsGraph, H: StallingsGraph | None = None) -> list[str]
     keys sorted as strings and then stably by length are the words sorted
     by `word_key`. Along K's recorded BFS tree each vertex v gets fk[v],
     the key of its tree word, and ik[v], the key of that word's inverse.
-    K is folded, so u --g--> v is a tree edge iff via[v] = 2g or
-    via[u] = 2g + 1, and every other edge gives the basis word with key
+    K is folded, so u --g--> v is a tree edge iff letter[v] = g or
+    letter[u] = −g, and every other edge gives the basis word with key
     fk[u] + rank(g) + ik[v]. No letter cancels: g against the last letter
     of either tree word would make the edge a tree edge. hs[v] is H's
     vertex at the end of v's tree word (None once the walk leaves H); H is
     folded, so a basis word lies in H iff H's g-edge takes hs[u] to hs[v]."""
-    tables = list(chain.from_iterable(zip(K.succ, K.pred)))
-    # table t holds the letter of rank t + 1; an empty table is never read
-    ranks = [chr(t + 1) if table else "" for t, table in enumerate(tables)]
-    parent, via = K.tree
+    edges = K.edges
+    ranks = [""] * len(edges)  # by letter; an empty table's is never read
+    for rank, x in enumerate(K.ctx.letters, 1):
+        if edges[x]:
+            ranks[x] = chr(rank)
+    parent, letter = K.tree
     fk, ik = [""], [""]
-    for p, t in islice(zip(parent, via), 1, None):  # the basepoint has no link
-        fk.append(fk[p] + ranks[t])
-        ik.append(ranks[t ^ 1] + ik[p])
+    for p, x in islice(zip(parent, letter), 1, None):  # the basepoint has no link
+        fk.append(fk[p] + ranks[x])
+        ik.append(ranks[-x] + ik[p])
     if H is not None:
-        h_tables = list(chain.from_iterable(zip(H.succ, H.pred)))
         hs = [BASEPOINT]
-        for p, t in islice(zip(parent, via), 1, None):
-            hs.append(h_tables[t].get(hs[p]))
+        for p, x in islice(zip(parent, letter), 1, None):
+            hs.append(H.edges[x].get(hs[p]))
     keys = []
-    for g, table in enumerate(K.succ):
-        t_out, t_in = 2 * g, 2 * g + 1
-        out_rank = ranks[t_out]
-        h_g = None if H is None else H.succ[g]
-        for u, v in table.items():
-            if via[v] == t_out or via[u] == t_in:
+    for g in range(1, K.ctx.rank + 1):
+        out_rank = ranks[g]
+        h_g = None if H is None else H.edges[g]
+        for u, v in edges[g].items():
+            if letter[v] == g or letter[u] == -g:
                 continue  # a tree edge
             if h_g is not None and (h := h_g.get(hs[u])) is not None and h == hs[v]:
                 continue  # a basis word in H
@@ -311,7 +310,7 @@ def _basis_keys(K: StallingsGraph, H: StallingsGraph | None = None) -> list[str]
 
 def _words_of_keys(ctx: GroupContext, keys: list[str]) -> list[Word]:
     """The words whose rank keys (see `_basis_keys`) these are."""
-    letter_of_rank = [0] + [x for g in range(1, ctx.rank + 1) for x in (g, -g)]
+    letter_of_rank = (0, *ctx.letters)
     return [tuple([letter_of_rank[ord(c)] for c in key]) for key in keys]
 
 
@@ -333,52 +332,51 @@ def _walk_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
     layer L, whose word leaves H: its walk leaves the core at a hung end,
     and H lacks the g-edge at a core end. So the words outside H are those
     of the matching edges, all of length 2L + 1, and `word_key` orders
-    them by (tree word of u, g). A depth-first walk down the tree in table
+    them by (tree word of u, g). A depth-first walk down the tree in letter
     order meets the leaves in the order of their tree words, and each
-    leaf's out-tables in the order of g. Only the words read are spelled,
-    up the parent links. The walk keeps its own stack: the tree may be
-    deeper than Python's recursion limit."""
-    tables = list(chain.from_iterable(zip(K.succ, K.pred)))
-    letters = [x for g in range(1, K.ctx.rank + 1) for x in (g, -g)]  # by table
-    parent, via = K.tree
-    h_succ, core = H.succ, H.nverts
-    edges: list[tuple[int, int, int]] = []
+    leaf's edges in the order of g. Only the words read are spelled, up
+    the tree. The walk keeps its own stack: the tree may be deeper than
+    Python's recursion limit."""
+    edges, letters = K.edges, K.ctx.letters
+    letter = K.tree[1]
+    h_edges, core = H.edges, H.nverts
+    found: list[tuple[int, int, int]] = []
     stack = [BASEPOINT]
-    while stack and len(edges) < cap:
+    while stack and len(found) < cap:
         u = stack.pop()
-        up = via[u] ^ 1  # the table back to u's parent
+        up = -letter[u]  # the letter back to u's parent
         children = []
-        for t, table in enumerate(tables):
-            v = table[u]  # K is a covering
-            if via[v] == t:
+        for x in letters:
+            v = edges[x][u]  # K is a covering
+            if letter[v] == x:
                 children.append(v)
-            elif not t & 1 and t != up and (u >= core or u not in h_succ[t >> 1]):
-                edges.append((u, t >> 1, v))
-                if len(edges) == cap:
+            elif x > 0 and x != up and (u >= core or u not in h_edges[x]):
+                found.append((u, x, v))
+                if len(found) == cap:
                     break
         stack.extend(reversed(children))
+    return [(*tree_word(K.tree, u), g, *invert(tree_word(K.tree, v))) for u, g, v in found]
 
-    def up_word(v: int) -> list[int]:
-        """v's tree word, reversed."""
-        word = []
-        while v != BASEPOINT:
-            word.append(letters[via[v]])
-            v = parent[v]
-        return word
 
-    return [
-        (*reversed(up_word(u)), g + 1, *[-x for x in up_word(v)]) for u, g, v in edges
-    ]
+def tree_word(tree: tuple[Sequence[int], Sequence[int]], v: int) -> Word:
+    """The word that a BFS tree (parent, letter), rooted at 0, spells from
+    the root down to v: a `StallingsGraph.tree`, or a Schreier ball's."""
+    parent, letter = tree
+    up = []
+    while v:
+        up.append(letter[v])
+        v = parent[v]
+    return tuple(reversed(up))
 
 
 # ── construction pipeline ────────────────────────────────────────────────────
 
 
 class _Builder:
-    """Union-find vertices with one succ/pred table per letter, keyed by
-    roots and kept folded as edges arrive (a worklist fold: each merge moves
-    only the losing root's at most 2r entries); `finalize` trims and
-    canonicalizes.
+    """Union-find vertices with one table per letter, laid out as
+    `StallingsGraph.edges`, keyed by roots and kept folded as edges arrive
+    (a worklist fold: each merge moves only the losing root's at most 2r
+    entries); `finalize` trims and canonicalizes.
 
     A word is read into the folded tables from both ends before it is
     attached (Touikan, IJAC 16, 2006), so only its unread middle gets new
@@ -387,28 +385,20 @@ class _Builder:
     nverts − 1 per hung graph, whatever the fold leaves.
     """
 
-    def __init__(
-        self,
-        ctx: GroupContext,
-        budget: Budget,
-        seed: tuple[int, Sequence[dict], Sequence[dict]] | None = None,
-    ):
-        """Start from the basepoint alone, or from `seed` = (n, succ, pred):
-        the tables of a folded graph on 0..n−1, copied as they are."""
+    def __init__(self, ctx: GroupContext, budget: Budget, seed: StallingsGraph | None = None):
+        """Start from the basepoint alone, or from a copy of the tables of
+        the graph `seed`, whose vertices keep their numbers."""
         self.ctx = ctx
         self.budget = budget
         self.created = 0
         if seed is None:
             self.parent: list[int] = []
-            self.succ: list[dict[int, int]] = [dict() for _ in range(ctx.rank)]
-            self.pred: list[dict[int, int]] = [dict() for _ in range(ctx.rank)]
+            self.edges: list[dict[int, int]] = [dict() for _ in range(2 * ctx.rank + 1)]
             self.new_vertex()  # basepoint = 0
         else:
-            n, succ, pred = seed
-            self._charge(n)
-            self.parent = list(range(n))
-            self.succ = [dict(t) for t in succ]
-            self.pred = [dict(t) for t in pred]
+            self._charge(seed.nverts)
+            self.parent = list(range(seed.nverts))
+            self.edges = [dict(t) for t in seed.edges]
         self.pending: list[tuple[int, int]] = []  # vertex pairs to identify
 
     def _charge(self, n: int) -> None:
@@ -429,23 +419,25 @@ class _Builder:
             self.parent[v], v = root, self.parent[v]
         return root
 
-    def add_edge(self, u: int, g: int, v: int) -> None:
-        """Add u --g--> v (g 0-based) and fold everything it forces."""
-        self._store(self.find(u), g, self.find(v))
+    def add_edge(self, u: int, x: int, v: int) -> None:
+        """Add u --x--> v and fold everything it forces."""
+        self._store(self.find(u), x, self.find(v))
         self._fold()
 
     def _fold(self) -> None:
         while self.pending:
             self._merge(*self.pending.pop())
 
-    def _store(self, u: int, g: int, v: int) -> None:
-        """Enter the edge u --g--> v between roots, or queue the merges that
-        make it coincide with the g-edges already at u and v."""
-        s = self.succ[g].get(u)
-        p = self.pred[g].get(v)
+    def _store(self, u: int, x: int, v: int) -> None:
+        """Enter the edge u --x--> v between roots, or queue the merges that
+        make it coincide with the x-edge already at u and the x⁻¹-edge
+        already at v."""
+        out, back = self.edges[x], self.edges[-x]
+        s = out.get(u)
+        p = back.get(v)
         if s is None and p is None:
-            self.succ[g][u] = v
-            self.pred[g][v] = u
+            out[u] = v
+            back[v] = u
             return
         if s is not None and s != v:
             self.pending.append((s, v))
@@ -461,14 +453,15 @@ class _Builder:
         if b < a:
             a, b = b, a
         self.parent[b] = a
-        for g in range(self.ctx.rank):
-            succ, pred = self.succ[g], self.pred[g]
-            x = succ.pop(b, None)
+        edges = self.edges
+        for g in range(1, self.ctx.rank + 1):
+            out, back = edges[g], edges[-g]
+            x = out.pop(b, None)
             if x is not None:
-                del pred[x]  # a loop at b leaves nothing for pred.pop below
-            y = pred.pop(b, None)
+                del back[x]  # a loop at b leaves nothing for back.pop below
+            y = back.pop(b, None)
             if y is not None:
-                del succ[y]
+                del out[y]
             if x is not None:
                 self._store(a, g, a if x == b else x)
             if y is not None:
@@ -490,18 +483,16 @@ class _Builder:
         if not n:
             return
         self._charge(n - 1)
-        succ, pred = self.succ, self.pred
+        edges = self.edges
         u, i = self.find(start), 0
         while i < n:
-            x = w[i]
-            nxt = succ[x - 1].get(u) if x > 0 else pred[-x - 1].get(u)
+            nxt = edges[w[i]].get(u)
             if nxt is None:
                 break
             u, i = nxt, i + 1
         v, j = self.find(end), n
         while j > i:
-            x = w[j - 1]
-            nxt = pred[x - 1].get(v) if x > 0 else succ[-x - 1].get(v)
+            nxt = edges[-w[j - 1]].get(v)
             if nxt is None:
                 break
             v, j = nxt, j - 1
@@ -515,24 +506,16 @@ class _Builder:
         for x in w[i : j - 1]:
             nxt = len(parent)
             parent.append(nxt)
-            if x > 0:
-                succ[x - 1][prev] = nxt
-                pred[x - 1][nxt] = prev
-            else:
-                pred[-x - 1][prev] = nxt
-                succ[-x - 1][nxt] = prev
+            edges[x][prev] = nxt
+            edges[-x][nxt] = prev
             prev = nxt
-        x = w[j - 1]
-        if x > 0:
-            self.add_edge(prev, x - 1, v)
-        else:
-            self.add_edge(v, -x - 1, prev)
+        self.add_edge(prev, w[j - 1], v)
 
     def add_graph(self, other: StallingsGraph, at: int = BASEPOINT) -> None:
         """Hang a copy of another graph with its basepoint at `at`."""
         image = [at] + [self.new_vertex() for _ in range(other.nverts - 1)]
-        for g in range(other.ctx.rank):
-            for u, v in other.succ[g].items():
+        for g in range(1, other.ctx.rank + 1):
+            for u, v in other.edges[g].items():
                 self.add_edge(image[u], g, image[v])
 
     # membership automaton -------------------------------------------------
@@ -554,15 +537,17 @@ class _Builder:
         `_canonical` checks."""
         base = self.find(base)
         live = {v for v, root in enumerate(self.parent) if v == root}
-        _trim(live, self.succ, self.pred, base)
-        return _canonical(self.ctx, live, self.succ, self.pred, base)
+        _trim(live, self.edges, base)
+        return _canonical(self.ctx, live, self.edges, base)
 
 
-def _trim(live: set[int], succ: Sequence[dict], pred: Sequence[dict], base: int) -> bool:
+def _trim(live: set[int], edges: Sequence[dict], base: int) -> bool:
     """Remove vertices of degree <= 1 other than `base` (a loop counts 2)
-    from `live` and their edges from the tables, until none is left. True
-    iff any vertex was removed."""
-    tables = [*zip(succ, pred), *zip(pred, succ)]
+    from `live` and their edges from the tables (laid out as
+    `StallingsGraph.edges`), until none is left. True iff any vertex was
+    removed."""
+    # each table beside its inverse: edges[-i] inverts edges[i] for every i
+    tables = [(edges[i], edges[-i]) for i in range(1, len(edges))]
     degree: Counter[int] = Counter()
     for t, _ in tables:
         degree.update(t.keys())
@@ -584,40 +569,36 @@ def _trim(live: set[int], succ: Sequence[dict], pred: Sequence[dict], base: int)
 
 
 def _canonical(
-    ctx: GroupContext,
-    live: set[int] | range,
-    succ: Sequence[dict],
-    pred: Sequence[dict],
-    base: int,
+    ctx: GroupContext, live: set[int] | range, edges: Sequence[dict], base: int
 ) -> StallingsGraph:
-    """Renumber the vertices `live` by BFS from the basepoint in canonical
-    letter order, and record the BFS tree (`StallingsGraph.tree`) as the
-    vertices are numbered."""
+    """Renumber the vertices `live` of the tables `edges` (laid out as
+    `StallingsGraph.edges`) by BFS from the basepoint in canonical letter
+    order, and record the BFS tree (`StallingsGraph.tree`) as the vertices
+    are numbered."""
     number = [-1] * (max(live) + 1)  # by builder id
     number[base] = 0
     order = [base]
-    parent, via = [0], [-1]
-    # gen 1 out, gen 1 in, gen 2 out, …
-    tables = list(enumerate(chain.from_iterable(zip(succ, pred))))
+    parent, letter = [0], [0]
+    tables = [(x, edges[x]) for x in ctx.letters]
     for u in order:
-        for t, table in tables:
+        for x, table in tables:
             v = table.get(u)
             if v is not None and number[v] < 0:
                 number[v] = len(order)
                 order.append(v)
                 parent.append(number[u])
-                via.append(t)
+                letter.append(x)
     if len(order) != len(live):
         raise AssertionError("core graph must be connected")
-    new_succ = tuple({number[u]: number[v] for u, v in s.items()} for s in succ)
-    return StallingsGraph(ctx, len(order), new_succ, (parent, via))
+    forward = [{number[u]: number[v] for u, v in t.items()} for t in edges[: ctx.rank + 1]]
+    return StallingsGraph(ctx, len(order), forward, (parent, letter))
 
 
 # ── public constructors and operations ───────────────────────────────────────
 
 
 def trivial_subgroup(ctx: GroupContext) -> StallingsGraph:
-    return StallingsGraph(ctx, 1, tuple({} for _ in range(ctx.rank)), ([0], [-1]))
+    return StallingsGraph(ctx, 1, [{} for _ in range(ctx.rank + 1)], ([0], [0]))
 
 
 def fold(ctx: GroupContext, words: Iterable[Word], budget: Budget) -> _Builder:
@@ -658,10 +639,10 @@ def join(
         require_same_context(H.ctx, other.ctx, "join")
         if other.nverts > H.nverts:
             H, other = other, H
-        builder = _Builder(H.ctx, budget, (H.nverts, H.succ, H.pred))
+        builder = _Builder(H.ctx, budget, H)
         builder.add_graph(other)
     else:
-        builder = _Builder(H.ctx, budget, (H.nverts, H.succ, H.pred))
+        builder = _Builder(H.ctx, budget, H)
         for w in other:
             builder.add_path(reduce_word(w, H.ctx))
     return builder.finalize()
@@ -677,7 +658,7 @@ def wedge_conjugate(
     vertices."""
     require_same_context(H.ctx, K.ctx, "join")
     w = reduce_word(w, H.ctx)
-    builder = _Builder(H.ctx, budget or current(), (H.nverts, H.succ, H.pred))
+    builder = _Builder(H.ctx, budget or current(), H)
     at = BASEPOINT
     if w:
         at = builder.new_vertex()
@@ -693,8 +674,7 @@ def intersect(
     (basepoint, basepoint) along edges present in both graphs. The product of
     folded graphs is folded, so only trimming is needed afterwards."""
     require_same_context(H.ctx, K.ctx, "intersect")
-    r = H.ctx.rank
-    tables = [t for g in range(r) for t in ((H.succ[g], K.succ[g]), (H.pred[g], K.pred[g]))]
+    tables = [(H.edges[x], K.edges[x]) for x in H.ctx.letters]
 
     def moves(state):
         a, b = state
@@ -707,25 +687,26 @@ def intersect(
     live = set(range(P.nverts))
     # untrimmed, the product's BFS numbering is already _canonical's;
     # trimmed, P is dropped, so its own tables are trimmed and renumbered
-    if not _trim(live, P.succ, P.pred, BASEPOINT):
+    if not _trim(live, P.edges, BASEPOINT):
         return P
-    return _canonical(H.ctx, live, P.succ, P.pred, BASEPOINT)
+    return _canonical(H.ctx, live, P.edges, BASEPOINT)
 
 
 def _bfs_graph(ctx: GroupContext, start, moves, budget: Budget) -> StallingsGraph:
     """The graph on the states reachable from `start`, numbered by BFS in
     canonical letter order, which is `_canonical`'s numbering. `moves(state)`
-    lists the states that gen 1 out, gen 1 in, gen 2 out, … lead to (None
-    where there is no edge); in-moves must invert out-moves, so recording
-    the out-edges records every edge. The BFS tree is recorded as
-    `_canonical` records it. Raises before numbering state `vertex_cap` + 1."""
+    lists the states that the letters of `ctx.letters` lead to, in that
+    order (None where there is no edge); the moves by x⁻¹ must invert those
+    by x, so recording the edges of positive letters records every edge.
+    The BFS tree is recorded as `_canonical` records it. Raises before
+    numbering state `vertex_cap` + 1."""
     number = {start: 0}
     order = [start]
-    parent, via = [0], [-1]
-    succ = tuple({} for _ in range(ctx.rank))
-    out_tables = list(enumerate(t for s in succ for t in (s, None)))
+    parent, letter = [0], [0]
+    forward = [{} for _ in range(ctx.rank + 1)]
+    out_tables = [(x, forward[x] if x > 0 else None) for x in ctx.letters]
     for u, state in enumerate(order):
-        for (t, table), v in zip(out_tables, moves(state)):
+        for (x, table), v in zip(out_tables, moves(state)):
             if v is None:
                 continue
             n = number.get(v)
@@ -735,10 +716,10 @@ def _bfs_graph(ctx: GroupContext, start, moves, budget: Budget) -> StallingsGrap
                 n = number[v] = len(order)
                 order.append(v)
                 parent.append(u)
-                via.append(t)
+                letter.append(x)
             if table is not None:
                 table[u] = n
-    return StallingsGraph(ctx, len(order), succ, (parent, via))
+    return StallingsGraph(ctx, len(order), forward, (parent, letter))
 
 
 def conjugate_subgroup(
@@ -762,8 +743,8 @@ def conjugate_subgroup(
         # w at the vertex reached by g^-1 means g^-1 w g closes at the old
         # basepoint, i.e. w lies in g H g^-1.
         base = H.walk(BASEPOINT, invert(g))
-        return _canonical(H.ctx, range(H.nverts), H.succ, H.pred, base)
-    builder = _Builder(H.ctx, budget, (H.nverts, H.succ, H.pred))
+        return _canonical(H.ctx, range(H.nverts), H.edges, base)
+    builder = _Builder(H.ctx, budget, H)
     # a tail new basepoint --g--> old basepoint
     base = builder.new_vertex()
     builder.add_path(g, base, BASEPOINT)
@@ -799,7 +780,7 @@ def hall_completion(
     K is numbered canonically: renumbered here if `_complete` left it as built.
     """
     K, as_built = _completion(H, agreement_radius, budget)
-    return _canonical(K.ctx, range(K.nverts), K.succ, K.pred, BASEPOINT) if as_built else K
+    return _canonical(K.ctx, range(K.nverts), K.edges, BASEPOINT) if as_built else K
 
 
 def _witness_candidates(
@@ -834,14 +815,13 @@ def _complete(H: StallingsGraph, L: int, budget: Budget) -> tuple[StallingsGraph
     from L on, in id order: it pairs what a scan of every vertex pairs.
     If H's core lies within L, K keeps its build numbering (core ids, then
     hung vertices as created) with its canonical BFS tree: H's on the core,
-    the hanging edge on a hung vertex (a matching edge joins vertices at
-    distance ≥ L, so it is on no shortest path to a vertex within L).
-    Otherwise `_canonical` numbers K. Returns K and whether it is as built."""
-    r = H.ctx.rank
-    succ = [dict(s) for s in H.succ]
-    pred = [dict(p) for p in H.pred]
-    tables = [t for g in range(r) for t in ((succ[g], pred[g]), (pred[g], succ[g]))]
-    parent, via = map(list, H.tree)
+    the hanging edge's letter on a hung vertex (a matching edge joins
+    vertices at distance ≥ L, so it is on no shortest path to a vertex
+    within L). Otherwise `_canonical` numbers K. Returns K and whether it
+    is as built."""
+    edges = [dict(t) for t in H.edges]
+    tables = [(x, edges[x], edges[-x]) for x in H.ctx.letters]
+    parent, letter = map(list, H.tree)
     # H's numbering is BFS order, so each layer comes out in id order.
     dist = [0]
     for p in islice(parent, 1, None):
@@ -857,7 +837,7 @@ def _complete(H: StallingsGraph, L: int, budget: Budget) -> tuple[StallingsGraph
         if d + 1 == len(layers):
             layers.append([])
         for u in layers[d]:
-            for t, (out, back) in enumerate(tables):
+            for x, out, back in tables:
                 if u not in out:
                     if nverts >= budget.vertex_cap:
                         raise budget.exceeded("vertex_cap", "completion vertices", nverts + 1)
@@ -865,19 +845,20 @@ def _complete(H: StallingsGraph, L: int, budget: Budget) -> tuple[StallingsGraph
                     back[nverts] = u
                     layers[d + 1].append(nverts)
                     parent.append(u)
-                    via.append(t)
+                    letter.append(x)
                     nverts += 1
     # Complete each generator's partial injection into a permutation.
     deficient = sorted(chain.from_iterable(layers[L:]))
-    for g in range(r):
-        sources = [v for v in deficient if v not in succ[g]]
-        targets = [v for v in deficient if v not in pred[g]]
+    for g in range(1, H.ctx.rank + 1):
+        out, back = edges[g], edges[-g]
+        sources = [v for v in deficient if v not in out]
+        targets = [v for v in deficient if v not in back]
         for u, v in zip(sources, targets):
-            succ[g][u] = v
-            pred[g][v] = u
+            out[u] = v
+            back[v] = u
     if dist[-1] <= L:
-        return StallingsGraph(H.ctx, nverts, tuple(succ), (parent, via), tuple(pred)), True
-    return _canonical(H.ctx, range(nverts), succ, pred, BASEPOINT), False
+        return StallingsGraph(H.ctx, nverts, edges, (parent, letter)), True
+    return _canonical(H.ctx, range(nverts), edges, BASEPOINT), False
 
 
 # ── homomorphism-defined subgroups ───────────────────────────────────────────
@@ -938,8 +919,8 @@ def preimage(
         raise budget.exceeded("vertex_cap", "preimage lattice entries", entries)
     L = zdlattice.lattice_preimage(images, accepted)
     if L.rank == r:
-        def moves(x):  # x ± eᵢ, reduced mod L
-            return [L.residue(x[:i] + (x[i] + e,) + x[i + 1 :]) for i in range(r) for e in (1, -1)]
+        def moves(x):  # x + ab(y) for each letter y, reduced mod L
+            return [_shifted(L, x, y) for y in ctx.letters]
 
         return _bfs_graph(ctx, (0,) * r, moves, budget)
     return trivial_subgroup(ctx) if r == 1 else HomSubgroup(ctx, L)
@@ -1018,9 +999,7 @@ class HomSubgroup:
         self.start = (0,) * ctx.rank
 
     def step(self, state, letter: int):
-        v = list(state)
-        v[abs(letter) - 1] += 1 if letter > 0 else -1
-        return self.lattice.residue(v)
+        return _shifted(self.lattice, state, letter)
 
     def accepting(self, state) -> bool:
         return not any(state)
@@ -1042,6 +1021,13 @@ class HomSubgroup:
 
     def __repr__(self):
         return f"HomSubgroup(F_{self.ctx.rank}, L = {self.lattice.rows})"
+
+
+def _shifted(L: zdlattice.HnfSubgroup, x, letter: int):
+    """The residue mod L of x + ab(letter)."""
+    v = list(x)
+    v[abs(letter) - 1] += 1 if letter > 0 else -1
+    return L.residue(v)
 
 
 def _abelianized(w: Word, r: int) -> list[int]:

@@ -42,7 +42,7 @@ class GroupContext:
     subgroups check this and raise ContextMismatchError otherwise.
     """
 
-    __slots__ = ("kind", "rank")
+    __slots__ = ("kind", "rank", "_letters")
 
     def __init__(self, kind: str, rank: int):
         if kind not in ("free", "lattice"):
@@ -51,6 +51,16 @@ class GroupContext:
             raise MalformedInputError("rank/dim must be a positive integer")
         self.kind = kind
         self.rank = rank
+        self._letters: tuple[int, ...] | None = None
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The letters in canonical order a < A < b < B < …, i.e. (1, −1,
+        2, −2, …). Built on first use: a rank is checked against a budget
+        only once its context exists."""
+        if self._letters is None:
+            self._letters = tuple(x for g in range(1, self.rank + 1) for x in (g, -g))
+        return self._letters
 
     def __eq__(self, other):
         return (
@@ -219,7 +229,7 @@ def iter_ball(rank: int, radius: int, budget: Budget | None = None) -> Iterator[
         raise MalformedInputError("radius must be >= 0")
     if radius > budget.ball_radius_cap:
         raise budget.exceeded("ball_radius_cap", "ball radius", radius)
-    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    letters = free_group(rank).letters
     yield IDENTITY
     sphere: list[Word] = [IDENTITY]
     for _ in range(radius):

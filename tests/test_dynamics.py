@@ -142,7 +142,7 @@ def _oracle_witness_terms(H, length, budget):
 
 
 def _canonical_of(K):
-    return stallings._canonical(K.ctx, range(K.nverts), K.succ, K.pred, 0)
+    return stallings._canonical(K.ctx, range(K.nverts), K.edges, 0)
 
 
 def _terms(witness):

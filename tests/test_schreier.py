@@ -310,8 +310,7 @@ def _oracle_coset_key(H, w):
     if isinstance(H, StallingsGraph):
         v = BASEPOINT
         for i, x in enumerate(w):
-            table = H.succ[x - 1] if x > 0 else H.pred[-x - 1]
-            nxt = table.get(v)
+            nxt = H.edges[x].get(v)
             if nxt is None:
                 return (v, w[i:])
             v = nxt

@@ -248,7 +248,7 @@ def test_edge_table_leaf_renders_as_its_dict_form(G):
     edges = specio.json_of_graph(G)["edges"]
     for g, table in enumerate(edges):
         leaf = table[str(g + 1)]
-        assert leaf.succ is G.succ[g]
+        assert leaf.succ is G.edges[g + 1]
         for indent in (0, 2, 6):
             newline = "\n" + " " * indent
             text = json.dumps(leaf.as_dict(), sort_keys=True, indent=2)

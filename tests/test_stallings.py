@@ -82,7 +82,14 @@ def gens(*texts):
 
 def whole_group(ctx):
     """The rose: one vertex and a loop per generator."""
-    return StallingsGraph(ctx, 1, tuple({0: 0} for _ in range(ctx.rank)), ([0], [-1]))
+    return StallingsGraph(ctx, 1, ({}, *({0: 0} for _ in range(ctx.rank))), ([0], [0]))
+
+
+def _laid_out(succ, pred):
+    """Tables of the generators and of their inverses, one per generator in
+    order, laid out as `StallingsGraph.edges`: ({}, gen 1, …, gen r,
+    gen r⁻¹, …, gen 1⁻¹)."""
+    return [{}, *succ, *reversed(pred)]
 
 
 # ── folding and structure ────────────────────────────────────────────────────
@@ -123,10 +130,13 @@ def test_trivial_and_whole():
 
 def test_a_graph_is_built_with_its_tree():
     """No graph exists without the BFS tree its basis and witness code read:
-    the constructor requires it, and `trivial_subgroup` records the root's."""
+    the constructor requires it, and `trivial_subgroup` records the root's:
+    parent 0, and no letter reaches it."""
     with pytest.raises(TypeError):
-        StallingsGraph(F2, 1, tuple({0: 0} for _ in range(2)))
-    assert trivial_subgroup(F2).tree == ([0], [-1])
+        StallingsGraph(F2, 1, ({}, {0: 0}, {0: 0}))
+    T = trivial_subgroup(F2)
+    assert T.tree == ([0], [0])
+    assert T.edges == ({},) * 5
 
 
 def test_generators_always_contained():
@@ -500,7 +510,7 @@ def _oracle_core(ctx, nverts, edges):
     for u, g, v in edges:
         succ[g][u] = v
         pred[g][v] = u
-    return stallings._canonical(ctx, seen, succ, pred, base)
+    return stallings._canonical(ctx, seen, _laid_out(succ, pred), base)
 
 
 def _loop_edges(words, first):
@@ -517,7 +527,7 @@ def _loop_edges(words, first):
 
 
 def _graph_edges(H, image):
-    return [(image(u), g, image(v)) for g in range(H.ctx.rank) for u, v in H.succ[g].items()]
+    return [(image(u), g, image(v)) for g in range(H.ctx.rank) for u, v in H.edges[g + 1].items()]
 
 
 def _old_word_key(word):
@@ -529,12 +539,12 @@ def _oracle_basis(H):
     path, tree, order = {BASEPOINT: ()}, set(), [BASEPOINT]
     for u in order:
         for g in range(H.ctx.rank):
-            v = H.succ[g].get(u)
+            v = H.edges[g + 1].get(u)
             if v is not None and v not in path:
                 path[v] = path[u] + (g + 1,)
                 tree.add((u, g))
                 order.append(v)
-            v = H.pred[g].get(u)
+            v = H.edges[-g - 1].get(u)
             if v is not None and v not in path:
                 path[v] = path[u] + (-(g + 1),)
                 tree.add((v, g))
@@ -542,7 +552,7 @@ def _oracle_basis(H):
     out = [
         multiply(multiply(path[u], (g + 1,)), invert(path[v]))
         for g in range(H.ctx.rank)
-        for u, v in H.succ[g].items()
+        for u, v in H.edges[g + 1].items()
         if (u, g) not in tree
     ]
     return sorted(out, key=_old_word_key)
@@ -579,7 +589,7 @@ def _suffix_automaton(H):
 def test_coset_states_match_the_suffix_oracle(drawn, completion_radius, sequences):
     """Two prefixes of letter sequences, reduced or not, reach equal coset
     states iff they reach equal (core vertex, suffix) states; every state is
-    a vertex or an (int, table) pair, never a word."""
+    a vertex or an (int, letter) pair, never a word."""
     ctx, words = drawn
     H = from_generators(ctx, words)
     if completion_radius is not None:
@@ -595,7 +605,7 @@ def test_coset_states_match_the_suffix_oracle(drawn, completion_radius, sequence
             pairs.add((state, oracle))
     assert len({q for q, _ in pairs}) == len(pairs) == len({o for _, o in pairs})
     for q, _ in pairs:
-        assert type(q) is int or (len(q) == 2 and 0 <= q[1] < 2 * ctx.rank)
+        assert type(q) is int or (len(q) == 2 and 0 < abs(q[1]) <= ctx.rank)
 
 
 def _oracle_from_generators(ctx, words):
@@ -674,7 +684,7 @@ def test_join_of_words_read_inside_h_only_merges():
     H = gens("aab", "bAbb", "abba")
     words = [w("aa"), w("bAb"), w("ab"), w("abb")]
     for k in range(1, len(words) + 1):
-        builder = stallings._Builder(F2, Budget(), (H.nverts, H.succ, H.pred))
+        builder = stallings._Builder(F2, Budget(), H)
         for x in words[:k]:
             builder.add_path(x)
         assert len(builder.parent) == H.nverts
@@ -729,8 +739,8 @@ def test_intersect_matches_oracle(drawn_h, drawn_k):
     edges = [
         (pair(a, b), g, pair(c, d))
         for g in range(ctx.rank)
-        for a, c in H.succ[g].items()
-        for b, d in K.succ[g].items()
+        for a, c in H.edges[g + 1].items()
+        for b, d in K.edges[g + 1].items()
     ]
     assert intersect(H, K) == _oracle_core(ctx, H.nverts * K.nverts, edges)
 
@@ -896,12 +906,11 @@ def test_untrimmed_intersection_is_canonical_as_numbered(drawn_h, drawn_k, cover
     # coverings have untrimmed products, so both cases are drawn often
     H = hall_completion(H, 1) if cover_h else H
     K = hall_completion(K, 1) if cover_k else K
-    n, succ, pred = _product(H, K, Budget())
-    tables = ([dict(t) for t in succ], [dict(t) for t in pred])
-    untrimmed = not stallings._trim(set(range(n)), *tables, BASEPOINT)
+    n, edges = _product(H, K, Budget())
+    untrimmed = not stallings._trim(set(range(n)), [dict(t) for t in edges], BASEPOINT)
     assume(untrimmed)
-    canonical = stallings._canonical(ctx, range(n), succ, pred, BASEPOINT)
-    assert canonical.succ == tuple(succ)
+    canonical = stallings._canonical(ctx, range(n), edges, BASEPOINT)
+    assert canonical.edges == tuple(edges)
     assert intersect(H, K) == canonical
 
 
@@ -919,12 +928,12 @@ def test_intersection_matches_the_product_loop(drawn_h, drawn_k, cover_h, cover_
     H, K = from_generators(ctx, words_h), from_generators(ctx, words_k)
     H = hall_completion(H, 1) if cover_h else H
     K = hall_completion(K, 1) if cover_k else K
-    n, succ, pred = _product(H, K, Budget())
+    n, edges = _product(H, K, Budget())
     live = set(range(n))
-    trimmed = stallings._trim(live, succ, pred, BASEPOINT)
-    expected = stallings._canonical(ctx, live, succ, pred, BASEPOINT)
+    trimmed = stallings._trim(live, edges, BASEPOINT)
+    expected = stallings._canonical(ctx, live, edges, BASEPOINT)
     if not trimmed:  # the product's own numbering is canonical
-        assert expected.succ == tuple(succ)
+        assert expected.edges == tuple(edges)
     got = intersect(H, K)
     assert got == expected and got.tree == expected.tree
 
@@ -989,26 +998,23 @@ def test_lattice_route_charges_its_image_rows_first():
 
 
 def _product(H, K, budget):
-    """(n, succ, pred) of the fibre product's component of (basepoint,
-    basepoint), its vertices numbered by BFS in canonical letter order: the
-    product loop `intersect` ran before the shared BFS, kept as its oracle."""
+    """(n, edges) of the fibre product's component of (basepoint,
+    basepoint), its vertices numbered by BFS in canonical letter order and
+    its tables laid out as `StallingsGraph.edges`: the product loop
+    `intersect` ran before the shared BFS, kept as its oracle."""
     r = H.ctx.rank
     start = (BASEPOINT, BASEPOINT)
     number = {start: 0}
     order = [start]
-    succ = [dict() for _ in range(r)]
-    pred = [dict() for _ in range(r)]
+    edges = [dict() for _ in range(2 * r + 1)]
     qi = 0
     while qi < len(order):
         u = order[qi]
         qi += 1
-        for g in range(r):
-            for table_h, table_k, out in (
-                (H.succ[g], K.succ[g], True),
-                (H.pred[g], K.pred[g], False),
-            ):
-                a = table_h.get(u[0])
-                b = table_k.get(u[1])
+        for g in range(1, r + 1):
+            for x in (g, -g):
+                a = H.edges[x].get(u[0])
+                b = K.edges[x].get(u[1])
                 if a is None or b is None:
                     continue
                 v = (a, b)
@@ -1017,13 +1023,9 @@ def _product(H, K, budget):
                         raise BudgetExceededError("graph vertices", budget.vertex_cap)
                     number[v] = len(order)
                     order.append(v)
-                if out:
-                    succ[g][number[u]] = number[v]
-                    pred[g][number[v]] = number[u]
-                else:
-                    succ[g][number[v]] = number[u]
-                    pred[g][number[u]] = number[v]
-    return len(order), succ, pred
+                edges[x][number[u]] = number[v]
+                edges[-x][number[v]] = number[u]
+    return len(order), edges
 
 
 # ── every constructor returns its graph numbered as _canonical numbers it ───
@@ -1031,25 +1033,25 @@ def _product(H, K, budget):
 
 
 def _assert_canonically_numbered(G):
-    canonical = stallings._canonical(G.ctx, range(G.nverts), G.succ, G.pred, BASEPOINT)
-    assert canonical.succ == G.succ
+    canonical = stallings._canonical(G.ctx, range(G.nverts), G.edges, BASEPOINT)
+    assert canonical.edges == G.edges
     assert canonical == G
     # the tree a constructor recorded is the one `_canonical` records
     assert G.tree == canonical.tree == _oracle_tree(G)
 
 
 def _oracle_tree(G):
-    """(parent, via) read off a canonically numbered graph: scanning the
+    """(parent, letter) read off a canonically numbered graph: scanning the
     vertices in order, an edge reaches a new vertex iff it reaches vertex
     number len(parent)."""
-    parent, via = [0], [-1]
-    tables = [t for pair in zip(G.succ, G.pred) for t in pair]
+    parent, letter = [0], [0]
     for u in range(G.nverts):
-        for t, table in enumerate(tables):
-            if table.get(u) == len(parent):
-                parent.append(u)
-                via.append(t)
-    return parent, via
+        for g in range(1, G.ctx.rank + 1):
+            for x in (g, -g):
+                if G.edges[x].get(u) == len(parent):
+                    parent.append(u)
+                    letter.append(x)
+    return parent, letter
 
 
 def _cover(H):
@@ -1110,6 +1112,47 @@ def test_finite_preimages_number_canonically(G):
     _assert_canonically_numbered(G)
 
 
+# ── every constructor keeps one table per letter and a tree of letters ──────
+
+_BUILT = {
+    **_CONSTRUCTIONS,
+    "wedge_conjugate": lambda H, K, g: wedge_conjugate(H, K, g).finalize(),
+    # a completion that `_complete` leaves as built is not renumbered
+    "complete-as-built": lambda H, K, g: stallings._completion(H, 2, Budget())[0],
+}
+
+
+@st.composite
+def _built_graphs(draw, kind):
+    if kind == "preimage":
+        return draw(_finite_preimages())
+    ctx, words_h = draw(word_lists(max_words=3))
+    H = from_generators(ctx, words_h)
+    K = from_generators(ctx, draw(_words_over(ctx)))
+    letter = st.integers(1, ctx.rank).flatmap(lambda i: st.sampled_from([i, -i]))
+    return _BUILT[kind](H, K, reduce_word(tuple(draw(st.lists(letter, max_size=5)))))
+
+
+@pytest.mark.parametrize("kind", [*_BUILT, "preimage"])
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_every_constructor_keeps_tables_by_letter_and_a_tree_of_letters(kind, data):
+    """2r + 1 tables, the table of x⁻¹ the inverse of the table of x, and a
+    tree (parent, letter) in which each parent precedes its child and the
+    child's letter leads from the parent to the child."""
+    G = data.draw(_built_graphs(kind))
+    r = G.ctx.rank
+    assert len(G.edges) == 2 * r + 1 and G.edges[0] == {}
+    for g in range(1, r + 1):
+        for x in (g, -g):
+            assert G.edges[-x] == {v: u for u, v in G.edges[x].items()}
+    parent, letter = G.tree
+    assert len(parent) == len(letter) == G.nverts
+    assert (parent[0], letter[0]) == (0, 0)
+    for v in range(1, G.nverts):
+        assert parent[v] < v and G.edges[letter[v]][parent[v]] == v
+
+
 # ── the layered completion against the heap-ordered one it replaced ─────────
 
 
@@ -1118,8 +1161,8 @@ def _oracle_complete(H, L, budget):
     distances by a frontier BFS, then every vertex closer than L popped in
     (distance, id) order, a new vertex hung on each missing edge."""
     r = H.ctx.rank
-    succ = [dict(s) for s in H.succ]
-    pred = [dict(p) for p in H.pred]
+    succ = [dict(H.edges[g]) for g in range(1, r + 1)]
+    pred = [dict(H.edges[-g]) for g in range(1, r + 1)]
     nverts = H.nverts
     dist = {BASEPOINT: 0}
     frontier = [BASEPOINT]
@@ -1164,7 +1207,7 @@ def _oracle_complete(H, L, budget):
         for u, v in zip(sources, targets):
             succ[g][u] = v
             pred[g][v] = u
-    return stallings._canonical(H.ctx, range(nverts), succ, pred, BASEPOINT)
+    return stallings._canonical(H.ctx, range(nverts), _laid_out(succ, pred), BASEPOINT)
 
 
 @st.composite
@@ -1185,7 +1228,7 @@ def completion_inputs(draw):
 
 
 def _renumbered(K):
-    return stallings._canonical(K.ctx, range(K.nverts), K.succ, K.pred, BASEPOINT)
+    return stallings._canonical(K.ctx, range(K.nverts), K.edges, BASEPOINT)
 
 
 def _completion_outcome(complete, H, L, cap):
@@ -1217,12 +1260,11 @@ def test_layered_completion_matches_heap_oracle(drawn, cap_fraction):
 def _tree_words(G):
     """The tree word of each vertex, read down G's recorded tree, which
     must list every parent before its child."""
-    parent, via = G.tree
+    parent, letter = G.tree
     words = [()]
     for v in range(1, G.nverts):
         assert parent[v] < v
-        g = via[v] // 2 + 1
-        words.append(words[parent[v]] + (-g if via[v] % 2 else g,))
+        words.append(words[parent[v]] + (letter[v],))
     return words
 
 
@@ -1241,7 +1283,7 @@ def test_completion_as_built_reads_as_the_canonical_one(drawn):
     C = _oracle_complete(H, L, Budget())
     assert _renumbered(K) == C
     if not as_built:
-        assert K.succ == C.succ
+        assert K.edges == C.edges
     canonical_words = _tree_words(C)
     for word in _tree_words(K):
         assert canonical_words[C.walk(BASEPOINT, word)] == word
@@ -1274,7 +1316,7 @@ def test_walk_outside_of_a_tree_deeper_than_the_recursion_limit():
     n = 2100
     succ = [{i: (i + 1) % n for i in range(n)}, {i: i for i in range(n) if i != n // 2}]
     pred = [{v: u for u, v in s.items()} for s in succ]
-    H = stallings._canonical(F2, range(n), succ, pred, BASEPOINT)
+    H = stallings._canonical(F2, range(n), _laid_out(succ, pred), BASEPOINT)
     K, as_built = stallings._complete(H, 1052, Budget())
     assert as_built and K.nverts == n + 8
     words = stallings._walk_outside(K, H, 3)
@@ -1367,8 +1409,13 @@ def _oracle_spelled_basis(G, H, text):
     r = G.ctx.rank
     spell = _CHAR_OF_LETTER.__getitem__ if text else lambda x: (x,)
     chars = [(spell(g + 1), spell(-g - 1)) for g in range(r)]
-    succ, pred = G.succ, G.pred
-    h_succ, h_pred = (H.succ, H.pred) if H is not None else ([{}] * r, [{}] * r)
+    succ = [G.edges[g] for g in range(1, r + 1)]
+    pred = [G.edges[-g] for g in range(1, r + 1)]
+    if H is None:
+        h_succ = h_pred = [{}] * r
+    else:
+        h_succ = [H.edges[g] for g in range(1, r + 1)]
+        h_pred = [H.edges[-g] for g in range(1, r + 1)]
     fwd, inv, hs = [None] * G.nverts, [None] * G.nverts, [None] * G.nverts
     fwd[BASEPOINT] = inv[BASEPOINT] = "" if text else IDENTITY
     hs[BASEPOINT] = BASEPOINT
@@ -1417,8 +1464,9 @@ def spelled_graphs(draw, kind):
     K = from_generators(ctx, draw(_words_over(ctx)))
     if kind == "direct":
         G = join(H, K)
-        tree = stallings._canonical(ctx, range(G.nverts), G.succ, G.pred, BASEPOINT).tree
-        G = StallingsGraph(ctx, G.nverts, G.succ, tree)
+        tree = stallings._canonical(ctx, range(G.nverts), G.edges, BASEPOINT).tree
+        # the forward tables alone: the constructor derives their inverses
+        G = StallingsGraph(ctx, G.nverts, G.edges[: ctx.rank + 1], tree)
     else:
         letter = st.integers(1, ctx.rank).flatmap(lambda i: st.sampled_from([i, -i]))
         G = _CONSTRUCTIONS[kind](H, K, reduce_word(tuple(draw(st.lists(letter, max_size=5)))))
@@ -1462,8 +1510,8 @@ def test_fold_leaves_nothing_to_trim(drawn):
     ctx, words = drawn
     builder = _folded(ctx, words)
     live = {v for v, root in enumerate(builder.parent) if v == root}
-    tables = ([dict(t) for t in builder.succ], [dict(t) for t in builder.pred])
-    assert not stallings._trim(live, *tables, BASEPOINT)
+    tables = [dict(t) for t in builder.edges]
+    assert not stallings._trim(live, tables, BASEPOINT)
     assert builder.finalize() == from_generators(ctx, words)
 
 

@@ -238,6 +238,16 @@ def test_ball_is_canonically_sorted_and_reduced():
     assert len(set(B)) == len(B)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 27])
+def test_context_letters_are_the_canonical_letter_order(rank):
+    """`letters` lists every letter once, in `word_key` order: a, A, b, B, …"""
+    ctx = free_group(rank)
+    assert ctx.letters == tuple(x for g in range(1, rank + 1) for x in (g, -g))
+    assert list(ctx.letters) == sorted(ctx.letters, key=lambda x: word_key((x,)))
+    assert ctx.letters is ctx.letters  # built once
+    assert [w[0] for w in ball(ctx, 1)[1:]] == list(ctx.letters)
+
+
 def test_ball_size_closed_form():
     # 1 + 2r((2r-1)^L - 1)/(2r-2) for r = 2: 1 + 2(3^L - 1)
     for L in range(6):
