@@ -312,7 +312,8 @@ def cmd_schreier(args, budget: Budget):
     radius = args.radius
     S = schreier_build(H, radius, budget)
     profile = ends_profile(S)
-    ends = [(r, profile[r]) for r in range(1, min(6, radius - 1) + 1)]
+    # a complete ball's profile stops at its depth, past which no end lies
+    ends = [(r, profile[r] if r < len(profile) else 0) for r in range(1, min(6, radius - 1) + 1)]
     result: dict[str, Any] = {
         "radius": radius,
         "graph": specio.json_of_schreier(S),

@@ -8,8 +8,10 @@ trivial coset by BFS over the states of H's coset automaton
 (:func:`~chabauty_lab.stallings.coset_automaton`: equal states mean equal
 cosets): a residue of ab(prefix) mod L for a `HomSubgroup`, a core or hung
 vertex for a core graph. Each vertex keeps its state, so an edge costs one
-step. The ball keeps one BFS tree, a parent and a letter per vertex, and
-spells a vertex's word from it only where a report prints one.
+step. `stallings._bfs_graph`, the BFS that numbers fibre products and
+coverings too, lays the ball out as a core graph: tables by letter and one
+BFS tree, a parent and a letter per vertex. A vertex's word is spelled from
+the tree only where a report prints one.
 
 Truncation discipline: the graph stores its frontier (sphere-R vertices) and
 every quantity computed from the ball is reported as exact or as a lower
@@ -19,11 +21,12 @@ bound depending on whether the frontier interferes.
 from __future__ import annotations
 
 import dataclasses
+from itertools import islice
 from math import comb
 
 from .budgets import Budget, current
 from .errors import MalformedInputError
-from .stallings import coset_automaton, tree_word, why_not_contained
+from .stallings import _bfs_graph, coset_automaton, tree_word, why_not_contained
 from .words import (
     GroupContext,
     Word,
@@ -33,37 +36,40 @@ from .words import (
 
 
 class SchreierGraph:
-    """Ball of radius R in the Schreier graph of the subgroup H. Vertex 0 is
-    the trivial coset; vertex v > 0 was first reached from parent[v] by
-    letter[v] (letter[0] = 0), and this BFS tree spells `rep(v)`."""
+    """Ball of radius R in the Schreier graph of the subgroup H, laid out as
+    a core graph's forward tables: vertex 0 is the trivial coset, and
+    `edges[g]` maps u to u·g for each generator g (edges[0] == {}).
+    `tree` is the BFS tree (parent, letter), rooted at 0 with parent[0] = 0
+    and letter[0] = 0: vertex v > 0 was first reached from parent[v] by
+    letter[v], and the tree spells `rep(v)`. The distances, and the
+    frontier (the sphere of radius R), are read off the tree."""
 
-    __slots__ = ("subgroup", "radius", "letter", "dist", "parent", "succ", "frontier")
+    __slots__ = ("subgroup", "radius", "nverts", "edges", "tree", "dist", "frontier")
 
-    def __init__(self, subgroup, radius, letter, dist, parent, succ, frontier):
+    def __init__(self, subgroup, radius, nverts, edges, tree):
         self.subgroup = subgroup
         self.radius = radius
-        self.letter = letter
-        self.dist = dist
-        self.parent = parent
-        self.succ = succ  # per generator: {vertex: vertex·g}
-        self.frontier = frontier
+        self.nverts = nverts
+        self.edges = tuple(edges)
+        self.tree = tree
+        dist = [0]
+        for p in islice(tree[0], 1, None):
+            dist.append(dist[p] + 1)
+        self.dist = tuple(dist)
+        self.frontier = frozenset(v for v, d in enumerate(dist) if d == radius)
 
     @property
     def ctx(self) -> GroupContext:
         return self.subgroup.ctx
 
-    @property
-    def nverts(self) -> int:
-        return len(self.letter)
-
     def rep(self, v: int) -> Word:
-        """The canonically-least word reaching v, read up the parent links;
-        its length is v's BFS distance."""
-        return tree_word((self.parent, self.letter), v)
+        """The canonically-least word reaching v, read up the tree; its
+        length is v's BFS distance."""
+        return tree_word(self.tree, v)
 
     @property
     def nedges(self) -> int:
-        return sum(len(s) for s in self.succ)
+        return sum(map(len, self.edges))
 
     def is_complete(self) -> bool:
         """True iff the whole Schreier graph fit inside the radius (finite
@@ -71,14 +77,14 @@ class SchreierGraph:
         return not self.frontier
 
     def sphere_sizes(self) -> list[int]:
-        out = [0] * (max(self.dist) + 1)
+        out = [0] * (self.dist[-1] + 1)
         for d in self.dist:
             out[d] += 1
         return out
 
     def undirected_adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.nverts)]
-        for table in self.succ:
+        for table in self.edges:
             for u, v in table.items():
                 adj[u].add(v)
                 adj[v].add(u)
@@ -86,57 +92,20 @@ class SchreierGraph:
 
 
 def build(H, radius: int, budget: Budget | None = None) -> SchreierGraph:
-    """BFS the coset space of H out to the given radius.
-
-    Every ball vertex is expanded, but only those at distance < R make new
-    vertices; sphere-R vertices form the frontier. In BFS order every ball
-    vertex exists before a sphere-R vertex is expanded, so each edge between
-    two ball vertices is recorded from its source (the graph is the induced
-    subgraph on the ball).
-    """
+    """The ball of the given radius around the trivial coset of H, numbered
+    by `stallings._bfs_graph` over the states of H's coset automaton, with
+    `schreier_vertex_cap` bounding its vertices. A letter cancelling the
+    end of rep(v) lands on v's known parent, so a new vertex's word is
+    reduced as written."""
     budget = budget or current()
     if radius < 0:
         raise MalformedInputError("radius must be >= 0")
     ctx = H.ctx
     if ctx.kind != "free":
         raise MalformedInputError("Schreier graphs are built over free groups")
-    letters = ctx.letters
     start, step = coset_automaton(H)
-    states = [start]
-    keys = {states[0]: 0}
-    letter: list[int] = [0]
-    dist: list[int] = [0]
-    parent: list[int] = [-1]
-    succ: list[dict[int, int]] = [dict() for _ in range(ctx.rank)]
-    v = 0
-    # vertices are numbered in BFS order, so the queue is 0, 1, 2, ...
-    while v < len(states):
-        state, d = states[v], dist[v]
-        for x in letters:
-            key = step(state, x)
-            w = keys.get(key)
-            if w is None:
-                # a letter cancelling the end of rep(v) lands on the known
-                # parent, so a new vertex's word is reduced as written
-                if d >= radius:
-                    continue
-                if len(states) >= budget.schreier_vertex_cap:
-                    raise budget.exceeded(
-                        "schreier_vertex_cap", "Schreier vertices", len(states) + 1
-                    )
-                w = len(states)
-                keys[key] = w
-                states.append(key)
-                letter.append(x)
-                dist.append(d + 1)
-                parent.append(v)
-            if x > 0:  # an in-letter's edge is recorded from its source
-                succ[x - 1][v] = w
-        v += 1
-    frontier = frozenset(v for v, d in enumerate(dist) if d == radius)
-    return SchreierGraph(
-        H, radius, tuple(letter), tuple(dist), tuple(parent), tuple(succ), frontier
-    )
+    cap = ("schreier_vertex_cap", "Schreier vertices")
+    return SchreierGraph(H, radius, *_bfs_graph(ctx, start, step, budget, radius, cap))
 
 
 # ── ends ─────────────────────────────────────────────────────────────────────
@@ -151,11 +120,15 @@ def ends_estimate(S: SchreierGraph, r: int) -> int:
     """
     if r < 0 or r >= S.radius:
         raise MalformedInputError("need 0 <= r < radius")
-    return ends_profile(S)[r]
+    profile = ends_profile(S)
+    return profile[r] if r < len(profile) else 0
 
 
 def ends_profile(S: SchreierGraph) -> list[int]:
-    """`ends_estimate(S, r)` for every r < S.radius, in one sweep.
+    """`ends_estimate(S, r)` for every r below the ball's depth, its
+    largest distance, in one sweep. The depth is S.radius unless the ball
+    is complete; then no vertex lies past it, and every r from it on has
+    0 ends.
 
     Edges join one union-find from the outside in: once the edges among
     vertices at distance > r are in, the components holding a frontier
@@ -163,9 +136,10 @@ def ends_profile(S: SchreierGraph) -> list[int]:
     flag, and the flagged roots are counted.
     """
     R, dist = S.radius, S.dist
+    depth = dist[-1]
     # an edge joins the union-find with the nearer of its endpoints
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(R + 1)]
-    for table in S.succ:
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(depth + 1)]
+    for table in S.edges:
         for u, v in table.items():
             edges[min(dist[u], dist[v])].append((u, v))
     parent = list(range(S.nverts))
@@ -178,8 +152,8 @@ def ends_profile(S: SchreierGraph) -> list[int]:
             v = parent[v]
         return v
 
-    out = [0] * R
-    for r in range(R - 1, -1, -1):
+    out = [0] * depth
+    for r in range(depth - 1, -1, -1):
         for u, v in edges[r + 1]:
             ru, rv = find(u), find(v)
             if ru != rv:
@@ -228,8 +202,8 @@ def fiber_diameters(S: SchreierGraph, K) -> list[FiberReport]:
     # K·rep(v) = K·rep(parent[v])·letter[v], stepped in BFS order
     start, step = coset_automaton(K)
     kstates = [start]
-    for v in range(1, S.nverts):
-        kstates.append(step(kstates[S.parent[v]], S.letter[v]))
+    for p, x in islice(zip(*S.tree), 1, None):
+        kstates.append(step(kstates[p], x))
     fibers: dict = {}
     for v, key in enumerate(kstates):
         fibers.setdefault(key, []).append(v)

@@ -585,7 +585,7 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 
 def dot_of_graph(G: StallingsGraph) -> str:
     vertex_attrs = ["shape=doublecircle"] + ["shape=circle"] * (G.nverts - 1)
-    return _dot("stallings", vertex_attrs, G.edges[1 : G.ctx.rank + 1])
+    return _dot("stallings", vertex_attrs, G.edges[: G.ctx.rank + 1])
 
 
 def dot_of_schreier(S: SchreierGraph) -> str:
@@ -594,7 +594,7 @@ def dot_of_schreier(S: SchreierGraph) -> str:
     return _dot("schreier", [
         ("shape=circle" if v else "shape=doublecircle") + (", color=gray" if v in S.frontier else "")
         for v in range(S.nverts)
-    ], S.succ)
+    ], S.edges)
 
 
 def _dot_letter(x: int) -> str:
@@ -603,13 +603,14 @@ def _dot_letter(x: int) -> str:
     return _CHAR_OF_LETTER.get(x) or (f"x{x}" if x > 0 else f"X{-x}")
 
 
-def _dot(name: str, vertex_attrs: Sequence[str], succ: Sequence[dict]) -> str:
+def _dot(name: str, vertex_attrs: Sequence[str], edges: Sequence[dict]) -> str:
     """Graphviz text: one line per vertex with its attributes, and one edge
-    per table entry labelled by its letter."""
+    per entry of the forward tables `edges` (edges[g] for each generator g,
+    edges[0] empty) labelled by its letter."""
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     lines += [f"  {v} [{attrs}];" for v, attrs in enumerate(vertex_attrs)]
-    for g, table in enumerate(succ):
-        label = _dot_letter(g + 1)
+    for g, table in enumerate(edges):
+        label = _dot_letter(g)
         lines += [f'  {u} -> {v} [label="{label}"];' for u, v in sorted(table.items())]
     return "\n".join(lines) + "\n}\n"
 

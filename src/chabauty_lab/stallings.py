@@ -43,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import Counter
+from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Sequence
 
@@ -671,19 +672,18 @@ def intersect(
     H: StallingsGraph, K: StallingsGraph, budget: Budget | None = None
 ) -> StallingsGraph:
     """H ∩ K via the fibre product: vertices are pairs (u, v) reachable from
-    (basepoint, basepoint) along edges present in both graphs. The product of
-    folded graphs is folded, so only trimming is needed afterwards."""
+    (basepoint, basepoint) along edges present in both graphs, numbered by
+    `_bfs_graph`. The product of folded graphs is folded, so only trimming
+    is needed afterwards."""
     require_same_context(H.ctx, K.ctx, "intersect")
-    tables = [(H.edges[x], K.edges[x]) for x in H.ctx.letters]
+    h_edges, k_edges = H.edges, K.edges
 
-    def moves(state):
-        a, b = state
-        return [
-            (x, y) if (x := h.get(a)) is not None and (y := k.get(b)) is not None else None
-            for h, k in tables
-        ]
+    def step(state, x):
+        a = h_edges[x].get(state[0])
+        b = None if a is None else k_edges[x].get(state[1])
+        return None if b is None else (a, b)
 
-    P = _bfs_graph(H.ctx, (BASEPOINT, BASEPOINT), moves, budget or current())
+    P = StallingsGraph(H.ctx, *_bfs_graph(H.ctx, (BASEPOINT, BASEPOINT), step, budget or current()))
     live = set(range(P.nverts))
     # untrimmed, the product's BFS numbering is already _canonical's;
     # trimmed, P is dropped, so its own tables are trimmed and renumbered
@@ -692,34 +692,47 @@ def intersect(
     return _canonical(H.ctx, live, P.edges, BASEPOINT)
 
 
-def _bfs_graph(ctx: GroupContext, start, moves, budget: Budget) -> StallingsGraph:
-    """The graph on the states reachable from `start`, numbered by BFS in
-    canonical letter order, which is `_canonical`'s numbering. `moves(state)`
-    lists the states that the letters of `ctx.letters` lead to, in that
-    order (None where there is no edge); the moves by x⁻¹ must invert those
-    by x, so recording the edges of positive letters records every edge.
-    The BFS tree is recorded as `_canonical` records it. Raises before
-    numbering state `vertex_cap` + 1."""
+def _bfs_graph(ctx: GroupContext, start, step, budget: Budget, radius: float = math.inf,
+               cap: tuple[str, str] = ("vertex_cap", "graph vertices")) -> tuple:
+    """(nverts, tables, tree) of the graph on the states of the automaton
+    (start, step) within `radius` letters of `start`, numbered by BFS in
+    canonical letter order, which is `_canonical`'s numbering: the one BFS
+    that numbers fibre products, coverings and Schreier balls. `step(state,
+    x)` is the state that x leads to, or None; the steps by x⁻¹ must invert
+    those by x, so the r + 1 tables of positive letters, laid out as
+    `StallingsGraph.edges` takes them, record every edge. The tree (parent,
+    letter) is recorded as `_canonical` records it. States at the radius
+    are stepped, but number no new state: the graph is induced on the ball.
+    Raises before numbering a state past the `Budget` field cap[0], which
+    counts cap[1]."""
+    field, what = cap
+    limit = getattr(budget, field)
     number = {start: 0}
     order = [start]
     parent, letter = [0], [0]
     forward = [{} for _ in range(ctx.rank + 1)]
     out_tables = [(x, forward[x] if x > 0 else None) for x in ctx.letters]
+    level_end = 1  # the first state one letter further out than order[u]
     for u, state in enumerate(order):
-        for (x, table), v in zip(out_tables, moves(state)):
+        if u == level_end:
+            level_end, radius = len(order), radius - 1
+        for x, table in out_tables:
+            v = step(state, x)
             if v is None:
                 continue
             n = number.get(v)
             if n is None:
-                if len(order) >= budget.vertex_cap:
-                    raise budget.exceeded("vertex_cap", "graph vertices", len(order) + 1)
+                if radius <= 0:
+                    continue
+                if len(order) >= limit:
+                    raise budget.exceeded(field, what, len(order) + 1)
                 n = number[v] = len(order)
                 order.append(v)
                 parent.append(u)
                 letter.append(x)
             if table is not None:
                 table[u] = n
-    return StallingsGraph(ctx, len(order), forward, (parent, letter))
+    return len(order), forward, (parent, letter)
 
 
 def conjugate_subgroup(
@@ -892,8 +905,9 @@ def preimage(
     φ⁻¹(A) = ab⁻¹(L) for L = {x ∈ Z^r : Mx ∈ A} = ab(φ⁻¹(A)), which costs
     r·(k + r) of `vertex_cap`; Z/m with A = dZ/m, d = gcd(m, A), is Z with
     dZ. At rank L = r, and for Sym(n), it is the covering of the rose
-    (Stallings 1983) by BFS over the cosets (residues mod L, or A·φ(w)) in
-    canonical letter order: `_canonical`'s numbering, so equal to every
+    (Stallings 1983) that `_bfs_graph` numbers from the cosets' automaton
+    (residues mod L stepped by `_shifted`, or the cosets A·φ(w) of
+    `_permutation_cosets`): `_canonical`'s numbering, so equal to every
     other description's graph; past `vertex_cap` cosets it raises. Else it
     is trivial (r = 1) or a :class:`HomSubgroup`."""
     if ctx.kind != "free":
@@ -902,7 +916,8 @@ def preimage(
         raise MalformedInputError(f"need {ctx.rank} generator images, got {len(images)}")
     budget = budget or current()
     if target.kind == "permutation":
-        return _bfs_graph(ctx, *_permutation_cosets(target.param, images, accepted), budget)
+        cosets = _permutation_cosets(target.param, images, accepted, budget)
+        return StallingsGraph(ctx, *_bfs_graph(ctx, *cosets, budget))
     if target.kind == "cyclic":
         images, accepted = [(int(v),) for v in images], _cyclic_lattice(target.param, accepted)
     else:
@@ -919,10 +934,7 @@ def preimage(
         raise budget.exceeded("vertex_cap", "preimage lattice entries", entries)
     L = zdlattice.lattice_preimage(images, accepted)
     if L.rank == r:
-        def moves(x):  # x + ab(y) for each letter y, reduced mod L
-            return [_shifted(L, x, y) for y in ctx.letters]
-
-        return _bfs_graph(ctx, (0,) * r, moves, budget)
+        return StallingsGraph(ctx, *_bfs_graph(ctx, (0,) * r, partial(_shifted, L), budget))
     return trivial_subgroup(ctx) if r == 1 else HomSubgroup(ctx, L)
 
 
@@ -938,29 +950,30 @@ def _cyclic_lattice(m: int, accepted) -> zdlattice.HnfSubgroup:
     return zdlattice.hnf_from_generators(1, [(d,)])
 
 
-def _permutation_cosets(n: int, images, accepted):
-    """(label of A, `_bfs_graph` moves) on the right cosets A·p of A ≤
-    Sym(n), each labelled by its least element."""
+def _permutation_cosets(n: int, images, accepted, budget: Budget):
+    """(label of A, `_bfs_graph` step) on the right cosets A·p of A ≤
+    Sym(n), each labelled by its least element. The closure check takes
+    |A|² products, charged to `vertex_cap` before it runs."""
     perms = [_permutation(p, n) for p in images]
     group = frozenset(_permutation(p, n) for p in accepted)
     if tuple(range(n)) not in group:
         raise MalformedInputError("accepted permutations must include the identity")
+    if (products := len(group) ** 2) > budget.vertex_cap:
+        raise budget.exceeded("vertex_cap", "permutation products", products)
     for p in group:
         if _perm_inv(p) not in group:
             raise MalformedInputError("accepted permutations not inverse-closed")
         for q in group:
             if _perm_mul(p, q) not in group:
                 raise MalformedInputError("accepted permutations not closed")
-    letters = [q for p in perms for q in (p, _perm_inv(p))]
+    # by signed letter, as `StallingsGraph.edges` lays out its tables
+    acts = [None, *perms, *map(_perm_inv, reversed(perms))]
 
-    def moves(label: tuple) -> list[tuple]:
-        out = []
-        for q in letters:
-            p = _perm_mul(label, q)
-            out.append(min(_perm_mul(a, p) for a in group))
-        return out
+    def step(label: tuple, x: int) -> tuple:
+        p = _perm_mul(label, acts[x])
+        return min(_perm_mul(a, p) for a in group)
 
-    return min(group), moves
+    return min(group), step
 
 
 def _permutation(p, n: int) -> tuple:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chabauty_lab.budgets import Budget
 from chabauty_lab.errors import MalformedInputError
-from chabauty_lab.stallings import Target, _bfs_graph, preimage
+from chabauty_lab.stallings import StallingsGraph, Target, _bfs_graph, preimage
 from chabauty_lab.words import free_group
 from chabauty_lab.zdlattice import hnf_from_generators
 
@@ -63,7 +63,7 @@ class ImageHomSubgroup:
 
 
 def cyclic_cosets(m, images, accepted):
-    """(label of A, `_bfs_graph` moves) on the cosets of A ≤ Z/m. A = dZ/m
+    """(label of A, `_bfs_graph` step) on the cosets of A ≤ Z/m. A = dZ/m
     for d = gcd(m, A), so the coset of x is labelled by x mod d."""
     vals = frozenset(int(v) % m for v in accepted)
     if not vals:
@@ -72,13 +72,13 @@ def cyclic_cosets(m, images, accepted):
     # vals ⊆ dZ/m, so it is dZ/m iff it has m // d elements (m may be huge)
     if len(vals) != m // d:
         raise MalformedInputError(f"accepted set {sorted(vals)} is not a subgroup of Z/{m}")
-    shifts = [e * int(v) % d for v in images for e in (1, -1)]
-    return 0, lambda x: [(x + s) % d for s in shifts]
+    shifts = {e * i: e * int(v) % d for i, v in enumerate(images, 1) for e in (1, -1)}
+    return 0, lambda x, y: (x + shifts[y]) % d
 
 
 def cyclic_covering(ctx, m, images, accepted, budget=None):
-    start, moves = cyclic_cosets(m, images, accepted)
-    return _bfs_graph(ctx, start, moves, budget or Budget())
+    start, step = cyclic_cosets(m, images, accepted)
+    return StallingsGraph(ctx, *_bfs_graph(ctx, start, step, budget or Budget()))
 
 
 @st.composite

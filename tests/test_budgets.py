@@ -136,6 +136,11 @@ _RAISE_SITES = {
         "preimage lattice entries", "vertex_cap", 5,
         lambda b: stallings.kernel(F2, stallings.Target("lattice", 1), [(1,), (0,)], b),
     ),
+    "stallings preimage permutations": (
+        "permutation products", "vertex_cap", 3,
+        lambda b: stallings.preimage(F2, stallings.Target("permutation", 3), [(1, 0, 2), (0, 2, 1)],
+                                     [(0, 1, 2), (1, 0, 2)], b),
+    ),
     "specio lattice target": (
         "lattice target dimension (vertex_cap)", "vertex_cap", 2,
         lambda b: specio.subgroup_from_json(_LATTICE_TARGET_DOC, b),
@@ -149,7 +154,7 @@ _RAISE_SITES = {
 
 @pytest.mark.parametrize("site", list(_RAISE_SITES))
 def test_budget_errors_name_their_field(site, monkeypatch):
-    """Each of the 15 raise sites names the field to enlarge: a key of
+    """Each of the 16 raise sites names the field to enlarge: a key of
     Budget.as_dict(), and the one whose value is the error's limit. Every
     site but the candidate search, which counts nothing past its cap, says
     how far the run got, past the limit. The message starts with what was

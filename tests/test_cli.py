@@ -714,6 +714,24 @@ def test_schreier_ball_memory_follows_its_vertex_count():
     assert (graph["vertices"], graph["frontier"]) == (100_001, 2)
 
 
+def test_complete_schreier_ball_work_follows_its_depth():
+    """ker(F₂ → Z/5) has 5 cosets, 2 letters deep. Its ends profile stops
+    at that depth, so radius 10⁸ costs no more than radius 3; one edge
+    bucket per radius needed gigabytes."""
+    resource = pytest.importorskip("resource")
+    limit = 2**30
+    z5 = {"context": F2_CTX,
+          "hom": {"target": {"kind": "cyclic", "param": 5}, "images": [1, 0], "accepted": [0]}}
+    done = _cli_in_subprocess(
+        ["schreier", "--radius", "100000000"], z5,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)["result"]
+    assert result["graph"]["vertices"] == 5 and result["graph"]["complete"]
+    assert result["ends"] == [[r, 0] for r in range(1, 7)]
+
+
 def test_folner_walks_a_long_word_in_linear_time():
     """b²⁰⁰⁰⁰⁰ leaves the core of ⟨a⟩ at once; a state that copied the word's
     hanging suffix at each letter took time quadratic in its length."""

@@ -93,8 +93,8 @@ def test_generator_sets_match_between_hom_and_graph_subgroups():
     graph_even = gens("aa", "b", "abA")
     hom_even = kernel(F2, Target("cyclic", 2), [1, 0])
     S1, S2 = build(graph_even, 6), build(hom_even, 6)
-    assert (S1.letter, S1.parent, S1.dist, S1.succ, S1.frontier) == (
-        S2.letter, S2.parent, S2.dist, S2.succ, S2.frontier
+    assert (S1.tree, S1.dist, S1.edges, S1.frontier) == (
+        S2.tree, S2.dist, S2.edges, S2.frontier
     )
     assert S1.sphere_sizes() == S2.sphere_sizes()
 
@@ -295,7 +295,7 @@ def _oracle_ends(S, r):
             v = parent[v]
         return v
 
-    for table in S.succ:
+    for table in S.edges:
         for u, v in table.items():
             if u in parent and v in parent:
                 ru, rv = find(u), find(v)
@@ -385,8 +385,9 @@ def _oracle_fibers(S, K):
 
 def _ball_words(S):
     """(rep(v) for each v, dist, succ, frontier): the ball as `_oracle_build`
-    gives it, each word spelled off the tree."""
-    return tuple(map(S.rep, range(S.nverts))), S.dist, S.succ, S.frontier
+    gives it, each word spelled off the tree, and succ the tables of the
+    generators 1..r."""
+    return tuple(map(S.rep, range(S.nverts))), S.dist, S.edges[1:], S.frontier
 
 
 def _fiber_tuples(reports):
@@ -496,9 +497,44 @@ def test_build_matches_the_coset_key_bfs(case):
     for sub in (H, K):
         S = build(sub, radius)
         assert _ball_words(S) == _oracle_build(sub, radius)
-        assert S.parent[0] == -1 and S.letter[0] == 0
+        parent, letter = S.tree
+        assert (parent[0], letter[0]) == (0, 0)
         for v in range(1, S.nverts):
-            assert S.rep(S.parent[v]) + (S.letter[v],) == S.rep(v)
+            assert S.rep(parent[v]) + (letter[v],) == S.rep(v)
+
+
+@given(subgroup_pairs())
+@settings(max_examples=100, deadline=None)
+def test_balls_keep_tables_by_letter_and_a_tree_of_letters(case):
+    """A ball of either subgroup kind is laid out as a core graph's forward
+    tables, edges[0] == {} and edges[g] for each generator g, with a tree
+    (parent, letter) in which each parent precedes its child and the
+    child's letter leads from the parent to the child. Its distances are
+    one more than the parent's, and are those of a BFS of the ball itself;
+    the frontier is the sphere of radius R."""
+    H, K, radius = case
+    for sub in (H, K):
+        S = build(sub, radius)
+        r = S.ctx.rank
+        assert len(S.edges) == r + 1 and S.edges[0] == {}
+        parent, letter = S.tree
+        assert len(parent) == len(letter) == len(S.dist) == S.nverts
+        assert (parent[0], letter[0], S.dist[0]) == (0, 0, 0)
+        for v in range(1, S.nverts):
+            p, x = parent[v], letter[v]
+            assert p < v and x != 0
+            assert S.edges[x][p] == v if x > 0 else S.edges[-x][v] == p
+            assert S.dist[v] == S.dist[p] + 1
+        adj = S.undirected_adjacency()
+        seen, queue = {0: 0}, [0]
+        for u in queue:
+            for w in adj[u]:
+                if w not in seen:
+                    seen[w] = seen[u] + 1
+                    queue.append(w)
+        assert [seen[v] for v in range(S.nverts)] == list(S.dist)
+        assert S.frontier == {v for v in range(S.nverts) if S.dist[v] == radius}
+        assert max(S.dist) <= radius
 
 
 @given(subgroup_pairs())
@@ -508,14 +544,20 @@ def test_ends_profile_matches_ends_estimate(case):
     for sub in (H, K):
         S = build(sub, radius)
         profile = ends_profile(S)
-        assert profile == [_oracle_ends(S, r) for r in range(S.radius)]
-        assert profile == [ends_estimate(S, r) for r in range(S.radius)]
+        # the profile runs to the ball's depth: the radius, unless the ball
+        # is complete, and then every r past it has 0 ends
+        assert len(profile) == (max(S.dist) if S.is_complete() else S.radius)
+        padded = profile + [0] * (S.radius - len(profile))
+        assert padded == [_oracle_ends(S, r) for r in range(S.radius)]
+        assert padded == [ends_estimate(S, r) for r in range(S.radius)]
 
 
 def test_ends_profile_of_the_line_and_the_tree():
     assert ends_profile(build(KER, 10)) == [2] * 10
     assert ends_profile(build(trivial_subgroup(F2), 4)) == [4, 12, 36, 108]
-    assert ends_profile(build(gens("aa", "b", "abA"), 6)) == [0] * 6
+    complete = build(gens("aa", "b", "abA"), 6)
+    assert ends_profile(complete) == [0]  # its depth is 1
+    assert [ends_estimate(complete, r) for r in range(6)] == [0] * 6
 
 
 @given(subgroup_pairs(max_radius=(4, 3)))
@@ -627,10 +669,10 @@ def test_fiber_oracle_on_frontier_and_disconnected_fibers():
     assert _fiber_tuples(fiber_diameters(S, even)) == expected
     # Cut the a-edge from the trivial coset to Ha: the segment splits in two,
     # and each fiber is disconnected within what is left.
-    a = S.succ[0]
+    a = S.edges[1]
     cut = SchreierGraph(
-        S.subgroup, S.radius, S.letter, S.dist, S.parent,
-        ({u: v for u, v in a.items() if u != 0},) + S.succ[1:], S.frontier,
+        S.subgroup, S.radius, S.nverts,
+        ({}, {u: v for u, v in a.items() if u != 0}, *S.edges[2:]), S.tree,
     )
     expected = _oracle_fibers(cut, even)
     assert [f[2:] for f in expected] == [(6, True), (4, True)]
