@@ -50,14 +50,13 @@ from .words import (
 
 @dataclasses.dataclass(frozen=True)
 class WitnessTerm:
-    """One term of a nonisolation witness: the finite-index completion K_n
-    that agrees with H up to n, the adjoined element k_n ∈ K_n ∖ H, and the
-    strictly-larger infinite-index term H_n = ⟨H, k_n⟩ ⊆ K_n. K_n is numbered
-    as `stallings._witness_candidates` returns it, not always canonically:
-    reports read only its index."""
+    """One term of a nonisolation witness: the index of the finite-index
+    completion K_n that agrees with H up to n, the adjoined element
+    k_n ∈ K_n ∖ H, and the strictly-larger infinite-index term
+    H_n = ⟨H, k_n⟩ ⊆ K_n."""
 
     n: int
-    completion: StallingsGraph
+    completion_index: int
     adjoined: Word
     term: StallingsGraph
 
@@ -85,9 +84,9 @@ def nonisolation_witness(
     order (some exists: all of them inside H would force K_n = ⟨basis⟩ ⊆ H);
     a candidate is rejected if ⟨H, k_n⟩ has finite index, and when all
     candidates within the cap fail the completion radius is enlarged, which
-    refreshes the candidate pool. `stallings._witness_candidates` reads
-    them off K_n, by an ordered walk of its tree when H's core lies within
-    the radius and by ranking every basis key otherwise. When every radius
+    refreshes the candidate pool. `stallings._witness_candidates` gives
+    K_n's index and its candidates, walked off its tables when H's core
+    lies within the radius and ranked otherwise. When every radius
     fails the error bears no `reached`: both routes stop at the cap, so no
     count of the candidates past it is ever taken.
     """
@@ -107,11 +106,11 @@ def nonisolation_witness(
     for n in range(1, length + 1):
         term = None
         for extra in range(budget.witness_radius_slack + 1):
-            K, candidates = _witness_candidates(H, n + extra, budget.witness_candidate_cap, budget)
+            index, candidates = _witness_candidates(H, n + extra, budget.witness_candidate_cap, budget)
             for k in candidates:
                 H_n = join(H, [k], budget)
                 if H_n.index() is None:
-                    term = WitnessTerm(n, K, k, H_n)
+                    term = WitnessTerm(n, index, k, H_n)
                     break
             if term is not None:
                 break
@@ -267,7 +266,9 @@ class MoveCertificate:
 
 def _candidate_conjugators(ctx: GroupContext, budget: Budget) -> Iterable[Word]:
     """Deterministic candidate stream: the identity, then w = uⁿ with u in
-    canonical word order and n swept 1..cap before u lengthens."""
+    canonical word order and n swept 1..cap before u lengthens, up to the
+    first power past `conjugator_len_cap`: |uⁿ| = 2|c| + n|v| grows with n
+    (u = c·v·c⁻¹, v cyclically reduced)."""
     yield IDENTITY
     seen = {IDENTITY}
     for u in iter_ball(ctx.rank, budget.u_len_cap, budget):
@@ -275,8 +276,8 @@ def _candidate_conjugators(ctx: GroupContext, budget: Budget) -> Iterable[Word]:
             continue
         for n in range(1, budget.exponent_cap + 1):
             w = power(u, n)
-            if not w or len(w) > budget.conjugator_len_cap:
-                continue
+            if len(w) > budget.conjugator_len_cap:
+                break
             if w not in seen:
                 seen.add(w)
                 yield w

@@ -510,7 +510,7 @@ def json_of_nonisolation(w: NonisolationWitness) -> dict:
             {
                 "n": t.n,
                 "adjoined": format_word(t.adjoined),
-                "completion_index": t.completion.index(),
+                "completion_index": t.completion_index,
                 "term_rank": t.term.rank(),
                 "term_index": t.term.index(),
             }

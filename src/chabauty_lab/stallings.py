@@ -18,12 +18,12 @@ basepoint, scanning the letters in the canonical order a, A, b, B, …
 representations, and equality/hashing are structural. The BFS tree of that
 numbering, each vertex's parent and the letter that first reached it, is
 recorded with the graph; free bases and Hall completions read it. A
-nonisolation witness's completions, whose index alone is printed, keep their
-build numbering when H's core lies within the completion radius (see
-`_complete`), and `_witness_candidates` reads their candidates by a walk of
-that tree in letter order which stops at the cap (`_walk_outside`); the
-candidates of the other completions are ranked by `basis_outside`, which
-sorts every basis key.
+completion is left by `_complete` as tables in build numbering, and each
+reader numbers it only as it needs to: `hall_completion` renumbers it, and
+a nonisolation witness, which prints its index alone, reads its candidates
+by a walk of its tree in letter order that stops at the cap when H's core
+lies within the completion radius (`_walk_outside`), and otherwise ranks
+them by `basis_outside`, which sorts every basis key.
 
 Queried subgroups stay folded: a subgroup that is only walked (intersected,
 measured against another, checked against a clopen set) is the folded builder
@@ -68,18 +68,17 @@ class StallingsGraph:
     """Immutable, canonical folded core graph. Build via :func:`from_generators`
     and the other module functions, not directly.
 
-    `edges` holds 2r + 1 tables, ({}, gen 1, …, gen r, gen r⁻¹, …, gen 1⁻¹),
-    so that `edges[x]` is the table of the letter x for either sign. Given
-    only the r + 1 tables up to gen r, the constructor derives the others."""
+    The constructor takes the r + 1 forward tables ({}, gen 1, …, gen r)
+    and derives their inverses, so that `edges` holds 2r + 1 tables,
+    ({}, gen 1, …, gen r, gen r⁻¹, …, gen 1⁻¹), and `edges[x]` is the table
+    of the letter x for either sign."""
 
     __slots__ = ("ctx", "nverts", "edges", "tree", "_hash")
 
     def __init__(self, ctx: GroupContext, nverts: int, edges: Sequence[dict], tree):
         self.ctx = ctx
         self.nverts = nverts
-        if len(edges) == ctx.rank + 1:
-            edges = (*edges, *({v: u for u, v in s.items()} for s in reversed(edges[1:])))
-        self.edges: tuple[dict[int, int], ...] = tuple(edges)
+        self.edges = (*edges, *({v: u for u, v in s.items()} for s in reversed(edges[1:])))
         # (parent, letter) of the canonical BFS spanning tree, recorded by the
         # constructor as it numbers: vertex v > 0 was first reached from
         # parent[v] by letter[v]; parent[0] = 0 and letter[0] = 0
@@ -208,32 +207,27 @@ def coset_automaton(H: StallingsGraph | HomSubgroup):
     return BASEPOINT, step
 
 
-def _traces_agree(
-    H: StallingsGraph | HomSubgroup,
-    K: StallingsGraph | HomSubgroup,
-    radius: int,
-    budget: Budget,
-) -> bool:
-    """Whether H and K have equal traces on B(radius), read off their coset
-    automata to depth ⌈radius/2⌉ (see `hall_completion`).
+def _traces_agree(ctx: GroupContext, H, K, radius: int, budget: Budget) -> bool:
+    """Whether two subgroups of F_r have equal traces on B(radius), read off
+    their coset automata H and K, each a pair (start, step) as
+    `coset_automaton` gives it, to depth ⌈radius/2⌉ (see `hall_completion`).
 
     A BFS over coset pairs (Hu, Ku) steps all 2r letters: coset automata
     are total and inverse, so a word reaches the pair its reduction
     reaches, and the pairs first reached by level d are those of the
-    reduced words of length ≤ d. Each inner pair, reached by level
-    ⌊radius/2⌋, is recorded as h → k and k → h, so the two maps hold
-    every inner pair, and a second value for a key is a Hu = Hv that
-    Ku = Kv does not match, or the other way round. For odd radii the
-    outer ring, at level ⌈radius/2⌉, is checked against the inner maps
-    only: two outer words make a word of length radius + 1. The pairs
-    reached answer to `vertex_cap` after each level, as in the product
-    search."""
-    h_start, h_step = coset_automaton(H)
-    k_start, k_step = coset_automaton(K)
-    letters = H.ctx.letters
+    reduced words of length ≤ d. Each pair first reached by level
+    ⌊radius/2⌋ is recorded as h → k and k → h, so the two maps hold every
+    such pair, and a second value for a key is a Hu = Hv that Ku = Kv does
+    not match, or the other way round. For an odd radius the last level,
+    ⌈radius/2⌉, is checked against those maps and not recorded: two of its
+    words make a word of length radius + 1. The pairs reached answer to
+    `vertex_cap` after each level, as in the product search."""
+    (h_start, h_step), (k_start, k_step) = H, K
+    letters = ctx.letters
     h_to_k, k_to_h = {h_start: k_start}, {k_start: h_start}
     level = [(h_start, k_start)]
-    for _ in range(radius // 2):
+    for depth in range(1, (radius + 1) // 2 + 1):
+        recorded = 2 * depth <= radius
         new = []
         for h, k in level:
             for x in letters:
@@ -242,26 +236,17 @@ def _traces_agree(
                 if seen is None:
                     if b in k_to_h:
                         return False
-                    h_to_k[a], k_to_h[b] = b, a
+                    if recorded:
+                        h_to_k[a], k_to_h[b] = b, a
                     new.append((a, b))
                 elif seen != b:
                     return False
-        if len(h_to_k) > budget.vertex_cap:
-            raise budget.exceeded("vertex_cap", "graph vertices", len(h_to_k))
+        reached = len(h_to_k) + (0 if recorded else len(set(new)))
+        if reached > budget.vertex_cap:
+            raise budget.exceeded("vertex_cap", "graph vertices", reached)
         if not new:
             return True
         level = new
-    if radius % 2:
-        ring = set()
-        for h, k in level:
-            for x in letters:
-                a, b = h_step(h, x), k_step(k, x)
-                if h_to_k.get(a, b) != b or k_to_h.get(b, a) != a:
-                    return False
-                if a not in h_to_k:
-                    ring.add((a, b))
-        if len(h_to_k) + len(ring) > budget.vertex_cap:
-            raise budget.exceeded("vertex_cap", "graph vertices", len(h_to_k) + len(ring))
     return True
 
 
@@ -322,9 +307,10 @@ def basis_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
     return _words_of_keys(K.ctx, _basis_keys(K, H)[:cap])
 
 
-def _walk_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
-    """`basis_outside(K, H, cap)` of a completion that `_complete` left as
-    built, read by a walk of K's recorded tree that stops after `cap` words.
+def _walk_outside(edges: Sequence[dict], tree, H: StallingsGraph, cap: int) -> list[Word]:
+    """`basis_outside(K, H, cap)` of a completion K that `_complete` gives
+    with its tree, read off K's tables by a walk of that tree that stops
+    after `cap` words.
 
     K keeps H's core ids and tree, and the core lies within L, so every
     vertex closer than L has all 2r edges and layer L is the deficient
@@ -338,8 +324,8 @@ def _walk_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
     leaf's edges in the order of g. Only the words read are spelled, up
     the tree. The walk keeps its own stack: the tree may be deeper than
     Python's recursion limit."""
-    edges, letters = K.edges, K.ctx.letters
-    letter = K.tree[1]
+    letters = H.ctx.letters
+    letter = tree[1]
     h_edges, core = H.edges, H.nverts
     found: list[tuple[int, int, int]] = []
     stack = [BASEPOINT]
@@ -356,7 +342,7 @@ def _walk_outside(K: StallingsGraph, H: StallingsGraph, cap: int) -> list[Word]:
                 if len(found) == cap:
                     break
         stack.extend(reversed(children))
-    return [(*tree_word(K.tree, u), g, *invert(tree_word(K.tree, v))) for u, g, v in found]
+    return [(*tree_word(tree, u), g, *invert(tree_word(tree, v))) for u, g, v in found]
 
 
 def tree_word(tree: tuple[Sequence[int], Sequence[int]], v: int) -> Word:
@@ -779,7 +765,7 @@ def hall_completion(
     vertex lies at Schreier distance ≥ L from the basepoint, and a reduced
     basepoint loop of length ℓ ≤ L stays within distance ⌊ℓ/2⌋ < L, so no loop
     of length ≤ L uses a completion edge: the ball of K equals the ball of H,
-    so the check of K against H below cannot fail.
+    so the check of K against H in `_complete` cannot fail.
 
     The check is exact and reads only the Schreier balls of radius ⌈L/2⌉
     (`_traces_agree`). A reduced w with |w| ≤ L is u·v⁻¹ with
@@ -789,49 +775,44 @@ def hall_completion(
     B(L) iff Hu = Hv ⟺ Ku = Kv for all such u and v: about (2r−1)^(L/2)
     coset pairs, where a search of B(L) meets (2r−1)^L words.
 
-    For finite-index H the graph is already a covering and is returned as-is.
-    K is numbered canonically: renumbered here if `_complete` left it as built.
+    For finite-index H the graph is already a covering and is returned as-is;
+    any other K is `_complete`'s, numbered canonically here.
     """
-    K, as_built = _completion(H, agreement_radius, budget)
-    return _canonical(K.ctx, range(K.nverts), K.edges, BASEPOINT) if as_built else K
-
-
-def _witness_candidates(
-    H: StallingsGraph, L: int, cap: int, budget: Budget
-) -> tuple[StallingsGraph, list[Word]]:
-    """`hall_completion(H, L)`'s K as `_complete` numbers it, and
-    `basis_outside(K, H, cap)`: walked (`_walk_outside`) in a K left as
-    built, ranked in any other."""
-    K, as_built = _completion(H, L, budget)
-    return K, (_walk_outside if as_built else basis_outside)(K, H, cap)
-
-
-def _completion(H: StallingsGraph, L: int, budget: Budget | None) -> tuple[StallingsGraph, bool]:
-    """`hall_completion`'s checked K as `_complete` numbers it, and whether
-    `_complete` left it in build numbering."""
     budget = budget or current()
-    if L < 0:
+    if agreement_radius < 0:
         raise MalformedInputError("agreement radius must be >= 0")
     if H.is_covering():
-        return H, False
-    K, as_built = _complete(H, L, budget)
-    if not _traces_agree(H, K, L, budget):
-        raise AssertionError("completion failed to preserve the trace")  # unreachable
-    return K, as_built
+        return H
+    nverts, edges, _ = _complete(H, agreement_radius, budget)
+    return _canonical(H.ctx, range(nverts), edges, BASEPOINT)
 
 
-def _complete(H: StallingsGraph, L: int, budget: Budget) -> tuple[StallingsGraph, bool]:
-    """The completion `hall_completion` describes, of a non-covering H. The
-    core's Schreier distances are dist[parent[v]] + 1 along H's recorded
-    BFS tree, with no table probed. Once the ball is grown, every vertex
-    closer than L has all 2r edges, so the matching scans only the layers
-    from L on, in id order: it pairs what a scan of every vertex pairs.
-    If H's core lies within L, K keeps its build numbering (core ids, then
-    hung vertices as created) with its canonical BFS tree: H's on the core,
-    the hanging edge's letter on a hung vertex (a matching edge joins
-    vertices at distance ≥ L, so it is on no shortest path to a vertex
-    within L). Otherwise `_canonical` numbers K. Returns K and whether it
-    is as built."""
+def _witness_candidates(H: StallingsGraph, L: int, cap: int, budget: Budget) -> tuple:
+    """[F_r : K] for K = `hall_completion(H, L)` of a non-covering H (its
+    vertex count), and `basis_outside(K, H, cap)`: walked off K's tables
+    (`_walk_outside`) when `_complete` gives K's tree, else ranked on
+    `_canonical`'s K."""
+    nverts, edges, tree = _complete(H, L, budget)
+    if tree is None:
+        return nverts, basis_outside(_canonical(H.ctx, range(nverts), edges, BASEPOINT), H, cap)
+    return nverts, _walk_outside(edges, tree, H, cap)
+
+
+def _complete(H: StallingsGraph, L: int, budget: Budget) -> tuple:
+    """The completion K that `hall_completion` describes, of a non-covering
+    H, checked against H on B(L) (`_traces_agree`), as (nverts, edges,
+    tree) in build numbering: H's core ids, then the hung vertices as
+    created, with the 2r + 1 tables laid out as `StallingsGraph.edges`.
+
+    The core's Schreier distances are dist[parent[v]] + 1 along H's
+    recorded BFS tree, with no table probed. Once the ball is grown, every
+    vertex closer than L has all 2r edges, so the matching scans only the
+    layers from L on, in id order: it pairs what a scan of every vertex
+    pairs. If H's core lies within L, `tree` is K's canonical BFS tree: H's
+    on the core, the hanging edge's letter on a hung vertex (a matching
+    edge joins vertices at distance ≥ L, so it is on no shortest path to a
+    vertex within L). Otherwise it is None, and a reader that needs K's
+    tree numbers K with `_canonical`."""
     edges = [dict(t) for t in H.edges]
     tables = [(x, edges[x], edges[-x]) for x in H.ctx.letters]
     parent, letter = map(list, H.tree)
@@ -869,9 +850,11 @@ def _complete(H: StallingsGraph, L: int, budget: Budget) -> tuple[StallingsGraph
         for u, v in zip(sources, targets):
             out[u] = v
             back[v] = u
-    if dist[-1] <= L:
-        return StallingsGraph(H.ctx, nverts, edges, (parent, letter)), True
-    return _canonical(H.ctx, range(nverts), edges, BASEPOINT), False
+    # K is a covering: its coset automaton is its table lookup
+    K = (BASEPOINT, lambda v, x: edges[x][v])
+    if not _traces_agree(H.ctx, coset_automaton(H), K, L, budget):
+        raise AssertionError("completion failed to preserve the trace")  # unreachable
+    return nverts, edges, ((parent, letter) if dist[-1] <= L else None)
 
 
 # ── homomorphism-defined subgroups ───────────────────────────────────────────

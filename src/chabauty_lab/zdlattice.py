@@ -170,29 +170,43 @@ def _members(H: HnfSubgroup, radius: int, budget: Budget) -> list[tuple[int, Vec
 
     A member is Σ aᵢ·rowᵢ, and once a₀..aᵢ₋₁ are fixed the coordinates left of
     row i's pivot are final (the rows below are zero there). So level i keeps
-    the partial sums whose final coordinates fit in the ball, and aᵢ ranges
-    over the values that keep the pivot coordinate inside the radius left:
-    Fincke–Pohst enumeration over the triangular HNF basis, in the L¹ norm.
-    A level holding more than `budget.vertex_cap` points raises
-    BudgetExceededError.
+    the partial sums whose final coordinates fit in the ball: Fincke–Pohst
+    enumeration over the triangular HNF basis, in the L¹ norm. The norm
+    that aᵢ = a gives a partial sum (n, v), n + Σ |v_j + a·row_j| over the
+    coordinates j from row i's pivot to the next pivot, is convex in a. So
+    the kept values of aᵢ form an interval, inside the range the pivot
+    coordinate allows and found in it by bisection when other coordinates
+    count. Each value tried is then a point kept, and a level raises
+    BudgetExceededError as it keeps its (`vertex_cap` + 1)-th point.
     """
     ends = [c for _, c in H.pivots[1:]] + [H.dim]
     level = [(0, (0,) * H.dim)]
     for (i, c), end in zip(H.pivots, ends):
         row = H.rows[i]
         p = row[c]
+        tail = row[c:end]
         grown = []
         for n, v in level:
             room = radius - n
-            lo = -((room + v[c]) // p)
-            w = tuple(x + lo * y for x, y in zip(v, row))
-            for _ in range(lo, (room - v[c]) // p + 1):
-                m = n + sum(map(abs, w[c:end]))
-                if m <= radius:
-                    grown.append((m, w))
+            first, last = -((room + v[c]) // p), (room - v[c]) // p
+            if end > c + 1 and first <= last:
+                head = v[c:end]
+
+                def norm(a: int) -> int:
+                    return n + sum(map(abs, map(add, head, [a * y for y in tail])))
+
+                # the first a from which the norm stops falling, then the ends
+                least = first + bisect_left(range(first, last), True, key=lambda a: norm(a + 1) >= norm(a))
+                if norm(least) > radius:
+                    continue
+                first += bisect_left(range(first, least), True, key=lambda a: norm(a) <= radius)
+                last = least + bisect_left(range(least, last), True, key=lambda a: norm(a + 1) > radius)
+            w = tuple(x + first * y for x, y in zip(v, row))
+            for _ in range(first, last + 1):
+                grown.append((n + sum(map(abs, w[c:end])), w))
+                if len(grown) > budget.vertex_cap:
+                    raise budget.exceeded("vertex_cap", "lattice ball points", len(grown))
                 w = tuple(map(add, w, row))
-            if len(grown) > budget.vertex_cap:
-                raise budget.exceeded("vertex_cap", "lattice ball points", len(grown))
         level = grown
     return level
 

@@ -98,7 +98,9 @@ _RAISE_SITES = {
     ),
     "stallings completion check": (
         "graph vertices", "vertex_cap", 3,
-        lambda b: stallings._traces_agree(_gens("aab"), _gens("aaab"), 8, b),
+        lambda b: stallings._traces_agree(
+            F2, stallings.coset_automaton(_gens("aab")), stallings.coset_automaton(_gens("aaab")), 8, b
+        ),
     ),
     "chabauty product search": (
         "graph vertices", "vertex_cap", 3,
@@ -161,9 +163,9 @@ def test_budget_errors_name_their_field(site, monkeypatch):
     counted and the limit."""
     what, field, small, call = _RAISE_SITES[site]
     if site == "dynamics witness candidates":
-        # every candidate refused, whichever route ranked it (the ordered
-        # walk for the completions left as built, `basis_outside` for the
-        # rest): each ⟨H, k⟩ has finite index, and the search runs out
+        # every candidate refused, whichever route read it (the ordered
+        # walk when `_complete` gives the completion's tree, `basis_outside`
+        # otherwise): each ⟨H, k⟩ has finite index, and the search runs out
         monkeypatch.setattr(dynamics, "join", lambda H, extra, budget: _gens("a", "b"))
     budget = Budget().replace(**{field: small})
     with pytest.raises(BudgetExceededError) as info:

@@ -39,6 +39,7 @@ from chabauty_lab.stallings import (
     StallingsGraph,
     Target,
     _traces_agree,
+    coset_automaton,
     from_generators,
     hall_completion,
     preimage,
@@ -332,15 +333,15 @@ def half_radius_pairs(draw):
 @example((gens(), gens("abAB"), 4))
 @settings(max_examples=200, deadline=None)
 def test_half_radius_check_matches_product_search(pair):
-    """The completion check agrees with the product search over B(radius),
-    in both argument orders."""
+    """The completion check on the two coset automata agrees with the
+    product search over B(radius), in both argument orders."""
     H, K, radius = pair
     try:
         expected = distance_up_to(H, K, radius).kind == "at_most"
     except BudgetExceededError:
         assume(False)
-    assert _traces_agree(H, K, radius, Budget()) == expected
-    assert _traces_agree(K, H, radius, Budget()) == expected
+    for A, B in ((H, K), (K, H)):
+        assert _traces_agree(H.ctx, coset_automaton(A), coset_automaton(B), radius, Budget()) == expected
 
 
 def image_state_distance(H, K, radius):

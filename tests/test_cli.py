@@ -70,6 +70,15 @@ def test_missing_file_is_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_seed_is_no_option(capsys, tmp_path):
+    """Every built-in command is deterministic, and none takes a seed."""
+    spec = spec_file(tmp_path, "h.json", {"context": F2_CTX, "generators": ["a"]})
+    with pytest.raises(SystemExit) as info:
+        main(["stallings", spec, "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 _BIG_INT = b"1" * 5000  # past Python's 4,300-digit limit on int parsing
 
 
@@ -527,9 +536,9 @@ def test_stallings_prints_the_canonical_completion(capsys, tmp_path):
     """⟨ba⟩'s completion at radius 2 is built in another numbering than the
     canonical one; the report prints the canonical graph."""
     H = from_generators(free_group(2), [parse_word("ba", free_group(2))])
-    built, as_built = stallings._completion(H, 2, current())
+    nverts, edges, tree = stallings._complete(H, 2, current())
     canonical = hall_completion(H, 2)
-    assert as_built and built.edges != canonical.edges
+    assert tree is not None and nverts == canonical.nverts and tuple(edges) != canonical.edges
     spec = spec_file(tmp_path, "h.json", {"context": F2_CTX, "generators": ["ba"],
                                           "completion_radius": 2})
     code, out, _ = run(capsys, "stallings", spec)
@@ -730,6 +739,42 @@ def test_complete_schreier_ball_work_follows_its_depth():
     result = json.loads(done.stdout)["result"]
     assert result["graph"]["vertices"] == 5 and result["graph"]["complete"]
     assert result["ends"] == [[r, 0] for r in range(1, 7)]
+
+
+_Z2_LINE = {"context": {"kind": "lattice", "rank": 2}, "generators": [[1, 0]]}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["witness"], _Z2_LINE),
+    (["chabauty"], {"sequence": [{"context": {"kind": "lattice", "rank": 2},
+                                  "generators": [[1, 0], [0, 5]]}], "limit": _Z2_LINE}),
+], ids=["witness", "sequence"])
+def test_lattice_ball_memory_follows_vertex_cap(argv, doc):
+    """⟨(1, 0)⟩ meets the L¹ ball of radius 10⁸ in 2·10⁸ + 1 points. The
+    listing raises as it keeps the point past `vertex_cap`; listing a whole
+    coefficient range before the check ran out of memory (exit 1)."""
+    resource = pytest.importorskip("resource")
+    limit = 2**30
+    done = _cli_in_subprocess(
+        [*argv, "--radius", "100000000"], doc,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    cap = current().vertex_cap
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert f"lattice ball points: limit {cap}, reached {cap + 1}" in done.stderr
+
+
+def test_steep_lattice_ball_tries_only_the_points_it_keeps():
+    """⟨(1, 10⁶)⟩ keeps about 2·10³ points of the ball of radius 10⁹, where
+    the pivot coordinate alone allows 2·10⁹ + 1 coefficients: each
+    coefficient tried is a point kept, so the run ends (exit 4: ⟨(1, 10⁶)⟩
+    and ⟨(2, 2·10⁶)⟩ differ) in well under the timeout."""
+    def line(v):
+        return {"context": {"kind": "lattice", "rank": 2}, "generators": [v]}
+
+    doc = {"sequence": [line([1, 1000000])], "limit": line([2, 2000000])}
+    done = _cli_in_subprocess(["chabauty", "--radius", "1000000000"], doc, timeout=60)
+    assert done.returncode == 4, done.stderr
 
 
 def test_folner_walks_a_long_word_in_linear_time():

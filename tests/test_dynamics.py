@@ -12,6 +12,7 @@ Frozen fixtures:
 """
 
 import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
@@ -124,8 +125,9 @@ def test_nonisolation_rejects_rank_one():
 
 
 def _oracle_witness_terms(H, length, budget):
-    """(n, K_n, basis of K_n, k_n) of nonisolation_witness by the word
-    route: the whole basis of K_n, each word walked through H."""
+    """(n, [F_r : K_n], k_n) of nonisolation_witness by the word route: the
+    canonical completion K_n, and the whole basis of K_n, each word walked
+    through H."""
     terms = []
     for n in range(1, length + 1):
         for extra in range(budget.witness_radius_slack + 1):
@@ -134,24 +136,17 @@ def _oracle_witness_terms(H, length, budget):
             good = [k for k in candidates[: budget.witness_candidate_cap]
                     if join(H, [k], budget).index() is None]
             if good:
-                terms.append((n, K, K.basis(), good[0]))
+                terms.append((n, K.index(), good[0]))
                 break
         else:
             raise BudgetExceededError("nonisolation candidates", budget.witness_candidate_cap)
     return terms
 
 
-def _canonical_of(K):
-    return stallings._canonical(K.ctx, range(K.nverts), K.edges, 0)
-
-
 def _terms(witness):
-    """(n, K_n, basis of K_n, k_n), each K_n renumbered canonically: a
-    witness keeps its completions as built, and reads their bases so."""
-    return [
-        (t.n, _canonical_of(t.completion), t.completion.basis(), t.adjoined)
-        for t in witness.terms
-    ]
+    """(n, [F_r : K_n], k_n) of each term: a witness keeps K_n's index, not
+    K_n."""
+    return [(t.n, t.completion_index, t.adjoined) for t in witness.terms]
 
 
 @st.composite
@@ -526,6 +521,28 @@ def test_workload_obstructions_match_the_oracle(task):
 
 def test_obstruction_task_matches_the_oracle():
     _assert_same_outcome(obstruction_task())
+
+
+def _fifth_power_task(exponent_cap):
+    """⟨b⁵ab⁻⁵⟩ moved onto ⟨a⟩, past every other conjugate by a candidate of
+    u_len_cap 1: only the conjugator b⁵ lands in the target set."""
+    c = conjugate((1,), (2,) * 5)
+    grid = Budget(u_len_cap=1, exponent_cap=Budget().conjugator_len_cap)
+    outs = {conjugate(c, invert(w)) for w in _candidate_conjugators(F2, grid)} - {(1,)}
+    pair = (clopen([c], []), clopen([(1,)], outs), from_generators(F2, [c]), gens("a"))
+    return make_task(F2, [pair], Budget(u_len_cap=1, exponent_cap=exponent_cap))
+
+
+def test_candidate_powers_stop_at_the_conjugator_length_cap():
+    """|uⁿ| grows with n, so each u's powers stop at conjugator_len_cap: an
+    exponent_cap of 10⁶ finds the certificate of exponent_cap =
+    conjugator_len_cap (b⁵, the 30th candidate) after the same candidates,
+    where building every power up to 10⁶ would not finish."""
+    start = time.process_time()
+    move = multi_transitivity_move(_fifth_power_task(10**6))
+    assert time.process_time() - start < 1
+    assert move == multi_transitivity_move(_fifth_power_task(Budget().conjugator_len_cap))
+    assert (move.candidate, move.candidates_tried) == ((2,) * 5, 30)
 
 
 def _with_vertex_cap(task, cap):

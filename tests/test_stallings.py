@@ -13,7 +13,7 @@ The worklist fold is checked against the full-rebuild edge-set fold it
 replaced (`_oracle_core`), `basis` against the path-tuple construction, the
 speller that reads the recorded BFS tree against the BFS speller it replaced,
 the layered completion against the heap-ordered one it replaced, and the
-ordered walk that reads the witness candidates of a completion left as built
+ordered walk that reads the witness candidates off a completion's tables
 against `basis_outside`, which ranks every basis key.
 """
 
@@ -1114,11 +1114,20 @@ def test_finite_preimages_number_canonically(G):
 
 # ── every constructor keeps one table per letter and a tree of letters ──────
 
+def _completed(H, L):
+    """`_complete`'s K as a graph: in build numbering with the tree it
+    gives, or numbered by `_canonical` when it gives none."""
+    nverts, edges, tree = stallings._complete(H, L, Budget())
+    if tree is None:
+        return stallings._canonical(H.ctx, range(nverts), edges, BASEPOINT)
+    return StallingsGraph(H.ctx, nverts, edges[: H.ctx.rank + 1], tree)
+
+
 _BUILT = {
     **_CONSTRUCTIONS,
     "wedge_conjugate": lambda H, K, g: wedge_conjugate(H, K, g).finalize(),
-    # a completion that `_complete` leaves as built is not renumbered
-    "complete-as-built": lambda H, K, g: stallings._completion(H, 2, Budget())[0],
+    # a completion left in build numbering, with the tree `_complete` gives
+    "complete-as-built": lambda H, K, g: H if H.is_covering() else _completed(H, 2),
 }
 
 
@@ -1227,15 +1236,17 @@ def completion_inputs(draw):
     return H, draw(st.integers(0, 6))
 
 
-def _renumbered(K):
-    return stallings._canonical(K.ctx, range(K.nverts), K.edges, BASEPOINT)
+def _renumbered(ctx, completed):
+    """`_complete`'s (nverts, edges, tree), numbered by `_canonical`."""
+    nverts, edges, _ = completed
+    return stallings._canonical(ctx, range(nverts), edges, BASEPOINT)
 
 
 def _completion_outcome(complete, H, L, cap):
     try:
-        return _renumbered(complete(H, L, _cap(cap)))
-    except BudgetExceededError:
-        return "exceeded"
+        return complete(H, L, _cap(cap))
+    except BudgetExceededError as exc:
+        return exc.what
 
 
 @given(completion_inputs(), st.floats(0, 1))
@@ -1243,18 +1254,28 @@ def _completion_outcome(complete, H, L, cap):
 @example((from_generators(F2, [(1, 2, -1)]), 0), 0.0)
 # a core that reaches past L, so vertices of the core beyond L are matched
 @example((from_generators(F2, [(1, 1, 1, 1, 1, 2)]), 1), 0.5)
+# no vertex closer than L lacks an edge, so only the check can raise
+@example((gens("aaa", "b", "Aba"), 1), 0.0)
 @settings(max_examples=80, deadline=None)
 def test_layered_completion_matches_heap_oracle(drawn, cap_fraction):
     """Equal graphs, and under the same vertex_cap the same raise: the
-    cap-th created vertex is the first refused by both."""
+    cap-th created vertex is the first refused by both. `_complete` then
+    checks K against H, which fits every cap that K fits and may raise
+    under a smaller one."""
     H, L = drawn
-    K, _ = stallings._complete(H, L, Budget())
-    assert _renumbered(K) == _oracle_complete(H, L, Budget())
+    K = _oracle_complete(H, L, Budget())
+    assert _renumbered(H.ctx, stallings._complete(H, L, Budget())) == K
     n = K.nverts  # the completion keeps every vertex it creates
     for cap in {n, n - 1, max(1, round(n * cap_fraction))}:
-        layered = _completion_outcome(lambda *a: stallings._complete(*a)[0], H, L, cap)
-        assert layered == _completion_outcome(_oracle_complete, H, L, cap)
-        assert (layered == "exceeded") == (cap < n and n > H.nverts)
+        layered = _completion_outcome(
+            lambda *a: _renumbered(H.ctx, stallings._complete(*a)), H, L, cap
+        )
+        oracle = _completion_outcome(_oracle_complete, H, L, cap)
+        if layered == "graph vertices":  # the check, after a growth that fit
+            assert cap < n and oracle == K
+        else:
+            assert layered == oracle
+        assert (layered == "completion vertices") == (cap < n and n > H.nverts)
 
 
 def _tree_words(G):
@@ -1274,22 +1295,36 @@ def _tree_words(G):
 @example((trivial_subgroup(F3), 0))
 @settings(max_examples=80, deadline=None)
 def test_completion_as_built_reads_as_the_canonical_one(drawn):
-    """K as `_complete` numbers it is the canonical completion renumbered:
-    its recorded tree is the canonical tree, vertex for vertex through the
-    tree words, and its basis and the candidates outside H are the
-    canonical completion's."""
+    """`_complete` gives K's tree iff H's core lies within L, and K in its
+    build numbering with that tree is the canonical completion renumbered:
+    the tree is the canonical tree, vertex for vertex through the tree
+    words, and its basis and the candidates outside H are the canonical
+    completion's."""
     H, L = drawn
-    K, as_built = stallings._complete(H, L, Budget())
+    nverts, edges, tree = stallings._complete(H, L, Budget())
     C = _oracle_complete(H, L, Budget())
-    assert _renumbered(K) == C
-    if not as_built:
-        assert K.edges == C.edges
+    assert _renumbered(H.ctx, (nverts, edges, tree)) == C
+    assert (tree is None) == (max(map(len, _tree_words(H))) > L)
+    if tree is None:
+        return
+    K = StallingsGraph(H.ctx, nverts, edges[: H.ctx.rank + 1], tree)
     canonical_words = _tree_words(C)
     for word in _tree_words(K):
         assert canonical_words[C.walk(BASEPOINT, word)] == word
     assert (K.basis(), K.basis_text()) == (C.basis(), C.basis_text())
     for cap in (1, 2, 20, 10**6):
         assert basis_outside(K, H, cap) == basis_outside(C, H, cap)
+
+
+@functools.cache
+def _deep_core():
+    """The a-cycle of length 2,100 with a b-loop at every vertex but the one
+    opposite the basepoint: a core of depth 1,050, whose completion at
+    L = 1,052 has a tree deeper than Python recurses."""
+    n = 2100
+    succ = [{i: (i + 1) % n for i in range(n)}, {i: i for i in range(n) if i != n // 2}]
+    pred = [{v: u for u, v in s.items()} for s in succ]
+    return stallings._canonical(F2, range(n), _laid_out(succ, pred), BASEPOINT)
 
 
 @given(completion_inputs(), st.sampled_from([1, 2, 20, 10**6]))
@@ -1300,28 +1335,40 @@ def test_completion_as_built_reads_as_the_canonical_one(drawn):
 @example((from_generators(free_group(27), [(1,), (2, 27, -2)]), 1), 2)
 @settings(max_examples=150, deadline=None)
 def test_walk_outside_matches_basis_outside(drawn, cap):
-    """On every completion `_complete` leaves as built, the ordered walk
-    that stops at the cap reads the first `cap` candidates that ranking
-    every basis key outside H reads."""
+    """On every completion that `_complete` gives with its tree, the
+    ordered walk of its tables that stops at the cap reads the first `cap`
+    candidates that ranking every basis key outside H reads."""
     H, L = drawn
-    K, as_built = stallings._complete(H, L, Budget())
-    assume(as_built)
-    assert stallings._walk_outside(K, H, cap) == basis_outside(K, H, cap)
+    nverts, edges, tree = stallings._complete(H, L, Budget())
+    assume(tree is not None)
+    K = StallingsGraph(H.ctx, nverts, edges[: H.ctx.rank + 1], tree)
+    assert stallings._walk_outside(edges, tree, H, cap) == basis_outside(K, H, cap)
 
 
 def test_walk_outside_of_a_tree_deeper_than_the_recursion_limit():
-    """The a-cycle of length 2,100 with a b-loop at every vertex but the one
-    opposite the basepoint: a core of depth 1,050, left as built by its
-    completion at L = 1,052, whose tree is deeper than Python recurses."""
-    n = 2100
-    succ = [{i: (i + 1) % n for i in range(n)}, {i: i for i in range(n) if i != n // 2}]
-    pred = [{v: u for u, v in s.items()} for s in succ]
-    H = stallings._canonical(F2, range(n), _laid_out(succ, pred), BASEPOINT)
-    K, as_built = stallings._complete(H, 1052, Budget())
-    assert as_built and K.nverts == n + 8
-    words = stallings._walk_outside(K, H, 3)
+    H = _deep_core()
+    nverts, edges, tree = stallings._complete(H, 1052, Budget())
+    assert tree is not None and nverts == H.nverts + 8
+    K = StallingsGraph(F2, nverts, edges[:3], tree)
+    words = stallings._walk_outside(edges, tree, H, 3)
     assert [len(x) for x in words] == [2 * 1052 + 1] * 3
     assert words == basis_outside(K, H, 3)
+
+
+@given(completion_inputs(), st.sampled_from([1, 2, 20, 10**6]))
+@example((from_generators(F2, [(1, 1, 1, 1, 1, 2)]), 1), 10**6)  # a core past L
+@example((from_generators(F2, [(1, 1, 1, 1, 1, 2)]), 1), 2)
+@example((_deep_core(), 1052), 3)
+@settings(max_examples=100, deadline=None)
+def test_witness_candidates_read_the_canonical_completion(drawn, cap):
+    """`_witness_candidates`, whichever route reads K, gives the index of
+    `hall_completion(H, L)` and the first `cap` words of its basis outside
+    H, each word walked through H."""
+    H, L = drawn
+    assume(not H.is_covering())
+    K = hall_completion(H, L)
+    expected = (K.index(), [x for x in K.basis() if not H.contains(x)][:cap])
+    assert stallings._witness_candidates(H, L, cap, Budget()) == expected
 
 
 def test_hall_completion_completes_once(monkeypatch):

@@ -353,15 +353,15 @@ def test_count_by_index_in_z4_up_to_index_40():
 
 
 def test_lattice_ball_answers_to_the_vertex_cap():
-    """Listing H ∩ B(L) raises once a level of the enumeration holds more
-    than vertex_cap points, and keeps no partial ball."""
+    """Listing H ∩ B(L) raises as a level of the enumeration keeps its
+    (vertex_cap + 1)-th point, and keeps no partial ball."""
     # a fresh Z² each time, since a subgroup keeps the largest ball it listed;
     # its radius-5 ball holds 2·5·6 + 1 = 61 points
     z2 = lambda: hnf_from_generators(2, [(1, 0), (0, 1)])
     tight = Budget(vertex_cap=60)
     with pytest.raises(BudgetExceededError) as info:
         members_in_ball(z2(), 5, tight)
-    assert info.value.what == "lattice ball points"
+    assert (info.value.what, info.value.reached) == ("lattice ball points", 61)
     assert len(members_in_ball(z2(), 5, Budget(vertex_cap=61))) == 61
     with pytest.raises(BudgetExceededError):
         first_difference_in_ball(z2(), hnf_from_generators(2, [(2, 0)]), 5, tight)
